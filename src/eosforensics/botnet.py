@@ -77,8 +77,11 @@ class SimilarityThreshold:
     sd_s: float
 
     def _box(self, mean, sd):
-        lo = round(mean - 3.0 * sd, _BOUND_DECIMALS)
-        hi = round(mean + 3.0 * sd, _BOUND_DECIMALS)
+        # when sd is below the rounding step, rounding may move a bound past
+        # the mean or a labeled community; no bound lies inside mean +/- 2 sd,
+        # which holds the points at mean +/- sd with a margin for float error
+        lo = min(round(mean - 3.0 * sd, _BOUND_DECIMALS), mean - 2.0 * sd)
+        hi = max(round(mean + 3.0 * sd, _BOUND_DECIMALS), mean + 2.0 * sd)
         return max(0.0, lo), min(1.0, hi)
 
     @property

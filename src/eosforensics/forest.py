@@ -69,11 +69,13 @@ class _Tree:
             ):
                 continue
             feats = rng.choice(n_features, size=max_features, replace=False)
-            best = _best_split(X, ys, idx, feats, min_leaf)
+            cols = X[idx[:, None], feats]
+            best = _best_split(cols, ys, min_leaf)
             if best is None:
                 continue
-            fidx, thr, mask = best
-            self.feature[node] = int(fidx)
+            j, thr = best
+            mask = cols[:, j] <= thr
+            self.feature[node] = int(feats[j])
             self.threshold[node] = float(thr)
             left = self._new_node()
             right = self._new_node()
@@ -83,18 +85,21 @@ class _Tree:
             stack.append((left, idx[mask], depth + 1))
 
     def predict_prob(self, X):
-        out = np.empty(X.shape[0])
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        prob = np.asarray(self.prob)
-        for i in range(X.shape[0]):
-            node = 0
-            while feature[node] >= 0:
-                node = left[node] if X[i, feature[node]] <= threshold[node] else right[node]
-            out[i] = prob[node]
-        return out
+        """Leaf probability per row of `X`. All rows descend together, one
+        tree level per step, by the same `x <= threshold` test."""
+        feature = np.asarray(self.feature, dtype=np.intp)
+        threshold = np.asarray(self.threshold, dtype=np.float64)
+        left = np.asarray(self.left, dtype=np.intp)
+        right = np.asarray(self.right, dtype=np.intp)
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.arange(X.shape[0])
+        while rows.size:
+            at = node[rows]
+            inner = feature[at] >= 0
+            rows, at = rows[inner], at[inner]
+            go_left = X[rows, feature[at]] <= threshold[at]
+            node[rows] = np.where(go_left, left[at], right[at])
+        return np.asarray(self.prob, dtype=np.float64)[node]
 
     def to_json(self):
         return {
@@ -116,37 +121,72 @@ class _Tree:
         return t
 
 
-def _best_split(X, ys, idx, feats, min_leaf):
-    """Vectorized exhaustive split search over the candidate features.
-    Returns (feature, threshold, left_mask) or None."""
-    n = len(idx)
+def _best_split(cols, ys, min_leaf):
+    """Exhaustive split search over the candidate feature columns `cols`
+    (one row per sample at the node), all columns at once. Returns
+    (column, threshold) or None. Columns are tried in order, and a later
+    one wins only with a Gini lower by more than 1e-12."""
+    n = len(ys)
+    order = np.argsort(cols, axis=0, kind="stable")
+    sorted_cols = cols[order, np.arange(cols.shape[1])]
+    pos_left = np.cumsum(ys[order], axis=0)[:-1]
+    n_left = np.arange(1, n)[:, None]
+    n_right = n - n_left
+    # splits only between distinct adjacent values, honoring min_leaf
+    valid = sorted_cols[:-1] < sorted_cols[1:]
+    valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
+    pos_right = ys.sum() - pos_left
+    share_left = pos_left / n_left
+    share_right = pos_right / n_right
+    gini_left = 1.0 - share_left ** 2 - (1 - share_left) ** 2
+    gini_right = 1.0 - share_right ** 2 - (1 - share_right) ** 2
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+    weighted[~valid] = math.inf
+    ks = np.argmin(weighted, axis=0)
     best_gini = math.inf
     best = None
-    total_pos = ys.sum()
-    for f in feats:
-        col = X[idx, f]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        sorted_y = ys[order]
-        pos_left = np.cumsum(sorted_y)[:-1]
-        n_left = np.arange(1, n)
-        # splits only between distinct adjacent values, honoring min_leaf
-        valid = sorted_col[:-1] < sorted_col[1:]
-        valid &= (n_left >= min_leaf) & ((n - n_left) >= min_leaf)
-        if not valid.any():
-            continue
-        n_right = n - n_left
-        pos_right = total_pos - pos_left
-        gini_left = 1.0 - (pos_left / n_left) ** 2 - (1 - pos_left / n_left) ** 2
-        gini_right = 1.0 - (pos_right / n_right) ** 2 - (1 - pos_right / n_right) ** 2
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        weighted[~valid] = math.inf
-        k = int(np.argmin(weighted))
-        if weighted[k] < best_gini - 1e-12:
-            thr = (sorted_col[k] + sorted_col[k + 1]) / 2.0
-            best_gini = weighted[k]
-            best = (f, thr, col <= thr)
+    for j, k in enumerate(ks):
+        if weighted[k, j] < best_gini - 1e-12:
+            best_gini = weighted[k, j]
+            best = (j, (sorted_cols[k, j] + sorted_cols[k + 1, j]) / 2.0)
     return best
+
+
+def _fit_prefixes(X, y, max_depth, min_leaf, seed, sizes):
+    """Fit max(sizes) trees and return them with the out-of-bag accuracy
+    (None when no row is ever out of bag) of each leading run of
+    trees whose length is in `sizes`.
+
+    Tree i grows from child i of SeedSequence(seed), and the first k
+    children of spawn(m) are spawn(k), so the first k trees are exactly
+    the forest of k trees. Out-of-bag votes add up tree by tree in that
+    order, so each prefix's score is the one its own fit would give."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if len(np.unique(y)) < 2:
+        raise TrainingError("training labels contain a single class")
+    n = X.shape[0]
+    max_features = max(1, int(math.sqrt(X.shape[1])))
+    trees = []
+    scores = dict.fromkeys(sizes)
+    oob_votes = np.zeros(n)
+    oob_counts = np.zeros(n)
+    for k, ss in enumerate(np.random.SeedSequence(seed).spawn(max(sizes)), start=1):
+        rng = np.random.default_rng(ss)
+        sample = rng.integers(0, n, size=n)
+        tree = _Tree()
+        tree.fit(X[sample], y[sample], max_depth, min_leaf, max_features, rng)
+        trees.append(tree)
+        oob = np.ones(n, dtype=bool)
+        oob[sample] = False
+        if oob.any():
+            oob_votes[oob] += tree.predict_prob(X[oob])
+            oob_counts[oob] += 1
+        covered = oob_counts > 0
+        if k in sizes and covered.any():
+            pred = (oob_votes[covered] / oob_counts[covered]) >= 0.5
+            scores[k] = float(np.mean(pred == (y[covered] == 1)))
+    return trees, scores
 
 
 @dataclass
@@ -159,32 +199,9 @@ class RandomForest:
     oob_score: float | None = None
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        if len(np.unique(y)) < 2:
-            raise TrainingError("training labels contain a single class")
-        n = X.shape[0]
-        max_features = max(1, int(math.sqrt(X.shape[1])))
-        seeds = np.random.SeedSequence(self.seed).spawn(self.n_trees)
-        self.trees = []
-        oob_votes = np.zeros(n)
-        oob_counts = np.zeros(n)
-        for ss in seeds:
-            rng = np.random.default_rng(ss)
-            sample = rng.integers(0, n, size=n)
-            tree = _Tree()
-            tree.fit(X[sample], y[sample], self.max_depth, self.min_leaf,
-                     max_features, rng)
-            self.trees.append(tree)
-            oob = np.ones(n, dtype=bool)
-            oob[sample] = False
-            if oob.any():
-                oob_votes[oob] += tree.predict_prob(X[oob])
-                oob_counts[oob] += 1
-        covered = oob_counts > 0
-        if covered.any():
-            pred = (oob_votes[covered] / oob_counts[covered]) >= 0.5
-            self.oob_score = float(np.mean(pred == (y[covered] == 1)))
+        self.trees, scores = _fit_prefixes(
+            X, y, self.max_depth, self.min_leaf, self.seed, (self.n_trees,))
+        self.oob_score = scores[self.n_trees]
         return self
 
     def predict_prob(self, X):
@@ -257,17 +274,26 @@ def train_classifier(X, y, split_ratio=0.8, seed=0, grid=None) -> TrainResult:
     if len(np.unique(y[train_idx])) < 2:
         raise TrainingError("training split contains a single class")
 
-    best_model = None
+    X_train, y_train = X[train_idx], y[train_idx]
+    # One fit per (max_depth, min_leaf) cell scores every n_trees, as each
+    # smaller forest is a prefix of the largest.
+    oob = {}
+    for max_depth in grid["max_depth"]:
+        for min_leaf in grid["min_leaf"]:
+            _, cell_scores = _fit_prefixes(
+                X_train, y_train, max_depth, min_leaf, seed, grid["n_trees"])
+            for n_trees, score in cell_scores.items():
+                oob[n_trees, max_depth, min_leaf] = score
     best_score = -1.0
     best_params = None
     scores = []
     for params in _grid_configs(grid):
-        forest = RandomForest(seed=seed, **params).fit(X[train_idx], y[train_idx])
-        score = forest.oob_score if forest.oob_score is not None else 0.0
+        key = (params["n_trees"], params["max_depth"], params["min_leaf"])
+        score = oob[key] if oob[key] is not None else 0.0
         scores.append((params, score))
         if score > best_score + 1e-12:
             best_score = score
-            best_model = forest
             best_params = params
+    best_model = RandomForest(seed=seed, **best_params).fit(X_train, y_train)
     test_accuracy = best_model.score(X[test_idx], y[test_idx])
     return TrainResult(best_model, test_accuracy, best_params, scores)

@@ -284,6 +284,8 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def _decode_payload(action_name: str, raw: dict):
+    if not isinstance(raw, dict):
+        raise ValueError(f"payload is not an object: {type(raw).__name__}")
     if action_name == "transfer" and {"from", "to", "quantity"} <= raw.keys():
         return TransferPayload(
             src=sys.intern(raw["from"]),

@@ -23,6 +23,27 @@ class TestThresholdBox:
         assert t.contains(0.05, 0.05)
         assert not t.contains(0.051, 0.05)
 
+    def test_degenerate_box_keeps_unrounded_mean(self):
+        # rounding to 12 decimals lands below this mean; the box must still
+        # hold it, or two tied labeled communities exclude themselves
+        mean = 0.6369616873214543
+        t = botnet.SimilarityThreshold(mean, 0.0, mean, 0.0)
+        lo, hi = t.box_t
+        assert lo <= mean <= hi
+        assert t.contains(mean, mean)
+        assert not t.contains(0.637, mean)
+
+    @pytest.mark.parametrize("mean", [0.6369616873214543, 0.05, 0.3333333333333333])
+    def test_box_keeps_points_an_ulp_apart(self, mean):
+        # sd is a few ulps, far below the rounding step; both labeled
+        # communities must still fall inside the box they calibrate
+        pairs = [(np.nextafter(mean, 0.0), mean), (mean, np.nextafter(mean, 1.0)),
+                 (np.nextafter(mean, 0.0), np.nextafter(mean, 1.0))]
+        for a, b in pairs:
+            t = botnet.calibrate_threshold([(a, a), (b, b)])
+            assert t.contains(a, a)
+            assert t.contains(b, b)
+
     def test_clipping(self):
         t = botnet.SimilarityThreshold(0.9, 0.2, 0.5, 0.0)
         assert t.box_t == (0.3, 1.0)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -87,3 +90,110 @@ def test_grid_search_reports_all_configs():
     result = forest.train_classifier(X, y, seed=0, grid=grid)
     assert len(result.grid_scores) == 4
     assert result.best_params in [params for params, _ in result.grid_scores]
+
+
+def _scalar_walk(tree, X):
+    """Reference walk: one row at a time from the root."""
+    out = []
+    for row in X:
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out.append(tree.prob[node])
+    return np.array(out, dtype=np.float64)
+
+
+def _random_tree(rng, n_features, values, max_depth):
+    tree = forest._Tree()
+    stack = [(tree._new_node(), 0)]
+    while stack:
+        node, depth = stack.pop()
+        tree.prob[node] = float(rng.uniform())
+        if depth == max_depth or rng.uniform() < 0.25:
+            continue
+        tree.feature[node] = int(rng.integers(n_features))
+        tree.threshold[node] = float(rng.choice(values))
+        tree.left[node] = tree._new_node()
+        tree.right[node] = tree._new_node()
+        stack += [(tree.left[node], depth + 1), (tree.right[node], depth + 1)]
+    return tree
+
+
+def test_tree_predict_matches_scalar_walk():
+    rng = np.random.default_rng(9)
+    # few distinct values, so rows often sit exactly on a threshold
+    values = np.linspace(-1.0, 1.0, 7)
+    for _ in range(30):
+        tree = _random_tree(rng, 4, values, max_depth=int(rng.integers(1, 9)))
+        X = rng.choice(values, size=(200, 4))
+        assert np.array_equal(tree.predict_prob(X), _scalar_walk(tree, X))
+
+
+def test_tree_predict_single_leaf_and_empty():
+    leaf = forest._Tree()
+    leaf._new_node()
+    leaf.prob[0] = 0.25
+    X = np.arange(12.0).reshape(4, 3)
+    assert np.array_equal(leaf.predict_prob(X), _scalar_walk(leaf, X))
+    assert np.array_equal(leaf.predict_prob(X), np.full(4, 0.25))
+    empty = leaf.predict_prob(np.empty((0, 3)))
+    assert empty.shape == (0,)
+
+
+def test_tree_predict_after_json_round_trip():
+    X, y = _blobs(n_per_class=80, gap=1.0)
+    model = forest.RandomForest(n_trees=4, seed=2).fit(X, y)
+    for tree in model.trees:
+        again = forest._Tree.from_json(json.loads(json.dumps(tree.to_json())))
+        assert np.array_equal(again.predict_prob(X), _scalar_walk(tree, X))
+        assert np.array_equal(again.predict_prob(X[:0]), np.empty(0))
+
+
+def test_seed_children_are_prefixes():
+    short = np.random.SeedSequence(11).spawn(5)
+    long = np.random.SeedSequence(11).spawn(20)
+    assert [s.generate_state(4).tolist() for s in short] == [
+        s.generate_state(4).tolist() for s in long[:5]
+    ]
+
+
+def test_prefix_forests_equal_forests_fitted_alone():
+    X, y = _blobs(n_per_class=70, gap=1.0)
+    sizes = (3, 8, 20)
+    trees, scores = forest._fit_prefixes(X, y, 6, 2, 11, sizes)
+    assert len(trees) == 20
+    for k in sizes:
+        alone = forest.RandomForest(n_trees=k, max_depth=6, min_leaf=2, seed=11).fit(X, y)
+        prefix = forest.RandomForest(n_trees=k, max_depth=6, min_leaf=2, seed=11,
+                                     trees=trees[:k], oob_score=scores[k])
+        assert prefix.to_json() == alone.to_json()
+
+
+# Computed with the per-configuration fit and the per-row tree walk that
+# the prefix fit and the vectorised walk replaced.
+GOLDEN_MODEL_SHA256 = "6ef7b5df5546c6bed3b6d2cce46d4fed2073488548e94feb566856593bd4186c"
+GOLDEN_GRID_SCORES = [
+    0.7083333333333334, 0.7604166666666666, 0.71875, 0.75, 0.78125, 0.71875,
+    0.7395833333333334, 0.78125, 0.71875, 0.7395833333333334, 0.78125, 0.71875,
+    0.71875, 0.7395833333333334, 0.71875, 0.75, 0.7291666666666666, 0.71875,
+    0.7604166666666666, 0.7291666666666666, 0.71875, 0.7604166666666666,
+    0.7291666666666666, 0.71875, 0.7291666666666666, 0.71875, 0.7083333333333334,
+    0.7291666666666666, 0.7291666666666666, 0.7083333333333334, 0.7291666666666666,
+    0.7291666666666666, 0.7083333333333334, 0.7291666666666666, 0.7291666666666666,
+    0.7083333333333334,
+]
+
+
+def test_default_grid_golden():
+    rng = np.random.default_rng(2020)
+    X = rng.normal(size=(120, 5))
+    y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(0.0, 0.8, size=120) > 0).astype(int)
+    result = forest.train_classifier(X, y, seed=3)
+    model_json = json.dumps(result.model.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(model_json).hexdigest() == GOLDEN_MODEL_SHA256
+    assert [params for params, _ in result.grid_scores] == list(
+        forest._grid_configs(forest.DEFAULT_GRID))
+    assert [score for _, score in result.grid_scores] == GOLDEN_GRID_SCORES
+    # ties at the top go to the first configuration in grid order
+    assert result.best_params == {"n_trees": 50, "max_depth": 8, "min_leaf": 5}

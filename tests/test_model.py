@@ -122,6 +122,18 @@ class TestTraceParsing:
         assert len(result.diagnostics) == 1
         assert len(result) == 199
 
+    @pytest.mark.parametrize("action_name", ["transfer", "updateauth"])
+    @pytest.mark.parametrize("payload", [["alice", "bob"], "alice", 7, None])
+    def test_non_object_payload_is_diagnostic(self, tmp_path, action_name, payload):
+        p = tmp_path / "t.ndjson"
+        lines = [_action_line(s) for s in range(1, 200)]
+        lines.append(_action_line(200, action_name=action_name, payload=payload))
+        p.write_text("\n".join(lines) + "\n")
+        result = parse_action_trace(p, _window())
+        assert len(result) == 199
+        assert result.diagnostics == [(200, "payload is not an object: "
+                                             + type(payload).__name__)]
+
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(IngestError):
             parse_action_trace(tmp_path / "nope.ndjson", _window())
