@@ -199,11 +199,10 @@ def group_similarity(members_vectors) -> tuple:
 # Calibration + detection
 
 
-def calibrate_threshold(bot_dists, normal_dists=()) -> SimilarityThreshold:
+def calibrate_threshold(bot_dists) -> SimilarityThreshold:
     """Mean and population sd of (dist_t, dist_s) over labeled bot
     communities; the acceptance box is mean +/- 3 sd per axis, clipped to
-    [0, 1]. Normal communities are accepted for reporting symmetry but do
-    not move the box."""
+    [0, 1]."""
     if len(bot_dists) < 2:
         raise CalibrationError(
             f"need >= 2 labeled bot communities, got {len(bot_dists)}"

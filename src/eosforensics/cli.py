@@ -54,8 +54,6 @@ class RunConfig:
     w1: float = 400.0
     w2: float = 1.2
     w3: float = 0.9
-    click_ratio: float = 0.95
-    bonus_fraction: float = 0.5
 
     @property
     def window(self) -> ObservationWindow:

@@ -244,10 +244,6 @@ def silent_accounts(emfg: Emfg, ecig: Ecig, snapshot) -> set:
     return silent
 
 
-def eacg_depth(eacg: Eacg, account) -> int:
-    return eacg.depth(account)
-
-
 # ---------------------------------------------------------------------------
 # Generic directed view + exports
 

@@ -196,13 +196,102 @@ def test_metrics_match_oracles(seed):
         assert pr[node] == pytest.approx(opr[node], abs=1e-8)
 
 
-def test_sparse_clustering_path_matches_dense():
-    rng = random.Random(99)
-    g = random_graph(rng, max_nodes=40)
-    dense = metrics.clustering_coefficient(g)
+def _digraph(rng, n, p):
+    g = DiGraph()
+    for i in range(n):
+        g.add_node(f"n{i}")
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < p:
+                g.add_edge(f"n{i}", f"n{j}", rng.uniform(0.1, 50.0))
+    return g
+
+
+def _copies(g, k):
+    """k disjoint copies of g, prefixed c<copy>:"""
+    out = DiGraph()
+    for c in range(k):
+        for node in g.nodes:
+            out.add_node(f"c{c}:{node}")
+        for u, v, w in g.edges():
+            out.add_edge(f"c{c}:{u}", f"c{c}:{v}", w)
+    return out
+
+
+@pytest.mark.parametrize("self_loop", [False, True])
+def test_clustering_matches_oracle_above_2048_nodes(self_loop):
+    # 2,100 nodes: a self-loop must not set the weight scale at any size.
+    copy = _digraph(random.Random(5), 30, 0.12)
+    big = _copies(copy, 70)
+    if self_loop:
+        heavy = 1000.0 * max(w for _, _, w in copy.edges())
+        copy.add_edge("n0", "n0", heavy)
+        big.add_edge("c0:n0", "c0:n0", heavy)
+    assert big.node_count() == 2100
+    expected = oracle_clustering(copy)
+    assert expected > 0.01
+    assert metrics.clustering_coefficient(big) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["light_loop", "heavy_loop", "zero_edge"])
+@pytest.mark.parametrize("seed", range(6))
+def test_clustering_ignores_self_loops_and_zero_weights(seed, kind):
+    rng = random.Random(seed)
+    g = random_graph(rng, max_nodes=30)
+    wmax = max((w for _, _, w in g.edges()), default=1.0)
     nodes = sorted(g.nodes)
-    sparse = metrics._clustering_sparse(g, nodes)
-    assert dense == pytest.approx(sparse, abs=1e-10)
+    for u in rng.sample(nodes, max(1, len(nodes) // 4)):
+        if kind == "zero_edge":
+            v = rng.choice(nodes)
+            if u != v and v not in g.succ[u]:
+                g.add_edge(u, v, 0.0)
+        else:
+            g.add_edge(u, u, 1000.0 * wmax if kind == "heavy_loop" else 0.01)
+    expected = oracle_clustering(g)
+    got = metrics.clustering_coefficient(g)
+    if expected is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(expected, abs=1e-12)
+
+
+def _local_graph(rng, n, m):
+    """n nodes, m edges, each to one of the next 8 nodes on a ring: many
+    triangles at any size."""
+    g = DiGraph()
+    for i in range(n):
+        g.add_node(f"n{i}")
+    for _ in range(m):
+        i = rng.randrange(n)
+        g.add_edge(f"n{i}", f"n{(i + rng.randint(1, 8)) % n}",
+                   rng.choice([1.0, rng.uniform(0.1, 50.0)]))
+    return g
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_clustering_matches_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    if seed < 6:
+        g = random_graph(rng, max_nodes=60)
+    else:
+        n = rng.randint(2100, 3000)
+        g = _local_graph(rng, n, rng.randint(2 * n, 4 * n))
+    ng = nx.DiGraph()
+    ng.add_nodes_from(g.nodes)
+    ng.add_weighted_edges_from(g.edges())
+    values = nx.clustering(ng, weight="weight")
+    eligible = []
+    for node in g.nodes:
+        out_nb, in_nb = set(g.succ[node]), set(g.pred[node])
+        d_tot = len(out_nb) + len(in_nb)
+        if d_tot * (d_tot - 1) - 2 * len(out_nb & in_nb) > 0:
+            eligible.append(values[node])
+    got = metrics.clustering_coefficient(g)
+    if not eligible:
+        assert got is None
+    else:
+        assert got == pytest.approx(math.fsum(eligible) / len(eligible), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
