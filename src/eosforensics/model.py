@@ -3,8 +3,9 @@
 File formats (all newline-delimited, UTF-8):
 
 * action trace: one JSON object per line, fields matching ActionRecord.
-  Timestamps are ISO-8601 UTC with second resolution, quantities are
-  strings like "1.0000 EOS".
+  Timestamps are ISO-8601 UTC, "YYYY-MM-DDTHH:MM:SSZ" with an optional
+  fraction of 1-6 digits before the "Z" ("2018-06-10T00:00:00.500Z");
+  quantities are strings like "1.0000 EOS".
 * account snapshot: one JSON object per line per account.
 * registries: CSV files with a header row (see Registry.load).
 """
@@ -25,6 +26,10 @@ from .errors import GraphError, IngestError
 ACCOUNT_NAME_RE = re.compile(r"[a-z1-5.]{1,12}")
 SYMBOL_RE = re.compile(r"[A-Z]{1,7}")
 QUANTITY_RE = re.compile(r"(\d+)\.(\d{4}) ([A-Z]{1,7})")
+TIMESTAMP_RE = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})"
+    r"(?:\.([0-9]{1,6}))?Z"
+)
 
 OFFICIAL_TOKEN_CONTRACT = "eosio.token"
 SYSTEM_ACCOUNT = "eosio"
@@ -33,6 +38,12 @@ KINDS = ("external", "inline", "deferred", "notification")
 
 # Fraction of malformed lines above which ingestion aborts.
 MALFORMED_FATAL_RATIO = 0.01
+
+# What decoding one malformed input line raises: bad UTF-8 and bad JSON are
+# ValueErrors, JSON's Infinity as an integer field raises OverflowError, and
+# JSON nested deeper than the decoder's recursion limit raises RecursionError.
+LINE_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError,
+               InvalidOperation)
 
 
 def is_account_name(name) -> bool:
@@ -275,22 +286,72 @@ class Registry:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """The inverse of parse_timestamp: whole seconds as "...:SSZ", a
+    fraction as milliseconds when it has no finer digits, else microseconds."""
+    text = ts.strftime("%Y-%m-%dT%H:%M:%S")
+    if ts.microsecond:
+        fraction = f"{ts.microsecond:06d}"
+        text += "." + (fraction[:3] if fraction.endswith("000") else fraction)
+    return text + "Z"
 
 
 def parse_timestamp(text: str) -> datetime:
-    ts = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
-    return ts.replace(tzinfo=timezone.utc)
+    """Parse a zero-padded UTC timestamp; out-of-range fields are rejected by
+    the datetime constructor."""
+    m = TIMESTAMP_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"bad timestamp: {text!r}")
+    *fields, fraction = m.groups()
+    return datetime(*map(int, fields), int((fraction or "0").ljust(6, "0")),
+                    tzinfo=timezone.utc)
 
 
-def _decode_payload(action_name: str, raw: dict):
+class _Memo:
+    """The distinct strings of one parse, each validated and converted once:
+    account names (to the interned name), timestamps and quantities. Every
+    value is immutable, so records share them. A memo lives for one parse
+    call; nothing is kept between calls."""
+
+    __slots__ = ("names", "timestamps", "quantities")
+
+    def __init__(self):
+        self.names = {}
+        self.timestamps = {}
+        self.quantities = {}
+
+    def account_name(self, name) -> str:
+        try:
+            return self.names[name]
+        except (KeyError, TypeError):
+            name = sys.intern(name)
+            if not is_account_name(name):
+                raise ValueError(f"bad account name: {name!r}") from None
+            self.names[name] = name
+            return name
+
+    def timestamp(self, text) -> datetime:
+        try:
+            return self.timestamps[text]
+        except (KeyError, TypeError):
+            ts = self.timestamps[text] = parse_timestamp(text)
+            return ts
+
+    def quantity(self, text) -> Quantity:
+        try:
+            return self.quantities[text]
+        except (KeyError, TypeError):
+            q = self.quantities[text] = Quantity.parse(text)
+            return q
+
+
+def _decode_payload(action_name: str, raw: dict, memo: _Memo):
     if not isinstance(raw, dict):
         raise ValueError(f"payload is not an object: {type(raw).__name__}")
     if action_name == "transfer" and {"from", "to", "quantity"} <= raw.keys():
         return TransferPayload(
             src=sys.intern(raw["from"]),
             dst=sys.intern(raw["to"]),
-            quantity=Quantity.parse(raw["quantity"]),
+            quantity=memo.quantity(raw["quantity"]),
             memo=raw.get("memo", ""),
         )
     if action_name == "updateauth" and {"account", "permission", "threshold"} <= raw.keys():
@@ -307,33 +368,31 @@ def _decode_payload(action_name: str, raw: dict):
     return raw
 
 
-def decode_action(obj: dict) -> ActionRecord:
-    """Build an ActionRecord from one decoded trace line, validating names."""
+def decode_action(obj: dict, memo: _Memo | None = None) -> ActionRecord:
+    """Build an ActionRecord from one decoded trace line, validating names.
+    parse_action_trace passes the memo of its earlier lines."""
+    if memo is None:
+        memo = _Memo()
     kind = obj["kind"]
     if kind not in KINDS:
         raise ValueError(f"unknown action kind: {kind!r}")
-    executing = sys.intern(obj["executing_contract"])
-    actor = sys.intern(obj["actor"])
+    executing = memo.account_name(obj["executing_contract"])
+    actor = memo.account_name(obj["actor"])
     action_name = sys.intern(obj["action_name"])
-    for name in (executing, actor):
-        if not is_account_name(name):
-            raise ValueError(f"bad account name: {name!r}")
     notified = obj.get("notified")
     if notified is not None:
-        notified = sys.intern(notified)
-        if not is_account_name(notified):
-            raise ValueError(f"bad account name: {notified!r}")
+        notified = memo.account_name(notified)
     if kind == "notification" and notified is None:
         raise ValueError("notification record without notified account")
     return ActionRecord(
         global_seq=int(obj["global_seq"]),
         tx_id=obj["tx_id"],
-        timestamp=parse_timestamp(obj["timestamp"]),
+        timestamp=memo.timestamp(obj["timestamp"]),
         executing_contract=executing,
         action_name=action_name,
         actor=actor,
         kind=kind,
-        payload=_decode_payload(action_name, obj["payload"]),
+        payload=_decode_payload(action_name, obj["payload"], memo),
         notified=notified,
     )
 
@@ -360,24 +419,23 @@ def parse_action_trace(path, window: ObservationWindow) -> TraceParseResult:
     """
     path = Path(path)
     try:
-        fh = path.open("r", encoding="utf-8")
+        fh = path.open("rb")
     except OSError as exc:
         raise IngestError(f"cannot read trace {path}: {exc}") from exc
 
     records = []
     diagnostics = []
     dropped = 0
-    total = 0
     last_seq = None
+    memo = _Memo()
     with fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            total += 1
             try:
-                record = decode_action(json.loads(line))
-            except (ValueError, KeyError, TypeError, InvalidOperation) as exc:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                record = decode_action(json.loads(line), memo)
+            except LINE_ERRORS as exc:
                 diagnostics.append((lineno, str(exc)))
                 continue
             if last_seq is not None and record.global_seq <= last_seq:
@@ -391,6 +449,8 @@ def parse_action_trace(path, window: ObservationWindow) -> TraceParseResult:
                 continue
             records.append(record)
 
+    # Every non-blank line is a record, a drop or a diagnostic.
+    total = len(records) + dropped + len(diagnostics)
     if total and len(diagnostics) / total > MALFORMED_FATAL_RATIO:
         raise IngestError(
             f"{len(diagnostics)}/{total} malformed lines in {path}; "
@@ -467,8 +527,12 @@ def decode_account(obj: dict) -> AccountRecord:
         creator = sys.intern(creator)
         if not is_account_name(creator):
             raise ValueError(f"bad creator name: {creator!r}")
+    raw_permissions = obj.get("permissions", {})
+    if not isinstance(raw_permissions, dict):
+        raise ValueError(
+            f"permissions is not an object: {type(raw_permissions).__name__}")
     permissions = {}
-    for pname, p in obj.get("permissions", {}).items():
+    for pname, p in raw_permissions.items():
         permissions[pname] = Permission(
             threshold=int(p["threshold"]),
             key_weights=tuple((k, int(w)) for k, w in p.get("key_weights", [])),
@@ -491,7 +555,7 @@ def parse_account_snapshot(path) -> SnapshotResult:
     before its creator merely warns (clock skew on real data)."""
     path = Path(path)
     try:
-        fh = path.open("r", encoding="utf-8")
+        fh = path.open("rb")
     except OSError as exc:
         raise IngestError(f"cannot read snapshot {path}: {exc}") from exc
 
@@ -499,12 +563,12 @@ def parse_account_snapshot(path) -> SnapshotResult:
     warnings = []
     with fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = decode_account(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
+            except LINE_ERRORS as exc:
                 raise IngestError(f"snapshot line {lineno}: {exc}") from exc
             if record.name in accounts:
                 raise IngestError(f"duplicate account name: {record.name}")

@@ -41,6 +41,38 @@ def test_ingest(files, tmp_path, capsys):
     assert "genuine transfers" in capsys.readouterr().out
 
 
+HOSTILE_LINES = {
+    "deep_nesting": b"[" * 200_000,
+    "invalid_utf8": b'{"name": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_LINES))
+def test_ingest_hostile_trace_line_is_diagnostic(files, tmp_path, case):
+    lines = Path(files["trace"]).read_bytes().splitlines()[:199]
+    trace = tmp_path / "trace.ndjson"
+    trace.write_bytes(b"\n".join(lines + [HOSTILE_LINES[case]]) + b"\n")
+    out = tmp_path / "out"
+    code = main(["ingest", "--trace", str(trace), "--snapshot", files["snapshot"],
+                 "--days", "30", "--out", str(out)])
+    assert code == EXIT_OK
+    diagnostics = [json.loads(l) for l in
+                   (out / "ingest_diagnostics.ndjson").read_text().splitlines()]
+    assert [d["line"] for d in diagnostics] == [200]
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_LINES))
+def test_ingest_hostile_snapshot_line_is_error(files, tmp_path, capsys, case):
+    good = Path(files["snapshot"]).read_bytes()
+    snapshot = tmp_path / "snapshot.ndjson"
+    snapshot.write_bytes(good + HOSTILE_LINES[case] + b"\n")
+    code = main(["ingest", "--trace", files["trace"], "--snapshot", str(snapshot),
+                 "--days", "30", "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    lineno = good.count(b"\n") + 1
+    assert f"snapshot line {lineno}:" in capsys.readouterr().err
+
+
 def test_graph_build(files, tmp_path):
     code = main(["graph", "build"] + _common(files, tmp_path))
     assert code == EXIT_OK

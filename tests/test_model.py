@@ -1,9 +1,11 @@
 import json
-from datetime import date
+import tempfile
+from datetime import date, datetime, timezone
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eosforensics.errors import IngestError
 from eosforensics.model import (
@@ -11,11 +13,14 @@ from eosforensics.model import (
     ObservationWindow,
     Quantity,
     Registry,
+    TraceParseResult,
     decode_action,
     extract_transfers,
+    format_timestamp,
     is_account_name,
     parse_account_snapshot,
     parse_action_trace,
+    parse_timestamp,
     write_action_trace,
 )
 
@@ -63,8 +68,6 @@ class TestWindow:
 
     def test_day_index_and_contains(self):
         w = _window()
-        from eosforensics.model import parse_timestamp
-
         assert w.day_index(parse_timestamp("2018-06-09T00:00:00Z")) == 0
         assert w.day_index(parse_timestamp("2018-06-10T23:59:59Z")) == 1
         assert not w.contains(parse_timestamp("2018-07-09T00:00:00Z"))
@@ -72,6 +75,62 @@ class TestWindow:
     def test_inverted_window_rejected(self):
         with pytest.raises(ValueError):
             ObservationWindow(date(2018, 6, 10), date(2018, 6, 9))
+
+
+class TestTimestamp:
+    @pytest.mark.parametrize("text, expected", [
+        ("2018-06-10T12:34:56Z", datetime(2018, 6, 10, 12, 34, 56)),
+        ("2018-06-10T00:00:00.500Z", datetime(2018, 6, 10, 0, 0, 0, 500000)),
+        ("2018-06-10T00:00:00.5Z", datetime(2018, 6, 10, 0, 0, 0, 500000)),
+        ("2018-06-10T00:00:00.000001Z", datetime(2018, 6, 10, 0, 0, 0, 1)),
+        ("2020-02-29T23:59:59.999999Z", datetime(2020, 2, 29, 23, 59, 59, 999999)),
+    ])
+    def test_accepted(self, text, expected):
+        ts = parse_timestamp(text)
+        assert ts == expected.replace(tzinfo=timezone.utc)
+        assert ts.tzinfo is timezone.utc
+
+    @pytest.mark.parametrize("text", [
+        "2018-6-9T0:0:3Z",  # unpadded fields: strptime took these, ISO-8601 does not
+        "2018-06-10T12:00:00",
+        "2018-06-10 12:00:00Z",
+        "2018-06-10T12:00:00.Z",
+        "2018-06-10T12:00:00.1234567Z",
+        "2018-06-10T12:00:00Z\n",
+        "2018-06-10T12:00:00+00:00",
+        "\uff12018-06-10T12:00:00Z",
+        "2018-02-30T00:00:00Z",
+        "2018-06-10T24:00:00Z",
+        "2018-13-01T00:00:00Z",
+        "",
+    ])
+    def test_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
+
+    @pytest.mark.parametrize("text", [
+        "2018-06-10T12:34:56Z",
+        "2018-06-10T00:00:00.500Z",
+        "2018-06-10T00:00:00.000001Z",
+        "2018-06-10T00:00:00.120300Z",
+    ])
+    def test_format_round_trip(self, text):
+        assert format_timestamp(parse_timestamp(text)) == text
+
+    def test_half_second_trace_round_trip(self, tmp_path):
+        p = tmp_path / "t.ndjson"
+        stamps = [f"2018-06-{d:02d}T23:59:59.500Z" for d in (9, 10, 11)]
+        p.write_text("\n".join(_action_line(i + 1, timestamp=t)
+                               for i, t in enumerate(stamps)) + "\n")
+        result = parse_action_trace(p, _window())
+        assert result.diagnostics == []
+        assert [_window().day_index(r.timestamp) for r in result] == [0, 1, 2]
+        again = tmp_path / "again.ndjson"
+        write_action_trace(again, result.records)
+        assert again.read_text() == "".join(
+            json.dumps(json.loads(_action_line(i + 1, timestamp=t)), sort_keys=True)
+            + "\n" for i, t in enumerate(stamps))
+        assert parse_action_trace(again, _window()).records == result.records
 
 
 class TestTraceParsing:
@@ -151,6 +210,20 @@ class TestTraceParsing:
         assert len(again) == len(trace)
         for a, b in zip(trace.records, again.records):
             assert a.to_json() == b.to_json()
+
+    def test_matches_per_line_decode(self, scenario, window, parsed):
+        # parse_action_trace shares one memo across lines; decode_action
+        # alone starts from an empty one, so the two must agree.
+        out, _ = scenario
+        expected = []
+        for line in (out / "trace.ndjson").read_text().splitlines():
+            record = decode_action(json.loads(line))
+            if window.contains(record.timestamp):
+                expected.append(record)
+        trace, _ = parsed
+        assert len(trace) > 1000
+        assert trace.records == expected
+        assert [r.to_json() for r in trace] == [r.to_json() for r in expected]
 
     def test_all_names_valid(self, parsed):
         trace, _ = parsed
@@ -306,3 +379,101 @@ def test_account_name_regex_total(name):
     if ok:
         assert 1 <= len(name) <= 12
         assert set(name) <= set("abcdefghijklmnopqrstuvwxyz12345.")
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+    | st.sampled_from([float("inf"), float("nan"), -1, 0, "", "eosio"])
+)
+_json_values = _json_scalars | st.recursive(
+    _json_scalars,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _mutated_line(template, nested):
+    """A strategy for template with one field (or one field of its nested
+    object) replaced by, or removed for, an arbitrary JSON value."""
+    def mutate(args):
+        key, sub, value, drop = args
+        obj = json.loads(json.dumps(template))
+        target = obj[nested] if sub and isinstance(obj.get(nested), dict) else obj
+        key = sorted(target)[key % len(target)]
+        if drop:
+            del target[key]
+        else:
+            target[key] = value
+        return json.dumps(obj).encode()
+    return st.tuples(st.integers(0, 20), st.booleans(), _json_values,
+                     st.booleans()).map(mutate)
+
+
+_TRACE_TEMPLATE = json.loads(_action_line(1))
+_SNAPSHOT_TEMPLATE = {
+    "name": "alice", "creator": "eosio", "created_at": "2018-06-10T00:00:00Z",
+    "has_contract": False,
+    "permissions": {"owner": {"threshold": 1, "key_weights": [["EOSKEYX", 1]],
+                              "account_weights": [["bob", "active", 1]]}},
+}
+_UPDATEAUTH = json.loads(_action_line(
+    1, action_name="updateauth", executing_contract="eosio",
+    payload={"account": "alice", "permission": "active", "parent": "owner",
+             "threshold": 1, "key_weights": [["EOSKEYX", 1]],
+             "account_weights": [["bob", "active", 1]]}))
+
+
+def _hostile_lines(*templates):
+    return st.lists(
+        st.one_of(
+            st.binary(max_size=40),
+            st.sampled_from([b"[" * 200_000, b"{" * 5000, b"\xff\xfe", b"\xed\xa0\x80",
+                             b'{"kind": "external"}', b"Infinity", b"NaN"]),
+            *(_mutated_line(t, nested) for t, nested in templates),
+        ),
+        max_size=8,
+    )
+
+
+# A thousand valid lines ahead of the hostile ones keep a few malformed
+# lines under the 1% gate, so their diagnostics are checked too.
+_GOOD_TRACE = "".join(_action_line(seq) + "\n" for seq in range(1, 1001)).encode()
+
+
+def _counted(raw):
+    """Whether parse_action_trace counts a raw line: it is not blank."""
+    try:
+        return bool(raw.decode("utf-8").strip())
+    except UnicodeDecodeError:
+        return True
+
+
+@given(_hostile_lines((_TRACE_TEMPLATE, "payload"), (_UPDATEAUTH, "payload")))
+@example([json.dumps({**_TRACE_TEMPLATE, "global_seq": float("inf")}).encode()])
+def test_trace_fuzz_diagnostic_or_ingest_error(lines):
+    data = _GOOD_TRACE + b"\n".join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.ndjson"
+        path.write_bytes(data)
+        try:
+            result = parse_action_trace(path, _window())
+        except IngestError:
+            return  # more than 1% of the lines are malformed
+    diagnosed = [lineno for lineno, _ in result.diagnostics]
+    assert diagnosed == sorted(set(diagnosed))
+    assert all(n > 1000 for n in diagnosed)
+    assert (len(result) + result.dropped_out_of_window + len(diagnosed)
+            == sum(map(_counted, data.split(b"\n"))))
+
+
+@given(_hostile_lines((_SNAPSHOT_TEMPLATE, "permissions")))
+@example([json.dumps({**_SNAPSHOT_TEMPLATE, "permissions": []}).encode()])
+def test_snapshot_fuzz_result_or_ingest_error(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.ndjson"
+        path.write_bytes(b"\n".join(lines))
+        try:
+            parse_account_snapshot(path)
+        except IngestError:
+            pass
