@@ -11,8 +11,9 @@ from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
 
-from .errors import BundleError
+from .errors import BundleError, IngestError
 from .model import (
+    LINE_ERRORS,
     OFFICIAL_TOKEN_CONTRACT,
     TransferPayload,
     format_timestamp,
@@ -112,26 +113,26 @@ def _index_events_by_day(events):
     return by_day
 
 
-def detect_fake_transfer(actions, registry):
-    """Transfer-named actions carrying the EOS symbol but executed by a
-    contract other than eosio.token, aimed at a DApp account, corroborated
-    by same-day profit from that DApp."""
-    events_by_day = _index_events_by_day(genuine_transfer_events(actions))
+def _fake_findings(actions, events, registry, kind, claim):
+    """The loop both fake detectors share. `claim(record)` returns the
+    (attacker, victim) an EOS-symbol transfer record implicates, or None;
+    a claim against a DApp account is a finding, once per (attacker,
+    victim, day), when the attacker's same-day net gain from the victim
+    over the genuine `events` is positive."""
+    events_by_day = _index_events_by_day(events)
     findings = []
     seen = set()
     for record in actions:
         if (
             record.action_name != "transfer"
-            or record.kind == "notification"
-            or record.executing_contract == OFFICIAL_TOKEN_CONTRACT
             or not isinstance(record.payload, TransferPayload)
             or record.payload.quantity.symbol != "EOS"
         ):
             continue
-        attacker = record.payload.src
-        victim = record.payload.dst
-        if victim not in registry.dapp_accounts:
+        pair = claim(record)
+        if pair is None or pair[1] not in registry.dapp_accounts:
             continue
+        attacker, victim = pair
         day = record.timestamp.date()
         if (attacker, victim, day) in seen:
             continue
@@ -144,7 +145,7 @@ def detect_fake_transfer(actions, registry):
             AttackFinding(
                 attacker=attacker,
                 victim=victim,
-                kind="fake_transfer",
+                kind=kind,
                 window_start=start,
                 window_end=end,
                 profit=profit,
@@ -156,53 +157,47 @@ def detect_fake_transfer(actions, registry):
     return findings
 
 
-def detect_fake_notice(actions, registry):
+def _counterfeit_transfer(record):
+    # a transfer executed by a contract other than eosio.token: the claimed
+    # sender attacks the claimed receiver
+    if (
+        record.kind != "notification"
+        and record.executing_contract != OFFICIAL_TOKEN_CONTRACT
+    ):
+        return record.payload.src, record.payload.dst
+    return None
+
+
+def _third_party_notice(record):
+    # a genuine transfer's notification delivered to an account on neither
+    # side: the authorizing actor attacks the notified account
+    if (
+        record.kind == "notification"
+        and record.executing_contract == OFFICIAL_TOKEN_CONTRACT
+        and record.notified not in (record.payload.src, record.payload.dst)
+    ):
+        return record.actor, record.notified
+    return None
+
+
+def detect_fake_transfer(actions, events, registry):
+    """Transfer-named actions carrying the EOS symbol but executed by a
+    contract other than eosio.token, aimed at a DApp account, corroborated
+    by same-day profit from that DApp. `events` are the trace's
+    genuine_transfer_events."""
+    return _fake_findings(actions, events, registry, "fake_transfer",
+                          _counterfeit_transfer)
+
+
+def detect_fake_notice(actions, events, registry):
     """Genuine eosio.token transfer notifications delivered to a DApp
     account that is neither side of the transfer, corroborated by
-    same-day profit for the notification's authorizing actor."""
-    has_notifications = any(r.kind == "notification" for r in actions)
-    if not has_notifications:
+    same-day profit for the notification's authorizing actor. Returns
+    (findings, note); the note says why the scan could not run."""
+    if not any(r.kind == "notification" for r in actions):
         return [], "insufficient data: no notification records in trace"
-    events_by_day = _index_events_by_day(genuine_transfer_events(actions))
-    findings = []
-    seen = set()
-    for record in actions:
-        if (
-            record.kind != "notification"
-            or record.action_name != "transfer"
-            or record.executing_contract != OFFICIAL_TOKEN_CONTRACT
-            or not isinstance(record.payload, TransferPayload)
-            or record.payload.quantity.symbol != "EOS"
-        ):
-            continue
-        victim = record.notified
-        if victim not in registry.dapp_accounts:
-            continue
-        if victim in (record.payload.src, record.payload.dst):
-            continue
-        attacker = record.actor
-        day = record.timestamp.date()
-        if (attacker, victim, day) in seen:
-            continue
-        profit, seqs = _same_day_net(events_by_day, victim, attacker, day)
-        if profit <= 0:
-            continue
-        seen.add((attacker, victim, day))
-        start, end = _day_bounds(record.timestamp)
-        findings.append(
-            AttackFinding(
-                attacker=attacker,
-                victim=victim,
-                kind="fake_notice",
-                window_start=start,
-                window_end=end,
-                profit=profit,
-                profitability_ratio=INF_RATIO,
-                evidence=sorted(set(seqs) | {record.global_seq}),
-            )
-        )
-    findings.sort(key=lambda f: (f.attacker, f.window_start))
-    return findings, None
+    return _fake_findings(actions, events, registry, "fake_notice",
+                          _third_party_notice), None
 
 
 @dataclass
@@ -339,16 +334,21 @@ def liveness_filter(suspicious, events, registry, config: ScanConfig):
 
 
 def load_rollback_log(path):
+    """(tx_id, actor, timestamp) per line of an off-chain rollback NDJSON
+    log; a line that does not decode is an IngestError naming it."""
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            entries.append(
-                (obj["tx_id"], obj["actor"], parse_timestamp(obj["timestamp"]))
-            )
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+                entries.append(
+                    (obj["tx_id"], obj["actor"], parse_timestamp(obj["timestamp"]))
+                )
+            except LINE_ERRORS as exc:
+                raise IngestError(f"rollback log line {lineno}: {exc!r}") from exc
     return entries
 
 
@@ -375,8 +375,8 @@ def scan_attacks(actions, registry, config: ScanConfig,
     findings plus scan notes."""
     events = genuine_transfer_events(actions)
     notes = []
-    fake_transfer = detect_fake_transfer(actions, registry)
-    fake_notice, notice_note = detect_fake_notice(actions, registry)
+    fake_transfer = detect_fake_transfer(actions, events, registry)
+    fake_notice, notice_note = detect_fake_notice(actions, events, registry)
     if notice_note:
         notes.append(notice_note)
     suspicious = profit_scan(events, config)

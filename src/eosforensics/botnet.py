@@ -156,7 +156,7 @@ def behavior_vectors(account, emfg: Emfg, ecig: Ecig, window: ObservationWindow,
                      contract_index) -> BehaviorVectors:
     days = window.day_count
     t = np.zeros(2 * days)
-    for day, count in emfg.out_daily_counts(account).items():
+    for day, (_, count) in emfg.daily(account, "out").items():
         if 0 <= day < days:
             t[day] += count
     for day, count in ecig.out_daily_counts(
@@ -265,7 +265,6 @@ def detect_communities(eacg: Eacg, vector_for, threshold: SimilarityThreshold,
 def merge_by_pubkey(flagged_accounts, snapshot):
     """Union-find over shared active public keys among flagged accounts.
     Returns a deterministic mapping community id -> sorted member list."""
-    accounts = snapshot.accounts if hasattr(snapshot, "accounts") else snapshot
     parent = {}
 
     def find(x):
@@ -287,7 +286,7 @@ def merge_by_pubkey(flagged_accounts, snapshot):
         parent[acct] = acct
     key_owner = {}
     for acct in flagged:
-        record = accounts.get(acct)
+        record = snapshot.get(acct)
         if record is None:
             continue
         for key in sorted(record.active_keys()):
@@ -320,8 +319,7 @@ def extract_features(account, emfg: Emfg, ecig: Ecig, eacg: Eacg,
     """The 11 classification features. Per-day statistics run from the
     account's creation day (clamped into the window) through the window
     end; accounts with no transfers get zero means/stds."""
-    accounts = snapshot.accounts if hasattr(snapshot, "accounts") else snapshot
-    record = accounts[account]
+    record = snapshot[account]
     created_day = max(0, window.day_index(record.created_at))
     span = window.day_count - created_day
     if span <= 0:
@@ -335,12 +333,16 @@ def extract_features(account, emfg: Emfg, ecig: Ecig, eacg: Eacg,
                 series[day - created_day] = float(value)
         return series
 
-    in_vol = daily_series(emfg.in_daily_volume(account))
-    out_vol = daily_series(emfg.out_daily_volume(account))
-    in_count = sum(emfg.in_daily_counts(account).values())
-    out_count = sum(emfg.out_daily_counts(account).values())
-    in_total = float(sum(emfg.in_daily_volume(account).values(), 0))
-    out_total = float(sum(emfg.out_daily_volume(account).values(), 0))
+    def money_flow(direction):
+        """(daily volume series, total volume, transfer count)."""
+        volumes, count = {}, 0
+        for day, (volume, n) in emfg.daily(account, direction).items():
+            volumes[day] = volume
+            count += n
+        return daily_series(volumes), float(sum(volumes.values(), 0)), count
+
+    in_vol, in_total, in_count = money_flow("in")
+    out_vol, out_total, out_count = money_flow("out")
 
     invocations = ecig.out_daily_counts(account, exclude=(OFFICIAL_TOKEN_CONTRACT,))
     inv_series = daily_series(invocations)
@@ -349,15 +351,15 @@ def extract_features(account, emfg: Emfg, ecig: Ecig, eacg: Eacg,
         ecig.target_counts(account, exclude=(OFFICIAL_TOKEN_CONTRACT,))
     )
 
-    active_days = np.count_nonzero(
-        daily_series(emfg.out_daily_counts(account)) + inv_series
-    )
+    # transfer weights are positive, so out_vol is nonzero exactly on the
+    # days with an outgoing transfer
+    active_days = np.count_nonzero(out_vol + inv_series)
 
     if siblings is None:
         created_date = record.created_at.date()
         siblings = sum(
             1
-            for other in accounts.values()
+            for other in snapshot.values()
             if other.creator == record.creator
             and other.created_at.date() == created_date
         ) - (1 if record.creator is not None else 0)
@@ -385,9 +387,8 @@ def extract_features(account, emfg: Emfg, ecig: Ecig, eacg: Eacg,
 
 def sibling_counts(snapshot):
     """(creator, creation date) cohort sizes, for bulk feature extraction."""
-    accounts = snapshot.accounts if hasattr(snapshot, "accounts") else snapshot
     cohorts = {}
-    for record in accounts.values():
+    for record in snapshot.values():
         if record.creator is None:
             continue
         key = (record.creator, record.created_at.date())
@@ -409,8 +410,7 @@ def categorize(account, emfg: Emfg, ecig: Ecig, snapshot, registry,
                merged_communities=None) -> str:
     """First matching rule wins: dapp_team, account_seller, bonus_hunter,
     click_fraud, other."""
-    accounts = snapshot.accounts if hasattr(snapshot, "accounts") else snapshot
-    record = accounts.get(account)
+    record = snapshot.get(account)
 
     # 1. DApp team: shares an active key with a DApp account, or is one.
     if account in registry.dapp_accounts:
@@ -419,7 +419,7 @@ def categorize(account, emfg: Emfg, ecig: Ecig, snapshot, registry,
         keys = record.active_keys()
         if keys:
             for dapp in registry.dapp_accounts:
-                dapp_record = accounts.get(dapp)
+                dapp_record = snapshot.get(dapp)
                 if dapp_record is not None and keys & dapp_record.active_keys():
                     return "dapp_team"
 

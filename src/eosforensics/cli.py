@@ -4,8 +4,10 @@ Every stage reads plain files and writes plain files into --out, so
 stages are resumable and the artifacts are portable. Exit codes: 0 ok,
 1 findings present (CI gating), 2 error.
 
-Flag defaults can be overridden with EOSFOR_<FLAG> environment
-variables (e.g. EOSFOR_MIN_CHILDREN=40).
+argparse is the one flag table. The defaults of --out, --window-start,
+--days, --threads, --min-children, --seed and --w1/--w2/--w3 can be
+overridden with EOSFOR_<FLAG> environment variables (e.g.
+EOSFOR_MIN_CHILDREN=40); `synth generate` reads only EOSFOR_SEED.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
-from datetime import date
+from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
 
@@ -34,34 +35,6 @@ from .model import (
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
-
-
-@dataclass
-class RunConfig:
-    trace: str | None = None
-    snapshot: str | None = None
-    dapps: str | None = None
-    incentives: str | None = None
-    labels: str | None = None
-    sellers: str | None = None
-    rollback_log: str | None = None
-    window_start: date = date(2018, 6, 9)
-    days: int = 357
-    out: str = "out"
-    seed: int = 0
-    threads: int = 1
-    min_children: int = 30
-    w1: float = 400.0
-    w2: float = 1.2
-    w3: float = 0.9
-
-    @property
-    def window(self) -> ObservationWindow:
-        from datetime import timedelta
-
-        return ObservationWindow(
-            self.window_start, self.window_start + timedelta(days=self.days - 1)
-        )
 
 
 def _env_default(flag, fallback):
@@ -88,23 +61,15 @@ def _add_common(p, *, trace=False, snapshot=False, registry=False):
         p.add_argument("--sellers", help="sellers.csv registry")
 
 
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "window_start"):
-        cfg.window_start = date.fromisoformat(args.window_start)
-    return cfg
+def _window(args) -> ObservationWindow:
+    """The --days days that start on --window-start."""
+    start = date.fromisoformat(args.window_start)
+    return ObservationWindow(start, start + timedelta(days=args.days - 1))
 
 
 def _registry_from(args) -> Registry:
-    return Registry.load(
-        dapps=getattr(args, "dapps", None),
-        incentives=getattr(args, "incentives", None),
-        labels=getattr(args, "labels", None),
-        sellers=getattr(args, "sellers", None),
-    )
+    return Registry.load(dapps=args.dapps, incentives=args.incentives,
+                         labels=args.labels, sellers=args.sellers)
 
 
 def _out_dir(args) -> Path:
@@ -122,11 +87,11 @@ def _dump(path: Path, obj):
 
 
 def cmd_ingest(args):
-    cfg = _config_from(args)
+    window = _window(args)
     out = _out_dir(args)
-    result = parse_action_trace(args.trace, cfg.window)
+    result = parse_action_trace(args.trace, window)
     snapshot = parse_account_snapshot(args.snapshot)
-    transfers = extract_transfers(result.records, cfg.window)
+    transfers = extract_transfers(result.records, window)
     summary = {
         "actions": len(result.records),
         "dropped_out_of_window": result.dropped_out_of_window,
@@ -147,20 +112,20 @@ def cmd_ingest(args):
     return EXIT_OK
 
 
-def _load_graphs(args, cfg):
-    result = parse_action_trace(args.trace, cfg.window)
+def _load_graphs(args, window):
+    result = parse_action_trace(args.trace, window)
     snapshot = parse_account_snapshot(args.snapshot)
-    transfers = extract_transfers(result.records, cfg.window)
+    transfers = extract_transfers(result.records, window)
     emfg = graphs.build_emfg(transfers)
-    eacg = graphs.build_eacg(snapshot, cfg.window)
-    ecig = graphs.build_ecig(result.records, cfg.window)
+    eacg = graphs.build_eacg(snapshot, window)
+    ecig = graphs.build_ecig(result.records, window)
     return result.records, snapshot, emfg, eacg, ecig
 
 
 def cmd_graph_build(args):
-    cfg = _config_from(args)
+    window = _window(args)
     out = _out_dir(args)
-    _, snapshot, emfg, eacg, ecig = _load_graphs(args, cfg)
+    _, snapshot, emfg, eacg, ecig = _load_graphs(args, window)
     views = {
         "emfg": graphs.emfg_to_digraph(emfg),
         "eacg": graphs.eacg_to_digraph(eacg),
@@ -187,14 +152,15 @@ def cmd_graph_build(args):
 
 
 def cmd_metrics(args):
-    cfg = _config_from(args)
+    window = _window(args)
     out = _out_dir(args)
-    _, _, emfg, eacg, ecig = _load_graphs(args, cfg)
-    view = {
-        "emfg": graphs.emfg_to_digraph(emfg),
-        "eacg": graphs.eacg_to_digraph(eacg),
-        "ecig": graphs.ecig_to_digraph(ecig),
-    }[args.graph]
+    _, _, emfg, eacg, ecig = _load_graphs(args, window)
+    if args.graph == "emfg":
+        view = graphs.emfg_to_digraph(emfg)
+    elif args.graph == "eacg":
+        view = graphs.eacg_to_digraph(eacg)
+    else:
+        view = graphs.ecig_to_digraph(ecig)
     report = metrics.compute_metrics(view)
     (out / f"metrics_{args.graph}.json").write_text(report.to_json() + "\n")
     ranks = metrics.pagerank(view)
@@ -209,10 +175,10 @@ def cmd_metrics(args):
 
 
 def cmd_bots_detect(args):
-    cfg = _config_from(args)
+    window = _window(args)
     out = _out_dir(args)
     registry = _registry_from(args)
-    _, snapshot, emfg, eacg, ecig = _load_graphs(args, cfg)
+    _, snapshot, emfg, eacg, ecig = _load_graphs(args, window)
 
     universe = botnet.contract_universe(ecig)
     contract_index = {c: i for i, c in enumerate(universe)}
@@ -224,7 +190,7 @@ def cmd_bots_detect(args):
             return None
         if account not in cache:
             cache[account] = botnet.behavior_vectors(
-                account, emfg, ecig, cfg.window, contract_index
+                account, emfg, ecig, window, contract_index
             )
         return cache[account]
 
@@ -240,7 +206,7 @@ def cmd_bots_detect(args):
     _dump(out / "bot_threshold.json", threshold.to_json())
 
     flagged, stats = botnet.detect_communities(
-        eacg, vector_for, threshold, min_children=cfg.min_children
+        eacg, vector_for, threshold, min_children=args.min_children
     )
     _dump(
         out / "bot_communities.json",
@@ -281,10 +247,10 @@ def cmd_bots_detect(args):
 
 
 def cmd_bots_classify(args):
-    cfg = _config_from(args)
+    window = _window(args)
     out = _out_dir(args)
     registry = _registry_from(args)
-    _, snapshot, emfg, eacg, ecig = _load_graphs(args, cfg)
+    _, snapshot, emfg, eacg, ecig = _load_graphs(args, window)
 
     labeled_bot = {m for _, ms in registry.labeled_bot_communities for m in ms}
     labeled_normal = {m for _, ms in registry.labeled_normal_communities for m in ms}
@@ -296,16 +262,15 @@ def cmd_bots_classify(args):
     cohorts = botnet.sibling_counts(snapshot)
 
     def features_for(account):
-        record = snapshot.accounts[account]
         return botnet.extract_features(
-            account, emfg, ecig, eacg, snapshot, cfg.window,
-            siblings=botnet.siblings_for(record, cohorts),
+            account, emfg, ecig, eacg, snapshot, window,
+            siblings=botnet.siblings_for(snapshot[account], cohorts),
         ).values
 
     labeled = sorted(a for a in labeled_bot | labeled_normal if a in snapshot)
     X = [features_for(a) for a in labeled]
     y = [1 if a in labeled_bot else 0 for a in labeled]
-    result = forest.train_classifier(X, y, seed=cfg.seed)
+    result = forest.train_classifier(X, y, seed=args.seed)
     result.model.save(out / "bot_model.json")
     _dump(
         out / "bot_training.json",
@@ -318,7 +283,7 @@ def cmd_bots_classify(args):
 
     silent = graphs.silent_accounts(emfg, ecig, snapshot)
     candidates = sorted(
-        a for a in snapshot.accounts if a not in silent and a not in labeled_bot
+        a for a in snapshot if a not in silent and a not in labeled_bot
         and a not in labeled_normal
     )
     verdicts = []
@@ -338,11 +303,11 @@ def cmd_bots_classify(args):
 
 
 def cmd_perms_audit(args):
-    cfg = _config_from(args)
+    window = _window(args)
     out = _out_dir(args)
-    result = parse_action_trace(args.trace, cfg.window)
+    result = parse_action_trace(args.trace, window)
     snapshot = parse_account_snapshot(args.snapshot)
-    grants, diagnostics = permissions.scan_updateauth(result.records, cfg.window)
+    grants, diagnostics = permissions.scan_updateauth(result.records, window)
     findings = permissions.detect_misuse(grants, snapshot)
     permissions.export_findings_csv(findings, out / "perm_findings.csv")
     pairs = permissions.account_pair_summary(findings)
@@ -365,15 +330,15 @@ def cmd_perms_audit(args):
 
 
 def cmd_attacks_scan(args):
-    cfg = _config_from(args)
+    window = _window(args)
     out = _out_dir(args)
     registry = _registry_from(args)
-    result = parse_action_trace(args.trace, cfg.window)
+    result = parse_action_trace(args.trace, window)
     config = attacks_mod.ScanConfig(
-        w1=Decimal(str(cfg.w1)), w2=cfg.w2, w3=cfg.w3
+        w1=Decimal(str(args.w1)), w2=args.w2, w3=args.w3
     )
     rollback = None
-    if getattr(args, "rollback_log", None):
+    if args.rollback_log:
         rollback = attacks_mod.load_rollback_log(args.rollback_log)
     findings, notes = attacks_mod.scan_attacks(
         result.records, registry, config, rollback_entries=rollback
@@ -382,7 +347,7 @@ def cmd_attacks_scan(args):
     _dump(out / "attack_notes.json", notes)
     if args.bundles and findings:
         actions_by_seq = {r.global_seq: r for r in result.records}
-        emfg = graphs.build_emfg(extract_transfers(result.records, cfg.window))
+        emfg = graphs.build_emfg(extract_transfers(result.records, window))
         for i, finding in enumerate(findings):
             attacks_mod.evidence_bundle(
                 finding, actions_by_seq, emfg,

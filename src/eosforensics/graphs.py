@@ -64,34 +64,19 @@ class Emfg:
     def edge_weight(self, src, dst) -> Decimal:
         return sum((w for w, _ in self.edge_days(src, dst).values()), Decimal(0))
 
-    def out_daily_counts(self, account):
-        """day -> number of outgoing transfers."""
-        counts = {}
-        for days in self.out.get(account, {}).values():
-            for day, (_, c) in days.items():
-                counts[day] = counts.get(day, 0) + c
-        return counts
-
-    def out_daily_volume(self, account):
-        volumes = {}
-        for days in self.out.get(account, {}).values():
-            for day, (w, _) in days.items():
-                volumes[day] = volumes.get(day, Decimal(0)) + w
-        return volumes
-
-    def in_daily_volume(self, account):
-        volumes = {}
-        for days in self.inc.get(account, {}).values():
-            for day, (w, _) in days.items():
-                volumes[day] = volumes.get(day, Decimal(0)) + w
-        return volumes
-
-    def in_daily_counts(self, account):
-        counts = {}
-        for days in self.inc.get(account, {}).values():
-            for day, (_, c) in days.items():
-                counts[day] = counts.get(day, 0) + c
-        return counts
+    def daily(self, account, direction):
+        """day -> (EOS volume, transfer count) summed over the account's
+        outgoing ("out") or incoming ("in") edges."""
+        if direction not in ("in", "out"):
+            raise ValueError(f"bad direction: {direction!r}")
+        adjacency = self.out if direction == "out" else self.inc
+        totals = {}
+        for days in adjacency.get(account, {}).values():
+            for day, (weight, count) in days.items():
+                total = totals.get(day)
+                totals[day] = ((weight, count) if total is None
+                               else (total[0] + weight, total[1] + count))
+        return totals
 
 
 def build_emfg(transfers) -> Emfg:
@@ -147,10 +132,9 @@ class Eacg:
 def build_eacg(snapshot, window: ObservationWindow) -> Eacg:
     """Build the creation forest from a parsed snapshot. Accounts whose
     creator is absent from the snapshot become roots."""
-    accounts = snapshot.accounts if hasattr(snapshot, "accounts") else snapshot
     g = Eacg()
-    for name, record in accounts.items():
-        if record.creator is None or record.creator not in accounts:
+    for name, record in snapshot.items():
+        if record.creator is None or record.creator not in snapshot:
             g.roots.add(name)
         else:
             g.parent[name] = (record.creator, window.day_index(record.created_at))
@@ -233,9 +217,8 @@ def build_ecig(actions, window: ObservationWindow, contract_accounts=None) -> Ec
 def silent_accounts(emfg: Emfg, ecig: Ecig, snapshot) -> set:
     """Accounts that never send money and never invoke a contract.
     Receiving EOS does not disqualify."""
-    accounts = snapshot.accounts if hasattr(snapshot, "accounts") else snapshot
     silent = set()
-    for name in accounts:
+    for name in snapshot:
         if emfg.out.get(name):
             continue
         if ecig.out.get(name):

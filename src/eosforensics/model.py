@@ -16,6 +16,7 @@ import csv
 import json
 import re
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
@@ -90,6 +91,19 @@ class TransferPayload:
         }
 
 
+def check_authority(authority) -> None:
+    """Reject an authority (a Permission or an UpdateAuthPayload) whose
+    threshold or any key or account weight is below 1."""
+    if authority.threshold < 1:
+        raise ValueError("threshold must be >= 1")
+    for _, w in authority.key_weights:
+        if w < 1:
+            raise ValueError("key weight must be >= 1")
+    for _, _, w in authority.account_weights:
+        if w < 1:
+            raise ValueError("account weight must be >= 1")
+
+
 @dataclass(frozen=True, slots=True)
 class UpdateAuthPayload:
     account: str
@@ -100,14 +114,7 @@ class UpdateAuthPayload:
     account_weights: tuple  # of (granted_account, granted_permission, weight)
 
     def __post_init__(self):
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        for _, w in self.key_weights:
-            if w < 1:
-                raise ValueError("key weight must be >= 1")
-        for _, _, w in self.account_weights:
-            if w < 1:
-                raise ValueError("account weight must be >= 1")
+        check_authority(self)
 
     def to_json(self) -> dict:
         return {
@@ -161,6 +168,9 @@ class Permission:
     threshold: int
     key_weights: tuple  # of (public_key, weight)
     account_weights: tuple  # of (granted_account, granted_permission, weight)
+
+    def __post_init__(self):
+        check_authority(self)
 
 
 @dataclass(slots=True)
@@ -504,15 +514,19 @@ def extract_transfers(actions, window: ObservationWindow):
 
 
 @dataclass
-class SnapshotResult:
+class SnapshotResult(Mapping):
+    """A parsed snapshot: a read-only mapping of account name ->
+    AccountRecord, plus the parse warnings. Every function that takes a
+    snapshot indexes it as a mapping, so a plain dict serves as well."""
+
     accounts: dict  # name -> AccountRecord
     warnings: list
 
     def __getitem__(self, name):
         return self.accounts[name]
 
-    def __contains__(self, name):
-        return name in self.accounts
+    def __iter__(self):
+        return iter(self.accounts)
 
     def __len__(self):
         return len(self.accounts)
@@ -598,9 +612,3 @@ def parse_account_snapshot(path) -> SnapshotResult:
             )
     return SnapshotResult(accounts, warnings)
 
-
-def write_account_snapshot(path, accounts) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in accounts.values() if isinstance(accounts, dict) else accounts:
-            fh.write(json.dumps(record.to_json(), sort_keys=True))
-            fh.write("\n")

@@ -86,12 +86,11 @@ def detect_misuse(grants, snapshot):
     the grantee is missing from the snapshot (cross_key unknown).
     benign: granter and grantee share a public key (same owner).
     """
-    accounts = snapshot.accounts if hasattr(snapshot, "accounts") else snapshot
     findings = []
     for grant in grants:
         effective = grant.weight >= grant.threshold
-        granter = accounts.get(grant.granter)
-        grantee = accounts.get(grant.grantee)
+        granter = snapshot.get(grant.granter)
+        grantee = snapshot.get(grant.grantee)
         if grantee is None or granter is None:
             findings.append(
                 MisuseFinding(grant, effective, None, "partial",

@@ -13,6 +13,16 @@ def _registry():
     return Registry(dapp_accounts={"gamehouse": ("Game", "gambling")})
 
 
+def _fake_transfer(actions):
+    return attacks.detect_fake_transfer(
+        actions, attacks.genuine_transfer_events(actions), _registry())
+
+
+def _fake_notice(actions):
+    return attacks.detect_fake_notice(
+        actions, attacks.genuine_transfer_events(actions), _registry())
+
+
 def _window():
     return ObservationWindow(date(2018, 6, 9), date(2018, 6, 9) + timedelta(days=29))
 
@@ -42,7 +52,7 @@ class TestFakeTransfer:
             # same-day genuine payout
             make_transfer(2, "gamehouse", "attacker", 80, when=ts(3, 11)),
         ]
-        findings = attacks.detect_fake_transfer(actions, _registry())
+        findings = _fake_transfer(actions)
         assert len(findings) == 1
         f = findings[0]
         assert f.attacker == "attacker"
@@ -55,14 +65,14 @@ class TestFakeTransfer:
             make_transfer(1, "attacker", "gamehouse", 100,
                           contract="attacker", when=ts(3, 10)),
         ]
-        assert attacks.detect_fake_transfer(actions, _registry()) == []
+        assert _fake_transfer(actions) == []
 
     def test_genuine_transfer_not_flagged(self):
         actions = [
             make_transfer(1, "player", "gamehouse", 5, when=ts(3, 10)),
             make_transfer(2, "gamehouse", "player", 8, when=ts(3, 11)),
         ]
-        assert attacks.detect_fake_transfer(actions, _registry()) == []
+        assert _fake_transfer(actions) == []
 
     def test_non_dapp_target_ignored(self):
         actions = [
@@ -70,7 +80,7 @@ class TestFakeTransfer:
                           contract="attacker", when=ts(3, 10)),
             make_transfer(2, "somebody", "attacker", 80, when=ts(3, 11)),
         ]
-        assert attacks.detect_fake_transfer(actions, _registry()) == []
+        assert _fake_transfer(actions) == []
 
     def test_deduped_per_day(self):
         actions = [
@@ -80,7 +90,7 @@ class TestFakeTransfer:
                           contract="attacker", when=ts(3, 12)),
             make_transfer(3, "gamehouse", "attacker", 80, when=ts(3, 13)),
         ]
-        assert len(attacks.detect_fake_transfer(actions, _registry())) == 1
+        assert len(_fake_transfer(actions)) == 1
 
 
 class TestFakeNotice:
@@ -91,7 +101,7 @@ class TestFakeNotice:
                           kind="notification", notified="gamehouse"),
             make_transfer(3, "gamehouse", "attacker", 55, when=ts(4, 10)),
         ]
-        findings, note = attacks.detect_fake_notice(actions, _registry())
+        findings, note = _fake_notice(actions)
         assert note is None
         assert len(findings) == 1
         assert findings[0].attacker == "attacker"
@@ -106,14 +116,47 @@ class TestFakeNotice:
                           kind="notification", notified="gamehouse"),
             make_transfer(3, "gamehouse", "player", 9, when=ts(4, 10)),
         ]
-        findings, _ = attacks.detect_fake_notice(actions, _registry())
+        findings, _ = _fake_notice(actions)
         assert findings == []
 
     def test_no_notifications_note(self):
         actions = [make_transfer(1, "a", "b", 1)]
-        findings, note = attacks.detect_fake_notice(actions, _registry())
+        findings, note = _fake_notice(actions)
         assert findings == []
         assert "insufficient data" in note
+
+
+class TestSharedDetectorLoop:
+    def test_each_detector_ignores_the_others_pattern(self):
+        actions = [
+            # a counterfeit transfer, and a counterfeit contract's notice
+            make_transfer(1, "attacker", "gamehouse", 100,
+                          contract="attacker", when=ts(3, 10)),
+            make_transfer(2, "attacker", "accomplice", 1, contract="attacker",
+                          when=ts(3, 10), kind="notification", notified="gamehouse"),
+            make_transfer(3, "gamehouse", "attacker", 80, when=ts(3, 11)),
+        ]
+        assert [f.evidence for f in _fake_transfer(actions)] == [[1, 3]]
+        assert _fake_notice(actions) == ([], None)
+
+    def test_scan_builds_transfer_events_once(self, monkeypatch):
+        calls = []
+        build = attacks.genuine_transfer_events
+
+        def counted(actions):
+            calls.append(1)
+            return build(actions)
+
+        monkeypatch.setattr(attacks, "genuine_transfer_events", counted)
+        actions = [
+            make_transfer(1, "attacker", "accomplice", 1, when=ts(4, 9)),
+            make_transfer(2, "attacker", "accomplice", 1, when=ts(4, 9),
+                          kind="notification", notified="gamehouse"),
+            make_transfer(3, "gamehouse", "attacker", 55, when=ts(4, 10)),
+        ]
+        findings, _ = attacks.scan_attacks(actions, _registry(), attacks.ScanConfig())
+        assert [f.kind for f in findings] == ["fake_notice"]
+        assert len(calls) == 1
 
 
 class TestProfitScan:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from decimal import Decimal
 
@@ -128,7 +130,7 @@ class TestVectors:
         bv = botnet.behavior_vectors(member, emfg, ecig, window, index)
         days = window.day_count
         assert bv.time_vec[:days].sum() == sum(
-            emfg.out_daily_counts(member).values()
+            count for _, count in emfg.daily(member, "out").values()
         )
         assert bv.time_vec[days:].sum() == sum(
             ecig.out_daily_counts(member, exclude=("eosio.token",)).values()
@@ -278,6 +280,25 @@ class TestFeatures:
             )
             assert np.array_equal(direct.values, bulk.values)
 
+    # SHA-256 of every account's 11 features on the fixture scenario, computed
+    # before Emfg's four per-direction daily methods became Emfg.daily.
+    GOLDEN_FEATURES_SHA256 = (
+        "cc0eb710389058402e90c9c73e5f5e27ebe2e328b079473bf31101f63abb5c1b")
+
+    @pytest.mark.parametrize("as_dict", [False, True])
+    def test_features_golden(self, built_graphs, parsed, window, as_dict):
+        emfg, eacg, ecig = built_graphs
+        _, snapshot = parsed
+        accounts = snapshot.accounts if as_dict else snapshot
+        rows = [
+            [a, [float(v) for v in botnet.extract_features(
+                a, emfg, ecig, eacg, accounts, window).values]]
+            for a in sorted(snapshot.accounts)
+        ]
+        assert len(rows) == 358
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == self.GOLDEN_FEATURES_SHA256
+
 
 def test_verdict_serialization(tmp_path):
     verdicts = [
@@ -286,8 +307,6 @@ def test_verdict_serialization(tmp_path):
     ]
     path = tmp_path / "verdicts.ndjson"
     botnet.write_verdicts(path, verdicts)
-    import json
-
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[0]["account"] == "acct"
     assert lines[1]["source"] == "classifier"

@@ -148,6 +148,25 @@ def test_attacks_scan_with_bundles(files, tmp_path, scenario):
         assert (bundle / "manifest.json").exists()
 
 
+ROLLBACK_LINES = {
+    "broken_json": "{broken",
+    "missing_actor": json.dumps({"tx_id": "aa", "timestamp": "2018-06-10T00:00:00Z"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROLLBACK_LINES))
+def test_attacks_scan_bad_rollback_line_is_error(files, tmp_path, capsys, case):
+    log = tmp_path / "rollback.ndjson"
+    good = json.dumps({"tx_id": "ab", "actor": "alice",
+                       "timestamp": "2018-06-10T00:00:00Z"})
+    log.write_text(good + "\n" + ROLLBACK_LINES[case] + "\n")
+    code = main(["attacks", "scan", "--trace", files["trace"], "--days", "30",
+                 "--out", str(tmp_path / "out"), "--dapps", files["dapps"],
+                 "--rollback-log", str(log)])
+    assert code == EXIT_ERROR
+    assert "rollback log line 2:" in capsys.readouterr().err
+
+
 def test_attacks_scan_missing_trace_is_error(tmp_path):
     code = main(["attacks", "scan", "--trace", str(tmp_path / "none.ndjson"),
                  "--out", str(tmp_path)])

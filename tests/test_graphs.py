@@ -44,9 +44,21 @@ class TestEmfg:
         g = graphs.Emfg()
         g.add_transfer(0, "a", "b", Decimal(1))
         g.add_transfer(0, "c", "b", Decimal(2))
-        assert g.in_daily_counts("b") == {0: 2}
-        assert g.in_daily_volume("b") == {0: Decimal(3)}
-        assert g.out_daily_counts("a") == {0: 1}
+        assert g.daily("b", "in") == {0: (Decimal(3), 2)}
+        assert g.daily("a", "out") == {0: (Decimal(1), 1)}
+
+    def test_daily_sums_every_edge_per_day(self):
+        g = graphs.Emfg()
+        g.add_transfer(0, "a", "b", Decimal("1.5"))
+        g.add_transfer(0, "a", "b", Decimal("0.5"))
+        g.add_transfer(0, "a", "c", Decimal(2))
+        g.add_transfer(3, "a", "c", Decimal("0.0001"))
+        assert g.daily("a", "out") == {0: (Decimal(4), 3), 3: (Decimal("0.0001"), 1)}
+        assert g.daily("c", "in") == {0: (Decimal(2), 1), 3: (Decimal("0.0001"), 1)}
+        assert g.daily("a", "in") == {}
+        assert g.daily("nobody", "out") == {}
+        with pytest.raises(ValueError):
+            g.daily("a", "both")
 
     def test_conservation_against_manifest(self, scenario, built_graphs):
         _, manifest = scenario

@@ -1,5 +1,6 @@
 import json
 import tempfile
+from collections.abc import Mapping
 from datetime import date, datetime, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -11,9 +12,11 @@ from eosforensics.errors import IngestError
 from eosforensics.model import (
     ACCOUNT_NAME_RE,
     ObservationWindow,
+    Permission,
     Quantity,
     Registry,
     TraceParseResult,
+    UpdateAuthPayload,
     decode_action,
     extract_transfers,
     format_timestamp,
@@ -339,6 +342,51 @@ class TestSnapshot:
     def test_scenario_snapshot_clean(self, parsed):
         _, snapshot = parsed
         assert snapshot.warnings == []
+
+    def test_result_is_read_only_mapping(self, parsed):
+        _, snapshot = parsed
+        assert isinstance(snapshot, Mapping)
+        assert dict(snapshot) == snapshot.accounts
+        assert list(snapshot) == list(snapshot.accounts)
+        name = next(iter(snapshot))
+        assert snapshot.get(name) is snapshot.accounts[name]
+        assert snapshot.get("nosuchacct") is None
+        with pytest.raises(TypeError):
+            snapshot["nosuchacct"] = snapshot[name]
+
+    BAD_AUTHORITIES = {
+        "zero_threshold": {"threshold": 0, "key_weights": [["EOSKEYX", 1]]},
+        "negative_key_weight": {"threshold": 1, "key_weights": [["EOSKEYX", -3]]},
+        "zero_threshold_negative_weight": {"threshold": 0,
+                                           "key_weights": [["EOSKEYX", -3]]},
+        "zero_account_weight": {"threshold": 1, "key_weights": [],
+                                "account_weights": [["bob", "active", 0]]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_AUTHORITIES))
+    def test_bad_authority_names_line(self, tmp_path, case):
+        bad = json.loads(self._account_line("bob", creator="alice"))
+        bad["permissions"]["active"] = self.BAD_AUTHORITIES[case]
+        p = tmp_path / "s.ndjson"
+        p.write_text(self._account_line("alice", creator=None) + "\n"
+                     + json.dumps(bad) + "\n")
+        with pytest.raises(IngestError, match=r"snapshot line 2: .*must be >= 1"):
+            parse_account_snapshot(p)
+
+    @pytest.mark.parametrize("case", sorted(BAD_AUTHORITIES))
+    def test_permission_and_updateauth_share_range_check(self, case):
+        raw = self.BAD_AUTHORITIES[case]
+        fields = dict(
+            threshold=raw["threshold"],
+            key_weights=tuple((k, w) for k, w in raw["key_weights"]),
+            account_weights=tuple(tuple(a) for a in raw.get("account_weights", [])),
+        )
+        with pytest.raises(ValueError) as from_snapshot:
+            Permission(**fields)
+        with pytest.raises(ValueError) as from_trace:
+            UpdateAuthPayload(account="alice", permission="active", parent="owner",
+                              **fields)
+        assert str(from_snapshot.value) == str(from_trace.value)
 
 
 class TestRegistry:
