@@ -11,7 +11,7 @@ from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
 
-from .errors import BundleError, IngestError
+from .errors import BundleError, ConfigError, IngestError
 from .model import (
     LINE_ERRORS,
     OFFICIAL_TOKEN_CONTRACT,
@@ -31,12 +31,14 @@ class ScanConfig:
     w3: float = 0.9  # minimum profit share of lifetime inflow from the DApp
 
     def __post_init__(self):
-        if self.w1 <= 0:
-            raise ValueError("w1 must be positive")
-        if self.w2 <= 1:
-            raise ValueError("w2 must exceed 1")
+        # Each check also rejects NaN: a float NaN fails every comparison,
+        # and a Decimal NaN raises InvalidOperation on one, so it goes first.
+        if self.w1.is_nan() or self.w1 <= 0:
+            raise ConfigError("w1 must be positive")
+        if not self.w2 > 1:
+            raise ConfigError("w2 must exceed 1")
         if not 0 < self.w3 <= 1:
-            raise ValueError("w3 must be in (0, 1]")
+            raise ConfigError("w3 must be in (0, 1]")
 
 
 @dataclass

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import attacks as attacks_mod
 from . import botnet, forest, graphs, metrics, permissions, synthgen
-from .errors import ForensicsError
+from .errors import ConfigError, ForensicsError
 from .model import (
     ObservationWindow,
     Registry,
@@ -38,17 +38,38 @@ EXIT_ERROR = 2
 
 
 def _env_default(flag, fallback):
+    """The flag's default: EOSFOR_<FLAG> if set, else `fallback`. Both are
+    strings, so argparse checks them with the flag's `type` as it checks a
+    value given on the command line."""
     return os.environ.get("EOSFOR_" + flag.upper().replace("-", "_"), fallback)
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: rejected below with the same message
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _iso_date(text):
+    try:
+        return date.fromisoformat(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a YYYY-MM-DD date, got {text!r} ({exc})")
 
 
 def _add_common(p, *, trace=False, snapshot=False, registry=False):
     p.add_argument("--out", default=_env_default("out", "out"),
                    help="output directory (default: out)")
-    p.add_argument("--window-start", default=_env_default("window_start", "2018-06-09"),
+    p.add_argument("--window-start", type=_iso_date,
+                   default=_env_default("window_start", "2018-06-09"),
                    help="first UTC day of the observation window")
-    p.add_argument("--days", type=int, default=int(_env_default("days", 357)),
+    p.add_argument("--days", type=_positive_int, default=_env_default("days", "357"),
                    help="window length in days")
-    p.add_argument("--threads", type=int, default=int(_env_default("threads", 1)),
+    p.add_argument("--threads", type=int, default=_env_default("threads", "1"),
                    help="parallelism bound (results are identical for any N)")
     if trace:
         p.add_argument("--trace", required=True, help="action trace (NDJSON)")
@@ -63,8 +84,13 @@ def _add_common(p, *, trace=False, snapshot=False, registry=False):
 
 def _window(args) -> ObservationWindow:
     """The --days days that start on --window-start."""
-    start = date.fromisoformat(args.window_start)
-    return ObservationWindow(start, start + timedelta(days=args.days - 1))
+    start = args.window_start
+    try:
+        end = start + timedelta(days=args.days - 1)
+    except OverflowError:
+        raise ConfigError(f"--days {args.days} from --window-start {start} "
+                          f"ends after year 9999") from None
+    return ObservationWindow(start, end)
 
 
 def _registry_from(args) -> Registry:
@@ -539,11 +565,11 @@ def build_parser():
     p = bsub.add_parser("detect", help="community-level detection")
     _add_common(p, trace=True, snapshot=True, registry=True)
     p.add_argument("--min-children", type=int,
-                   default=int(_env_default("min_children", 30)))
+                   default=_env_default("min_children", "30"))
     p.set_defaults(func=cmd_bots_detect)
     p = bsub.add_parser("classify", help="per-account classifier")
     _add_common(p, trace=True, snapshot=True, registry=True)
-    p.add_argument("--seed", type=int, default=int(_env_default("seed", 0)))
+    p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
     p.set_defaults(func=cmd_bots_classify)
 
     perms = sub.add_parser("perms", help="permission audit")
@@ -557,9 +583,9 @@ def build_parser():
     p = asub.add_parser("scan", help="fake transfer/notice + profit scan")
     _add_common(p, trace=True, registry=True)
     p.add_argument("--rollback-log", help="optional off-chain rollback NDJSON")
-    p.add_argument("--w1", type=float, default=float(_env_default("w1", 400)))
-    p.add_argument("--w2", type=float, default=float(_env_default("w2", 1.2)))
-    p.add_argument("--w3", type=float, default=float(_env_default("w3", 0.9)))
+    p.add_argument("--w1", type=float, default=_env_default("w1", "400"))
+    p.add_argument("--w2", type=float, default=_env_default("w2", "1.2"))
+    p.add_argument("--w3", type=float, default=_env_default("w3", "0.9"))
     p.add_argument("--bundles", action="store_true",
                    help="write per-finding evidence bundles")
     p.set_defaults(func=cmd_attacks_scan)
@@ -568,7 +594,7 @@ def build_parser():
     ssub = synth.add_subparsers(dest="subcommand", required=True)
     p = ssub.add_parser("generate", help="generate a scenario with ground truth")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=int(_env_default("seed", 0)))
+    p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
     p.add_argument("--days", type=int, default=30)
     p.add_argument("--users", type=int, default=100)
     p.add_argument("--services", type=int, default=3)

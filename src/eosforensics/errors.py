@@ -9,6 +9,10 @@ class IngestError(ForensicsError):
     """Raised when an input file cannot be read or is too damaged to trust."""
 
 
+class ConfigError(ForensicsError, ValueError):
+    """A setting (a command-line flag or a config field) is out of range."""
+
+
 class GraphError(ForensicsError):
     """Raised for structural violations (creator cycles, unknown accounts)."""
 

@@ -53,9 +53,14 @@ class _Tree:
         return len(self.feature) - 1
 
     def fit(self, X, y, max_depth, min_leaf, max_features, rng):
+        """Grow the tree depth first, drawing each splittable node's feature
+        subset from `rng`. Returns the deepest depth at which a node drew
+        (-1 if none did): a fit with a max_depth above that depth draws and
+        grows exactly the same, so it is the same tree."""
         root = self._new_node()
         stack = [(root, np.arange(X.shape[0]), 0)]
         n_features = X.shape[1]
+        drew = -1
         while stack:
             node, idx, depth = stack.pop()
             ys = y[idx]
@@ -68,6 +73,7 @@ class _Tree:
                 or (max_depth is not None and depth >= max_depth)
             ):
                 continue
+            drew = max(drew, depth)
             feats = rng.choice(n_features, size=max_features, replace=False)
             cols = X[idx[:, None], feats]
             best = _best_split(cols, ys, min_leaf)
@@ -83,6 +89,7 @@ class _Tree:
             self.right[node] = right
             stack.append((right, idx[~mask], depth + 1))
             stack.append((left, idx[mask], depth + 1))
+        return drew
 
     def predict_prob(self, X):
         """Leaf probability per row of `X`. All rows descend together, one
@@ -152,41 +159,55 @@ def _best_split(cols, ys, min_leaf):
     return best
 
 
-def _fit_prefixes(X, y, max_depth, min_leaf, seed, sizes):
-    """Fit max(sizes) trees and return them with the out-of-bag accuracy
-    (None when no row is ever out of bag) of each leading run of
-    trees whose length is in `sizes`.
+def _fit_prefixes(X, y, max_depths, min_leaf, seed, sizes):
+    """Fit max(sizes) trees at each depth in `max_depths` and return, per
+    depth, the trees and the out-of-bag accuracy (None when no row is ever
+    out of bag) of each leading run of trees whose length is in `sizes`.
 
     Tree i grows from child i of SeedSequence(seed), and the first k
     children of spawn(m) are spawn(k), so the first k trees are exactly
     the forest of k trees. Out-of-bag votes add up tree by tree in that
-    order, so each prefix's score is the one its own fit would give."""
+    order, so each prefix's score is the one its own fit would give.
+
+    Tree i is fitted first at the deepest depth (None is unlimited). A
+    shallower depth d reuses the last tree fitted for tree i, with its
+    out-of-bag predictions, when that tree drew features at no node of
+    depth d or deeper: the depth-d fit would stop at the same nodes and
+    draw the same features, so it is the same tree. Otherwise tree i is
+    fitted afresh at depth d from the same seed child."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise TrainingError("training labels contain a single class")
     n = X.shape[0]
     max_features = max(1, int(math.sqrt(X.shape[1])))
-    trees = []
-    scores = dict.fromkeys(sizes)
-    oob_votes = np.zeros(n)
+    depths = sorted(set(max_depths), key=lambda d: math.inf if d is None else d,
+                    reverse=True)
+    trees = {d: [] for d in depths}
+    scores = {d: dict.fromkeys(sizes) for d in depths}
+    oob_votes = {d: np.zeros(n) for d in depths}
     oob_counts = np.zeros(n)
     for k, ss in enumerate(np.random.SeedSequence(seed).spawn(max(sizes)), start=1):
-        rng = np.random.default_rng(ss)
-        sample = rng.integers(0, n, size=n)
-        tree = _Tree()
-        tree.fit(X[sample], y[sample], max_depth, min_leaf, max_features, rng)
-        trees.append(tree)
-        oob = np.ones(n, dtype=bool)
-        oob[sample] = False
-        if oob.any():
-            oob_votes[oob] += tree.predict_prob(X[oob])
-            oob_counts[oob] += 1
+        tree = None
+        for d in depths:
+            # only the first, deepest depth can be None, and it always fits
+            if tree is None or drew >= d:
+                rng = np.random.default_rng(ss)
+                sample = rng.integers(0, n, size=n)
+                tree = _Tree()
+                drew = tree.fit(X[sample], y[sample], d, min_leaf, max_features, rng)
+                oob = np.ones(n, dtype=bool)
+                oob[sample] = False
+                oob_prob = tree.predict_prob(X[oob])
+            trees[d].append(tree)
+            oob_votes[d][oob] += oob_prob
+        oob_counts[oob] += 1
         covered = oob_counts > 0
         if k in sizes and covered.any():
-            pred = (oob_votes[covered] / oob_counts[covered]) >= 0.5
-            scores[k] = float(np.mean(pred == (y[covered] == 1)))
-    return trees, scores
+            for d in depths:
+                pred = (oob_votes[d][covered] / oob_counts[covered]) >= 0.5
+                scores[d][k] = float(np.mean(pred == (y[covered] == 1)))
+    return {d: (trees[d], scores[d]) for d in depths}
 
 
 @dataclass
@@ -200,7 +221,8 @@ class RandomForest:
 
     def fit(self, X, y):
         self.trees, scores = _fit_prefixes(
-            X, y, self.max_depth, self.min_leaf, self.seed, (self.n_trees,))
+            X, y, (self.max_depth,), self.min_leaf, self.seed,
+            (self.n_trees,))[self.max_depth]
         self.oob_score = scores[self.n_trees]
         return self
 
@@ -275,13 +297,14 @@ def train_classifier(X, y, split_ratio=0.8, seed=0, grid=None) -> TrainResult:
         raise TrainingError("training split contains a single class")
 
     X_train, y_train = X[train_idx], y[train_idx]
-    # One fit per (max_depth, min_leaf) cell scores every n_trees, as each
-    # smaller forest is a prefix of the largest.
+    # One fit per min_leaf scores every (n_trees, max_depth) cell: each
+    # smaller forest is a prefix of the largest, and each tree is grown once
+    # for every max_depth it never reached.
     oob = {}
-    for max_depth in grid["max_depth"]:
-        for min_leaf in grid["min_leaf"]:
-            _, cell_scores = _fit_prefixes(
-                X_train, y_train, max_depth, min_leaf, seed, grid["n_trees"])
+    for min_leaf in grid["min_leaf"]:
+        cells = _fit_prefixes(
+            X_train, y_train, grid["max_depth"], min_leaf, seed, grid["n_trees"])
+        for max_depth, (_, cell_scores) in cells.items():
             for n_trees, score in cell_scores.items():
                 oob[n_trees, max_depth, min_leaf] = score
     best_score = -1.0

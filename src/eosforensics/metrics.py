@@ -283,7 +283,9 @@ def pagerank(graph: DiGraph, damping=0.85, tol=1e-10, max_iter=1000):
             delta += abs(new[u] - rank[u])
         rank = new
         if delta < tol:
-            assert abs(sum(rank.values()) - 1.0) < 1e-9
+            mass = sum(rank.values())
+            if not abs(mass - 1.0) < 1e-9:
+                raise MetricError(f"pagerank mass drifted to {mass!r}")
             return rank
     raise ConvergenceError(
         f"pagerank did not converge in {max_iter} iterations", rank

@@ -26,7 +26,7 @@ from .errors import GraphError, IngestError
 
 ACCOUNT_NAME_RE = re.compile(r"[a-z1-5.]{1,12}")
 SYMBOL_RE = re.compile(r"[A-Z]{1,7}")
-QUANTITY_RE = re.compile(r"(\d+)\.(\d{4}) ([A-Z]{1,7})")
+QUANTITY_RE = re.compile(r"(\d+)(?:\.(\d{1,18}))? ([A-Z]{1,7})")
 TIMESTAMP_RE = re.compile(
     r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})"
     r"(?:\.([0-9]{1,6}))?Z"
@@ -53,26 +53,32 @@ def is_account_name(name) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Quantity:
-    """A fixed-point token amount with 4 fractional digits (EOS convention)."""
+    """A fixed-point token amount with `precision` fractional digits (0-18,
+    as in an EOSIO asset symbol). EOS has exactly 4."""
 
     amount: Decimal
     symbol: str
+    precision: int = 4
 
     def __post_init__(self):
         if self.amount < 0:
             raise ValueError(f"negative quantity: {self.amount}")
         if not SYMBOL_RE.fullmatch(self.symbol):
             raise ValueError(f"bad token symbol: {self.symbol!r}")
+        if self.symbol == "EOS" and self.precision != 4:
+            raise ValueError(f"EOS precision must be 4, not {self.precision}")
 
     @classmethod
     def parse(cls, text: str) -> "Quantity":
         m = QUANTITY_RE.fullmatch(text)
         if m is None:
             raise ValueError(f"bad quantity string: {text!r}")
-        return cls(Decimal(f"{m.group(1)}.{m.group(2)}"), m.group(3))
+        units, fraction, symbol = m.groups()
+        fraction = fraction or ""
+        return cls(Decimal(f"{units}.{fraction}"), symbol, len(fraction))
 
     def __str__(self) -> str:
-        return f"{self.amount:.4f} {self.symbol}"
+        return f"{self.amount:.{self.precision}f} {self.symbol}"
 
 
 @dataclass(frozen=True, slots=True)

@@ -167,6 +167,45 @@ def test_attacks_scan_bad_rollback_line_is_error(files, tmp_path, capsys, case):
     assert "rollback log line 2:" in capsys.readouterr().err
 
 
+BAD_FLAGS = {
+    "days_zero": ("ingest", ["--days", "0"]),
+    "days_past_year_9999": ("ingest", ["--window-start", "9999-12-30", "--days", "5"]),
+    "month_13": ("ingest", ["--window-start", "2018-13-01"]),
+    "w2_below_one": ("attacks", ["--w2", "0.5"]),
+    "w2_nan": ("attacks", ["--w2", "nan"]),
+    "w1_nan": ("attacks", ["--w1", "nan"]),
+}
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value by exiting
+        return exc.code
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+def test_bad_flag_value_is_error(files, tmp_path, capsys, case):
+    command, flags = BAD_FLAGS[case]
+    if command == "ingest":
+        argv = ["ingest", "--trace", files["trace"], "--snapshot", files["snapshot"]]
+    else:
+        argv = ["attacks", "scan", "--trace", files["trace"], "--dapps", files["dapps"]]
+    code = _exit_code(argv + ["--out", str(tmp_path / "out")] + flags)
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: " in err.splitlines()[-1]
+
+
+def test_bad_env_default_is_error(files, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EOSFOR_DAYS", "x")
+    code = _exit_code(["ingest", "--trace", files["trace"], "--snapshot",
+                       files["snapshot"], "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    assert "argument --days" in capsys.readouterr().err
+
+
 def test_attacks_scan_missing_trace_is_error(tmp_path):
     code = main(["attacks", "scan", "--trace", str(tmp_path / "none.ndjson"),
                  "--out", str(tmp_path)])

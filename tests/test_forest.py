@@ -161,13 +161,54 @@ def test_seed_children_are_prefixes():
 def test_prefix_forests_equal_forests_fitted_alone():
     X, y = _blobs(n_per_class=70, gap=1.0)
     sizes = (3, 8, 20)
-    trees, scores = forest._fit_prefixes(X, y, 6, 2, 11, sizes)
+    trees, scores = forest._fit_prefixes(X, y, (6,), 2, 11, sizes)[6]
     assert len(trees) == 20
     for k in sizes:
         alone = forest.RandomForest(n_trees=k, max_depth=6, min_leaf=2, seed=11).fit(X, y)
         prefix = forest.RandomForest(n_trees=k, max_depth=6, min_leaf=2, seed=11,
                                      trees=trees[:k], oob_score=scores[k])
         assert prefix.to_json() == alone.to_json()
+
+
+def _count_tree_fits(monkeypatch):
+    calls = []
+    fit = forest._Tree.fit
+
+    def counting_fit(self, *args):
+        calls.append(args[2])  # max_depth
+        return fit(self, *args)
+
+    monkeypatch.setattr(forest._Tree, "fit", counting_fit)
+    return calls
+
+
+def test_depth_forests_equal_forests_fitted_alone(monkeypatch):
+    # Overlapping classes: some trees stop above depth 2 or 4 and are
+    # reused there, others grow deeper and must be refitted.
+    X, y = _blobs(n_per_class=70, gap=2.0)
+    depths, sizes = (2, 4, None), (10, 30)
+    fits = _count_tree_fits(monkeypatch)
+    cells = forest._fit_prefixes(X, y, depths, 1, 11, sizes)
+    assert fits.count(None) == 30  # each tree grows once at the deepest depth
+    assert 30 < len(fits) < 90  # both the reuse and the refit branch ran
+    monkeypatch.undo()
+    for d in depths:
+        trees, scores = cells[d]
+        assert len(trees) == 30
+        for k in sizes:
+            alone = forest.RandomForest(n_trees=k, max_depth=d, min_leaf=1, seed=11).fit(X, y)
+            shared = forest.RandomForest(n_trees=k, max_depth=d, min_leaf=1, seed=11,
+                                         trees=trees[:k], oob_score=scores[k])
+            assert shared.to_json() == alone.to_json()  # oob_score included
+
+
+def test_default_grid_grows_each_min_leaf_once(monkeypatch):
+    X, y = _blobs(gap=10.0)
+    fits = _count_tree_fits(monkeypatch)
+    result = forest.train_classifier(X, y, seed=0)
+    # every tree is one split at the root, so each of the 3 min_leaf cells
+    # grows its 200 trees once for all 4 depths; the winner is then refitted
+    assert len(fits) == 3 * 200 + result.best_params["n_trees"]
 
 
 # Computed with the per-configuration fit and the per-row tree walk that

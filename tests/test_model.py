@@ -56,13 +56,25 @@ class TestQuantity:
         assert str(q) == "1.0000 EOS"
 
     def test_rejects_garbage(self):
-        for bad in ("1 EOS", "1.00 EOS", "-1.0000 EOS", "1.0000", "1.0000 eos"):
+        for bad in ("1 EOS", "1.00 EOS", "1.00000 EOS", "-1.0000 EOS", "1.0000",
+                    "1.0000 eos", "1. FAKE", "1.0000000000000000000 FAKE"):
             with pytest.raises(ValueError):
                 Quantity.parse(bad)
 
     def test_negative_amount_rejected(self):
         with pytest.raises(ValueError):
             Quantity(Decimal("-1"), "EOS")
+
+    @pytest.mark.parametrize("text", ["1.00 FAKE", "100 FAKE", "0.5 ABC",
+                                      "12.000000000000000001 WEI"])
+    def test_other_tokens_keep_their_precision(self, text):
+        q = Quantity.parse(text)
+        assert q.amount == Decimal(text.split()[0])
+        assert str(q) == text
+
+    def test_eos_precision_checked_on_construction(self):
+        with pytest.raises(ValueError):
+            Quantity(Decimal("1.00"), "EOS", precision=2)
 
 
 class TestWindow:
@@ -183,6 +195,31 @@ class TestTraceParsing:
         result = parse_action_trace(p, _window())
         assert len(result.diagnostics) == 1
         assert len(result) == 199
+
+    def test_other_token_trace_round_trip(self, tmp_path):
+        p = tmp_path / "t.ndjson"
+        quantities = ["1.00 FAKE", "100 FAKE", "0.12345678 BTC"]
+        lines = [_action_line(i + 1, executing_contract="fake.token",
+                              payload={"from": "alice", "to": "bob",
+                                       "quantity": q, "memo": ""})
+                 for i, q in enumerate(quantities)]
+        p.write_text("\n".join(lines) + "\n")
+        result = parse_action_trace(p, _window())
+        assert result.diagnostics == []
+        again = tmp_path / "again.ndjson"
+        write_action_trace(again, result.records)
+        assert again.read_text() == "".join(
+            json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines)
+
+    def test_eos_other_than_four_decimals_is_diagnostic(self, tmp_path):
+        p = tmp_path / "t.ndjson"
+        lines = [_action_line(s) for s in range(1, 200)]
+        lines.append(_action_line(200, payload={"from": "alice", "to": "bob",
+                                                "quantity": "1.00 EOS", "memo": ""}))
+        p.write_text("\n".join(lines) + "\n")
+        result = parse_action_trace(p, _window())
+        assert len(result) == 199
+        assert [line for line, _ in result.diagnostics] == [200]
 
     @pytest.mark.parametrize("action_name", ["transfer", "updateauth"])
     @pytest.mark.parametrize("payload", [["alice", "bob"], "alice", 7, None])
