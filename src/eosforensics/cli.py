@@ -61,6 +61,35 @@ def _iso_date(text):
         raise argparse.ArgumentTypeError(f"expected a YYYY-MM-DD date, got {text!r} ({exc})")
 
 
+def _bot_spec(text):
+    parts = text.split(":")
+    try:
+        size = int(parts[1])
+    except (IndexError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"bad --bots spec {text!r} (want category:size[:cal])") from None
+    return synthgen.BotCommunitySpec(size=size, category=parts[0],
+                                     calibration=len(parts) > 2 and parts[2] == "cal")
+
+
+def _attack_spec(text):
+    try:
+        kind, profit, day = text.split(":")
+        return synthgen.AttackSpec(kind=kind, profit_eos=int(profit), day=int(day))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad --attacks spec {text!r} (want kind:profit:day)") from None
+
+
+def _misuse_plan(text):
+    try:
+        pairs = (part.split(":") for part in text.split(","))
+        return synthgen.MisusePlan(**{kind: int(count) for kind, count in pairs})
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"bad --misuse spec {text!r} (want kind:count[,kind:count...])") from None
+
+
 def _add_common(p, *, trace=False, snapshot=False, registry=False):
     p.add_argument("--out", default=_env_default("out", "out"),
                    help="output directory (default: out)")
@@ -165,7 +194,7 @@ def cmd_graph_build(args):
     silent = sorted(graphs.silent_accounts(emfg, ecig, snapshot))
     (out / "silent_accounts.txt").write_text("".join(s + "\n" for s in silent))
     summary = {
-        name: {"nodes": view.node_count(), "edges": view.edge_count()}
+        name: {"nodes": len(view.nodes), "edges": len(view.src)}
         for name, view in views.items()
     }
     summary["silent_accounts"] = len(silent)
@@ -390,45 +419,14 @@ def cmd_attacks_scan(args):
 
 def cmd_synth_generate(args):
     out = Path(args.out)
-    bots = []
-    for spec in args.bots or []:
-        parts = spec.split(":")
-        if len(parts) < 2:
-            print(f"error: bad --bots spec {spec!r} (want category:size[:cal])",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        bots.append(
-            synthgen.BotCommunitySpec(
-                size=int(parts[1]), category=parts[0],
-                calibration=len(parts) > 2 and parts[2] == "cal",
-            )
-        )
-    attack_specs = []
-    for spec in args.attacks or []:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            print(f"error: bad --attacks spec {spec!r} (want kind:profit:day)",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        attack_specs.append(
-            synthgen.AttackSpec(kind=parts[0], profit_eos=int(parts[1]),
-                                day=int(parts[2]))
-        )
-    misuse = synthgen.MisusePlan()
-    if args.misuse:
-        kwargs = {}
-        for part in args.misuse.split(","):
-            k, v = part.split(":")
-            kwargs[k] = int(v)
-        misuse = synthgen.MisusePlan(**kwargs)
     config = synthgen.ScenarioConfig(
         seed=args.seed,
         day_count=args.days,
         normal_account_count=args.users,
         service_count=args.services,
-        bot_community_specs=bots,
-        attack_specs=attack_specs,
-        misuse_plan=misuse,
+        bot_community_specs=args.bots or [],
+        attack_specs=args.attacks or [],
+        misuse_plan=args.misuse,
         background_transfer_rate=args.rate,
         silent_account_count=args.silent,
         deep_chain_length=args.deep_chain,
@@ -598,10 +596,12 @@ def build_parser():
     p.add_argument("--days", type=int, default=30)
     p.add_argument("--users", type=int, default=100)
     p.add_argument("--services", type=int, default=3)
-    p.add_argument("--bots", action="append",
+    p.add_argument("--bots", action="append", type=_bot_spec,
                    help="category:size[:cal], repeatable")
-    p.add_argument("--attacks", action="append", help="kind:profit:day, repeatable")
-    p.add_argument("--misuse", help="e.g. misuse:150,partial:300,benign:250")
+    p.add_argument("--attacks", action="append", type=_attack_spec,
+                   help="kind:profit:day, repeatable")
+    p.add_argument("--misuse", type=_misuse_plan, default=synthgen.MisusePlan(),
+                   help="e.g. misuse:150,partial:300,benign:250")
     p.add_argument("--rate", type=float, default=1.0,
                    help="background traffic multiplier")
     p.add_argument("--silent", type=int, default=0)

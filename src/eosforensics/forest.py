@@ -297,26 +297,28 @@ def train_classifier(X, y, split_ratio=0.8, seed=0, grid=None) -> TrainResult:
         raise TrainingError("training split contains a single class")
 
     X_train, y_train = X[train_idx], y[train_idx]
-    # One fit per min_leaf scores every (n_trees, max_depth) cell: each
+    # One fit per min_leaf grows every (n_trees, max_depth) cell: each
     # smaller forest is a prefix of the largest, and each tree is grown once
-    # for every max_depth it never reached.
-    oob = {}
+    # for every max_depth it never reached. The winner is its cell's prefix.
+    cells = {}  # (n_trees, max_depth, min_leaf) -> (trees, oob score)
     for min_leaf in grid["min_leaf"]:
-        cells = _fit_prefixes(
+        fitted = _fit_prefixes(
             X_train, y_train, grid["max_depth"], min_leaf, seed, grid["n_trees"])
-        for max_depth, (_, cell_scores) in cells.items():
+        for max_depth, (trees, cell_scores) in fitted.items():
             for n_trees, score in cell_scores.items():
-                oob[n_trees, max_depth, min_leaf] = score
+                cells[n_trees, max_depth, min_leaf] = (trees[:n_trees], score)
     best_score = -1.0
     best_params = None
     scores = []
     for params in _grid_configs(grid):
-        key = (params["n_trees"], params["max_depth"], params["min_leaf"])
-        score = oob[key] if oob[key] is not None else 0.0
+        oob = cells[params["n_trees"], params["max_depth"], params["min_leaf"]][1]
+        score = oob if oob is not None else 0.0
         scores.append((params, score))
         if score > best_score + 1e-12:
             best_score = score
             best_params = params
-    best_model = RandomForest(seed=seed, **best_params).fit(X_train, y_train)
+    trees, oob = cells[best_params["n_trees"], best_params["max_depth"],
+                       best_params["min_leaf"]]
+    best_model = RandomForest(seed=seed, trees=trees, oob_score=oob, **best_params)
     test_accuracy = best_model.score(X[test_idx], y[test_idx])
     return TrainResult(best_model, test_accuracy, best_params, scores)

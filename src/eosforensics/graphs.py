@@ -1,15 +1,16 @@
 """The three enhanced graphs: money flow (EMFG), account creation (EACG)
-and contract invocation (ECIG), plus structural derivations."""
+and contract invocation (ECIG), and their views as `DiGraph`, the one
+integer-indexed edge-array graph that every metric and export reads."""
 
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
 from decimal import Decimal
 
+import numpy as np
+
 from .errors import GraphError
-from .model import OFFICIAL_TOKEN_CONTRACT, ObservationWindow
+from .model import ObservationWindow
 
 INVOCATION_KINDS = frozenset({"external", "inline", "deferred"})
 
@@ -228,101 +229,91 @@ def silent_accounts(emfg: Emfg, ecig: Ecig, snapshot) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Generic directed view + exports
+# The metrics graph + exports
 
 
 class DiGraph:
-    """Minimal weighted digraph used by the metrics layer."""
+    """Immutable weighted digraph that every metric reads.
 
-    def __init__(self):
-        self.succ = {}  # u -> v -> weight (float)
-        self.pred = {}  # v -> u -> weight
+    `nodes` holds the node names in ascending order; a node's id is its
+    position. `src`, `dst` (int64) and `weight` (float64) hold one row per
+    (u, v) pair, rows sorted by (src, dst).
+    """
 
-    def add_node(self, u):
-        self.succ.setdefault(u, {})
-        self.pred.setdefault(u, {})
+    __slots__ = ("nodes", "src", "dst", "weight")
 
-    def add_edge(self, u, v, weight=1.0):
-        self.add_node(u)
-        self.add_node(v)
-        self.succ[u][v] = self.succ[u].get(v, 0.0) + weight
-        self.pred[v][u] = self.pred[v].get(u, 0.0) + weight
+    def __init__(self, nodes, src, dst, weight):
+        for array in (src, dst, weight):
+            array.flags.writeable = False
+        self.nodes, self.src, self.dst, self.weight = nodes, src, dst, weight
 
-    @property
-    def nodes(self):
-        return self.succ.keys()
-
-    def node_count(self):
-        return len(self.succ)
-
-    def edge_count(self):
-        return sum(len(d) for d in self.succ.values())
+    @classmethod
+    def from_edges(cls, edges, nodes=()) -> DiGraph:
+        """Graph of the (u, v, weight) triples in `edges` plus the isolated
+        `nodes`. The weights of a repeated (u, v) are summed in input order."""
+        heads, tails, weights = [], [], []
+        for head, tail, weight in edges:
+            heads.append(head)
+            tails.append(tail)
+            weights.append(weight)
+        names = tuple(sorted({*nodes, *heads, *tails}))
+        index = {name: i for i, name in enumerate(names)}
+        n = len(names)
+        u = np.fromiter(map(index.__getitem__, heads), np.int64, len(heads))
+        v = np.fromiter(map(index.__getitem__, tails), np.int64, len(tails))
+        w = np.array(weights, dtype=np.float64)
+        key, row = np.unique(u * n + v, return_inverse=True)
+        weight = np.zeros(len(key))
+        np.add.at(weight, row, w)
+        return cls(names, *np.divmod(key, n), weight)
 
     def edges(self):
-        for u, targets in self.succ.items():
-            for v, w in targets.items():
-                yield u, v, w
+        """(u, v, weight) by name, in row order."""
+        names = self.nodes
+        for u, v, w in zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()):
+            yield names[u], names[v], w
 
-    def out_degree(self, u):
-        return len(self.succ.get(u, ()))
+    def in_degrees(self):
+        return np.bincount(self.dst, minlength=len(self.nodes))
 
-    def in_degree(self, u):
-        return len(self.pred.get(u, ()))
+    def out_degrees(self):
+        return np.bincount(self.src, minlength=len(self.nodes))
 
 
 def emfg_to_digraph(emfg: Emfg) -> DiGraph:
-    g = DiGraph()
-    for src, dst, days in emfg.edges():
-        g.add_edge(src, dst, float(sum(w for w, _ in days.values())))
-    for node in emfg.nodes:
-        g.add_node(node)
-    return g
+    return DiGraph.from_edges(
+        ((src, dst, float(sum(w for w, _ in days.values())))
+         for src, dst, days in emfg.edges()),
+        emfg.nodes,
+    )
 
 
 def eacg_to_digraph(eacg: Eacg) -> DiGraph:
-    g = DiGraph()
-    for child, (creator, _) in eacg.parent.items():
-        g.add_edge(creator, child, 1.0)
-    for node in eacg.roots:
-        g.add_node(node)
-    return g
+    return DiGraph.from_edges(
+        ((creator, child, 1.0) for child, (creator, _) in eacg.parent.items()),
+        eacg.roots,
+    )
 
 
 def ecig_to_digraph(ecig: Ecig) -> DiGraph:
-    g = DiGraph()
-    for caller, contract, slots in ecig.edges():
-        g.add_edge(caller, contract, float(sum(slots.values())))
-    return g
+    return DiGraph.from_edges(
+        (caller, contract, float(sum(slots.values())))
+        for caller, contract, slots in ecig.edges()
+    )
 
 
 def degree_histogram(graph: DiGraph, direction="total"):
     """Histogram degree -> node count; counts every node, so the values
     sum to the node count."""
-    if direction not in ("in", "out", "total"):
+    if direction == "in":
+        degrees = graph.in_degrees()
+    elif direction == "out":
+        degrees = graph.out_degrees()
+    elif direction == "total":
+        degrees = graph.in_degrees() + graph.out_degrees()
+    else:
         raise ValueError(f"bad direction: {direction!r}")
-    hist = {}
-    for node in graph.nodes:
-        if direction == "in":
-            d = graph.in_degree(node)
-        elif direction == "out":
-            d = graph.out_degree(node)
-        else:
-            d = graph.in_degree(node) + graph.out_degree(node)
-        hist[d] = hist.get(d, 0) + 1
-    return hist
-
-
-def power_law_alpha(hist) -> float | None:
-    """Maximum-likelihood power-law exponent (advisory only), over
-    degrees >= 1 via the continuous Hill estimator."""
-    degrees = [d for d, c in hist.items() for _ in range(c) if d >= 1]
-    if len(degrees) < 2:
-        return None
-    dmin = min(degrees)
-    s = sum(math.log(d / dmin) for d in degrees)
-    if s == 0:
-        return None
-    return 1.0 + len(degrees) / s
+    return {d: c for d, c in enumerate(np.bincount(degrees).tolist()) if c}
 
 
 def export_histogram_csv(hist, path, direction="total"):
@@ -337,23 +328,5 @@ def export_edges_csv(graph: DiGraph, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["from", "to", "weight"])
-        for u, v, w in sorted(graph.edges()):
+        for u, v, w in graph.edges():
             writer.writerow([u, v, repr(w)])
-
-
-def export_dot(graph: DiGraph, path, max_nodes=200):
-    """DOT export of a bounded subgraph (nodes picked by descending total
-    degree, name-ascending ties)."""
-    ranked = sorted(
-        graph.nodes,
-        key=lambda n: (-(graph.in_degree(n) + graph.out_degree(n)), n),
-    )
-    keep = set(ranked[:max_nodes])
-    with open(path, "w") as fh:
-        fh.write("digraph g {\n")
-        for node in sorted(keep):
-            fh.write(f'  "{node}";\n')
-        for u, v, w in sorted(graph.edges()):
-            if u in keep and v in keep:
-                fh.write(f'  "{u}" -> "{v}" [weight={w:g}];\n')
-        fh.write("}\n")

@@ -1,6 +1,7 @@
-"""Network metrics over the directed graphs: directed weighted clustering
+"""Network metrics over a `graphs.DiGraph`: directed weighted clustering
 (Fagiolo total variant), degree assortativity, in/out degree correlation,
-connected components, weighted PageRank and degree rankings.
+connected components and weighted PageRank. Each reads the graph's
+integer edge arrays; node names appear only in the results.
 
 Clustering ignores self-loops and zero-weight edges, in the weights and in
 the degrees alike, and runs one algorithm at every graph size:
@@ -8,6 +9,7 @@ degree-ordered triangle enumeration (Schank & Wagner 2005), O(m^1.5)."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -80,13 +82,11 @@ def clustering_coefficient(graph: DiGraph) -> float | None:
     twice the sum of s_xy * s_xz * s_yz over the triangles at i; each
     triangle is found once, from its lowest (degree, id) corner.
     """
-    nodes = sorted(graph.nodes)
-    n = len(nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    kept = [(index[u], index[v], w) for u, v, w in graph.edges() if u != v and w > 0]
-    if not kept:
+    n = len(graph.nodes)
+    kept = (graph.src != graph.dst) & (graph.weight > 0)
+    if not kept.any():
         return None
-    u, v, w = (np.array(col) for col in zip(*kept))
+    u, v, w = graph.src[kept], graph.dst[kept], graph.weight[kept]
     w_hat = np.cbrt(w / w.max())
 
     # Fold both directions of each node pair into one undirected pair a < b.
@@ -147,95 +147,79 @@ def _pearson(xs, ys) -> float | None:
 def assortativity(graph: DiGraph) -> float | None:
     """Directed degree assortativity: Pearson correlation, over edges,
     between source out-degree and target in-degree (unweighted)."""
-    xs, ys = [], []
-    for u, v, _ in graph.edges():
-        xs.append(graph.out_degree(u))
-        ys.append(graph.in_degree(v))
-    return _pearson(xs, ys)
+    return _pearson(graph.out_degrees()[graph.src], graph.in_degrees()[graph.dst])
 
 
 def pearson_in_out(graph: DiGraph) -> float | None:
     """Pearson correlation, over nodes, between in-degree and out-degree."""
-    nodes = sorted(graph.nodes)
-    xs = [graph.in_degree(v) for v in nodes]
-    ys = [graph.out_degree(v) for v in nodes]
-    return _pearson(xs, ys)
+    return _pearson(graph.in_degrees(), graph.out_degrees())
 
 
 # ---------------------------------------------------------------------------
 # Components
 
 
-def strongly_connected_components(graph: DiGraph):
-    """Iterative Tarjan; components returned sorted by size descending,
-    then by smallest member."""
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    components = []
-    counter = 0
+def _components(graph: DiGraph, heads, tails):
+    """Strongly connected components of the digraph on the node ids of
+    `graph` with the edges heads[i] -> tails[i], as name sets sorted by size
+    descending, then by smallest member.
 
-    for root in sorted(graph.nodes):
-        if root in index:
+    Iterative Tarjan over CSR arrays, so chains of any depth are safe. A
+    frame of `work` is [node id, position of its next edge in `indices`]."""
+    n = len(graph.nodes)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(heads, minlength=n)))).tolist()
+    indices = tails[np.argsort(heads, kind="stable")].tolist()
+    index = [-1] * n  # discovery order
+    low = [0] * n
+    on_stack = [False] * n
+    stack, work, found = [], [], []
+    order = itertools.count()
+
+    def discover(node):
+        index[node] = low[node] = next(order)
+        stack.append(node)
+        on_stack[node] = True
+        work.append([node, indptr[node]])
+
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(sorted(graph.succ.get(root, ()))))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
+        discover(root)
         while work:
-            node, successors = work[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(graph.succ.get(succ, ())))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
+            frame = work[-1]
+            node, at = frame
+            end = indptr[node + 1]
+            while at < end and index[indices[at]] >= 0:
+                if on_stack[indices[at]]:
+                    low[node] = min(low[node], index[indices[at]])
+                at += 1
+            frame[1] = at + 1
+            if at < end:
+                discover(indices[at])
                 continue
             work.pop()
             if work:
                 parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                components.append(comp)
-    components.sort(key=lambda c: (-len(c), min(c)))
-    return components
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                component = []
+                while not component or component[-1] != node:
+                    component.append(stack.pop())
+                    on_stack[component[-1]] = False
+                found.append(component)
+    found.sort(key=lambda c: (-len(c), min(c)))
+    return [{graph.nodes[i] for i in c} for c in found]
+
+
+def strongly_connected_components(graph: DiGraph):
+    return _components(graph, graph.src, graph.dst)
 
 
 def weakly_connected_components(graph: DiGraph):
-    seen = set()
-    components = []
-    for root in sorted(graph.nodes):
-        if root in seen:
-            continue
-        comp = {root}
-        frontier = [root]
-        seen.add(root)
-        while frontier:
-            node = frontier.pop()
-            for nb in list(graph.succ.get(node, ())) + list(graph.pred.get(node, ())):
-                if nb not in seen:
-                    seen.add(nb)
-                    comp.add(nb)
-                    frontier.append(nb)
-        components.append(comp)
-    components.sort(key=lambda c: (-len(c), min(c)))
-    return components
+    """The strongly connected components of the graph with every edge also
+    reversed."""
+    return _components(graph, np.concatenate((graph.src, graph.dst)),
+                       np.concatenate((graph.dst, graph.src)))
 
 
 def components(graph: DiGraph):
@@ -247,65 +231,38 @@ def components(graph: DiGraph):
 
 
 def pagerank(graph: DiGraph, damping=0.85, tol=1e-10, max_iter=1000):
-    """Weighted PageRank with uniform redistribution of dangling mass.
-    Stops when the L1 delta drops below tol; raises ConvergenceError
-    (carrying the last iterate) otherwise."""
+    """Weighted PageRank (Page et al. 1999) by power iteration, with the
+    mass of nodes without outgoing weight spread uniformly. Stops when the
+    L1 delta drops below tol; raises ConvergenceError (carrying the last
+    iterate) otherwise. Returns node name -> rank."""
     if not 0.0 < damping < 1.0:
         raise MetricError(f"damping must be in (0,1): {damping}")
-    nodes = sorted(graph.nodes)
-    n = len(nodes)
+    n = len(graph.nodes)
     if n == 0:
         return {}
-    out_weight = {u: sum(graph.succ.get(u, {}).values()) for u in nodes}
-    rank = {u: 1.0 / n for u in nodes}
+    out_weight = np.bincount(graph.src, weights=graph.weight, minlength=n)
+    dangling = out_weight == 0
+    live = ~dangling[graph.src]
+    src, dst, weight = graph.src[live], graph.dst[live], graph.weight[live]
+    src_weight = out_weight[src]
+    rank = np.full(n, 1.0 / n)
     base = (1.0 - damping) / n
     for _ in range(max_iter):
-        new = {u: 0.0 for u in nodes}
-        dangling = 0.0
-        for u in nodes:
-            r = rank[u]
-            ow = out_weight[u]
-            if ow == 0:
-                dangling += r
-                continue
-            scale = damping * r / ow
-            for v, w in graph.succ[u].items():
-                new[v] += scale * w
-        spread = base + damping * dangling / n
-        delta = 0.0
-        total = 0.0
-        for u in nodes:
-            new[u] += spread
-            total += new[u]
+        spread = base + damping * rank[dangling].sum() / n
+        new = np.bincount(dst, damping * rank[src] / src_weight * weight, n) + spread
         # renormalize to kill drift; invariant: sums to 1 within 1e-9
-        for u in nodes:
-            new[u] /= total
-            delta += abs(new[u] - rank[u])
+        new /= new.sum()
+        delta = np.abs(new - rank).sum()
         rank = new
         if delta < tol:
-            mass = sum(rank.values())
+            mass = float(rank.sum())
             if not abs(mass - 1.0) < 1e-9:
                 raise MetricError(f"pagerank mass drifted to {mass!r}")
-            return rank
+            return dict(zip(graph.nodes, rank.tolist()))
     raise ConvergenceError(
-        f"pagerank did not converge in {max_iter} iterations", rank
+        f"pagerank did not converge in {max_iter} iterations",
+        dict(zip(graph.nodes, rank.tolist())),
     )
-
-
-def top_k_by_degree(graph: DiGraph, k, direction="out"):
-    """Top-k accounts by degree; ties break by name ascending."""
-    if k < 1:
-        raise MetricError("k must be >= 1")
-    if direction == "in":
-        deg = {v: graph.in_degree(v) for v in graph.nodes}
-    elif direction == "out":
-        deg = {v: graph.out_degree(v) for v in graph.nodes}
-    elif direction == "total":
-        deg = {v: graph.in_degree(v) + graph.out_degree(v) for v in graph.nodes}
-    else:
-        raise MetricError(f"bad direction: {direction!r}")
-    ranked = sorted(deg.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
 
 
 def compute_metrics(graph: DiGraph) -> MetricsReport:
@@ -318,6 +275,6 @@ def compute_metrics(graph: DiGraph) -> MetricsReport:
         largest_scc=len(sccs[0]) if sccs else 0,
         wcc_count=len(wccs),
         largest_wcc=len(wccs[0]) if wccs else 0,
-        node_count=graph.node_count(),
-        edge_count=graph.edge_count(),
+        node_count=len(graph.nodes),
+        edge_count=len(graph.src),
     )

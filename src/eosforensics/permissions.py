@@ -33,20 +33,31 @@ class MisuseFinding:
 
 
 def scan_updateauth(actions, window):
-    """Replay updateauth actions in global_seq order and return the final
-    active eosio.code grants, one per surviving account-weight entry.
+    """Replay updateauth and deleteauth actions in global_seq order and
+    return the final active eosio.code grants, one per surviving
+    account-weight entry.
 
     A later updateauth on the same (account, permission) supersedes the
-    earlier authority entirely, so revocations fall out naturally.
-    Malformed authority payloads are skipped with a diagnostic.
+    earlier authority entirely, so revocations fall out naturally; a
+    deleteauth removes it. Malformed payloads are skipped with a diagnostic.
     """
     state = {}  # (granter, linked_permission) -> (payload, day, seq)
     diagnostics = []
     for record in sorted(
-        (r for r in actions if r.action_name == "updateauth" and r.kind != "notification"),
+        (r for r in actions if r.action_name in ("updateauth", "deleteauth")
+         and r.kind != "notification"),
         key=lambda r: r.global_seq,
     ):
         payload = record.payload
+        if record.action_name == "deleteauth":
+            key = (payload.get("account"), payload.get("permission"))
+            if all(isinstance(part, str) for part in key):
+                state.pop(key, None)
+            else:
+                diagnostics.append(
+                    (record.global_seq, "deleteauth without a string account and permission")
+                )
+            continue
         if not isinstance(payload, UpdateAuthPayload):
             diagnostics.append(
                 (record.global_seq, "updateauth with undecodable authority payload")

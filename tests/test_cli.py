@@ -222,10 +222,24 @@ def test_synth_generate_deterministic(tmp_path):
     assert _tree_hash(a) == _tree_hash(b)
 
 
-def test_synth_generate_bad_spec(tmp_path):
-    code = main(["synth", "generate", "--out", str(tmp_path / "x"),
-                 "--bots", "justonefield"])
+BAD_SPECS = {
+    "bots_one_field": ["--bots", "justonefield"],
+    "bots_size_not_int": ["--bots", "click_fraud:x"],
+    "bots_unknown_category": ["--bots", "nosuchcategory:32"],
+    "attacks_profit_not_int": ["--attacks", "fake_transfer:x:1"],
+    "misuse_no_count": ["--misuse", "foo"],
+    "misuse_unknown_kind": ["--misuse", "foo:1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_synth_generate_bad_spec(tmp_path, capsys, case):
+    code = _exit_code(["synth", "generate", "--out", str(tmp_path / "x"), "--days", "5",
+                       "--users", "5"] + BAD_SPECS[case])
     assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: " in err.splitlines()[-1]
 
 
 def test_stage_rerun_byte_identical(files, tmp_path):

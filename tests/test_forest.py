@@ -207,8 +207,28 @@ def test_default_grid_grows_each_min_leaf_once(monkeypatch):
     fits = _count_tree_fits(monkeypatch)
     result = forest.train_classifier(X, y, seed=0)
     # every tree is one split at the root, so each of the 3 min_leaf cells
-    # grows its 200 trees once for all 4 depths; the winner is then refitted
-    assert len(fits) == 3 * 200 + result.best_params["n_trees"]
+    # grows its 200 trees once for all 4 depths, and the winner is one of them
+    assert len(fits) == 3 * 200
+    assert len(result.model.trees) == result.best_params["n_trees"]
+
+
+def test_winner_is_its_grid_cell_not_a_refit(monkeypatch):
+    # Overlapping classes, so trees grow to different depths: the winner
+    # takes no tree fit beyond the grid's, and equals a forest of its
+    # parameters fitted alone on the same training split.
+    X, y = _blobs(n_per_class=60, seed=5, gap=1.0)
+    grid = {"n_trees": (5, 10), "max_depth": (2, None), "min_leaf": (1, 3)}
+    fits = _count_tree_fits(monkeypatch)
+    result = forest.train_classifier(X, y, seed=9, grid=grid)
+    trained = len(fits)
+    train_idx = np.random.default_rng(9).permutation(len(y))[:int(round(0.8 * len(y)))]
+    del fits[:]
+    for min_leaf in grid["min_leaf"]:
+        forest._fit_prefixes(X[train_idx], y[train_idx], grid["max_depth"], min_leaf,
+                             9, grid["n_trees"])
+    assert trained == len(fits)
+    alone = forest.RandomForest(seed=9, **result.best_params).fit(X[train_idx], y[train_idx])
+    assert result.model.to_json() == alone.to_json()
 
 
 # Computed with the per-configuration fit and the per-row tree walk that

@@ -161,12 +161,41 @@ class TestSilent:
 
 
 class TestDigraphAndExports:
+    def test_from_edges_sorts_rows_and_sums_repeats(self):
+        g = graphs.DiGraph.from_edges(
+            [("b", "a", 0.1), ("a", "c", 2.0), ("b", "a", 0.2), ("a", "a", 1.0)],
+            nodes=["z"],
+        )
+        assert g.nodes == ("a", "b", "c", "z")
+        assert g.src.tolist() == [0, 0, 1] and g.dst.tolist() == [0, 2, 0]
+        assert list(g.edges()) == [("a", "a", 1.0), ("a", "c", 2.0),
+                                   ("b", "a", 0.0 + 0.1 + 0.2)]
+        assert g.out_degrees().tolist() == [2, 1, 0, 0]
+        assert g.in_degrees().tolist() == [2, 0, 1, 0]
+        with pytest.raises(ValueError):
+            g.weight[0] = 5.0
+
+    def test_views_keep_node_sets_and_weights(self, built_graphs):
+        emfg, eacg, ecig = built_graphs
+        emfg_view = graphs.emfg_to_digraph(emfg)
+        assert set(emfg_view.nodes) == emfg.nodes
+        for u, v, w in emfg_view.edges():
+            assert w == float(emfg.edge_weight(u, v))
+        eacg_view = graphs.eacg_to_digraph(eacg)
+        assert set(eacg_view.nodes) == set(eacg.parent) | eacg.roots
+        assert set(eacg_view.weight.tolist()) == {1.0}
+        ecig_view = graphs.ecig_to_digraph(ecig)
+        assert set(ecig_view.nodes) == ecig.nodes
+        assert sum(ecig_view.weight.tolist()) == ecig.total_invocations()
+
     def test_histogram_sums_to_node_count(self, built_graphs):
         emfg, _, _ = built_graphs
         view = graphs.emfg_to_digraph(emfg)
         for direction in ("in", "out", "total"):
             hist = graphs.degree_histogram(view, direction)
-            assert sum(hist.values()) == view.node_count()
+            assert sum(hist.values()) == len(view.nodes)
+        with pytest.raises(ValueError):
+            graphs.degree_histogram(view, "both")
 
     def test_exports_written(self, built_graphs, tmp_path):
         emfg, _, _ = built_graphs
@@ -175,16 +204,9 @@ class TestDigraphAndExports:
         graphs.export_histogram_csv(
             graphs.degree_histogram(view, "out"), tmp_path / "hist.csv"
         )
-        graphs.export_dot(view, tmp_path / "g.dot", max_nodes=20)
-        assert (tmp_path / "edges.csv").stat().st_size > 0
-        dot = (tmp_path / "g.dot").read_text()
-        assert dot.startswith("digraph")
-
-    def test_power_law_alpha_advisory(self):
-        hist = {1: 100, 2: 30, 4: 8, 8: 2}
-        alpha = graphs.power_law_alpha(hist)
-        assert alpha is not None and alpha > 1.0
-        assert graphs.power_law_alpha({5: 1}) is None
+        rows = (tmp_path / "edges.csv").read_text().splitlines()
+        assert rows[0] == "from,to,weight"
+        assert len(rows) == 1 + len(view.src)
 
 
 @given(

@@ -16,6 +16,15 @@ from eosforensics.graphs import DiGraph
 # oracles
 
 
+def adjacency(graph):
+    """succ, pred: node -> {neighbour: weight}, with every node present."""
+    succ = {u: {} for u in graph.nodes}
+    pred = {u: {} for u in graph.nodes}
+    for u, v, w in graph.edges():
+        succ[u][v] = pred[v][u] = w
+    return succ, pred
+
+
 def oracle_clustering(graph):
     nodes = sorted(graph.nodes)
     if len(nodes) < 3:
@@ -23,15 +32,16 @@ def oracle_clustering(graph):
     wmax = max((w for u, v, w in graph.edges() if u != v), default=0.0)
     if wmax == 0:
         return None
+    succ, _ = adjacency(graph)
 
     def what(u, v):
         if u == v:
             return 0.0
-        w = graph.succ.get(u, {}).get(v, 0.0)
+        w = succ[u].get(v, 0.0)
         return (w / wmax) ** (1.0 / 3.0) if w else 0.0
 
     def adj(u, v):
-        return 1 if u != v and graph.succ.get(u, {}).get(v) else 0
+        return 1 if u != v and succ[u].get(v) else 0
 
     values = []
     for i in nodes:
@@ -55,11 +65,12 @@ def oracle_clustering(graph):
 
 
 def oracle_assortativity(graph):
+    succ, pred = adjacency(graph)
     xs, ys = [], []
-    for u, targets in graph.succ.items():
+    for u, targets in succ.items():
         for v in targets:
-            xs.append(len(graph.succ.get(u, {})))
-            ys.append(len(graph.pred.get(v, {})))
+            xs.append(len(succ[u]))
+            ys.append(len(pred[v]))
     if len(xs) < 2:
         return None
     try:
@@ -69,9 +80,10 @@ def oracle_assortativity(graph):
 
 
 def oracle_pearson_in_out(graph):
+    succ, pred = adjacency(graph)
     nodes = sorted(graph.nodes)
-    xs = [len(graph.pred.get(v, {})) for v in nodes]
-    ys = [len(graph.succ.get(v, {})) for v in nodes]
+    xs = [len(pred[v]) for v in nodes]
+    ys = [len(succ[v]) for v in nodes]
     if len(xs) < 2:
         return None
     try:
@@ -80,12 +92,12 @@ def oracle_pearson_in_out(graph):
         return None
 
 
-def _reachable(graph, start):
+def _reachable(succ, start):
     seen = {start}
     frontier = [start]
     while frontier:
         u = frontier.pop()
-        for v in graph.succ.get(u, {}):
+        for v in succ[u]:
             if v not in seen:
                 seen.add(v)
                 frontier.append(v)
@@ -93,7 +105,8 @@ def _reachable(graph, start):
 
 
 def oracle_scc(graph):
-    reach = {u: _reachable(graph, u) for u in graph.nodes}
+    succ, _ = adjacency(graph)
+    reach = {u: _reachable(succ, u) for u in graph.nodes}
     comps = {}
     for u in graph.nodes:
         comp = frozenset(v for v in reach[u] if u in reach[v])
@@ -123,12 +136,13 @@ def oracle_pagerank(graph, damping=0.85, iters=2000):
     n = len(nodes)
     if n == 0:
         return {}
+    succ, _ = adjacency(graph)
     rank = dict.fromkeys(nodes, 1.0 / n)
     for _ in range(iters):
         new = dict.fromkeys(nodes, 0.0)
         dangling = 0.0
         for u in nodes:
-            out = graph.succ.get(u, {})
+            out = succ[u]
             total = sum(out.values())
             if total == 0:
                 dangling += rank[u]
@@ -143,16 +157,11 @@ def oracle_pagerank(graph, damping=0.85, iters=2000):
 
 def random_graph(rng, max_nodes=50):
     n = rng.randint(2, max_nodes)
-    g = DiGraph()
     names = [f"n{i}" for i in range(n)]
-    for name in names:
-        g.add_node(name)
     p = rng.uniform(0.02, 0.3)
-    for u in names:
-        for v in names:
-            if u != v and rng.random() < p:
-                g.add_edge(u, v, rng.choice([1.0, rng.uniform(0.1, 50.0)]))
-    return g
+    edges = [(u, v, rng.choice([1.0, rng.uniform(0.1, 50.0)]))
+             for u in names for v in names if u != v and rng.random() < p]
+    return DiGraph.from_edges(edges, names)
 
 
 # ---------------------------------------------------------------------------
@@ -197,25 +206,17 @@ def test_metrics_match_oracles(seed):
 
 
 def _digraph(rng, n, p):
-    g = DiGraph()
-    for i in range(n):
-        g.add_node(f"n{i}")
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.random() < p:
-                g.add_edge(f"n{i}", f"n{j}", rng.uniform(0.1, 50.0))
-    return g
+    return DiGraph.from_edges(
+        [(f"n{i}", f"n{j}", rng.uniform(0.1, 50.0))
+         for i in range(n) for j in range(n) if i != j and rng.random() < p],
+        [f"n{i}" for i in range(n)])
 
 
 def _copies(g, k):
     """k disjoint copies of g, prefixed c<copy>:"""
-    out = DiGraph()
-    for c in range(k):
-        for node in g.nodes:
-            out.add_node(f"c{c}:{node}")
-        for u, v, w in g.edges():
-            out.add_edge(f"c{c}:{u}", f"c{c}:{v}", w)
-    return out
+    return DiGraph.from_edges(
+        [(f"c{c}:{u}", f"c{c}:{v}", w) for c in range(k) for u, v, w in g.edges()],
+        [f"c{c}:{node}" for c in range(k) for node in g.nodes])
 
 
 @pytest.mark.parametrize("self_loop", [False, True])
@@ -225,9 +226,9 @@ def test_clustering_matches_oracle_above_2048_nodes(self_loop):
     big = _copies(copy, 70)
     if self_loop:
         heavy = 1000.0 * max(w for _, _, w in copy.edges())
-        copy.add_edge("n0", "n0", heavy)
-        big.add_edge("c0:n0", "c0:n0", heavy)
-    assert big.node_count() == 2100
+        copy = DiGraph.from_edges([*copy.edges(), ("n0", "n0", heavy)], copy.nodes)
+        big = DiGraph.from_edges([*big.edges(), ("c0:n0", "c0:n0", heavy)], big.nodes)
+    assert len(big.nodes) == 2100
     expected = oracle_clustering(copy)
     assert expected > 0.01
     assert metrics.clustering_coefficient(big) == pytest.approx(expected, rel=1e-12)
@@ -240,13 +241,16 @@ def test_clustering_ignores_self_loops_and_zero_weights(seed, kind):
     g = random_graph(rng, max_nodes=30)
     wmax = max((w for _, _, w in g.edges()), default=1.0)
     nodes = sorted(g.nodes)
+    succ, _ = adjacency(g)
+    extra = []
     for u in rng.sample(nodes, max(1, len(nodes) // 4)):
         if kind == "zero_edge":
             v = rng.choice(nodes)
-            if u != v and v not in g.succ[u]:
-                g.add_edge(u, v, 0.0)
+            if u != v and v not in succ[u]:
+                extra.append((u, v, 0.0))
         else:
-            g.add_edge(u, u, 1000.0 * wmax if kind == "heavy_loop" else 0.01)
+            extra.append((u, u, 1000.0 * wmax if kind == "heavy_loop" else 0.01))
+    g = DiGraph.from_edges([*g.edges(), *extra], g.nodes)
     expected = oracle_clustering(g)
     got = metrics.clustering_coefficient(g)
     if expected is None:
@@ -258,14 +262,12 @@ def test_clustering_ignores_self_loops_and_zero_weights(seed, kind):
 def _local_graph(rng, n, m):
     """n nodes, m edges, each to one of the next 8 nodes on a ring: many
     triangles at any size."""
-    g = DiGraph()
-    for i in range(n):
-        g.add_node(f"n{i}")
+    edges = []
     for _ in range(m):
         i = rng.randrange(n)
-        g.add_edge(f"n{i}", f"n{(i + rng.randint(1, 8)) % n}",
-                   rng.choice([1.0, rng.uniform(0.1, 50.0)]))
-    return g
+        edges.append((f"n{i}", f"n{(i + rng.randint(1, 8)) % n}",
+                      rng.choice([1.0, rng.uniform(0.1, 50.0)])))
+    return DiGraph.from_edges(edges, [f"n{i}" for i in range(n)])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -281,9 +283,10 @@ def test_clustering_matches_networkx(seed):
     ng.add_nodes_from(g.nodes)
     ng.add_weighted_edges_from(g.edges())
     values = nx.clustering(ng, weight="weight")
+    succ, pred = adjacency(g)
     eligible = []
     for node in g.nodes:
-        out_nb, in_nb = set(g.succ[node]), set(g.pred[node])
+        out_nb, in_nb = set(succ[node]), set(pred[node])
         d_tot = len(out_nb) + len(in_nb)
         if d_tot * (d_tot - 1) - 2 * len(out_nb & in_nb) > 0:
             eligible.append(values[node])
@@ -294,15 +297,41 @@ def test_clustering_matches_networkx(seed):
         assert got == pytest.approx(math.fsum(eligible) / len(eligible), rel=1e-12)
 
 
+def test_pagerank_and_components_match_networkx_at_scale():
+    # 3,400 nodes: a 1,000-long path, 200 isolated nodes, self-loops,
+    # dangling nodes and a sparse random part with many small SCCs.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3)
+    n = 3200
+    edges = [(f"n{i}", f"n{i + 1}", 1.0) for i in range(1000)]
+    edges += [(f"n{rng.randrange(n)}", f"n{rng.randrange(n)}", rng.uniform(0.1, 50.0))
+              for _ in range(4000)]
+    edges += [(f"n{i}", f"n{i}", 5.0) for i in rng.sample(range(n), 100)]
+    g = DiGraph.from_edges(edges, [f"iso{i}" for i in range(200)])
+    assert len(g.nodes) >= 3000
+    ng = nx.DiGraph()
+    ng.add_nodes_from(g.nodes)
+    ng.add_weighted_edges_from(g.edges())
+
+    expected = nx.pagerank(ng, weight="weight", tol=1e-15, max_iter=1000)
+    got = metrics.pagerank(g, tol=1e-12)
+    assert max(abs(got[v] - expected[v]) for v in g.nodes) < 1e-9
+    sccs = metrics.strongly_connected_components(g)
+    assert {frozenset(c) for c in sccs} == {
+        frozenset(c) for c in nx.strongly_connected_components(ng)}
+    assert 1 < len(sccs[0]) < len(g.nodes) - 200
+    wccs = metrics.weakly_connected_components(g)
+    assert {frozenset(c) for c in wccs} == {
+        frozenset(c) for c in nx.weakly_connected_components(ng)}
+    assert sum(len(c) == 1 for c in wccs) >= 200
+
+
 # ---------------------------------------------------------------------------
 # special cases
 
 
 def _cycle(n=3, weight=1.0):
-    g = DiGraph()
-    for i in range(n):
-        g.add_edge(f"n{i}", f"n{(i + 1) % n}", weight)
-    return g
+    return DiGraph.from_edges((f"n{i}", f"n{(i + 1) % n}", weight) for i in range(n))
 
 
 def test_three_cycle():
@@ -316,8 +345,7 @@ def test_three_cycle():
 
 
 def test_clustering_none_without_triangles():
-    g = DiGraph()
-    g.add_edge("a", "b")
+    g = DiGraph.from_edges([("a", "b", 1.0)])
     assert metrics.clustering_coefficient(g) is None
 
 
@@ -344,17 +372,14 @@ def test_pagerank_sums_to_one():
 
 
 def test_pagerank_dangling_mass():
-    g = DiGraph()
-    g.add_edge("a", "b")  # b is dangling
+    g = DiGraph.from_edges([("a", "b", 1.0)])  # b is dangling
     pr = metrics.pagerank(g)
     assert pr["b"] > pr["a"]
     assert sum(pr.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pagerank_weighted_preference():
-    g = DiGraph()
-    g.add_edge("s", "heavy", 9.0)
-    g.add_edge("s", "light", 1.0)
+    g = DiGraph.from_edges([("s", "heavy", 9.0), ("s", "light", 1.0)])
     pr = metrics.pagerank(g)
     assert pr["heavy"] > pr["light"]
 
@@ -369,30 +394,24 @@ def test_pagerank_convergence_error_carries_iterate():
 
 def test_pagerank_bad_damping():
     with pytest.raises(MetricError):
-        metrics.pagerank(DiGraph(), damping=1.5)
+        metrics.pagerank(DiGraph.from_edges([]), damping=1.5)
 
 
 def test_component_ordering_deterministic():
-    g = DiGraph()
-    g.add_edge("x", "y")
-    g.add_edge("y", "x")
-    g.add_edge("a", "b")
-    g.add_edge("b", "a")
-    g.add_node("zzz")
+    g = DiGraph.from_edges(
+        [("x", "y", 1.0), ("y", "x", 1.0), ("a", "b", 1.0), ("b", "a", 1.0)], ["zzz"])
     sccs = metrics.strongly_connected_components(g)
     assert sccs[0] == {"a", "b"}  # size tie broken by smallest member
     assert sccs[1] == {"x", "y"}
     assert sccs[2] == {"zzz"}
 
 
-def test_top_k_by_degree_ties_by_name():
-    g = DiGraph()
-    g.add_edge("b", "t1")
-    g.add_edge("a", "t2")
-    top = metrics.top_k_by_degree(g, 2, direction="out")
-    assert top == [("a", 1), ("b", 1)]
-    with pytest.raises(MetricError):
-        metrics.top_k_by_degree(g, 0)
+def test_components_of_a_chain_deeper_than_the_recursion_limit():
+    n = 10_000
+    g = DiGraph.from_edges((f"n{i:05d}", f"n{i + 1:05d}", 1.0) for i in range(n - 1))
+    sccs, wccs = metrics.components(g)
+    assert len(sccs) == n and sccs[0] == {"n00000"}
+    assert wccs == [set(g.nodes)]
 
 
 def test_report_shape(built_graphs):

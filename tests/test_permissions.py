@@ -9,6 +9,8 @@ from eosforensics.model import (
     ObservationWindow,
     Permission,
     UpdateAuthPayload,
+    parse_action_trace,
+    write_action_trace,
 )
 
 
@@ -123,6 +125,48 @@ class TestScan:
         assert {(g.linked_permission, g.grantee) for g in grants} == {
             ("active", "codeacct"), ("owner", "ownercode"),
         }
+
+
+def _deleteauth(seq, payload):
+    return ActionRecord(
+        global_seq=seq, tx_id=f"{seq:016x}", timestamp=_ts(), executing_contract="eosio",
+        action_name="deleteauth", actor="alice", kind="external", payload=payload,
+    )
+
+
+class TestDeleteauth:
+    """Replay of a hand-built trace, written and parsed back as NDJSON."""
+
+    @staticmethod
+    def _scan(tmp_path, records):
+        path = tmp_path / "trace.ndjson"
+        write_action_trace(path, records)
+        return permissions.scan_updateauth(parse_action_trace(path, _w()).records, _w())
+
+    def test_grant_then_delete_leaves_no_grant(self, tmp_path):
+        grants, diags = self._scan(tmp_path, [
+            _updateauth(1, "alice", "codeacct"),
+            _deleteauth(2, {"account": "alice", "permission": "active"}),
+        ])
+        assert grants == [] and diags == []
+
+    def test_delete_then_regrant_keeps_the_grant(self, tmp_path):
+        grants, diags = self._scan(tmp_path, [
+            _updateauth(1, "alice", "codeacct"),
+            _deleteauth(2, {"account": "alice", "permission": "active"}),
+            _updateauth(3, "alice", "codeacct"),
+        ])
+        assert [(g.granter, g.grantee, g.action_seq) for g in grants] == [
+            ("alice", "codeacct", 3)]
+        assert diags == []
+
+    def test_malformed_delete_is_diagnostic(self, tmp_path):
+        grants, diags = self._scan(tmp_path, [
+            _updateauth(1, "alice", "codeacct"),
+            _deleteauth(2, {"account": "alice", "permission": 7}),
+        ])
+        assert [(g.grantee, g.action_seq) for g in grants] == [("codeacct", 1)]
+        assert [seq for seq, _ in diags] == [2]
 
 
 class TestDetect:
