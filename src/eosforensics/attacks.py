@@ -215,7 +215,7 @@ class SuspiciousWindow:
     seqs: dict  # counterparty -> transfer seqs within the window
 
 
-def profit_scan(events, config: ScanConfig, granularities=("day", "hour")):
+def profit_scan(events, config: ScanConfig):
     """Step 1: flag (account, window) pairs whose net inflow exceeds W1
     with a received/sent ratio above W2. Pure inflow (sent = 0) counts
     with an infinite-ratio sentinel. Windows are calendar-aligned UTC
@@ -223,7 +223,7 @@ def profit_scan(events, config: ScanConfig, granularities=("day", "hour")):
     buckets = {}  # (account, granularity, bucket_start) -> {cp: [recv, sent, seqs]}
 
     def touch(account, cp, ev, received):
-        for gran in granularities:
+        for gran in ("day", "hour"):
             if gran == "day":
                 start = ev.timestamp.replace(hour=0, minute=0, second=0,
                                              microsecond=0)

@@ -217,22 +217,8 @@ def calibrate_threshold(bot_dists) -> SimilarityThreshold:
     )
 
 
-def community_members(eacg: Eacg, controller, include_descendants=False):
-    direct = list(eacg.children.get(controller, ()))
-    if not include_descendants:
-        return sorted(direct)
-    out = []
-    frontier = list(direct)
-    while frontier:
-        node = frontier.pop()
-        out.append(node)
-        frontier.extend(eacg.children.get(node, ()))
-    return sorted(out)
-
-
 def detect_communities(eacg: Eacg, vector_for, threshold: SimilarityThreshold,
-                       min_children=DEFAULT_MIN_CHILDREN,
-                       include_descendants=False):
+                       min_children=DEFAULT_MIN_CHILDREN):
     """Evaluate every shortlisted creator's community against the
     calibrated box.
 
@@ -241,7 +227,7 @@ def detect_communities(eacg: Eacg, vector_for, threshold: SimilarityThreshold,
     """
     stats = []
     for controller in sorted(shortlist_creators(eacg, min_children)):
-        members = community_members(eacg, controller, include_descendants)
+        members = sorted(eacg.children[controller])
         vectors = []
         for member in members:
             bv = vector_for(member)
@@ -315,10 +301,11 @@ def _std(values) -> float:
 
 def extract_features(account, emfg: Emfg, ecig: Ecig, eacg: Eacg,
                      snapshot, window: ObservationWindow,
-                     siblings=None) -> AccountFeatures:
+                     siblings: int) -> AccountFeatures:
     """The 11 classification features. Per-day statistics run from the
     account's creation day (clamped into the window) through the window
-    end; accounts with no transfers get zero means/stds."""
+    end; accounts with no transfers get zero means/stds. `siblings` is the
+    account's siblings_for count."""
     record = snapshot[account]
     created_day = max(0, window.day_index(record.created_at))
     span = window.day_count - created_day
@@ -355,17 +342,6 @@ def extract_features(account, emfg: Emfg, ecig: Ecig, eacg: Eacg,
     # days with an outgoing transfer
     active_days = np.count_nonzero(out_vol + inv_series)
 
-    if siblings is None:
-        created_date = record.created_at.date()
-        siblings = sum(
-            1
-            for other in snapshot.values()
-            if other.creator == record.creator
-            and other.created_at.date() == created_date
-        ) - (1 if record.creator is not None else 0)
-        if record.creator is None:
-            siblings = 0
-
     values = np.array(
         [
             eacg.depth(account),
@@ -386,7 +362,7 @@ def extract_features(account, emfg: Emfg, ecig: Ecig, eacg: Eacg,
 
 
 def sibling_counts(snapshot):
-    """(creator, creation date) cohort sizes, for bulk feature extraction."""
+    """(creator, creation date) cohort sizes, read by siblings_for."""
     cohorts = {}
     for record in snapshot.values():
         if record.creator is None:

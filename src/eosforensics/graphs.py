@@ -151,10 +151,10 @@ class Ecig:
     def __init__(self):
         self.out = {}  # caller -> contract -> (day, action) -> count
 
-    def add_invocation(self, caller, contract, day, action, count=1):
+    def add_invocation(self, caller, contract, day, action):
         slots = self.out.setdefault(caller, {}).setdefault(contract, {})
         key = (day, action)
-        slots[key] = slots.get(key, 0) + count
+        slots[key] = slots.get(key, 0) + 1
 
     @property
     def nodes(self):
@@ -192,19 +192,16 @@ class Ecig:
         return totals
 
 
-def build_ecig(actions, window: ObservationWindow, contract_accounts=None) -> Ecig:
+def build_ecig(actions, window: ObservationWindow) -> Ecig:
     """Count invocations per (caller, contract, day, action).
 
     Callers are the authorizing actors; notification copies do not count.
-    When `contract_accounts` is given, only executing contracts in that
-    set count; by default every executing account counts (it did run code,
-    including the system account).
+    Every executing account counts (it did run code, including the system
+    account).
     """
     g = Ecig()
     for record in actions:
         if record.kind not in INVOCATION_KINDS:
-            continue
-        if contract_accounts is not None and record.executing_contract not in contract_accounts:
             continue
         g.add_invocation(
             record.actor,
@@ -316,7 +313,7 @@ def degree_histogram(graph: DiGraph, direction="total"):
     return {d: c for d, c in enumerate(np.bincount(degrees).tolist()) if c}
 
 
-def export_histogram_csv(hist, path, direction="total"):
+def export_histogram_csv(hist, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["degree", "count"])

@@ -5,8 +5,14 @@ File formats (all newline-delimited, UTF-8):
 * action trace: one JSON object per line, fields matching ActionRecord.
   Timestamps are ISO-8601 UTC, "YYYY-MM-DDTHH:MM:SSZ" with an optional
   fraction of 1-6 digits before the "Z" ("2018-06-10T00:00:00.500Z");
-  quantities are strings like "1.0000 EOS".
-* account snapshot: one JSON object per line per account.
+  quantities are strings like "1.0000 EOS". A transfer payload decodes to a
+  TransferPayload, and an updateauth payload of the system account (only)
+  to an UpdateAuthPayload; every other payload stays a dict.
+* account snapshot: one JSON object per line per account; each permission
+  is an Authority.
+* Authority, the one type of an EOSIO authority: threshold and weights
+  >= 1, public keys non-empty strings, granted accounts and permissions
+  account names. Its one decoder is from_json and its one encoder to_json.
 * registries: CSV files with a header row (see Registry.load).
 """
 
@@ -49,6 +55,13 @@ LINE_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError,
 
 def is_account_name(name) -> bool:
     return isinstance(name, str) and ACCOUNT_NAME_RE.fullmatch(name) is not None
+
+
+def check_name(name, what: str):
+    """`name` if it is an account name, else a ValueError naming `what`."""
+    if not is_account_name(name):
+        raise ValueError(f"bad {what} name: {name!r}")
+    return name
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,40 +110,62 @@ class TransferPayload:
         }
 
 
-def check_authority(authority) -> None:
-    """Reject an authority (a Permission or an UpdateAuthPayload) whose
-    threshold or any key or account weight is below 1."""
-    if authority.threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    for _, w in authority.key_weights:
-        if w < 1:
-            raise ValueError("key weight must be >= 1")
-    for _, _, w in authority.account_weights:
-        if w < 1:
-            raise ValueError("account weight must be >= 1")
-
-
 @dataclass(frozen=True, slots=True)
-class UpdateAuthPayload:
-    account: str
-    permission: str
-    parent: str
+class Authority:
+    """An EOSIO permission authority, of a snapshot permission or an
+    updateauth: key and account@permission weights against a threshold."""
+
     threshold: int
     key_weights: tuple  # of (public_key, weight)
     account_weights: tuple  # of (granted_account, granted_permission, weight)
 
     def __post_init__(self):
-        check_authority(self)
+        if self.threshold < 1:
+            raise ValueError("threshold must be >= 1")
+        for key, w in self.key_weights:
+            if not (isinstance(key, str) and key):
+                raise ValueError(f"bad public key: {key!r}")
+            if w < 1:
+                raise ValueError("key weight must be >= 1")
+        for account, permission, w in self.account_weights:
+            check_name(account, "granted account")
+            check_name(permission, "granted permission")
+            if w < 1:
+                raise ValueError("account weight must be >= 1")
+
+    @classmethod
+    def from_json(cls, obj) -> "Authority":
+        threshold = int(obj["threshold"])
+        keys, accounts = obj.get("key_weights", []), obj.get("account_weights", [])
+        if not all(isinstance(x, list) for x in (keys, accounts, *keys, *accounts)):
+            raise ValueError("key_weights and account_weights must be lists of lists")
+        return cls(threshold, tuple((k, int(w)) for k, w in keys),
+                   tuple((a, p, int(w)) for a, p, w in accounts))
 
     def to_json(self) -> dict:
-        return {
-            "account": self.account,
-            "permission": self.permission,
-            "parent": self.parent,
-            "threshold": self.threshold,
-            "key_weights": [[k, w] for k, w in self.key_weights],
-            "account_weights": [[a, p, w] for a, p, w in self.account_weights],
-        }
+        return {"threshold": self.threshold,
+                "key_weights": [list(kw) for kw in self.key_weights],
+                "account_weights": [list(aw) for aw in self.account_weights]}
+
+
+@dataclass(frozen=True, slots=True)
+class UpdateAuthPayload:
+    """The system account's updateauth of `account`@`permission` under `parent`."""
+
+    account: str
+    permission: str
+    parent: str
+    authority: Authority
+
+    def __post_init__(self):
+        check_name(self.account, "account")
+        check_name(self.permission, "permission")
+        if self.parent != "":
+            check_name(self.parent, "parent permission")
+
+    def to_json(self) -> dict:
+        return {"account": self.account, "permission": self.permission,
+                "parent": self.parent, **self.authority.to_json()}
 
 
 @dataclass(slots=True)
@@ -169,22 +204,12 @@ class ActionRecord:
         return obj
 
 
-@dataclass(frozen=True, slots=True)
-class Permission:
-    threshold: int
-    key_weights: tuple  # of (public_key, weight)
-    account_weights: tuple  # of (granted_account, granted_permission, weight)
-
-    def __post_init__(self):
-        check_authority(self)
-
-
 @dataclass(slots=True)
 class AccountRecord:
     name: str
     creator: str | None
     created_at: datetime
-    permissions: dict  # permission name -> Permission
+    permissions: dict  # permission name -> Authority
     has_contract: bool = False
 
     def keys(self) -> set:
@@ -206,14 +231,8 @@ class AccountRecord:
             "creator": self.creator,
             "created_at": format_timestamp(self.created_at),
             "has_contract": self.has_contract,
-            "permissions": {
-                name: {
-                    "threshold": p.threshold,
-                    "key_weights": [[k, w] for k, w in p.key_weights],
-                    "account_weights": [[a, q, w] for a, q, w in p.account_weights],
-                }
-                for name, p in self.permissions.items()
-            },
+            "permissions": {name: authority.to_json()
+                            for name, authority in self.permissions.items()},
         }
 
 
@@ -273,32 +292,38 @@ class Registry:
         labels.csv: community_id,role,account   (role in {bot, normal})
         sellers.csv: account
         """
-        reg = {}
-        if dapps:
-            with open(dapps, newline="") as fh:
-                for row in csv.DictReader(fh):
-                    reg[row["account"]] = (row["dapp"], row["category"])
-        incentive = set()
-        if incentives:
-            with open(incentives, newline="") as fh:
-                incentive = {row["account"] for row in csv.DictReader(fh)}
-        bot_comms, normal_comms = {}, {}
-        if labels:
-            with open(labels, newline="") as fh:
-                for row in csv.DictReader(fh):
-                    bucket = bot_comms if row["role"] == "bot" else normal_comms
-                    bucket.setdefault(row["community_id"], set()).add(row["account"])
-        seed = set()
-        if sellers:
-            with open(sellers, newline="") as fh:
-                seed = {row["account"] for row in csv.DictReader(fh)}
+        reg = {row["account"]: (row["dapp"], row["category"])
+               for row in _read_csv(dapps, ("account", "dapp", "category"))}
+        communities = {"bot": {}, "normal": {}}
+        for row in _read_csv(labels, ("community_id", "role", "account")):
+            if row["role"] not in communities:
+                raise IngestError(f"{labels}: role {row['role']!r} is neither bot nor normal")
+            communities[row["role"]].setdefault(row["community_id"], set()).add(row["account"])
         return cls(
             dapp_accounts=reg,
-            incentive_dapps=incentive,
-            labeled_bot_communities=sorted(bot_comms.items()),
-            labeled_normal_communities=sorted(normal_comms.items()),
-            seller_seed=seed,
+            incentive_dapps={row["account"] for row in _read_csv(incentives, ("account",))},
+            labeled_bot_communities=sorted(communities["bot"].items()),
+            labeled_normal_communities=sorted(communities["normal"].items()),
+            seller_seed={row["account"] for row in _read_csv(sellers, ("account",))},
         )
+
+
+def _read_csv(path, columns) -> list:
+    """The rows of a registry CSV (none without `path`) that has `columns`."""
+    if not path:
+        return []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise IngestError(f"{path}: header lacks column(s) {', '.join(missing)}")
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IngestError(f"{path}: {exc}") from exc
+    if any(None in row.values() for row in rows):
+        raise IngestError(f"{path}: a row has fewer fields than the header")
+    return rows
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -339,10 +364,7 @@ class _Memo:
         try:
             return self.names[name]
         except (KeyError, TypeError):
-            name = sys.intern(name)
-            if not is_account_name(name):
-                raise ValueError(f"bad account name: {name!r}") from None
-            self.names[name] = name
+            name = self.names[name] = sys.intern(check_name(name, "account"))
             return name
 
     def timestamp(self, text) -> datetime:
@@ -360,7 +382,7 @@ class _Memo:
             return q
 
 
-def _decode_payload(action_name: str, raw: dict, memo: _Memo):
+def _decode_payload(executing: str, action_name: str, raw: dict, memo: _Memo):
     if not isinstance(raw, dict):
         raise ValueError(f"payload is not an object: {type(raw).__name__}")
     if action_name == "transfer" and {"from", "to", "quantity"} <= raw.keys():
@@ -370,17 +392,10 @@ def _decode_payload(action_name: str, raw: dict, memo: _Memo):
             quantity=memo.quantity(raw["quantity"]),
             memo=raw.get("memo", ""),
         )
-    if action_name == "updateauth" and {"account", "permission", "threshold"} <= raw.keys():
-        return UpdateAuthPayload(
-            account=raw["account"],
-            permission=raw["permission"],
-            parent=raw.get("parent", ""),
-            threshold=int(raw["threshold"]),
-            key_weights=tuple((k, int(w)) for k, w in raw.get("key_weights", [])),
-            account_weights=tuple(
-                (a, p, int(w)) for a, p, w in raw.get("account_weights", [])
-            ),
-        )
+    if (executing == SYSTEM_ACCOUNT and action_name == "updateauth"
+            and {"account", "permission", "threshold"} <= raw.keys()):
+        return UpdateAuthPayload(raw["account"], raw["permission"],
+                                 raw.get("parent", ""), Authority.from_json(raw))
     return raw
 
 
@@ -408,7 +423,7 @@ def decode_action(obj: dict, memo: _Memo | None = None) -> ActionRecord:
         action_name=action_name,
         actor=actor,
         kind=kind,
-        payload=_decode_payload(action_name, obj["payload"], memo),
+        payload=_decode_payload(executing, action_name, obj["payload"], memo),
         notified=notified,
     )
 
@@ -539,32 +554,20 @@ class SnapshotResult(Mapping):
 
 
 def decode_account(obj: dict) -> AccountRecord:
-    name = sys.intern(obj["name"])
-    if not is_account_name(name):
-        raise ValueError(f"bad account name: {name!r}")
+    name = sys.intern(check_name(obj["name"], "account"))
     creator = obj.get("creator")
     if creator is not None:
-        creator = sys.intern(creator)
-        if not is_account_name(creator):
-            raise ValueError(f"bad creator name: {creator!r}")
+        creator = sys.intern(check_name(creator, "creator"))
     raw_permissions = obj.get("permissions", {})
     if not isinstance(raw_permissions, dict):
         raise ValueError(
             f"permissions is not an object: {type(raw_permissions).__name__}")
-    permissions = {}
-    for pname, p in raw_permissions.items():
-        permissions[pname] = Permission(
-            threshold=int(p["threshold"]),
-            key_weights=tuple((k, int(w)) for k, w in p.get("key_weights", [])),
-            account_weights=tuple(
-                (a, q, int(w)) for a, q, w in p.get("account_weights", [])
-            ),
-        )
     return AccountRecord(
         name=name,
         creator=creator,
         created_at=parse_timestamp(obj["created_at"]),
-        permissions=permissions,
+        permissions={check_name(pname, "permission"): Authority.from_json(p)
+                     for pname, p in raw_permissions.items()},
         has_contract=bool(obj.get("has_contract", False)),
     )
 

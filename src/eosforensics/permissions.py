@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .model import UpdateAuthPayload
+from .model import SYSTEM_ACCOUNT, UpdateAuthPayload
 
 CODE_PERMISSION = "eosio.code"
 
@@ -33,9 +33,10 @@ class MisuseFinding:
 
 
 def scan_updateauth(actions, window):
-    """Replay updateauth and deleteauth actions in global_seq order and
-    return the final active eosio.code grants, one per surviving
-    account-weight entry.
+    """Replay the system account's updateauth and deleteauth actions in
+    global_seq order and return the final active eosio.code grants, one per
+    surviving account-weight entry. Another contract's action of the same
+    name changes no permission, so it is ignored.
 
     A later updateauth on the same (account, permission) supersedes the
     earlier authority entirely, so revocations fall out naturally; a
@@ -45,7 +46,7 @@ def scan_updateauth(actions, window):
     diagnostics = []
     for record in sorted(
         (r for r in actions if r.action_name in ("updateauth", "deleteauth")
-         and r.kind != "notification"),
+         and r.executing_contract == SYSTEM_ACCOUNT and r.kind != "notification"),
         key=lambda r: r.global_seq,
     ):
         payload = record.payload
@@ -71,7 +72,7 @@ def scan_updateauth(actions, window):
 
     grants = []
     for (granter, linked), (payload, day, seq) in sorted(state.items()):
-        for grantee, grantee_perm, weight in payload.account_weights:
+        for grantee, grantee_perm, weight in payload.authority.account_weights:
             if grantee_perm != CODE_PERMISSION:
                 continue
             grants.append(
@@ -81,7 +82,7 @@ def scan_updateauth(actions, window):
                     grantee_permission=grantee_perm,
                     linked_permission=linked,
                     weight=weight,
-                    threshold=payload.threshold,
+                    threshold=payload.authority.threshold,
                     day=day,
                     action_seq=seq,
                 )

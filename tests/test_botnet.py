@@ -245,8 +245,9 @@ class TestFeatures:
         _, snapshot = parsed
         _, manifest = scenario
         member = manifest["bot_communities"][0]["members"][0]
+        siblings = botnet.siblings_for(snapshot[member], botnet.sibling_counts(snapshot))
         feats = botnet.extract_features(member, emfg, ecig, eacg, snapshot,
-                                        window)
+                                        window, siblings)
         assert len(feats.values) == len(botnet.FEATURE_NAMES) == 11
         d = feats.as_dict()
         assert d["acg_depth"] == 2.0  # eosio -> controller -> member
@@ -258,27 +259,12 @@ class TestFeatures:
         _, snapshot = parsed
         _, manifest = scenario
         idle = next(a for a in manifest["silent_accounts"] if a.startswith("idle"))
-        feats = botnet.extract_features(idle, emfg, ecig, eacg, snapshot, window)
+        siblings = botnet.siblings_for(snapshot[idle], botnet.sibling_counts(snapshot))
+        feats = botnet.extract_features(idle, emfg, ecig, eacg, snapshot, window, siblings)
         d = feats.as_dict()
         assert d["transfer_out_std"] == 0.0
         assert d["invocation_num"] == 0.0
         assert d["volume_per_transfer_out"] == 0.0
-
-    def test_bulk_siblings_match_direct(self, built_graphs, parsed, window,
-                                        scenario):
-        emfg, eacg, ecig = built_graphs
-        _, snapshot = parsed
-        _, manifest = scenario
-        cohorts = botnet.sibling_counts(snapshot)
-        for member in manifest["bot_communities"][1]["members"][:10]:
-            record = snapshot.accounts[member]
-            direct = botnet.extract_features(member, emfg, ecig, eacg, snapshot,
-                                             window)
-            bulk = botnet.extract_features(
-                member, emfg, ecig, eacg, snapshot, window,
-                siblings=botnet.siblings_for(record, cohorts),
-            )
-            assert np.array_equal(direct.values, bulk.values)
 
     # SHA-256 of every account's 11 features on the fixture scenario, computed
     # before Emfg's four per-direction daily methods became Emfg.daily.
@@ -290,9 +276,11 @@ class TestFeatures:
         emfg, eacg, ecig = built_graphs
         _, snapshot = parsed
         accounts = snapshot.accounts if as_dict else snapshot
+        cohorts = botnet.sibling_counts(accounts)
         rows = [
             [a, [float(v) for v in botnet.extract_features(
-                a, emfg, ecig, eacg, accounts, window).values]]
+                a, emfg, ecig, eacg, accounts, window,
+                botnet.siblings_for(accounts[a], cohorts)).values]]
             for a in sorted(snapshot.accounts)
         ]
         assert len(rows) == 358

@@ -148,6 +148,98 @@ def test_attacks_scan_with_bundles(files, tmp_path, scenario):
         assert (bundle / "manifest.json").exists()
 
 
+def _tiny_inputs(tmp_path, trace_lines, bob_key=("EOSKEYB", 1)):
+    """A snapshot of alice and bob, who hold different keys, and a trace of
+    `trace_lines` (action objects without global_seq). Returns the flags
+    that name them."""
+    snapshot = tmp_path / "snapshot.ndjson"
+    snapshot.write_text("".join(json.dumps({
+        "name": name, "creator": None, "created_at": "2018-06-09T00:00:00Z",
+        "permissions": {"active": {"threshold": 1, "key_weights": [key]}},
+    }) + "\n" for name, key in (("alice", ["EOSKEYA", 1]), ("bob", bob_key))))
+    trace = tmp_path / "trace.ndjson"
+    trace.write_text("".join(json.dumps({"global_seq": seq, **line}) + "\n"
+                             for seq, line in enumerate(trace_lines, start=1)))
+    return ["--trace", str(trace), "--snapshot", str(snapshot), "--days", "30",
+            "--out", str(tmp_path / "out")]
+
+
+def _action(contract, action_name, payload):
+    return {"tx_id": "aa", "timestamp": "2018-06-10T12:00:00Z",
+            "executing_contract": contract, "action_name": action_name,
+            "actor": "alice", "kind": "external", "payload": payload}
+
+
+def _grant(contract="eosio", **over):
+    """alice@active granting bob@eosio.code, with `over` in the payload."""
+    return _action(contract, "updateauth", {
+        "account": "alice", "permission": "active", "parent": "owner", "threshold": 1,
+        "key_weights": [["EOSKEYA", 1]], "account_weights": [["bob", "eosio.code", 1]],
+        **over})
+
+
+# 198 transfers keep one bad line of 200 under the 1% malformed-line gate.
+_FILLER = [_action("eosio.token", "transfer",
+                   {"from": "alice", "to": "bob", "quantity": "1.0000 EOS"})] * 198
+
+
+@pytest.mark.parametrize("contract,code,grants", [("eosio", EXIT_FINDINGS, 1),
+                                                  ("evilcontract", EXIT_OK, 0)])
+def test_perms_audit_replays_only_system_updateauth(tmp_path, contract, code, grants):
+    assert main(["perms", "audit"] + _tiny_inputs(tmp_path, [_grant(contract)])) == code
+    summary = json.loads((tmp_path / "out" / "perm_summary.json").read_text())
+    assert summary["grants"] == grants
+
+
+BAD_GRANTS = {
+    "list_grantee": {"account_weights": [[["bob"], "eosio.code", 1]]},
+    "number_account": {"account": 5},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRANTS))
+def test_perms_audit_bad_authority_line_is_diagnostic(tmp_path, case):
+    flags = _tiny_inputs(tmp_path, _FILLER + [_grant(), _grant(**BAD_GRANTS[case])])
+    assert main(["perms", "audit"] + flags) == EXIT_FINDINGS
+    summary = json.loads((tmp_path / "out" / "perm_summary.json").read_text())
+    assert summary["by_severity"]["misuse"] == 1
+    assert main(["ingest"] + flags) == EXIT_OK
+    diagnostics = (tmp_path / "out" / "ingest_diagnostics.ndjson").read_text()
+    assert [json.loads(l)["line"] for l in diagnostics.splitlines()] == [200]
+
+
+def test_perms_audit_bad_snapshot_key_is_error(tmp_path, capsys):
+    flags = _tiny_inputs(tmp_path, [_grant()], bob_key=[["EOSKEYB"], 1])
+    assert main(["perms", "audit"] + flags) == EXIT_ERROR
+    assert "error: snapshot line 2: bad public key" in capsys.readouterr().err
+
+
+BAD_REGISTRIES = {
+    "dapps_header": ("dapps", b"acct,dapp\ngamehouse,dice\n",
+                     "header lacks column(s) account, category"),
+    "dapps_short_row": ("dapps", b"account,dapp,category\ngamehouse,dice\n",
+                        "a row has fewer fields than the header"),
+    "labels_role": ("labels", b"community_id,role,account\nc1,botnet,alice\n",
+                    "role 'botnet' is neither bot nor normal"),
+    "incentives_not_utf8": ("incentives", b"account\n\xffgame\n",
+                            "'utf-8' codec can't decode"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REGISTRIES))
+def test_bad_registry_csv_is_error(tmp_path, capsys, case):
+    flag, data, message = BAD_REGISTRIES[case]
+    path = tmp_path / f"{flag}.csv"
+    path.write_bytes(data)
+    flags = _tiny_inputs(tmp_path, [_grant()])
+    if flag == "dapps":  # attacks scan reads no snapshot
+        argv = ["attacks", "scan"] + flags[:2] + flags[4:]
+    else:
+        argv = ["bots", "detect"] + flags
+    assert main(argv + [f"--{flag}", str(path)]) == EXIT_ERROR
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
 ROLLBACK_LINES = {
     "broken_json": "{broken",
     "missing_actor": json.dumps({"tx_id": "aa", "timestamp": "2018-06-10T00:00:00Z"}),

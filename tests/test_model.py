@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from eosforensics import permissions
 from eosforensics.errors import IngestError
 from eosforensics.model import (
     ACCOUNT_NAME_RE,
+    Authority,
     ObservationWindow,
-    Permission,
     Quantity,
     Registry,
     TraceParseResult,
@@ -410,20 +411,100 @@ class TestSnapshot:
         with pytest.raises(IngestError, match=r"snapshot line 2: .*must be >= 1"):
             parse_account_snapshot(p)
 
-    @pytest.mark.parametrize("case", sorted(BAD_AUTHORITIES))
-    def test_permission_and_updateauth_share_range_check(self, case):
-        raw = self.BAD_AUTHORITIES[case]
-        fields = dict(
-            threshold=raw["threshold"],
-            key_weights=tuple((k, w) for k, w in raw["key_weights"]),
-            account_weights=tuple(tuple(a) for a in raw.get("account_weights", [])),
-        )
-        with pytest.raises(ValueError) as from_snapshot:
-            Permission(**fields)
-        with pytest.raises(ValueError) as from_trace:
-            UpdateAuthPayload(account="alice", permission="active", parent="owner",
-                              **fields)
-        assert str(from_snapshot.value) == str(from_trace.value)
+    # Cases the range checks miss: Authority's type checks reject them.
+    BAD_AUTHORITY_TYPES = {
+        "list_key": ({"threshold": 1, "key_weights": [[["EOSKEYX"], 1]]},
+                     "bad public key"),
+        "empty_key": ({"threshold": 1, "key_weights": [["", 1]]}, "bad public key"),
+        "list_grantee": ({"threshold": 1, "account_weights": [[["bob"], "active", 1]]},
+                         "bad granted account name"),
+        "number_grantee": ({"threshold": 1, "account_weights": [[5, "active", 1]]},
+                           "bad granted account name"),
+        "bad_grantee_permission": (
+            {"threshold": 1, "account_weights": [["bob", "Active", 1]]},
+            "bad granted permission name"),
+        # Unpacked as they stand, these would read as key "k" and grant a@b.
+        "object_key_weights": ({"threshold": 1, "key_weights": {"k1": 1}},
+                               "lists of lists"),
+        "string_account_weight": ({"threshold": 1, "account_weights": ["ab1"]},
+                                  "lists of lists"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_AUTHORITIES) + sorted(BAD_AUTHORITY_TYPES))
+    def test_authority_rejects(self, tmp_path, case):
+        raw, message = self.BAD_AUTHORITY_TYPES.get(
+            case, (self.BAD_AUTHORITIES.get(case), "must be >= 1"))
+        with pytest.raises(ValueError, match=message):
+            Authority.from_json(raw)
+        # Both consumers decode through Authority.from_json and so say the same.
+        bad = json.loads(self._account_line("bob", creator=None))
+        bad["permissions"]["active"] = raw
+        p = tmp_path / "s.ndjson"
+        p.write_text(json.dumps(bad) + "\n")
+        with pytest.raises(IngestError, match=message):
+            parse_account_snapshot(p)
+        payload = {"account": "alice", "permission": "active", "parent": "owner", **raw}
+        with pytest.raises(ValueError, match=message):
+            decode_action(json.loads(_action_line(
+                1, executing_contract="eosio", action_name="updateauth", payload=payload)))
+
+    def test_bad_permission_name_is_fatal(self, tmp_path):
+        bad = json.loads(self._account_line("bob", creator=None))
+        bad["permissions"]["Owner"] = bad["permissions"].pop("owner")
+        p = tmp_path / "s.ndjson"
+        p.write_text(json.dumps(bad) + "\n")
+        with pytest.raises(IngestError, match="bad permission name: 'Owner'"):
+            parse_account_snapshot(p)
+
+    def test_authority_json_round_trip(self):
+        raw = {"threshold": 2, "key_weights": [["EOSKEYX", 1]],
+               "account_weights": [["bob", "eosio.code", 1], ["carol", "active", 2]]}
+        authority = Authority.from_json(raw)
+        assert authority.to_json() == raw
+        assert Authority.from_json(authority.to_json()) == authority
+
+
+class TestUpdateauthDecode:
+    PAYLOAD = {"account": "alice", "permission": "active", "parent": "owner",
+               "threshold": 1, "key_weights": [["EOSKEYX", 1]],
+               "account_weights": [["bob", "eosio.code", 1]]}
+
+    def _decode(self, contract="eosio", **over):
+        return decode_action(json.loads(_action_line(
+            1, executing_contract=contract, action_name="updateauth",
+            payload={**self.PAYLOAD, **over})))
+
+    def test_system_payload_decodes_and_encodes_six_keys(self):
+        payload = self._decode().payload
+        assert isinstance(payload, UpdateAuthPayload)
+        assert payload.authority == Authority(1, (("EOSKEYX", 1),),
+                                              (("bob", "eosio.code", 1),))
+        assert payload.to_json() == self.PAYLOAD
+
+    @pytest.mark.parametrize("field,value", [
+        ("account", 5), ("account", ["alice"]), ("permission", "Active"),
+        ("parent", "bad parent"), ("parent", 0),
+    ])
+    def test_bad_names_rejected(self, field, value):
+        with pytest.raises(ValueError, match="name"):
+            self._decode(**{field: value})
+
+    def test_other_contracts_payload_stays_raw(self):
+        raw = {**self.PAYLOAD, "account": 5, "threshold": 0}
+        record = self._decode("evilcontract", **raw)
+        assert record.payload == raw
+
+    def test_other_contracts_updateauth_is_no_diagnostic(self, tmp_path):
+        # Malformed as an authority, but it is not the system contract's
+        # updateauth, so the line is a plain record.
+        p = tmp_path / "t.ndjson"
+        p.write_text(_action_line(1, executing_contract="evilcontract",
+                                  action_name="updateauth",
+                                  payload={"account": [], "permission": 5,
+                                           "threshold": "x"}) + "\n")
+        result = parse_action_trace(p, _window())
+        assert len(result) == 1 and result.diagnostics == []
+        assert isinstance(result.records[0].payload, dict)
 
 
 class TestRegistry:
@@ -478,20 +559,25 @@ _json_values = _json_scalars | st.recursive(
 )
 
 
-def _mutated_line(template, nested):
-    """A strategy for template with one field (or one field of its nested
-    object) replaced by, or removed for, an arbitrary JSON value."""
+def _mutated_line(template, path):
+    """A strategy for template with one field, of the template or of an
+    object along `path` inside it, replaced by, or removed for, an arbitrary
+    JSON value."""
     def mutate(args):
-        key, sub, value, drop = args
+        key, depth, value, drop = args
         obj = json.loads(json.dumps(template))
-        target = obj[nested] if sub and isinstance(obj.get(nested), dict) else obj
+        target = obj
+        for step in path[:depth]:
+            if not isinstance(target.get(step), dict):
+                break
+            target = target[step]
         key = sorted(target)[key % len(target)]
         if drop:
             del target[key]
         else:
             target[key] = value
         return json.dumps(obj).encode()
-    return st.tuples(st.integers(0, 20), st.booleans(), _json_values,
+    return st.tuples(st.integers(0, 20), st.integers(0, len(path)), _json_values,
                      st.booleans()).map(mutate)
 
 
@@ -506,7 +592,7 @@ _UPDATEAUTH = json.loads(_action_line(
     1, action_name="updateauth", executing_contract="eosio",
     payload={"account": "alice", "permission": "active", "parent": "owner",
              "threshold": 1, "key_weights": [["EOSKEYX", 1]],
-             "account_weights": [["bob", "active", 1]]}))
+             "account_weights": [["bob", "eosio.code", 1]]}))
 
 
 def _hostile_lines(*templates):
@@ -515,7 +601,7 @@ def _hostile_lines(*templates):
             st.binary(max_size=40),
             st.sampled_from([b"[" * 200_000, b"{" * 5000, b"\xff\xfe", b"\xed\xa0\x80",
                              b'{"kind": "external"}', b"Infinity", b"NaN"]),
-            *(_mutated_line(t, nested) for t, nested in templates),
+            *(_mutated_line(t, path) for t, path in templates),
         ),
         max_size=8,
     )
@@ -534,8 +620,15 @@ def _counted(raw):
         return True
 
 
-@given(_hostile_lines((_TRACE_TEMPLATE, "payload"), (_UPDATEAUTH, "payload")))
+def _updateauth_with(seq, **over):
+    return json.dumps({**_UPDATEAUTH, "global_seq": seq,
+                       "payload": {**_UPDATEAUTH["payload"], **over}}).encode()
+
+
+@given(_hostile_lines((_TRACE_TEMPLATE, ("payload",)), (_UPDATEAUTH, ("payload",))))
 @example([json.dumps({**_TRACE_TEMPLATE, "global_seq": float("inf")}).encode()])
+@example([_updateauth_with(2000), _updateauth_with(2001, account=5)])
+@example([_updateauth_with(2000, account_weights=[[["bob"], "eosio.code", 1]])])
 def test_trace_fuzz_diagnostic_or_ingest_error(lines):
     data = _GOOD_TRACE + b"\n".join(lines)
     with tempfile.TemporaryDirectory() as tmp:
@@ -550,15 +643,25 @@ def test_trace_fuzz_diagnostic_or_ingest_error(lines):
     assert all(n > 1000 for n in diagnosed)
     assert (len(result) + result.dropped_out_of_window + len(diagnosed)
             == sum(map(_counted, data.split(b"\n"))))
+    # The consumers of the parsed records take them without raising.
+    grants, _ = permissions.scan_updateauth(result.records, _window())
+    permissions.detect_misuse(grants, {})
 
 
-@given(_hostile_lines((_SNAPSHOT_TEMPLATE, "permissions")))
+@given(_hostile_lines((_SNAPSHOT_TEMPLATE, ("permissions", "owner"))))
 @example([json.dumps({**_SNAPSHOT_TEMPLATE, "permissions": []}).encode()])
+@example([json.dumps({**_SNAPSHOT_TEMPLATE, "permissions": {"owner": {
+    "threshold": 1, "key_weights": [[["EOSKEYX"], 1]]}}}).encode()])
 def test_snapshot_fuzz_result_or_ingest_error(lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.ndjson"
         path.write_bytes(b"\n".join(lines))
         try:
-            parse_account_snapshot(path)
+            snapshot = parse_account_snapshot(path)
         except IngestError:
-            pass
+            return
+    # A grant to and from every parsed account is classified without raising.
+    names = list(snapshot) + ["nosuchacct"]
+    permissions.detect_misuse(
+        [permissions.PermissionGrant(granter, grantee, "eosio.code", "active", 1, 1, 0, 1)
+         for granter in names for grantee in names], snapshot)

@@ -6,8 +6,8 @@ from eosforensics import permissions
 from eosforensics.model import (
     AccountRecord,
     ActionRecord,
+    Authority,
     ObservationWindow,
-    Permission,
     UpdateAuthPayload,
     parse_action_trace,
     write_action_trace,
@@ -26,7 +26,7 @@ def _ts(day=1):
 
 def _updateauth(seq, account, grantee=None, threshold=1, weight=1, day=1,
                 key="EOSKEYA", grantee_perm="eosio.code",
-                account_weights=None):
+                account_weights=None, contract="eosio"):
     if account_weights is None:
         account_weights = (
             ((grantee, grantee_perm, weight),) if grantee else ()
@@ -35,7 +35,7 @@ def _updateauth(seq, account, grantee=None, threshold=1, weight=1, day=1,
         global_seq=seq,
         tx_id=f"{seq:016x}",
         timestamp=_ts(day),
-        executing_contract="eosio",
+        executing_contract=contract,
         action_name="updateauth",
         actor=account,
         kind="external",
@@ -43,15 +43,13 @@ def _updateauth(seq, account, grantee=None, threshold=1, weight=1, day=1,
             account=account,
             permission="active",
             parent="owner",
-            threshold=threshold,
-            key_weights=((key, 1),),
-            account_weights=account_weights,
+            authority=Authority(threshold, ((key, 1),), account_weights),
         ),
     )
 
 
 def _account(name, keys=("EOSKEYA",)):
-    perm = Permission(1, tuple((k, 1) for k in keys), ())
+    perm = Authority(1, tuple((k, 1) for k in keys), ())
     return AccountRecord(
         name=name,
         creator=None,
@@ -117,8 +115,8 @@ class TestScan:
             action_name="updateauth", actor="alice", kind="external",
             payload=UpdateAuthPayload(
                 account="alice", permission="owner", parent="",
-                threshold=1, key_weights=(("EOSKEYA", 1),),
-                account_weights=(("ownercode", "eosio.code", 1),),
+                authority=Authority(1, (("EOSKEYA", 1),),
+                                    (("ownercode", "eosio.code", 1),)),
             ),
         )
         grants, _ = permissions.scan_updateauth([a, b], _w())
@@ -127,9 +125,16 @@ class TestScan:
         }
 
 
-def _deleteauth(seq, payload):
+    def test_other_contracts_updateauth_grants_nothing(self):
+        grants, diags = permissions.scan_updateauth(
+            [_updateauth(1, "alice", "codeacct", contract="evilcontract")], _w()
+        )
+        assert grants == [] and diags == []
+
+
+def _deleteauth(seq, payload, contract="eosio"):
     return ActionRecord(
-        global_seq=seq, tx_id=f"{seq:016x}", timestamp=_ts(), executing_contract="eosio",
+        global_seq=seq, tx_id=f"{seq:016x}", timestamp=_ts(), executing_contract=contract,
         action_name="deleteauth", actor="alice", kind="external", payload=payload,
     )
 
@@ -158,6 +163,15 @@ class TestDeleteauth:
         ])
         assert [(g.granter, g.grantee, g.action_seq) for g in grants] == [
             ("alice", "codeacct", 3)]
+        assert diags == []
+
+    def test_other_contracts_deleteauth_deletes_nothing(self, tmp_path):
+        grants, diags = self._scan(tmp_path, [
+            _updateauth(1, "alice", "codeacct"),
+            _deleteauth(2, {"account": "alice", "permission": "active"},
+                        contract="evilcontract"),
+        ])
+        assert [(g.grantee, g.action_seq) for g in grants] == [("codeacct", 1)]
         assert diags == []
 
     def test_malformed_delete_is_diagnostic(self, tmp_path):
