@@ -209,13 +209,17 @@ def cmd_graph_build(args):
 def cmd_metrics(args):
     window = _window(args)
     out = _out_dir(args)
-    _, _, emfg, eacg, ecig = _load_graphs(args, window)
-    if args.graph == "emfg":
-        view = graphs.emfg_to_digraph(emfg)
-    elif args.graph == "eacg":
-        view = graphs.eacg_to_digraph(eacg)
+    # Each graph is built from its own input alone: EACG from the snapshot,
+    # EMFG and ECIG from the trace.
+    if args.graph == "eacg":
+        snapshot = parse_account_snapshot(args.snapshot)
+        view = graphs.eacg_to_digraph(graphs.build_eacg(snapshot, window))
     else:
-        view = graphs.ecig_to_digraph(ecig)
+        records = parse_action_trace(args.trace, window).records
+        if args.graph == "emfg":
+            view = graphs.emfg_to_digraph(graphs.build_emfg(extract_transfers(records, window)))
+        else:
+            view = graphs.ecig_to_digraph(graphs.build_ecig(records, window))
     report = metrics.compute_metrics(view)
     (out / f"metrics_{args.graph}.json").write_text(report.to_json() + "\n")
     ranks = metrics.pagerank(view)

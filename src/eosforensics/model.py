@@ -2,14 +2,19 @@
 
 File formats (all newline-delimited, UTF-8):
 
-* action trace: one JSON object per line, fields matching ActionRecord.
-  Timestamps are ISO-8601 UTC, "YYYY-MM-DDTHH:MM:SSZ" with an optional
-  fraction of 1-6 digits before the "Z" ("2018-06-10T00:00:00.500Z");
-  quantities are strings like "1.0000 EOS". A transfer payload decodes to a
-  TransferPayload, and an updateauth payload of the system account (only)
-  to an UpdateAuthPayload; every other payload stays a dict.
+* action trace: one JSON object per line, fields matching ActionRecord;
+  global_seq is a JSON integer and tx_id a string. Timestamps are ISO-8601
+  UTC, "YYYY-MM-DDTHH:MM:SSZ" with an optional fraction of 1-6 digits
+  before the "Z" ("2018-06-10T00:00:00.500Z"); quantities are strings like
+  "1.0000 EOS". A transfer payload decodes to a TransferPayload (account
+  names from/to, a string memo), and an updateauth payload of the system
+  account (only) to an UpdateAuthPayload; every other payload stays a dict.
 * account snapshot: one JSON object per line per account; each permission
   is an Authority.
+* Both NDJSON files are read by one line reader, _read_ndjson: each
+  stripped line is decoded by the JSON scanner, and a line the scanner does
+  not take whole is decoded again by json.loads, so that a bad line's
+  message is exactly json.loads's.
 * Authority, the one type of an EOSIO authority: threshold and weights
   >= 1, public keys non-empty strings, granted accounts and permissions
   account names. Its one decoder is from_json and its one encoder to_json.
@@ -34,8 +39,7 @@ ACCOUNT_NAME_RE = re.compile(r"[a-z1-5.]{1,12}")
 SYMBOL_RE = re.compile(r"[A-Z]{1,7}")
 QUANTITY_RE = re.compile(r"(\d+)(?:\.(\d{1,18}))? ([A-Z]{1,7})")
 TIMESTAMP_RE = re.compile(
-    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})"
-    r"(?:\.([0-9]{1,6}))?Z"
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]{1,6})?Z"
 )
 
 OFFICIAL_TOKEN_CONTRACT = "eosio.token"
@@ -339,40 +343,45 @@ def format_timestamp(ts: datetime) -> str:
 def parse_timestamp(text: str) -> datetime:
     """Parse a zero-padded UTC timestamp; out-of-range fields are rejected by
     the datetime constructor."""
-    m = TIMESTAMP_RE.fullmatch(text)
-    if m is None:
+    if TIMESTAMP_RE.fullmatch(text) is None:
         raise ValueError(f"bad timestamp: {text!r}")
-    *fields, fraction = m.groups()
-    return datetime(*map(int, fields), int((fraction or "0").ljust(6, "0")),
-                    tzinfo=timezone.utc)
+    # Fixed widths: the fraction, if any, is text[20:-1].
+    return datetime(int(text[:4]), int(text[5:7]), int(text[8:10]),
+                    int(text[11:13]), int(text[14:16]), int(text[17:19]),
+                    int(text[20:-1].ljust(6, "0")), tzinfo=timezone.utc)
 
 
 class _Memo:
     """The distinct strings of one parse, each validated and converted once:
-    account names (to the interned name), timestamps and quantities. Every
-    value is immutable, so records share them. A memo lives for one parse
-    call; nothing is kept between calls."""
+    account names (to the interned name), timestamps and quantities. A
+    timestamp entry is (datetime, whether the memo's window contains it), so
+    the window is checked once per distinct timestamp; without a window
+    every timestamp is in it. Every value is immutable, so records share
+    them. A memo lives for one parse call; nothing is kept between calls."""
 
-    __slots__ = ("names", "timestamps", "quantities")
+    __slots__ = ("window", "names", "timestamps", "quantities")
 
-    def __init__(self):
+    def __init__(self, window: ObservationWindow | None = None):
+        self.window = window
         self.names = {}
         self.timestamps = {}
         self.quantities = {}
 
-    def account_name(self, name) -> str:
+    def account_name(self, name, what: str = "account") -> str:
         try:
             return self.names[name]
         except (KeyError, TypeError):
-            name = self.names[name] = sys.intern(check_name(name, "account"))
+            name = self.names[name] = sys.intern(check_name(name, what))
             return name
 
-    def timestamp(self, text) -> datetime:
+    def timestamp(self, text) -> tuple:
         try:
             return self.timestamps[text]
         except (KeyError, TypeError):
-            ts = self.timestamps[text] = parse_timestamp(text)
-            return ts
+            ts = parse_timestamp(text)
+            entry = self.timestamps[text] = (
+                ts, self.window is None or self.window.contains(ts))
+            return entry
 
     def quantity(self, text) -> Quantity:
         try:
@@ -382,15 +391,51 @@ class _Memo:
             return q
 
 
+def _read_ndjson(path, what: str, decode, on_error):
+    """Yield (line number, decode(value)) for each non-blank line of the
+    NDJSON file at `path`, where value is the line's JSON value. A line that
+    is not UTF-8 or JSON, or that decode rejects, goes to
+    on_error(line number, exception) instead. A missing file is an
+    IngestError naming `what`."""
+    path = Path(path)
+    try:
+        fh = path.open("rb")
+    except OSError as exc:
+        raise IngestError(f"cannot read {what} {path}: {exc}") from exc
+    scan_once = json.JSONDecoder().scan_once
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                # The stripped line has no JSON whitespace at either end, so
+                # a value that ends where the line ends is json.loads(line).
+                try:
+                    value, end = scan_once(line, 0)
+                except Exception:  # json.loads below raises its own error
+                    end = None
+                if end != len(line):
+                    value = json.loads(line)
+                item = decode(value)
+            except LINE_ERRORS as exc:
+                on_error(lineno, exc)
+                continue
+            yield lineno, item
+
+
 def _decode_payload(executing: str, action_name: str, raw: dict, memo: _Memo):
     if not isinstance(raw, dict):
         raise ValueError(f"payload is not an object: {type(raw).__name__}")
     if action_name == "transfer" and {"from", "to", "quantity"} <= raw.keys():
+        note = raw.get("memo", "")
+        if not isinstance(note, str):
+            raise ValueError(f"transfer memo is not a string: {type(note).__name__}")
         return TransferPayload(
-            src=sys.intern(raw["from"]),
-            dst=sys.intern(raw["to"]),
+            src=memo.account_name(raw["from"], "sender"),
+            dst=memo.account_name(raw["to"], "recipient"),
             quantity=memo.quantity(raw["quantity"]),
-            memo=raw.get("memo", ""),
+            memo=note,
         )
     if (executing == SYSTEM_ACCOUNT and action_name == "updateauth"
             and {"account", "permission", "threshold"} <= raw.keys()):
@@ -399,11 +444,8 @@ def _decode_payload(executing: str, action_name: str, raw: dict, memo: _Memo):
     return raw
 
 
-def decode_action(obj: dict, memo: _Memo | None = None) -> ActionRecord:
-    """Build an ActionRecord from one decoded trace line, validating names.
-    parse_action_trace passes the memo of its earlier lines."""
-    if memo is None:
-        memo = _Memo()
+def _decode_action(obj: dict, memo: _Memo) -> tuple:
+    """(ActionRecord, whether the memo's window holds its timestamp)."""
     kind = obj["kind"]
     if kind not in KINDS:
         raise ValueError(f"unknown action kind: {kind!r}")
@@ -415,10 +457,16 @@ def decode_action(obj: dict, memo: _Memo | None = None) -> ActionRecord:
         notified = memo.account_name(notified)
     if kind == "notification" and notified is None:
         raise ValueError("notification record without notified account")
-    return ActionRecord(
-        global_seq=int(obj["global_seq"]),
-        tx_id=obj["tx_id"],
-        timestamp=memo.timestamp(obj["timestamp"]),
+    seq, tx_id = obj["global_seq"], obj["tx_id"]
+    if type(seq) is not int:  # a bool is an int too, but not a JSON integer
+        raise ValueError(f"global_seq is not an integer: {type(seq).__name__}")
+    if not isinstance(tx_id, str):
+        raise ValueError(f"tx_id is not a string: {type(tx_id).__name__}")
+    timestamp, in_window = memo.timestamp(obj["timestamp"])
+    record = ActionRecord(
+        global_seq=seq,
+        tx_id=tx_id,
+        timestamp=timestamp,
         executing_contract=executing,
         action_name=action_name,
         actor=actor,
@@ -426,6 +474,13 @@ def decode_action(obj: dict, memo: _Memo | None = None) -> ActionRecord:
         payload=_decode_payload(executing, action_name, obj["payload"], memo),
         notified=notified,
     )
+    return record, in_window
+
+
+def decode_action(obj: dict) -> ActionRecord:
+    """Build an ActionRecord from one decoded trace line, validating names
+    and field types."""
+    return _decode_action(obj, _Memo())[0]
 
 
 @dataclass
@@ -449,36 +504,24 @@ def parse_action_trace(path, window: ObservationWindow) -> TraceParseResult:
     lines aborts ingestion.
     """
     path = Path(path)
-    try:
-        fh = path.open("rb")
-    except OSError as exc:
-        raise IngestError(f"cannot read trace {path}: {exc}") from exc
-
     records = []
     diagnostics = []
     dropped = 0
     last_seq = None
-    memo = _Memo()
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line = line.decode("utf-8").strip()
-                if not line:
-                    continue
-                record = decode_action(json.loads(line), memo)
-            except LINE_ERRORS as exc:
-                diagnostics.append((lineno, str(exc)))
-                continue
-            if last_seq is not None and record.global_seq <= last_seq:
-                diagnostics.append(
-                    (lineno, f"global_seq {record.global_seq} not increasing")
-                )
-                continue
-            last_seq = record.global_seq
-            if not window.contains(record.timestamp):
-                dropped += 1
-                continue
-            records.append(record)
+    memo = _Memo(window)
+    lines = _read_ndjson(path, "trace", lambda obj: _decode_action(obj, memo),
+                         lambda lineno, exc: diagnostics.append((lineno, str(exc))))
+    for lineno, (record, in_window) in lines:
+        if last_seq is not None and record.global_seq <= last_seq:
+            diagnostics.append(
+                (lineno, f"global_seq {record.global_seq} not increasing")
+            )
+            continue
+        last_seq = record.global_seq
+        if not in_window:
+            dropped += 1
+            continue
+        records.append(record)
 
     # Every non-blank line is a record, a drop or a diagnostic.
     total = len(records) + dropped + len(diagnostics)
@@ -553,11 +596,15 @@ class SnapshotResult(Mapping):
         return len(self.accounts)
 
 
-def decode_account(obj: dict) -> AccountRecord:
-    name = sys.intern(check_name(obj["name"], "account"))
+def decode_account(obj: dict, memo: _Memo | None = None) -> AccountRecord:
+    """Build an AccountRecord from one decoded snapshot line.
+    parse_account_snapshot passes the memo of its earlier lines."""
+    if memo is None:
+        memo = _Memo()
+    name = memo.account_name(obj["name"])
     creator = obj.get("creator")
     if creator is not None:
-        creator = sys.intern(check_name(creator, "creator"))
+        creator = memo.account_name(creator, "creator")
     raw_permissions = obj.get("permissions", {})
     if not isinstance(raw_permissions, dict):
         raise ValueError(
@@ -565,7 +612,7 @@ def decode_account(obj: dict) -> AccountRecord:
     return AccountRecord(
         name=name,
         creator=creator,
-        created_at=parse_timestamp(obj["created_at"]),
+        created_at=memo.timestamp(obj["created_at"])[0],
         permissions={check_name(pname, "permission"): Authority.from_json(p)
                      for pname, p in raw_permissions.items()},
         has_contract=bool(obj.get("has_contract", False)),
@@ -576,26 +623,17 @@ def parse_account_snapshot(path) -> SnapshotResult:
     """Parse the account snapshot and verify the creator relation is a
     forest. Duplicate names and creator cycles are fatal; a child created
     before its creator merely warns (clock skew on real data)."""
-    path = Path(path)
-    try:
-        fh = path.open("rb")
-    except OSError as exc:
-        raise IngestError(f"cannot read snapshot {path}: {exc}") from exc
+    def fail(lineno, exc):
+        raise IngestError(f"snapshot line {lineno}: {exc}") from exc
 
     accounts = {}
     warnings = []
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line = line.decode("utf-8").strip()
-                if not line:
-                    continue
-                record = decode_account(json.loads(line))
-            except LINE_ERRORS as exc:
-                raise IngestError(f"snapshot line {lineno}: {exc}") from exc
-            if record.name in accounts:
-                raise IngestError(f"duplicate account name: {record.name}")
-            accounts[record.name] = record
+    memo = _Memo()
+    for _, record in _read_ndjson(path, "snapshot",
+                                  lambda obj: decode_account(obj, memo), fail):
+        if record.name in accounts:
+            raise IngestError(f"duplicate account name: {record.name}")
+        accounts[record.name] = record
 
     # Cycle check over creator pointers (creator may legitimately be
     # missing from the snapshot on partial captures; that breaks the chain).

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from eosforensics import cli
 from eosforensics.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, main
 
 
@@ -88,6 +89,32 @@ def test_metrics_all_graphs(files, tmp_path):
         assert code == EXIT_OK
         obj = json.loads((tmp_path / f"metrics_{graph}.json").read_text())
         assert obj["node_count"] > 0
+
+
+# SHA-256 of metrics_<g>.json and pagerank_<g>.csv on the fixture scenario,
+# as written when every metrics run parsed both the trace and the snapshot.
+METRICS_DIGESTS = {
+    "emfg": ("1a50bb1d4d81468050a9c29f80701019edb52cf173780d05b71a7e552cd2db16",
+             "19a91e8a0c429d0f94e54bb439efbde8697e8b8ca7e32e1d8ee684124c3aa901"),
+    "eacg": ("9b95a1b011b7c7136a254a76c19c5e62a800d19097a4c5cc3ff9d92ac2355e14",
+             "6755d19696cf1664bd4409afcd0433e1c5eb0d9090c6104ad399a96f6eb8b590"),
+    "ecig": ("fea2a8b6fb0c6e378b5e5617b46eac3a0bf63d54ea00b6ecebce547ea7ff7be2",
+             "3fa4034352e19d10fbd4d5cd8278cd513b710c900a44164be42f73ed935308ea"),
+}
+
+
+@pytest.mark.parametrize("graph, unread", [("emfg", "parse_account_snapshot"),
+                                           ("eacg", "parse_action_trace"),
+                                           ("ecig", "parse_account_snapshot")])
+def test_metrics_reads_only_its_graphs_input(files, tmp_path, monkeypatch, graph, unread):
+    def unexpected(*args):
+        raise AssertionError(f"metrics --graph {graph} called {unread}")
+
+    monkeypatch.setattr(cli, unread, unexpected)
+    assert main(["metrics"] + _common(files, tmp_path) + ["--graph", graph]) == EXIT_OK
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in (f"metrics_{graph}.json", f"pagerank_{graph}.csv"))
+    assert digests == METRICS_DIGESTS[graph]
 
 
 def test_bots_detect_finds_planted(files, tmp_path, scenario):

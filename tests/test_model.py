@@ -1,3 +1,4 @@
+import io
 import json
 import tempfile
 from collections.abc import Mapping
@@ -6,18 +7,20 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eosforensics import permissions
 from eosforensics.errors import IngestError
 from eosforensics.model import (
     ACCOUNT_NAME_RE,
+    LINE_ERRORS,
     Authority,
     ObservationWindow,
     Quantity,
     Registry,
     TraceParseResult,
     UpdateAuthPayload,
+    decode_account,
     decode_action,
     extract_transfers,
     format_timestamp,
@@ -233,6 +236,28 @@ class TestTraceParsing:
         assert len(result) == 199
         assert result.diagnostics == [(200, "payload is not an object: "
                                              + type(payload).__name__)]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("global_seq", True, "global_seq is not an integer: bool"),
+        ("global_seq", 200.5, "global_seq is not an integer: float"),
+        ("global_seq", "200", "global_seq is not an integer: str"),
+        ("tx_id", {"x": 1}, "tx_id is not a string: dict"),
+        ("from", "BAD NAME", "bad sender name: 'BAD NAME'"),
+        ("to", "BAD NAME", "bad recipient name: 'BAD NAME'"),
+        ("memo", 7, "transfer memo is not a string: int"),
+    ])
+    def test_mistyped_field_is_diagnostic(self, tmp_path, field, value, message):
+        if field in ("global_seq", "tx_id"):
+            line = _action_line(200, **{field: value})
+        else:
+            line = _action_line(200, payload={"from": "alice", "to": "bob",
+                                              "quantity": "1.0000 EOS", "memo": "",
+                                              field: value})
+        p = tmp_path / "t.ndjson"
+        p.write_text("\n".join([_action_line(s) for s in range(1, 200)] + [line]) + "\n")
+        result = parse_action_trace(p, _window())
+        assert len(result) == 199
+        assert result.diagnostics == [(200, message)]
 
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(IngestError):
@@ -665,3 +690,140 @@ def test_snapshot_fuzz_result_or_ingest_error(lines):
     permissions.detect_misuse(
         [permissions.PermissionGrant(granter, grantee, "eosio.code", "active", 1, 1, 0, 1)
          for granter in names for grantee in names], snapshot)
+
+
+def _reference_lines(data):
+    """(line number, decoded value or the exception) for each non-blank
+    line of `data`, read as a binary file is and decoded by json.loads."""
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if line:
+                yield lineno, json.loads(line)
+        except LINE_ERRORS as exc:
+            yield lineno, exc
+
+
+def _reference_trace(path, data):
+    """What parse_action_trace returns for `data`, as (repr of the records,
+    diagnostics, drops), or its IngestError text: each line is decoded on its
+    own by json.loads and decode_action."""
+    records, diagnostics, dropped, last_seq = [], [], 0, None
+    for lineno, value in _reference_lines(data):
+        try:
+            if isinstance(value, Exception):
+                raise value
+            record = decode_action(value)
+        except LINE_ERRORS as exc:
+            diagnostics.append((lineno, str(exc)))
+            continue
+        if last_seq is not None and record.global_seq <= last_seq:
+            diagnostics.append((lineno, f"global_seq {record.global_seq} not increasing"))
+            continue
+        last_seq = record.global_seq
+        if _window().contains(record.timestamp):
+            records.append(record)
+        else:
+            dropped += 1
+    total = len(records) + dropped + len(diagnostics)
+    if total and len(diagnostics) / total > 0.01:
+        return (f"{len(diagnostics)}/{total} malformed lines in {path}; "
+                f"first: line {diagnostics[0][0]}: {diagnostics[0][1]}")
+    return repr(records), diagnostics, dropped
+
+
+def _reference_snapshot(data):
+    """The accounts parse_account_snapshot reads from `data`, or the
+    IngestError text of its first bad line: each line is decoded on its own
+    by json.loads and decode_account."""
+    accounts = {}
+    for lineno, value in _reference_lines(data):
+        try:
+            if isinstance(value, Exception):
+                raise value
+            record = decode_account(value)
+        except LINE_ERRORS as exc:
+            return f"snapshot line {lineno}: {exc}"
+        if record.name in accounts:
+            return f"duplicate account name: {record.name}"
+        accounts[record.name] = record
+    return accounts
+
+
+def _has_creator_cycle(accounts):
+    for start in accounts:
+        seen, node = set(), start
+        while node in accounts and node not in seen:
+            seen.add(node)
+            node = accounts[node].creator
+        if node in seen:
+            return True
+    return False
+
+
+_BOM = "\ufeff".encode()
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+# Records are compared by repr, in which a NaN equals a NaN.
+@settings(deadline=None)
+@given(_hostile_lines((_TRACE_TEMPLATE, ("payload",)), (_UPDATEAUTH, ("payload",))))
+@example([b"{} {}", b"1, 2"])
+@example([_BOM + _action_line(1001).encode()])
+@example([_DEEP])
+@example([b"NaN", b"Infinity", _action_line(1001, global_seq=float("nan")).encode(),
+          _action_line(1002, action_name="vote", payload={"x": float("inf")}).encode()])
+@example([_action_line(1001, tx_id="\ud800").encode(),
+          _action_line(1002, actor="\ud800").encode()])
+@example([_action_line(1001).encode() + b"\x0b",
+          _action_line(1002).encode() + "\u3000".encode()])
+@example([b'{"a":[{}', b'{}]}'])
+def test_trace_reader_matches_json_loads(lines):
+    data = _GOOD_TRACE + b"\n".join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.ndjson"
+        path.write_bytes(data)
+        expected = _reference_trace(path, data)
+        try:
+            result = parse_action_trace(path, _window())
+        except IngestError as exc:
+            assert str(exc) == expected
+            return
+    assert (repr(result.records), result.diagnostics,
+            result.dropped_out_of_window) == expected
+
+
+_ACCOUNT = json.dumps(_SNAPSHOT_TEMPLATE).encode()
+
+
+def _account(name, **over):
+    return json.dumps({**_SNAPSHOT_TEMPLATE, "name": name, **over}).encode()
+
+
+@settings(deadline=None)
+@given(_hostile_lines((_SNAPSHOT_TEMPLATE, ("permissions", "owner"))))
+@example([b"{} {}"])
+@example([b"1, 2"])
+@example([_BOM + _ACCOUNT])
+@example([_DEEP])
+@example([b"NaN"])
+@example([_account("bob", has_contract=float("nan")), b"Infinity"])
+@example([_account("\ud800")])
+@example([_account("bob", creator="\ud800")])
+@example([_ACCOUNT + b"\x0b", _account("bob") + "\u3000".encode()])
+@example([b'{"a":[{}', b'{}]}'])
+def test_snapshot_reader_matches_json_loads(lines):
+    data = b"\n".join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.ndjson"
+        path.write_bytes(data)
+        try:
+            got = parse_account_snapshot(path).accounts
+        except IngestError as exc:
+            got = str(exc)
+    expected = _reference_snapshot(data)
+    if isinstance(expected, dict) and isinstance(got, str):
+        assert got.startswith("creator cycle through account")
+        assert _has_creator_cycle(expected)
+    else:
+        assert repr(got) == repr(expected)
