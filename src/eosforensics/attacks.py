@@ -3,7 +3,6 @@ profit scan for predictable-state exploits, plus evidence bundles."""
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -13,12 +12,14 @@ from pathlib import Path
 
 from .errors import BundleError, ConfigError, IngestError
 from .model import (
-    LINE_ERRORS,
     OFFICIAL_TOKEN_CONTRACT,
     TransferPayload,
     format_timestamp,
     is_genuine_transfer,
     parse_timestamp,
+    read_ndjson,
+    write_csv,
+    write_ndjson,
 )
 
 INF_RATIO = float("inf")
@@ -338,20 +339,13 @@ def liveness_filter(suspicious, events, registry, config: ScanConfig):
 def load_rollback_log(path):
     """(tx_id, actor, timestamp) per line of an off-chain rollback NDJSON
     log; a line that does not decode is an IngestError naming it."""
-    entries = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line = line.decode("utf-8").strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                entries.append(
-                    (obj["tx_id"], obj["actor"], parse_timestamp(obj["timestamp"]))
-                )
-            except LINE_ERRORS as exc:
-                raise IngestError(f"rollback log line {lineno}: {exc!r}") from exc
-    return entries
+    def fail(lineno, exc):
+        raise IngestError(f"rollback log line {lineno}: {exc!r}") from exc
+
+    def decode(obj):
+        return obj["tx_id"], obj["actor"], parse_timestamp(obj["timestamp"])
+
+    return [entry for _, entry in read_ndjson(path, "rollback log", decode, fail)]
 
 
 def auxiliary_signals(account, actions, rollback_entries=None):
@@ -418,20 +412,13 @@ def evidence_bundle(finding: AttackFinding, actions_by_seq, emfg, out_dir):
     finding_path = out_dir / "finding.json"
     finding_path.write_text(json.dumps(finding.to_json(), sort_keys=True, indent=2))
 
-    actions_path = out_dir / "actions.ndjson"
-    with actions_path.open("w") as fh:
-        for seq in finding.evidence:
-            fh.write(json.dumps(actions_by_seq[seq].to_json(), sort_keys=True))
-            fh.write("\n")
-
-    flow_path = out_dir / "flow.csv"
-    with flow_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["from", "to", "day", "weight", "count"])
-        for src, dst in ((finding.victim, finding.attacker),
-                         (finding.attacker, finding.victim)):
-            for day, (weight, count) in sorted(emfg.edge_days(src, dst).items()):
-                writer.writerow([src, dst, day, str(weight), count])
+    write_ndjson(out_dir / "actions.ndjson",
+                 (actions_by_seq[seq].to_json() for seq in finding.evidence))
+    write_csv(out_dir / "flow.csv", ["from", "to", "day", "weight", "count"],
+              ([src, dst, day, str(weight), count]
+               for src, dst in ((finding.victim, finding.attacker),
+                                (finding.attacker, finding.victim))
+               for day, (weight, count) in sorted(emfg.edge_days(src, dst).items())))
 
     manifest = {
         name: _sha256(out_dir / name)
@@ -456,10 +443,3 @@ def verify_bundle(bundle_dir):
         if _sha256(path) != digest:
             raise BundleError(f"bundle file tampered: {name}")
     return True
-
-
-def write_findings(path, findings):
-    with open(path, "w", encoding="utf-8") as fh:
-        for finding in findings:
-            fh.write(json.dumps(finding.to_json(), sort_keys=True))
-            fh.write("\n")

@@ -11,8 +11,7 @@ bots in the same farm hit the same targets whichever kind they are.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -126,13 +125,7 @@ class BotVerdict:
     category: str = "none"
 
     def to_json(self) -> dict:
-        return {
-            "account": self.account,
-            "is_bot": self.is_bot,
-            "source": self.source,
-            "community_id": self.community_id,
-            "category": self.category,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +152,7 @@ def behavior_vectors(account, emfg: Emfg, ecig: Ecig, window: ObservationWindow,
     for day, (_, count) in emfg.daily(account, "out").items():
         if 0 <= day < days:
             t[day] += count
-    for day, count in ecig.out_daily_counts(
-        account, exclude=(OFFICIAL_TOKEN_CONTRACT,)
-    ).items():
+    for day, count in ecig.out_daily_counts(account).items():
         if 0 <= day < days:
             t[days + day] += count
     s = np.zeros(len(contract_index))
@@ -331,7 +322,7 @@ def extract_features(account, emfg: Emfg, ecig: Ecig, eacg: Eacg,
     in_vol, in_total, in_count = money_flow("in")
     out_vol, out_total, out_count = money_flow("out")
 
-    invocations = ecig.out_daily_counts(account, exclude=(OFFICIAL_TOKEN_CONTRACT,))
+    invocations = ecig.out_daily_counts(account)
     inv_series = daily_series(invocations)
     inv_total = int(inv_series.sum())
     inv_contracts = len(
@@ -435,10 +426,3 @@ def categorize(account, emfg: Emfg, ecig: Ecig, snapshot, registry,
             return "click_fraud"
 
     return "other"
-
-
-def write_verdicts(path, verdicts):
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in verdicts:
-            fh.write(json.dumps(v.to_json(), sort_keys=True))
-            fh.write("\n")

@@ -13,7 +13,6 @@ EOSFOR_MIN_CHILDREN=40); `synth generate` reads only EOSFOR_SEED.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -23,13 +22,17 @@ from pathlib import Path
 
 from . import attacks as attacks_mod
 from . import botnet, forest, graphs, metrics, permissions, synthgen
-from .errors import ConfigError, ForensicsError
+from .errors import ConfigError, ForensicsError, IngestError
 from .model import (
+    LINE_ERRORS,
     ObservationWindow,
     Registry,
     extract_transfers,
     parse_account_snapshot,
     parse_action_trace,
+    read_ndjson,
+    write_csv,
+    write_ndjson,
 )
 
 EXIT_OK = 0
@@ -157,10 +160,9 @@ def cmd_ingest(args):
         "transfer_total": str(sum((t.amount for t in transfers), Decimal(0))),
     }
     _dump(out / "ingest.json", summary)
-    with (out / "ingest_diagnostics.ndjson").open("w") as fh:
-        for lineno, message in result.diagnostics:
-            fh.write(json.dumps({"line": lineno, "message": message}, sort_keys=True))
-            fh.write("\n")
+    write_ndjson(out / "ingest_diagnostics.ndjson",
+                 ({"line": lineno, "message": message}
+                  for lineno, message in result.diagnostics))
     print(f"parsed {summary['actions']} actions, {summary['accounts']} accounts, "
           f"{summary['genuine_transfers']} genuine transfers "
           f"({summary['malformed_lines']} malformed lines)")
@@ -224,11 +226,8 @@ def cmd_metrics(args):
     (out / f"metrics_{args.graph}.json").write_text(report.to_json() + "\n")
     ranks = metrics.pagerank(view)
     top = sorted(ranks.items(), key=lambda kv: (-kv[1], kv[0]))[: args.top]
-    with (out / f"pagerank_{args.graph}.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["account", "rank"])
-        for account, rank in top:
-            writer.writerow([account, repr(rank)])
+    write_csv(out / f"pagerank_{args.graph}.csv", ["account", "rank"],
+              ((account, repr(rank)) for account, rank in top))
     print(report.to_text())
     return EXIT_OK
 
@@ -299,7 +298,7 @@ def cmd_bots_detect(args):
                                   category=category)
             )
     verdicts.sort(key=lambda v: v.account)
-    botnet.write_verdicts(out / "bot_verdicts.ndjson", verdicts)
+    write_ndjson(out / "bot_verdicts.ndjson", (v.to_json() for v in verdicts))
     print(f"{len(flagged)}/{len(stats)} communities flagged, "
           f"{len(verdicts)} bot accounts")
     return EXIT_FINDINGS if verdicts else EXIT_OK
@@ -355,7 +354,7 @@ def cmd_bots_classify(args):
                                       category=botnet.categorize(
                                           account, emfg, ecig, snapshot, registry))
                 )
-    botnet.write_verdicts(out / "bot_classified.ndjson", verdicts)
+    write_ndjson(out / "bot_classified.ndjson", (v.to_json() for v in verdicts))
     print(f"held-out accuracy {result.test_accuracy:.4f}, "
           f"{len(verdicts)}/{len(candidates)} candidates classified as bots")
     return EXIT_FINDINGS if verdicts else EXIT_OK
@@ -402,7 +401,7 @@ def cmd_attacks_scan(args):
     findings, notes = attacks_mod.scan_attacks(
         result.records, registry, config, rollback_entries=rollback
     )
-    attacks_mod.write_findings(out / "attack_findings.ndjson", findings)
+    write_ndjson(out / "attack_findings.ndjson", (f.to_json() for f in findings))
     _dump(out / "attack_notes.json", notes)
     if args.bundles and findings:
         actions_by_seq = {r.global_seq: r for r in result.records}
@@ -443,6 +442,49 @@ def cmd_synth_generate(args):
     return EXIT_OK
 
 
+METRIC_FIELDS = ("node_count", "edge_count", "clustering", "assortativity",
+                 "pearson_in_out", "scc_count", "largest_scc", "wcc_count", "largest_wcc")
+ATTACK_COLUMNS = ("kind", "attacker", "victim", "profit", "window_start", "window_end")
+
+
+def _read_stage_json(path: Path, types: dict) -> dict:
+    """The JSON object in the stage output at `path`, which maps each key of
+    `types` to a value of that key's type; anything else is an IngestError
+    naming the file."""
+    try:
+        obj = json.loads(path.read_bytes())
+    except LINE_ERRORS as exc:
+        raise IngestError(f"{path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise IngestError(f"{path}: not a JSON object")
+    for key, kind in types.items():
+        if key not in obj or not isinstance(obj[key], kind):
+            raise IngestError(f"{path}: {key} is missing or mistyped")
+    return obj
+
+
+def _read_stage_ndjson(path: Path, decode) -> list:
+    """decode(value) of each line of the stage output at `path`; a line that
+    does not decode is an IngestError naming the file and line."""
+    def fail(lineno, exc):
+        raise IngestError(f"{path} line {lineno}: {exc!r}") from exc
+
+    return [item for _, item in read_ndjson(path, path.name, decode, fail)]
+
+
+def _text(obj, key) -> str:
+    """obj[key], which must be a string."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} is not a string: {type(value).__name__}")
+    return value
+
+
+def _finding_row(obj) -> tuple:
+    """(the finding's ATTACK_COLUMNS, its profit as a Decimal)."""
+    return [_text(obj, c) for c in ATTACK_COLUMNS], Decimal(obj["profit"])
+
+
 def cmd_report(args):
     out = _out_dir(args)
     lines = []
@@ -451,42 +493,28 @@ def cmd_report(args):
         lines.append(title)
         lines.append("-" * len(title))
 
-    metric_rows = []
-    for name in ("emfg", "eacg", "ecig"):
-        path = out / f"metrics_{name}.json"
-        if path.exists():
-            obj = json.loads(path.read_text())
-            metric_rows.append((name, obj))
+    metric_types = dict.fromkeys(METRIC_FIELDS, (int, float, type(None)))
+    metric_rows = [(name, _read_stage_json(out / f"metrics_{name}.json", metric_types))
+                   for name in ("emfg", "eacg", "ecig")
+                   if (out / f"metrics_{name}.json").exists()]
     if metric_rows:
         section("Graph metrics")
-        fields = ["node_count", "edge_count", "clustering", "assortativity",
-                  "pearson_in_out", "scc_count", "largest_scc", "wcc_count",
-                  "largest_wcc"]
-        with (out / "report_metrics.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["graph"] + fields)
-            for name, obj in metric_rows:
-                writer.writerow([name] + [obj.get(f) for f in fields])
+        write_csv(out / "report_metrics.csv", ["graph", *METRIC_FIELDS],
+                  ([name] + [obj[f] for f in METRIC_FIELDS] for name, obj in metric_rows))
         for name, obj in metric_rows:
             lines.append(f"[{name}]")
-            for f in fields:
-                v = obj.get(f)
-                lines.append(f"  {f}: {'/' if v is None else v}")
+            for f in METRIC_FIELDS:
+                lines.append(f"  {f}: {'/' if obj[f] is None else obj[f]}")
         lines.append("")
 
     verdicts_path = out / "bot_verdicts.ndjson"
     if verdicts_path.exists():
         section("Bot accounts by category")
         counts = {}
-        with verdicts_path.open() as fh:
-            for line in fh:
-                v = json.loads(line)
-                counts[v["category"]] = counts.get(v["category"], 0) + 1
-        with (out / "report_bots.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["category", "accounts"])
-            for cat in sorted(counts):
-                writer.writerow([cat, counts[cat]])
+        for category in _read_stage_ndjson(verdicts_path,
+                                           lambda obj: _text(obj, "category")):
+            counts[category] = counts.get(category, 0) + 1
+        write_csv(out / "report_bots.csv", ["category", "accounts"], sorted(counts.items()))
         for cat in sorted(counts):
             lines.append(f"  {cat}: {counts[cat]}")
         lines.append(f"  total: {sum(counts.values())}")
@@ -495,7 +523,7 @@ def cmd_report(args):
     perm_path = out / "perm_summary.json"
     if perm_path.exists():
         section("Permission audit")
-        obj = json.loads(perm_path.read_text())
+        obj = _read_stage_json(perm_path, {"by_severity": dict, "distinct_pairs": int})
         for sev, n in sorted(obj["by_severity"].items()):
             lines.append(f"  {sev}: {n}")
         lines.append(f"  distinct pairs: {obj['distinct_pairs']}")
@@ -504,24 +532,14 @@ def cmd_report(args):
     attacks_path = out / "attack_findings.ndjson"
     if attacks_path.exists():
         section("Attack findings")
-        rows = []
-        with attacks_path.open() as fh:
-            for line in fh:
-                rows.append(json.loads(line))
-        with (out / "report_attacks.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "attacker", "victim", "profit",
-                             "window_start", "window_end"])
-            for r in rows:
-                writer.writerow([r["kind"], r["attacker"], r["victim"],
-                                 r["profit"], r["window_start"], r["window_end"]])
+        rows = _read_stage_ndjson(attacks_path, _finding_row)
+        write_csv(out / "report_attacks.csv", ATTACK_COLUMNS, (row for row, _ in rows))
         by_kind = {}
-        for r in rows:
-            by_kind.setdefault(r["kind"], []).append(r)
+        for row, profit in rows:
+            by_kind.setdefault(row[0], []).append(profit)
         for kind in sorted(by_kind):
-            total = sum(Decimal(r["profit"]) for r in by_kind[kind])
             lines.append(f"  {kind}: {len(by_kind[kind])} findings, "
-                         f"{total} EOS profit")
+                         f"{sum(by_kind[kind])} EOS profit")
         lines.append("")
 
     if not lines:

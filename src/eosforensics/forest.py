@@ -16,6 +16,7 @@ import numpy as np
 from .errors import TrainingError
 
 FORMAT_VERSION = 1
+TRAIN_SHARE = 0.8  # of the labeled rows; the rest is the held-out test split
 
 DEFAULT_GRID = {
     "n_trees": (50, 100, 200),
@@ -282,7 +283,7 @@ class TrainResult:
     grid_scores: list  # (params, oob score)
 
 
-def train_classifier(X, y, split_ratio=0.8, seed=0, grid=None) -> TrainResult:
+def train_classifier(X, y, seed=0, grid=None) -> TrainResult:
     """Shuffle, split train/test, grid-search forest hyperparameters by
     out-of-bag accuracy on the training split, and report held-out
     accuracy. Deterministic under a fixed seed."""
@@ -291,7 +292,7 @@ def train_classifier(X, y, split_ratio=0.8, seed=0, grid=None) -> TrainResult:
     grid = grid or DEFAULT_GRID
     rng = np.random.default_rng(seed)
     order = rng.permutation(X.shape[0])
-    cut = int(round(split_ratio * X.shape[0]))
+    cut = int(round(TRAIN_SHARE * X.shape[0]))
     train_idx, test_idx = order[:cut], order[cut:]
     if len(np.unique(y[train_idx])) < 2:
         raise TrainingError("training split contains a single class")

@@ -4,13 +4,12 @@ integer-indexed edge-array graph that every metric and export reads."""
 
 from __future__ import annotations
 
-import csv
 from decimal import Decimal
 
 import numpy as np
 
 from .errors import GraphError
-from .model import ObservationWindow
+from .model import OFFICIAL_TOKEN_CONTRACT, ObservationWindow, write_csv
 
 INVOCATION_KINDS = frozenset({"external", "inline", "deferred"})
 
@@ -171,12 +170,12 @@ class Ecig:
     def total_invocations(self) -> int:
         return sum(c for _, _, slots in self.edges() for c in slots.values())
 
-    def out_daily_counts(self, account, exclude=()):
-        """day -> number of invocations by `account`, optionally skipping
-        some target contracts (e.g. eosio.token, counted as transfers)."""
+    def out_daily_counts(self, account):
+        """day -> number of invocations by `account` of every contract but
+        eosio.token, whose calls count as transfers."""
         counts = {}
         for contract, slots in self.out.get(account, {}).items():
-            if contract in exclude:
+            if contract == OFFICIAL_TOKEN_CONTRACT:
                 continue
             for (day, _), c in slots.items():
                 counts[day] = counts.get(day, 0) + c
@@ -314,16 +313,9 @@ def degree_histogram(graph: DiGraph, direction="total"):
 
 
 def export_histogram_csv(hist, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["degree", "count"])
-        for degree in sorted(hist):
-            writer.writerow([degree, hist[degree]])
+    write_csv(path, ["degree", "count"], sorted(hist.items()))
 
 
 def export_edges_csv(graph: DiGraph, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["from", "to", "weight"])
-        for u, v, w in graph.edges():
-            writer.writerow([u, v, repr(w)])
+    write_csv(path, ["from", "to", "weight"],
+              ((u, v, repr(w)) for u, v, w in graph.edges()))

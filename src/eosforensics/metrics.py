@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,20 +33,7 @@ class MetricsReport:
     edge_count: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "clustering": self.clustering,
-                "assortativity": self.assortativity,
-                "pearson_in_out": self.pearson_in_out,
-                "scc_count": self.scc_count,
-                "largest_scc": self.largest_scc,
-                "wcc_count": self.wcc_count,
-                "largest_wcc": self.largest_wcc,
-                "node_count": self.node_count,
-                "edge_count": self.edge_count,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     def to_text(self) -> str:
         def fmt(x):

@@ -11,12 +11,15 @@ File formats (all newline-delimited, UTF-8):
   account (only) to an UpdateAuthPayload; every other payload stays a dict.
 * account snapshot: one JSON object per line per account; each permission
   is an Authority.
-* Both NDJSON files are read by one line reader, _read_ndjson: each
-  stripped line is decoded by the JSON scanner, and a line the scanner does
-  not take whole is decoded again by json.loads, so that a bad line's
-  message is exactly json.loads's.
+* Every NDJSON file, input or stage output, is read by one line reader,
+  read_ndjson: each stripped line is decoded by the JSON scanner, and a
+  line the scanner does not take whole is decoded again by json.loads, so
+  that a bad line's message is exactly json.loads's.
+* Every NDJSON stage output is written by write_ndjson (one sorted-key JSON
+  object per line) and every CSV one by write_csv (csv.writer's default
+  dialect: a header row, then one row per record, "\r\n" line ends).
 * Authority, the one type of an EOSIO authority: threshold and weights
-  >= 1, public keys non-empty strings, granted accounts and permissions
+  integers >= 1, public keys non-empty strings, granted accounts and permissions
   account names. Its one decoder is from_json and its one encoder to_json.
 * registries: CSV files with a header row (see Registry.load).
 """
@@ -114,6 +117,12 @@ class TransferPayload:
         }
 
 
+def _check_count(value, what: str) -> None:
+    """A threshold or weight: a JSON integer (not a bool) of at least 1."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{what} must be >= 1 and an integer, not {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Authority:
     """An EOSIO permission authority, of a snapshot permission or an
@@ -124,27 +133,24 @@ class Authority:
     account_weights: tuple  # of (granted_account, granted_permission, weight)
 
     def __post_init__(self):
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1")
+        _check_count(self.threshold, "threshold")
         for key, w in self.key_weights:
             if not (isinstance(key, str) and key):
                 raise ValueError(f"bad public key: {key!r}")
-            if w < 1:
-                raise ValueError("key weight must be >= 1")
+            _check_count(w, "key weight")
         for account, permission, w in self.account_weights:
             check_name(account, "granted account")
             check_name(permission, "granted permission")
-            if w < 1:
-                raise ValueError("account weight must be >= 1")
+            _check_count(w, "account weight")
 
     @classmethod
     def from_json(cls, obj) -> "Authority":
-        threshold = int(obj["threshold"])
+        threshold = obj["threshold"]  # first: a non-object raises TypeError here
         keys, accounts = obj.get("key_weights", []), obj.get("account_weights", [])
         if not all(isinstance(x, list) for x in (keys, accounts, *keys, *accounts)):
             raise ValueError("key_weights and account_weights must be lists of lists")
-        return cls(threshold, tuple((k, int(w)) for k, w in keys),
-                   tuple((a, p, int(w)) for a, p, w in accounts))
+        return cls(threshold, tuple((k, w) for k, w in keys),
+                   tuple((a, p, w) for a, p, w in accounts))
 
     def to_json(self) -> dict:
         return {"threshold": self.threshold,
@@ -391,7 +397,7 @@ class _Memo:
             return q
 
 
-def _read_ndjson(path, what: str, decode, on_error):
+def read_ndjson(path, what: str, decode, on_error):
     """Yield (line number, decode(value)) for each non-blank line of the
     NDJSON file at `path`, where value is the line's JSON value. A line that
     is not UTF-8 or JSON, or that decode rejects, goes to
@@ -509,8 +515,8 @@ def parse_action_trace(path, window: ObservationWindow) -> TraceParseResult:
     dropped = 0
     last_seq = None
     memo = _Memo(window)
-    lines = _read_ndjson(path, "trace", lambda obj: _decode_action(obj, memo),
-                         lambda lineno, exc: diagnostics.append((lineno, str(exc))))
+    lines = read_ndjson(path, "trace", lambda obj: _decode_action(obj, memo),
+                        lambda lineno, exc: diagnostics.append((lineno, str(exc))))
     for lineno, (record, in_window) in lines:
         if last_seq is not None and record.global_seq <= last_seq:
             diagnostics.append(
@@ -533,11 +539,19 @@ def parse_action_trace(path, window: ObservationWindow) -> TraceParseResult:
     return TraceParseResult(records, dropped, diagnostics)
 
 
-def write_action_trace(path, records) -> None:
+def write_ndjson(path, objs) -> None:
+    """Write each JSON-able object of `objs` as one sorted-key line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json(), sort_keys=True))
-            fh.write("\n")
+        for obj in objs:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the `header` row, then each of `rows`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def is_genuine_transfer(record: ActionRecord) -> bool:
@@ -609,13 +623,16 @@ def decode_account(obj: dict, memo: _Memo | None = None) -> AccountRecord:
     if not isinstance(raw_permissions, dict):
         raise ValueError(
             f"permissions is not an object: {type(raw_permissions).__name__}")
+    has_contract = obj.get("has_contract", False)
+    if type(has_contract) is not bool:
+        raise ValueError(f"has_contract is not a bool: {type(has_contract).__name__}")
     return AccountRecord(
         name=name,
         creator=creator,
         created_at=memo.timestamp(obj["created_at"])[0],
         permissions={check_name(pname, "permission"): Authority.from_json(p)
                      for pname, p in raw_permissions.items()},
-        has_contract=bool(obj.get("has_contract", False)),
+        has_contract=has_contract,
     )
 
 
@@ -629,8 +646,8 @@ def parse_account_snapshot(path) -> SnapshotResult:
     accounts = {}
     warnings = []
     memo = _Memo()
-    for _, record in _read_ndjson(path, "snapshot",
-                                  lambda obj: decode_account(obj, memo), fail):
+    for _, record in read_ndjson(path, "snapshot",
+                                 lambda obj: decode_account(obj, memo), fail):
         if record.name in accounts:
             raise IngestError(f"duplicate account name: {record.name}")
         accounts[record.name] = record

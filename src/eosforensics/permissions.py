@@ -3,10 +3,9 @@ grant weights against thresholds and key ownership."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
-from .model import SYSTEM_ACCOUNT, UpdateAuthPayload
+from .model import SYSTEM_ACCOUNT, UpdateAuthPayload, write_csv
 
 CODE_PERMISSION = "eosio.code"
 
@@ -135,14 +134,8 @@ def account_pair_summary(findings):
 
 
 def export_findings_csv(findings, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["granter", "grantee", "linked_permission", "weight", "threshold",
-             "severity", "action_seq"]
-        )
-        for f in sorted(findings, key=lambda f: f.grant.action_seq):
-            writer.writerow(
-                [f.grant.granter, f.grant.grantee, f.grant.linked_permission,
-                 f.grant.weight, f.grant.threshold, f.severity, f.grant.action_seq]
-            )
+    write_csv(path, ["granter", "grantee", "linked_permission", "weight", "threshold",
+                     "severity", "action_seq"],
+              ([f.grant.granter, f.grant.grantee, f.grant.linked_permission,
+                f.grant.weight, f.grant.threshold, f.severity, f.grant.action_seq]
+               for f in sorted(findings, key=lambda f: f.grant.action_seq)))

@@ -18,10 +18,12 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .errors import GenerationError
-from .model import ObservationWindow
+from .model import ObservationWindow, write_ndjson
 
 GENESIS = date(2018, 6, 9)
 UNIT = 10_000  # 0.0001 EOS units per EOS
+DAPP_COUNT = 3  # gambling DApps
+INCENTIVE_DAPP_COUNT = 2
 
 _ALPHA = "abcdefghijklmnopqrstuvwxyz"
 
@@ -74,10 +76,7 @@ class ScenarioConfig:
     background_transfer_rate: float = 1.0  # scales bets per play day
     silent_account_count: int = 0
     deep_chain_length: int = 0
-    dapp_count: int = 3
-    incentive_dapp_count: int = 2
     dapp_funding_eos: int = 500_000
-    sellers_in_registry: bool = False
 
 
 class _Chain:
@@ -95,7 +94,6 @@ class _Chain:
         self.dapps = []  # (name, dapp, category)
         self.incentives = []
         self.labels = []  # (community_id, role, account)
-        self.sellers = set()
         self.manifest = {}
 
     # -- primitives --------------------------------------------------------
@@ -182,12 +180,12 @@ class _Chain:
 
     def _build_dapps(self):
         cfg = self.config
-        for i in range(cfg.dapp_count):
+        for i in range(DAPP_COUNT):
             name = _name("game", i)
             self.create_account(name, "eosio", 0, has_contract=True)
             self.transfer(0, 10 + i, "eosio", name, cfg.dapp_funding_eos * UNIT)
             self.dapps.append((name, f"Game{i}", "gambling"))
-        for i in range(cfg.incentive_dapp_count):
+        for i in range(INCENTIVE_DAPP_COUNT):
             name = _name("bonus", i)
             self.create_account(name, "eosio", 0, has_contract=True)
             self.transfer(0, 40 + i, "eosio", name, cfg.dapp_funding_eos * UNIT)
@@ -312,8 +310,6 @@ class _Chain:
             if spec.calibration:
                 for m in members:
                     self.labels.append((controller, "bot", m))
-            if spec.category == "account_seller" and cfg.sellers_in_registry:
-                self.sellers.update(members)
             communities.append(
                 {
                     "controller": controller,
@@ -542,69 +538,53 @@ class _Chain:
         if negative:
             raise GenerationError(f"negative balances: {negative[:5]}")
 
+    def _stamp(self, day, sec):
+        return (self.window.day_date(day).isoformat()
+                + f"T{sec // 3600:02d}:{sec % 3600 // 60:02d}:{sec % 60:02d}Z")
+
+    def _trace_lines(self):
+        for seq, (key, _, contract, action, actor, kind, payload, notified) in enumerate(
+            self.records, start=1
+        ):
+            day, sec = divmod(key, 86400)
+            obj = {
+                "global_seq": seq,
+                "tx_id": f"{seq:016x}",
+                "timestamp": self._stamp(day, sec),
+                "executing_contract": contract,
+                "action_name": action,
+                "actor": actor,
+                "kind": kind,
+                "payload": (
+                    {"from": payload[1], "to": payload[2],
+                     "quantity": payload[3], "memo": payload[4]}
+                    if payload[0] == "T"
+                    else payload[1]
+                ),
+            }
+            if notified is not None:
+                obj["notified"] = notified
+            yield obj
+
+    def _snapshot_lines(self):
+        for name in sorted(self.accounts):
+            info = self.accounts[name]
+            authority = {"threshold": 1, "key_weights": [[info["key"], 1]],
+                         "account_weights": []}
+            yield {
+                "name": name,
+                "creator": info["creator"],
+                "created_at": self._stamp(info["day"], info["sec"]),
+                "has_contract": info["has_contract"],
+                "permissions": {"owner": authority, "active": authority},
+            }
+
     def write(self, out_dir):
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         self.records.sort(key=lambda r: (r[0], r[1]))
-        dumps = json.dumps
-        with (out_dir / "trace.ndjson").open("w", encoding="utf-8") as fh:
-            for seq, (key, _, contract, action, actor, kind, payload, notified) in enumerate(
-                self.records, start=1
-            ):
-                day, sec = divmod(key, 86400)
-                obj = {
-                    "global_seq": seq,
-                    "tx_id": f"{seq:016x}",
-                    "timestamp": (
-                        self.window.day_date(day).isoformat()
-                        + f"T{sec // 3600:02d}:{sec % 3600 // 60:02d}:{sec % 60:02d}Z"
-                    ),
-                    "executing_contract": contract,
-                    "action_name": action,
-                    "actor": actor,
-                    "kind": kind,
-                    "payload": (
-                        {"from": payload[1], "to": payload[2],
-                         "quantity": payload[3], "memo": payload[4]}
-                        if payload[0] == "T"
-                        else payload[1]
-                    ),
-                }
-                if notified is not None:
-                    obj["notified"] = notified
-                fh.write(dumps(obj, sort_keys=True))
-                fh.write("\n")
-
-        with (out_dir / "snapshot.ndjson").open("w", encoding="utf-8") as fh:
-            for name in sorted(self.accounts):
-                info = self.accounts[name]
-                created = (
-                    self.window.day_date(info["day"]).isoformat()
-                    + f"T{info['sec'] // 3600:02d}:{info['sec'] % 3600 // 60:02d}"
-                    + f":{info['sec'] % 60:02d}Z"
-                )
-                perms = {
-                    pname: {
-                        "threshold": 1,
-                        "key_weights": [[info["key"], 1]],
-                        "account_weights": [],
-                    }
-                    for pname in ("owner", "active")
-                }
-                fh.write(
-                    dumps(
-                        {
-                            "name": name,
-                            "creator": info["creator"],
-                            "created_at": created,
-                            "has_contract": info["has_contract"],
-                            "permissions": perms,
-                        },
-                        sort_keys=True,
-                    )
-                )
-                fh.write("\n")
-
+        write_ndjson(out_dir / "trace.ndjson", self._trace_lines())
+        write_ndjson(out_dir / "snapshot.ndjson", self._snapshot_lines())
         with (out_dir / "dapps.csv").open("w", encoding="utf-8", newline="") as fh:
             fh.write("account,dapp,category\n")
             for account, dapp, category in self.dapps:
@@ -617,10 +597,8 @@ class _Chain:
             fh.write("community_id,role,account\n")
             for community_id, role, account in self.labels:
                 fh.write(f"{community_id},{role},{account}\n")
-        with (out_dir / "sellers.csv").open("w", encoding="utf-8", newline="") as fh:
-            fh.write("account\n")
-            for account in sorted(self.sellers):
-                fh.write(f"{account}\n")
+        # No generated seller is known off-chain: the registry lists none.
+        (out_dir / "sellers.csv").write_text("account\n", encoding="utf-8", newline="")
         (out_dir / "manifest.json").write_text(
             json.dumps(self.manifest, sort_keys=True, indent=1)
         )

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from eosforensics import botnet, graphs
 from eosforensics.errors import CalibrationError
-from eosforensics.model import ObservationWindow
+from eosforensics.model import ObservationWindow, write_ndjson
 
 
 class TestThresholdBox:
@@ -133,7 +133,7 @@ class TestVectors:
             count for _, count in emfg.daily(member, "out").values()
         )
         assert bv.time_vec[days:].sum() == sum(
-            ecig.out_daily_counts(member, exclude=("eosio.token",)).values()
+            ecig.out_daily_counts(member).values()
         )
         assert bv.target_vec.sum() == sum(ecig.target_counts(member).values())
         assert len(bv.time_vec) == 2 * days
@@ -294,7 +294,7 @@ def test_verdict_serialization(tmp_path):
         botnet.BotVerdict("bcct", True, "classifier", None, "other"),
     ]
     path = tmp_path / "verdicts.ndjson"
-    botnet.write_verdicts(path, verdicts)
+    write_ndjson(path, (v.to_json() for v in verdicts))
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[0]["account"] == "acct"
     assert lines[1]["source"] == "classifier"

@@ -400,3 +400,124 @@ def test_report_aggregates(files, tmp_path, capsys):
 
 def test_report_without_outputs_is_error(tmp_path):
     assert main(["report", "--out", str(tmp_path / "empty")]) == EXIT_ERROR
+
+
+REPORT_INPUTS = {
+    "truncated_verdict_line": (
+        "bot_verdicts.ndjson",
+        '{"account": "alice", "category": "other"}\n{"account": "bob", "categ\n', "line 2:"),
+    "verdict_without_category": ("bot_verdicts.ndjson", '{"account": "alice"}\n',
+                                 "line 1: KeyError('category')"),
+    "finding_with_bad_profit": (
+        "attack_findings.ndjson",
+        json.dumps(dict.fromkeys(("kind", "attacker", "victim", "profit",
+                                  "window_start", "window_end"), "x")) + "\n",
+        "line 1: InvalidOperation"),
+    "truncated_metrics": ("metrics_emfg.json", '{"node_count": 1', "Expecting"),
+    "mistyped_perm_summary": ("perm_summary.json",
+                              '{"by_severity": 3, "distinct_pairs": 0}\n',
+                              "by_severity is missing or mistyped"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_INPUTS))
+def test_report_corrupt_stage_output_is_error(tmp_path, capsys, case):
+    name, text, message = REPORT_INPUTS[case]
+    (tmp_path / name).write_text(text)
+    assert main(["report", "--out", str(tmp_path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / name}" in err and message in err
+    assert not (tmp_path / "report.txt").exists()
+
+
+def _digests(root, patterns):
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for pattern in patterns for p in sorted(root.rglob(pattern))}
+
+
+
+# SHA-256 of every CSV and NDJSON stage file of one pipeline pass over the
+# fixture scenario, with evidence bundles, and of the `synth generate` trace
+# and snapshot of a small config: a writer or a record's JSON form that
+# moves one byte of any of them fails here.
+STAGE_DIGESTS = {
+    "attack_findings.ndjson":
+        "5d16fb00b29ebb3a1271b02f8e4e7ff8c7f3682723e182b5d80d3b7152e71002",
+    "bot_classified.ndjson":
+        "06f0c163ea62f0fa659aa8ad9e4025c6c3fb3394d1154fafb35c21d867198b0f",
+    "bot_verdicts.ndjson":
+        "80c5079ac0603436034e66d764ebdc87c6f426d04387fdef1769c38b81d69be3",
+    "bundles/0000-fake_transfer-atkaaaaaaaaa/actions.ndjson":
+        "c8981f706a768167e48363b592653c7b17679e10739d9f19664444e4971a590e",
+    "bundles/0000-fake_transfer-atkaaaaaaaaa/flow.csv":
+        "6814502c1d4ca420333743256a4a8ce579454e083fb07683289cad0f51956665",
+    "bundles/0001-fake_notice-atkaaaaaaaab/actions.ndjson":
+        "00d100b23718a8476bd5d4292e9bf4d230d86f29021595eddc5ee0022832fcde",
+    "bundles/0001-fake_notice-atkaaaaaaaab/flow.csv":
+        "b8ef7954d0befbe43396f50b812e1dff7aceb47642e48c8219f128929d0a1197",
+    "bundles/0002-predictable_state-atkaaaaaaaac/actions.ndjson":
+        "6f05bf2e90c51215a5c0c9206618667c354c96833bed584178f43f9ba3b7db52",
+    "bundles/0002-predictable_state-atkaaaaaaaac/flow.csv":
+        "17a1796beeb9d4c64bb4efaaa94dbe9f97af9c008bab709c7abc9207f53f6fd3",
+    "eacg_edges.csv":
+        "8fe577800dd19208da92df091797870794960496d7329f1687393178500ea7f9",
+    "eacg_in_degree.csv":
+        "636a4a5a063877158ead11ed8df99d5a83a6a92b38671974c2f04b395faaa184",
+    "eacg_out_degree.csv":
+        "91955a39c8db9a87a05e74cf6ca2d76dd5087e2bfb9beca3eab573d482f56d4a",
+    "ecig_edges.csv":
+        "71b2b091e4eb1bf6f298cae7bc11d633bb94b873ff0bc4638514d18f1e50f55e",
+    "ecig_in_degree.csv":
+        "eec9471d76531efb280bf543ef3379cd839b36d921ca1e1cc2b795045ad0226a",
+    "ecig_out_degree.csv":
+        "2f0a22169c5ecf3e343496a5a9f032424233ba8718e3c5b970a23b365ed7b907",
+    "emfg_edges.csv":
+        "14d8d0bbefe24b04117071e23b08a8fc687ceee0219f65ad9a3d966ed263f0cb",
+    "emfg_in_degree.csv":
+        "f353bcd2b31a334e31b227bed435d6250536fa8deb7c23ec6751439c0d25a68b",
+    "emfg_out_degree.csv":
+        "770c64bfdd65bc76d7d9061537d9855141f8ca578f580f1f5e8b5938af3dfef6",
+    "ingest_diagnostics.ndjson":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "pagerank_eacg.csv":
+        "6755d19696cf1664bd4409afcd0433e1c5eb0d9090c6104ad399a96f6eb8b590",
+    "pagerank_ecig.csv":
+        "3fa4034352e19d10fbd4d5cd8278cd513b710c900a44164be42f73ed935308ea",
+    "pagerank_emfg.csv":
+        "19a91e8a0c429d0f94e54bb439efbde8697e8b8ca7e32e1d8ee684124c3aa901",
+    "perm_findings.csv":
+        "6e951c307fd320c1fd60df8cf67760bb51aba45bb9da6bd7710a9d94a4f6b28e",
+    "report_attacks.csv":
+        "d2e20f3ac0dbe41d906a03b6dd14eba5d28c232ff00e9c782039b1315f6d59aa",
+    "report_bots.csv":
+        "e61617677f00125cca4026ed79d2ccd090ef1f6f861c9d57fcaeeb911e4906ae",
+    "report_metrics.csv":
+        "f6f57d4fa7f81621dc1a7cf2fb78e9134cbfa20e7b5a8f01269ec57aea6de918",
+}
+GENERATED_DIGESTS = {
+    "snapshot.ndjson":
+        "d1b1941c5d5807411e082439595cbd1fbbc647382557d2a95ba0fd2119cfb78d",
+    "trace.ndjson":
+        "81fc0183b35967db10f78fe6f1e9d33efb2131f83c1b7bc717bbf59842d7c19e",
+}
+
+
+def test_stage_files_are_pinned(files, tmp_path):
+    out, gen = tmp_path / "out", tmp_path / "gen"
+    common = _common(files, out)
+    registry = ["--dapps", files["dapps"], "--incentives", files["incentives"],
+                "--labels", files["labels"]]
+    for argv in (["ingest"] + common, ["graph", "build"] + common,
+                 *(["metrics", "--graph", g] + common for g in ("emfg", "eacg", "ecig")),
+                 ["bots", "detect"] + common + registry,
+                 ["bots", "classify"] + common + registry,
+                 ["perms", "audit"] + common,
+                 ["attacks", "scan", "--trace", files["trace"], "--days", "30",
+                  "--out", str(out), "--bundles"] + registry,
+                 ["report", "--out", str(out)]):
+        assert main(argv) in (EXIT_OK, EXIT_FINDINGS), argv
+    assert _digests(out, ("*.csv", "*.ndjson")) == STAGE_DIGESTS
+    assert main(["synth", "generate", "--out", str(gen), "--seed", "3", "--days", "10",
+                 "--users", "30", "--services", "2", "--bots", "click_fraud:31:cal",
+                 "--attacks", "fake_transfer:90:4", "--misuse", "misuse:2,benign:1"]) == EXIT_OK
+    assert _digests(gen, ("trace.ndjson", "snapshot.ndjson")) == GENERATED_DIGESTS

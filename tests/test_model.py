@@ -28,7 +28,7 @@ from eosforensics.model import (
     parse_account_snapshot,
     parse_action_trace,
     parse_timestamp,
-    write_action_trace,
+    write_ndjson,
 )
 
 
@@ -145,7 +145,7 @@ class TestTimestamp:
         assert result.diagnostics == []
         assert [_window().day_index(r.timestamp) for r in result] == [0, 1, 2]
         again = tmp_path / "again.ndjson"
-        write_action_trace(again, result.records)
+        write_ndjson(again, (r.to_json() for r in result.records))
         assert again.read_text() == "".join(
             json.dumps(json.loads(_action_line(i + 1, timestamp=t)), sort_keys=True)
             + "\n" for i, t in enumerate(stamps))
@@ -211,7 +211,7 @@ class TestTraceParsing:
         result = parse_action_trace(p, _window())
         assert result.diagnostics == []
         again = tmp_path / "again.ndjson"
-        write_action_trace(again, result.records)
+        write_ndjson(again, (r.to_json() for r in result.records))
         assert again.read_text() == "".join(
             json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines)
 
@@ -271,7 +271,7 @@ class TestTraceParsing:
     def test_round_trip(self, scenario, window, parsed, tmp_path):
         trace, _ = parsed
         out = tmp_path / "again.ndjson"
-        write_action_trace(out, trace.records)
+        write_ndjson(out, (r.to_json() for r in trace.records))
         again = parse_action_trace(out, window)
         assert len(again) == len(trace)
         for a, b in zip(trace.records, again.records):
@@ -424,6 +424,11 @@ class TestSnapshot:
                                            "key_weights": [["EOSKEYX", -3]]},
         "zero_account_weight": {"threshold": 1, "key_weights": [],
                                 "account_weights": [["bob", "active", 0]]},
+        # Not JSON integers: int() read these as 1, 2 and 1.
+        "float_threshold": {"threshold": 1.9, "key_weights": [["EOSKEYX", 1]]},
+        "string_key_weight": {"threshold": 1, "key_weights": [["EOSKEYX", "2"]]},
+        "bool_account_weight": {"threshold": 1, "key_weights": [],
+                                "account_weights": [["bob", "active", True]]},
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_AUTHORITIES))
@@ -472,6 +477,26 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=message):
             decode_action(json.loads(_action_line(
                 1, executing_contract="eosio", action_name="updateauth", payload=payload)))
+
+    @pytest.mark.parametrize("value", ["false", 0, None, [], {}])
+    def test_has_contract_must_be_bool(self, tmp_path, value):
+        bad = json.loads(self._account_line("bob", creator=None))
+        bad["has_contract"] = value
+        p = tmp_path / "s.ndjson"
+        p.write_text(json.dumps(bad) + "\n")
+        with pytest.raises(IngestError, match="snapshot line 1: has_contract is not a bool"):
+            parse_account_snapshot(p)
+
+    @pytest.mark.parametrize("value", [True, False, "absent"])
+    def test_has_contract_bool_or_absent(self, tmp_path, value):
+        line = json.loads(self._account_line("bob", creator=None))
+        if value == "absent":
+            del line["has_contract"]
+        else:
+            line["has_contract"] = value
+        p = tmp_path / "s.ndjson"
+        p.write_text(json.dumps(line) + "\n")
+        assert parse_account_snapshot(p)["bob"].has_contract is (value is True)
 
     def test_bad_permission_name_is_fatal(self, tmp_path):
         bad = json.loads(self._account_line("bob", creator=None))

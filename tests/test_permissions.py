@@ -10,7 +10,7 @@ from eosforensics.model import (
     ObservationWindow,
     UpdateAuthPayload,
     parse_action_trace,
-    write_action_trace,
+    write_ndjson,
 )
 
 
@@ -145,7 +145,7 @@ class TestDeleteauth:
     @staticmethod
     def _scan(tmp_path, records):
         path = tmp_path / "trace.ndjson"
-        write_action_trace(path, records)
+        write_ndjson(path, (r.to_json() for r in records))
         return permissions.scan_updateauth(parse_action_trace(path, _w()).records, _w())
 
     def test_grant_then_delete_leaves_no_grant(self, tmp_path):
