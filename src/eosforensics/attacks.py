@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from decimal import Decimal
 from pathlib import Path
+
+import numpy as np
 
 from .errors import BundleError, ConfigError, IngestError
 from .model import (
@@ -23,6 +26,7 @@ from .model import (
 )
 
 INF_RATIO = float("inf")
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -94,26 +98,12 @@ def _day_bounds(ts: datetime):
     return start, start + timedelta(days=1) - timedelta(seconds=1)
 
 
-def _same_day_net(events_by_day, dapp, account, day):
-    """(net profit of `account` vs `dapp` on `day`, supporting seqs)."""
-    received = Decimal(0)
-    sent = Decimal(0)
-    seqs = []
-    for ev in events_by_day.get(day, ()):
-        if ev.src == dapp and ev.dst == account:
-            received += ev.amount
-            seqs.append(ev.seq)
-        elif ev.src == account and ev.dst == dapp:
-            sent += ev.amount
-            seqs.append(ev.seq)
-    return received - sent, seqs
-
-
-def _index_events_by_day(events):
-    by_day = {}
+def _same_day_flows(events):
+    """(day, src, dst) -> that day's events from src to dst, in order."""
+    flows = {}
     for ev in events:
-        by_day.setdefault(ev.timestamp.date(), []).append(ev)
-    return by_day
+        flows.setdefault((ev.timestamp.date(), ev.src, ev.dst), []).append(ev)
+    return flows
 
 
 def _fake_findings(actions, events, registry, kind, claim):
@@ -121,8 +111,8 @@ def _fake_findings(actions, events, registry, kind, claim):
     (attacker, victim) an EOS-symbol transfer record implicates, or None;
     a claim against a DApp account is a finding, once per (attacker,
     victim, day), when the attacker's same-day net gain from the victim
-    over the genuine `events` is positive."""
-    events_by_day = _index_events_by_day(events)
+    over the genuine `events` (so no self-transfers) is positive."""
+    flows = None  # built on the first claim against a DApp
     findings = []
     seen = set()
     for record in actions:
@@ -139,7 +129,12 @@ def _fake_findings(actions, events, registry, kind, claim):
         day = record.timestamp.date()
         if (attacker, victim, day) in seen:
             continue
-        profit, seqs = _same_day_net(events_by_day, victim, attacker, day)
+        if flows is None:
+            flows = _same_day_flows(events)
+        received = flows.get((day, victim, attacker), [])
+        sent = flows.get((day, attacker, victim), [])
+        profit = (sum((ev.amount for ev in received), Decimal(0))
+                  - sum((ev.amount for ev in sent), Decimal(0)))
         if profit <= 0:
             continue
         seen.add((attacker, victim, day))
@@ -153,7 +148,7 @@ def _fake_findings(actions, events, registry, kind, claim):
                 window_end=end,
                 profit=profit,
                 profitability_ratio=INF_RATIO,
-                evidence=sorted(set(seqs) | {record.global_seq}),
+                evidence=sorted({record.global_seq, *(ev.seq for ev in received + sent)}),
             )
         )
     findings.sort(key=lambda f: (f.attacker, f.window_start))
@@ -216,57 +211,90 @@ class SuspiciousWindow:
     seqs: dict  # counterparty -> transfer seqs within the window
 
 
+def _flagged_window(events, rows, granularity, config: ScanConfig):
+    """The SuspiciousWindow of one (account, bucket) group, rebuilt from its
+    `rows` in order (row 2i: event i's receiver, row 2i + 1: its sender)
+    with Decimal sums; None when it fails W1 or W2."""
+    flows = {}  # cp -> [received, sent, seqs]
+    for row in rows:
+        ev = events[row >> 1]
+        received = not row & 1
+        cp = ev.src if received else ev.dst
+        cell = flows.get(cp)
+        if cell is None:
+            cell = flows[cp] = [Decimal(0), Decimal(0), []]
+        cell[0 if received else 1] += ev.amount
+        cell[2].append(ev.seq)
+    received = sum((c[0] for c in flows.values()), Decimal(0))
+    sent = sum((c[1] for c in flows.values()), Decimal(0))
+    profit = received - sent
+    if profit <= config.w1:
+        return None
+    if sent == 0:
+        ratio = INF_RATIO
+    else:
+        ratio = float(received / sent)
+        if ratio <= config.w2:
+            return None
+    first = events[rows[0] >> 1]
+    start = first.timestamp.replace(minute=0, second=0, microsecond=0)
+    span = timedelta(hours=1)
+    if granularity == "day":
+        start, span = start.replace(hour=0), timedelta(days=1)
+    return SuspiciousWindow(
+        account=first.src if rows[0] & 1 else first.dst, start=start,
+        end=start + span - timedelta(seconds=1), profit=profit, ratio=ratio,
+        granularity=granularity, flows={cp: (c[0], c[1]) for cp, c in flows.items()},
+        seqs={cp: c[2] for cp, c in flows.items()})
+
+
 def profit_scan(events, config: ScanConfig):
     """Step 1: flag (account, window) pairs whose net inflow exceeds W1
     with a received/sent ratio above W2. Pure inflow (sent = 0) counts
     with an infinite-ratio sentinel. Windows are calendar-aligned UTC
-    days and hours."""
-    buckets = {}  # (account, granularity, bucket_start) -> {cp: [recv, sent, seqs]}
+    days and hours.
 
-    def touch(account, cp, ev, received):
-        for gran in ("day", "hour"):
-            if gran == "day":
-                start = ev.timestamp.replace(hour=0, minute=0, second=0,
-                                             microsecond=0)
-            else:
-                start = ev.timestamp.replace(minute=0, second=0, microsecond=0)
-            bucket = buckets.setdefault((account, gran, start), {})
-            cell = bucket.get(cp)
-            if cell is None:
-                cell = bucket[cp] = [Decimal(0), Decimal(0), []]
-            cell[0 if received else 1] += ev.amount
-            cell[2].append(ev.seq)
+    Nets are grouped in exact integer units: with `scale` the most
+    fractional digits of any amount (4 for EOS), an amount is
+    amount * 10**scale units. An integer net exceeds W1 exactly when it
+    exceeds floor(W1 * 10**scale), so only the windows passing that filter
+    are rebuilt, from their own transfers, with Decimal sums and the W2
+    check. A total volume of 2**63 units or more is an IngestError; a W1
+    at or beyond that range flags no window."""
+    if not events:
+        return []
+    amounts = [ev.amount for ev in events]
+    scale = max(0, -min(a.as_tuple().exponent for a in amounts))
+    units = [int(a.scaleb(scale)) for a in amounts]
+    if sum(map(abs, units)) > INT64_MAX:
+        raise IngestError(f"transfer volume exceeds 2**63 - 1 token units of 10**-{scale}")
+    if config.w1 >= INT64_MAX:
+        return []  # no net of at most INT64_MAX units exceeds it
+    num, den = config.w1.as_integer_ratio()
+    threshold = min(num * 10**scale // den, INT64_MAX)
 
-    for ev in events:
-        touch(ev.dst, ev.src, ev, True)
-        touch(ev.src, ev.dst, ev, False)
+    ids = {}
+    account = np.array([ids.setdefault(name, len(ids))
+                        for ev in events for name in (ev.dst, ev.src)], dtype=np.int64)
+    delta = np.repeat(np.array(units, dtype=np.int64), 2)
+    delta[1::2] *= -1
+    hour = np.repeat(np.array([ev.timestamp.toordinal() * 24 + ev.timestamp.hour
+                               for ev in events], dtype=np.int64), 2)
 
     out = []
-    for (account, gran, start), flows in sorted(buckets.items()):
-        received = sum((c[0] for c in flows.values()), Decimal(0))
-        sent = sum((c[1] for c in flows.values()), Decimal(0))
-        profit = received - sent
-        if profit <= config.w1:
-            continue
-        if sent == 0:
-            ratio = INF_RATIO
-        else:
-            ratio = float(received / sent)
-            if ratio <= config.w2:
-                continue
-        span = timedelta(days=1) if gran == "day" else timedelta(hours=1)
-        out.append(
-            SuspiciousWindow(
-                account=account,
-                start=start,
-                end=start + span - timedelta(seconds=1),
-                profit=profit,
-                ratio=ratio,
-                granularity=gran,
-                flows={cp: (c[0], c[1]) for cp, c in flows.items()},
-                seqs={cp: list(c[2]) for cp, c in flows.items()},
-            )
-        )
+    for granularity, bucket in (("day", hour // 24), ("hour", hour)):
+        # lexsort is stable: each group's rows stay in event order
+        order = np.lexsort((bucket, account))
+        a, b = account[order], bucket[order]
+        starts = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
+        net = np.add.reduceat(delta[order], starts)
+        ends = np.r_[starts[1:], len(order)]
+        for g in np.flatnonzero(net > threshold):
+            window = _flagged_window(events, order[starts[g]:ends[g]].tolist(),
+                                     granularity, config)
+            if window is not None:
+                out.append(window)
+    out.sort(key=lambda w: (w.account, w.granularity, w.start))
     return out
 
 
@@ -348,21 +376,12 @@ def load_rollback_log(path):
     return [entry for _, entry in read_ndjson(path, "rollback log", decode, fail)]
 
 
-def auxiliary_signals(account, actions, rollback_entries=None):
-    """Step 3, automated portion: counts that support analyst review.
-    rollback_count is None (unavailable) without an off-chain log, since
-    rolled-back transactions never reach the chain."""
-    signals = {}
-    if rollback_entries is None:
-        signals["rollback_count"] = None
-    else:
-        signals["rollback_count"] = sum(
-            1 for _, actor, _ in rollback_entries if actor == account
-        )
-    signals["deferred_count"] = sum(
-        1 for r in actions if r.kind == "deferred" and r.actor == account
-    )
-    return signals
+def auxiliary_signals(account, deferred_counts, rollback_counts=None):
+    """Step 3, automated portion: counts that support analyst review, read
+    from per-actor tallies. rollback_count is None (unavailable) without an
+    off-chain log, since rolled-back transactions never reach the chain."""
+    rollbacks = None if rollback_counts is None else rollback_counts[account]
+    return {"rollback_count": rollbacks, "deferred_count": deferred_counts[account]}
 
 
 def scan_attacks(actions, registry, config: ScanConfig,
@@ -378,10 +397,11 @@ def scan_attacks(actions, registry, config: ScanConfig,
     suspicious = profit_scan(events, config)
     predictable = liveness_filter(suspicious, events, registry, config)
     findings = fake_transfer + fake_notice + predictable
+    deferred = Counter(r.actor for r in actions if r.kind == "deferred")
+    rollbacks = (None if rollback_entries is None
+                 else Counter(actor for _, actor, _ in rollback_entries))
     for finding in findings:
-        finding.signals = auxiliary_signals(
-            finding.attacker, actions, rollback_entries
-        )
+        finding.signals = auxiliary_signals(finding.attacker, deferred, rollbacks)
     findings.sort(key=lambda f: (f.attacker, f.window_start, f.kind))
     return findings, notes
 

@@ -486,17 +486,29 @@ def _finding_row(obj) -> tuple:
 
 
 def cmd_report(args):
+    """Summarize the stage outputs under --out. Every input is read and
+    checked before any report file is written."""
     out = _out_dir(args)
+
+    def read(name, reader, how):
+        return reader(out / name, how) if (out / name).exists() else None
+
+    metric_types = dict.fromkeys(METRIC_FIELDS, (int, float, type(None)))
+    metric_rows = [(name, obj) for name in ("emfg", "eacg", "ecig")
+                   if (obj := read(f"metrics_{name}.json", _read_stage_json,
+                                   metric_types)) is not None]
+    categories = read("bot_verdicts.ndjson", _read_stage_ndjson,
+                      lambda obj: _text(obj, "category"))
+    perms = read("perm_summary.json", _read_stage_json,
+                 {"by_severity": dict, "distinct_pairs": int})
+    attack_rows = read("attack_findings.ndjson", _read_stage_ndjson, _finding_row)
+
     lines = []
 
     def section(title):
         lines.append(title)
         lines.append("-" * len(title))
 
-    metric_types = dict.fromkeys(METRIC_FIELDS, (int, float, type(None)))
-    metric_rows = [(name, _read_stage_json(out / f"metrics_{name}.json", metric_types))
-                   for name in ("emfg", "eacg", "ecig")
-                   if (out / f"metrics_{name}.json").exists()]
     if metric_rows:
         section("Graph metrics")
         write_csv(out / "report_metrics.csv", ["graph", *METRIC_FIELDS],
@@ -507,12 +519,10 @@ def cmd_report(args):
                 lines.append(f"  {f}: {'/' if obj[f] is None else obj[f]}")
         lines.append("")
 
-    verdicts_path = out / "bot_verdicts.ndjson"
-    if verdicts_path.exists():
+    if categories is not None:
         section("Bot accounts by category")
         counts = {}
-        for category in _read_stage_ndjson(verdicts_path,
-                                           lambda obj: _text(obj, "category")):
+        for category in categories:
             counts[category] = counts.get(category, 0) + 1
         write_csv(out / "report_bots.csv", ["category", "accounts"], sorted(counts.items()))
         for cat in sorted(counts):
@@ -520,22 +530,18 @@ def cmd_report(args):
         lines.append(f"  total: {sum(counts.values())}")
         lines.append("")
 
-    perm_path = out / "perm_summary.json"
-    if perm_path.exists():
+    if perms is not None:
         section("Permission audit")
-        obj = _read_stage_json(perm_path, {"by_severity": dict, "distinct_pairs": int})
-        for sev, n in sorted(obj["by_severity"].items()):
+        for sev, n in sorted(perms["by_severity"].items()):
             lines.append(f"  {sev}: {n}")
-        lines.append(f"  distinct pairs: {obj['distinct_pairs']}")
+        lines.append(f"  distinct pairs: {perms['distinct_pairs']}")
         lines.append("")
 
-    attacks_path = out / "attack_findings.ndjson"
-    if attacks_path.exists():
+    if attack_rows is not None:
         section("Attack findings")
-        rows = _read_stage_ndjson(attacks_path, _finding_row)
-        write_csv(out / "report_attacks.csv", ATTACK_COLUMNS, (row for row, _ in rows))
+        write_csv(out / "report_attacks.csv", ATTACK_COLUMNS, (row for row, _ in attack_rows))
         by_kind = {}
-        for row, profit in rows:
+        for row, profit in attack_rows:
             by_kind.setdefault(row[0], []).append(profit)
         for kind in sorted(by_kind):
             lines.append(f"  {kind}: {len(by_kind[kind])} findings, "

@@ -1,4 +1,7 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from eosforensics import synthgen
 from eosforensics.model import (
@@ -9,6 +12,11 @@ from eosforensics.model import (
     parse_action_trace,
 )
 from eosforensics import graphs
+
+# HYPOTHESIS_PROFILE=ci makes every property test draw the same examples on
+# every run, so a failure in CI is the one a local run with it finds.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def small_scenario_config(seed=1):

@@ -1,12 +1,13 @@
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from eosforensics import attacks
-from eosforensics.errors import BundleError
+from eosforensics.errors import BundleError, IngestError
 from eosforensics.model import ObservationWindow, Registry, extract_transfers
-from tests_support import make_transfer, ts
+from tests_support import make_transfer, oracle_profit_scan, ts
 
 
 def _registry():
@@ -199,6 +200,62 @@ class TestProfitScan:
         hour = [w for w in windows if w.granularity == "hour"]
         assert len(day) == 1 and day[0].profit == Decimal(600)
         assert hour == []  # neither single hour clears W1
+
+    def test_volume_beyond_int64_is_error(self):
+        events = self._events([(ts(5, 10), "whale", "lucky", "500000000000000.0000"),
+                               (ts(5, 11), "lucky", "whale", "500000000000000.0000")])
+        with pytest.raises(IngestError, match=r"2\*\*63 - 1 token units of 10\*\*-4"):
+            attacks.profit_scan(events, attacks.ScanConfig())
+
+    @pytest.mark.parametrize("w1", ["Infinity", "1E+30"])
+    def test_w1_beyond_int64_flags_nothing(self, w1):
+        events = self._events([(ts(5, 10), "whale", "lucky", "900000000000000")])
+        assert attacks.profit_scan(events, attacks.ScanConfig(w1=Decimal(w1))) == []
+
+
+def _at(day, hour, minute=0, second=0, microsecond=0):
+    return datetime(2018, 6, day, hour, minute, second, microsecond,
+                    tzinfo=timezone.utc)
+
+
+# Instants on both sides of a day and an hour boundary, sub-second ones too.
+EDGE_TIMES = [_at(9, 23, 59, 59, 500000), _at(10, 0), _at(10, 0, 30),
+              _at(10, 0, 59, 59, 999999), _at(10, 1), _at(10, 23, 59, 59)]
+# Small amounts make nets equal to W1 and ratios equal to W2 common; the
+# same value with 0, 2 and 4 decimals tests that exponents survive.
+EDGE_AMOUNTS = ["1", "1.00", "1.0000", "2", "2.00", "3", "0.50", "0.5000"]
+
+times = st.one_of(
+    st.sampled_from(EDGE_TIMES),
+    st.datetimes(datetime(2018, 6, 9), datetime(2018, 6, 12),
+                 timezones=st.just(timezone.utc)),
+)
+amounts = st.one_of(
+    st.sampled_from(EDGE_AMOUNTS).map(Decimal),
+    st.builds(lambda n, places: Decimal(n).scaleb(-places),
+              st.integers(0, 10**8), st.sampled_from([0, 2, 4])),
+)
+# b receives 2.00 and sends 1 in one hour; c pays itself.
+EDGE_STREAM = [(EDGE_TIMES[1], "a", "b", Decimal("2.00")),
+               (EDGE_TIMES[2], "b", "a", Decimal("1")),
+               (EDGE_TIMES[2], "c", "c", Decimal("5"))]
+streams = st.lists(
+    st.tuples(times, st.sampled_from("abcd"), st.sampled_from("abcd"), amounts),
+    max_size=40,
+)
+
+
+@given(streams, st.sampled_from(["0.5", "1", "2", "3", "0.0001", "400"]),
+       st.sampled_from([1.5, 2.0, 3.0, 1.2]))
+@example(EDGE_STREAM, "1", 1.5)  # b's profit is exactly W1
+@example(EDGE_STREAM, "0.5", 2.0)  # b's ratio is exactly W2
+@example(EDGE_STREAM, "0.5", 1.5)  # b's day and hour both flagged
+def test_profit_scan_matches_dict_oracle(rows, w1, w2):
+    events = [attacks.TransferEvent(seq, when, src, dst, amount)
+              for seq, (when, src, dst, amount) in enumerate(rows, start=1)]
+    config = attacks.ScanConfig(w1=Decimal(w1), w2=w2)
+    assert ([repr(w) for w in attacks.profit_scan(events, config)]
+            == [repr(w) for w in oracle_profit_scan(events, config)])
 
 
 class TestLiveness:

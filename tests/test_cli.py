@@ -331,6 +331,40 @@ def test_attacks_scan_missing_trace_is_error(tmp_path):
     assert code == EXIT_ERROR
 
 
+def _transfer_scan(tmp_path, quantities, flags=()):
+    """Exit code of `attacks scan` on a trace of genuine transfers from the
+    DApp `gamehouse` to alice, one per quantity string, one hour apart."""
+    trace = tmp_path / "trace.ndjson"
+    trace.write_text("".join(json.dumps({
+        "global_seq": seq, "tx_id": f"{seq:016x}",
+        "timestamp": f"2018-06-10T{seq:02d}:00:00Z",
+        "executing_contract": "eosio.token", "action_name": "transfer",
+        "actor": "gamehouse", "kind": "external",
+        "payload": {"from": "gamehouse", "to": "alice", "quantity": quantity,
+                    "memo": ""},
+    }) + "\n" for seq, quantity in enumerate(quantities, start=1)))
+    dapps = tmp_path / "dapps.csv"
+    dapps.write_text("account,dapp,category\ngamehouse,Game,gambling\n")
+    return main(["attacks", "scan", "--trace", str(trace), "--dapps", str(dapps),
+                 "--days", "30", "--out", str(tmp_path / "out"), *flags])
+
+
+@pytest.mark.parametrize("w1", ["inf", "1e30"])
+def test_attacks_scan_w1_beyond_int64_flags_nothing(tmp_path, capsys, w1):
+    assert _transfer_scan(tmp_path, ["500.0000 EOS"]) == EXIT_FINDINGS
+    assert "1 predictable-state" in capsys.readouterr().out
+    assert _transfer_scan(tmp_path, ["500.0000 EOS"], ["--w1", w1]) == EXIT_OK
+    assert "0 predictable-state" in capsys.readouterr().out
+
+
+def test_attacks_scan_volume_beyond_int64_is_error(tmp_path, capsys):
+    code = _transfer_scan(tmp_path, ["500000000000000.0000 EOS"] * 2)
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: transfer volume exceeds 2**63 - 1")
+
+
 def test_synth_generate_deterministic(tmp_path):
     args = ["synth", "generate", "--seed", "7", "--days", "15", "--users", "20",
             "--services", "2", "--bots", "click_fraud:32:cal",
@@ -428,6 +462,15 @@ def test_report_corrupt_stage_output_is_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert f"error: {tmp_path / name}" in err and message in err
     assert not (tmp_path / "report.txt").exists()
+
+
+def test_report_writes_nothing_when_a_later_input_is_corrupt(tmp_path):
+    (tmp_path / "metrics_emfg.json").write_text(
+        json.dumps(dict.fromkeys(cli.METRIC_FIELDS, 1)))
+    (tmp_path / "bot_verdicts.ndjson").write_text('{"account": "alice"}\n')
+    assert main(["report", "--out", str(tmp_path)]) == EXIT_ERROR
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bot_verdicts.ndjson", "metrics_emfg.json"]
 
 
 def _digests(root, patterns):
