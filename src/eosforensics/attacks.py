@@ -15,18 +15,27 @@ import numpy as np
 
 from .errors import BundleError, ConfigError, IngestError
 from .model import (
+    INT64_MAX,
     OFFICIAL_TOKEN_CONTRACT,
+    UNITS_PER_EOS,
+    US_PER_DAY,
     TransferPayload,
+    Transfers,
+    eos_decimal,
+    epoch_us,
+    extract_transfers,
     format_timestamp,
-    is_genuine_transfer,
+    group_sums,
     parse_timestamp,
     read_ndjson,
+    utc_from_us,
     write_csv,
     write_ndjson,
 )
 
 INF_RATIO = float("inf")
-INT64_MAX = 2**63 - 1
+# Profit-scan window granularity -> its span in microseconds.
+SPANS = {"day": US_PER_DAY, "hour": 3_600_000_000}
 
 
 @dataclass(frozen=True)
@@ -75,34 +84,19 @@ class AttackFinding:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class TransferEvent:
-    seq: int
-    timestamp: datetime
-    src: str
-    dst: str
-    amount: Decimal
-
-
-def genuine_transfer_events(actions):
-    return [
-        TransferEvent(r.global_seq, r.timestamp, r.payload.src, r.payload.dst,
-                      r.payload.quantity.amount)
-        for r in actions
-        if is_genuine_transfer(r)
-    ]
-
-
-def _day_bounds(ts: datetime):
-    start = ts.replace(hour=0, minute=0, second=0, microsecond=0)
-    return start, start + timedelta(days=1) - timedelta(seconds=1)
+def genuine_transfer_events(actions) -> Transfers:
+    """The trace's genuine transfers; their `day` counts from the epoch."""
+    return extract_transfers(actions)
 
 
 def _same_day_flows(events):
-    """(day, src, dst) -> that day's events from src to dst, in order."""
+    """(day, src, dst) -> the (seq, units) of that day's transfers from src
+    to dst, in order; accounts by name."""
     flows = {}
-    for ev in events:
-        flows.setdefault((ev.timestamp.date(), ev.src, ev.dst), []).append(ev)
+    names = events.names
+    for seq, day, src, dst, units in zip(*(column.tolist() for column in (
+            events.seq, events.us // US_PER_DAY, events.src, events.dst, events.units))):
+        flows.setdefault((day, names[src], names[dst]), []).append((seq, units))
     return flows
 
 
@@ -116,39 +110,35 @@ def _fake_findings(actions, events, registry, kind, claim):
     findings = []
     seen = set()
     for record in actions:
-        if (
-            record.action_name != "transfer"
-            or not isinstance(record.payload, TransferPayload)
-            or record.payload.quantity.symbol != "EOS"
-        ):
+        if (record.action_name != "transfer" or not isinstance(record.payload, TransferPayload)
+                or record.payload.quantity.symbol != "EOS"):
             continue
         pair = claim(record)
         if pair is None or pair[1] not in registry.dapp_accounts:
             continue
         attacker, victim = pair
-        day = record.timestamp.date()
+        day = epoch_us(record.timestamp) // US_PER_DAY
         if (attacker, victim, day) in seen:
             continue
         if flows is None:
             flows = _same_day_flows(events)
         received = flows.get((day, victim, attacker), [])
         sent = flows.get((day, attacker, victim), [])
-        profit = (sum((ev.amount for ev in received), Decimal(0))
-                  - sum((ev.amount for ev in sent), Decimal(0)))
+        profit = sum(u for _, u in received) - sum(u for _, u in sent)
         if profit <= 0:
             continue
         seen.add((attacker, victim, day))
-        start, end = _day_bounds(record.timestamp)
+        start = utc_from_us(day * US_PER_DAY)
         findings.append(
             AttackFinding(
                 attacker=attacker,
                 victim=victim,
                 kind=kind,
                 window_start=start,
-                window_end=end,
-                profit=profit,
+                window_end=start + timedelta(days=1, seconds=-1),
+                profit=eos_decimal(profit),
                 profitability_ratio=INF_RATIO,
-                evidence=sorted({record.global_seq, *(ev.seq for ev in received + sent)}),
+                evidence=sorted({record.global_seq, *(seq for seq, _ in received + sent)}),
             )
         )
     findings.sort(key=lambda f: (f.attacker, f.window_start))
@@ -212,86 +202,63 @@ class SuspiciousWindow:
 
 
 def _flagged_window(events, rows, granularity, config: ScanConfig):
-    """The SuspiciousWindow of one (account, bucket) group, rebuilt from its
-    `rows` in order (row 2i: event i's receiver, row 2i + 1: its sender)
-    with Decimal sums; None when it fails W1 or W2."""
-    flows = {}  # cp -> [received, sent, seqs]
-    for row in rows:
-        ev = events[row >> 1]
-        received = not row & 1
-        cp = ev.src if received else ev.dst
-        cell = flows.get(cp)
-        if cell is None:
-            cell = flows[cp] = [Decimal(0), Decimal(0), []]
-        cell[0 if received else 1] += ev.amount
-        cell[2].append(ev.seq)
-    received = sum((c[0] for c in flows.values()), Decimal(0))
-    sent = sum((c[1] for c in flows.values()), Decimal(0))
-    profit = received - sent
-    if profit <= config.w1:
-        return None
+    """The SuspiciousWindow of one (account, bucket) group whose net passed
+    W1, rebuilt from its `rows` in order (row 2i: transfer i's receiver,
+    row 2i + 1: its sender); None when it fails W2."""
+    i, sender = rows >> 1, rows & 1
+    names = events.names
+    flows = {}  # cp -> [received units, sent units, seqs]
+    for seq, src, dst, units, sent in zip(
+            events.seq[i].tolist(), events.src[i].tolist(), events.dst[i].tolist(),
+            events.units[i].tolist(), sender.tolist()):
+        cell = flows.setdefault(names[dst if sent else src], [0, 0, []])
+        cell[sent] += units
+        cell[2].append(seq)
+    received = sum(c[0] for c in flows.values())
+    sent = sum(c[1] for c in flows.values())
     if sent == 0:
         ratio = INF_RATIO
     else:
-        ratio = float(received / sent)
+        ratio = float(Decimal(received) / Decimal(sent))
         if ratio <= config.w2:
             return None
-    first = events[rows[0] >> 1]
-    start = first.timestamp.replace(minute=0, second=0, microsecond=0)
-    span = timedelta(hours=1)
-    if granularity == "day":
-        start, span = start.replace(hour=0), timedelta(days=1)
+    span = SPANS[granularity]
+    start = utc_from_us(events.us[i[0]] // span * span)
     return SuspiciousWindow(
-        account=first.src if rows[0] & 1 else first.dst, start=start,
-        end=start + span - timedelta(seconds=1), profit=profit, ratio=ratio,
-        granularity=granularity, flows={cp: (c[0], c[1]) for cp, c in flows.items()},
+        account=names[(events.src if sender[0] else events.dst)[i[0]]], start=start,
+        end=start + timedelta(microseconds=span) - timedelta(seconds=1),
+        profit=eos_decimal(received - sent), ratio=ratio, granularity=granularity,
+        flows={cp: (eos_decimal(c[0]), eos_decimal(c[1])) for cp, c in flows.items()},
         seqs={cp: c[2] for cp, c in flows.items()})
 
 
-def profit_scan(events, config: ScanConfig):
+def profit_scan(events: Transfers, config: ScanConfig):
     """Step 1: flag (account, window) pairs whose net inflow exceeds W1
     with a received/sent ratio above W2. Pure inflow (sent = 0) counts
     with an infinite-ratio sentinel. Windows are calendar-aligned UTC
     days and hours.
 
-    Nets are grouped in exact integer units: with `scale` the most
-    fractional digits of any amount (4 for EOS), an amount is
-    amount * 10**scale units. An integer net exceeds W1 exactly when it
-    exceeds floor(W1 * 10**scale), so only the windows passing that filter
-    are rebuilt, from their own transfers, with Decimal sums and the W2
-    check. A total volume of 2**63 units or more is an IngestError; a W1
-    at or beyond that range flags no window."""
-    if not events:
-        return []
-    amounts = [ev.amount for ev in events]
-    scale = max(0, -min(a.as_tuple().exponent for a in amounts))
-    units = [int(a.scaleb(scale)) for a in amounts]
-    if sum(map(abs, units)) > INT64_MAX:
-        raise IngestError(f"transfer volume exceeds 2**63 - 1 token units of 10**-{scale}")
+    Nets are grouped in the table's exact integer units. An integer net
+    exceeds W1 exactly when it exceeds floor(W1 * 10**4), so only the
+    windows passing that filter are rebuilt, from their own transfers,
+    with the W2 check. A W1 at or beyond the int64 range flags no window."""
     if config.w1 >= INT64_MAX:
         return []  # no net of at most INT64_MAX units exceeds it
     num, den = config.w1.as_integer_ratio()
-    threshold = min(num * 10**scale // den, INT64_MAX)
-
-    ids = {}
-    account = np.array([ids.setdefault(name, len(ids))
-                        for ev in events for name in (ev.dst, ev.src)], dtype=np.int64)
-    delta = np.repeat(np.array(units, dtype=np.int64), 2)
+    threshold = min(num * UNITS_PER_EOS // den, INT64_MAX)
+    account = np.empty(2 * len(events), dtype=np.int64)
+    account[0::2], account[1::2] = events.dst, events.src
+    delta = np.repeat(events.units, 2)
     delta[1::2] *= -1
-    hour = np.repeat(np.array([ev.timestamp.toordinal() * 24 + ev.timestamp.hour
-                               for ev in events], dtype=np.int64), 2)
+    us = np.repeat(events.us, 2)
 
     out = []
-    for granularity, bucket in (("day", hour // 24), ("hour", hour)):
-        # lexsort is stable: each group's rows stay in event order
-        order = np.lexsort((bucket, account))
-        a, b = account[order], bucket[order]
-        starts = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
-        net = np.add.reduceat(delta[order], starts)
+    for granularity, span in SPANS.items():
+        # the sort is stable: each group's rows stay in transfer order
+        order, starts, _, (net,) = group_sums((account, us // span), delta)
         ends = np.r_[starts[1:], len(order)]
-        for g in np.flatnonzero(net > threshold):
-            window = _flagged_window(events, order[starts[g]:ends[g]].tolist(),
-                                     granularity, config)
+        for g in np.flatnonzero(net > threshold).tolist():
+            window = _flagged_window(events, order[starts[g]:ends[g]], granularity, config)
             if window is not None:
                 out.append(window)
     out.sort(key=lambda w: (w.account, w.granularity, w.start))
@@ -300,66 +267,46 @@ def profit_scan(events, config: ScanConfig):
 
 def liveness_filter(suspicious, events, registry, config: ScanConfig):
     """Step 2: attribute each flagged window to the DApp counterparty
-    contributing the most profit, then keep accounts whose attributed
-    profit dominates (> W3) the lifetime inflow from that DApp."""
-    lifetime_in = {}  # (account, dapp) -> total received ever
-    for ev in events:
-        if ev.src in registry.dapp_accounts:
-            key = (ev.dst, ev.src)
-            lifetime_in[key] = lifetime_in.get(key, Decimal(0)) + ev.amount
-
+    contributing the most profit (the first in name order on a tie), then
+    keep accounts whose attributed profit dominates (> W3) the lifetime
+    inflow from that DApp."""
     attributed = {}  # (account, dapp) -> {seq set}
     for window in suspicious:
-        best_dapp = None
-        best_profit = Decimal(0)
-        for cp, (received, sent) in sorted(window.flows.items()):
-            if cp not in registry.dapp_accounts:
-                continue
-            net = received - sent
-            if net > best_profit:
-                best_profit = net
-                best_dapp = cp
-        if best_dapp is None:
-            continue
-        attributed.setdefault((window.account, best_dapp), set()).update(
-            window.seqs[best_dapp]
-        )
+        nets = [(received - sent, cp) for cp, (received, sent) in sorted(window.flows.items())
+                if cp in registry.dapp_accounts]
+        net, dapp = max(nets, key=lambda pair: pair[0], default=(0, None))
+        if net > 0:  # max keeps the first of equal nets
+            attributed.setdefault((window.account, dapp), set()).update(window.seqs[dapp])
+    if not attributed:
+        return []
 
-    events_by_seq = {ev.seq: ev for ev in events}
+    names = events.names
+    dapp_ids = [i for i, name in enumerate(names) if name in registry.dapp_accounts]
+    from_dapp = np.isin(events.src, dapp_ids)
+    _, _, (dst, src), (inflow,) = group_sums(
+        (events.dst[from_dapp], events.src[from_dapp]), events.units[from_dapp])
+    lifetime_in = {(names[d], names[s]): units for d, s, units in zip(
+        dst.tolist(), src.tolist(), inflow.tolist())}  # (account, dapp) -> units
+
+    row_of = {seq: row for row, seq in enumerate(events.seq.tolist())}
+    srcs, units, us = events.src.tolist(), events.units.tolist(), events.us.tolist()
     results = []
     for (account, dapp), seqs in sorted(attributed.items()):
-        total_in = lifetime_in.get((account, dapp), Decimal(0))
+        total_in = lifetime_in.get((account, dapp), 0)
         if total_in == 0:
             continue  # nothing ever received from the DApp; diagnostic case
-        received = Decimal(0)
-        sent = Decimal(0)
-        times = []
-        for seq in seqs:
-            ev = events_by_seq[seq]
-            times.append(ev.timestamp)
-            if ev.src == dapp:
-                received += ev.amount
-            else:
-                sent += ev.amount
+        rows = [row_of[seq] for seq in seqs]
+        received = sum(units[r] for r in rows if names[srcs[r]] == dapp)
+        sent = sum(units[r] for r in rows) - received
         profit = received - sent
-        if profit <= 0:
+        if profit <= 0 or float(Decimal(profit) / Decimal(total_in)) <= config.w3:
             continue
-        p = float(profit / total_in)
-        if p <= config.w3:
-            continue
-        ratio = INF_RATIO if sent == 0 else float(received / sent)
-        results.append(
-            AttackFinding(
-                attacker=account,
-                victim=dapp,
-                kind="predictable_state",
-                window_start=min(times),
-                window_end=max(times),
-                profit=profit,
-                profitability_ratio=ratio,
-                evidence=sorted(seqs),
-            )
-        )
+        ratio = INF_RATIO if sent == 0 else float(Decimal(received) / Decimal(sent))
+        times = [us[r] for r in rows]
+        results.append(AttackFinding(
+            attacker=account, victim=dapp, kind="predictable_state",
+            window_start=utc_from_us(min(times)), window_end=utc_from_us(max(times)),
+            profit=eos_decimal(profit), profitability_ratio=ratio, evidence=sorted(seqs)))
     results.sort(key=lambda f: (f.attacker, f.window_start))
     return results
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CalibrationError
 from .graphs import Eacg, Ecig, Emfg
-from .model import OFFICIAL_TOKEN_CONTRACT, ObservationWindow
+from .model import OFFICIAL_TOKEN_CONTRACT, UNITS_PER_EOS, ObservationWindow
 
 DEFAULT_MIN_CHILDREN = 30
 CLICK_FRAUD_RATIO = 0.95
@@ -312,12 +312,12 @@ def extract_features(account, emfg: Emfg, ecig: Ecig, eacg: Eacg,
         return series
 
     def money_flow(direction):
-        """(daily volume series, total volume, transfer count)."""
-        volumes, count = {}, 0
-        for day, (volume, n) in emfg.daily(account, direction).items():
-            volumes[day] = volume
-            count += n
-        return daily_series(volumes), float(sum(volumes.values(), 0)), count
+        """(daily EOS volume series, total EOS volume, transfer count)."""
+        daily = emfg.daily(account, direction)
+        volumes = {day: units / UNITS_PER_EOS for day, (units, _) in daily.items()}
+        return (daily_series(volumes),
+                sum(units for units, _ in daily.values()) / UNITS_PER_EOS,
+                sum(count for _, count in daily.values()))
 
     in_vol, in_total, in_count = money_flow("in")
     out_vol, out_total, out_count = money_flow("out")
@@ -340,7 +340,7 @@ def extract_features(account, emfg: Emfg, ecig: Ecig, eacg: Eacg,
             _std(out_vol),
             in_total / in_count if in_count else 0.0,
             out_total / out_count if out_count else 0.0,
-            len(emfg.out.get(account, {})),
+            emfg.out_degree(account),
             inv_contracts,
             inv_total,
             _std(inv_series),
@@ -416,8 +416,8 @@ def categorize(account, emfg: Emfg, ecig: Ecig, snapshot, registry,
 
     # 4. Click fraud: near-balanced flow with some DApp counterparty.
     for dapp in registry.dapp_accounts:
-        sent = float(emfg.edge_weight(account, dapp))
-        received = float(emfg.edge_weight(dapp, account))
+        sent = float(sum(w for w, _ in emfg.edge_days(account, dapp).values()))
+        received = float(sum(w for w, _ in emfg.edge_days(dapp, account).values()))
         total = sent + received
         if total < CLICK_FRAUD_MIN_FLOW or total == 0:
             continue

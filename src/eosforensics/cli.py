@@ -27,6 +27,7 @@ from .model import (
     LINE_ERRORS,
     ObservationWindow,
     Registry,
+    eos_decimal,
     extract_transfers,
     parse_account_snapshot,
     parse_action_trace,
@@ -157,7 +158,7 @@ def cmd_ingest(args):
         "accounts": len(snapshot),
         "snapshot_warnings": snapshot.warnings,
         "genuine_transfers": len(transfers),
-        "transfer_total": str(sum((t.amount for t in transfers), Decimal(0))),
+        "transfer_total": str(eos_decimal(transfers.units.sum())),
     }
     _dump(out / "ingest.json", summary)
     write_ndjson(out / "ingest_diagnostics.ndjson",
@@ -583,7 +584,7 @@ def build_parser():
     p = sub.add_parser("metrics", help="network metrics for one graph")
     _add_common(p, trace=True, snapshot=True)
     p.add_argument("--graph", choices=("emfg", "eacg", "ecig"), default="emfg")
-    p.add_argument("--top", type=int, default=50, help="pagerank rows to keep")
+    p.add_argument("--top", type=_positive_int, default=50, help="pagerank rows to keep")
     p.set_defaults(func=cmd_metrics)
 
     bots = sub.add_parser("bots", help="bot detection and classification")
@@ -621,7 +622,7 @@ def build_parser():
     p = ssub.add_parser("generate", help="generate a scenario with ground truth")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
-    p.add_argument("--days", type=int, default=30)
+    p.add_argument("--days", type=_positive_int, default=30)
     p.add_argument("--users", type=int, default=100)
     p.add_argument("--services", type=int, default=3)
     p.add_argument("--bots", action="append", type=_bot_spec,

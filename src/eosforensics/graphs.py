@@ -4,87 +4,92 @@ integer-indexed edge-array graph that every metric and export reads."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from decimal import Decimal
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GraphError
-from .model import OFFICIAL_TOKEN_CONTRACT, ObservationWindow, write_csv
+from .model import (
+    OFFICIAL_TOKEN_CONTRACT,
+    UNITS_PER_EOS,
+    ObservationWindow,
+    eos_decimal,
+    group_sums,
+    write_csv,
+)
 
 INVOCATION_KINDS = frozenset({"external", "inline", "deferred"})
 
 
 class Emfg:
-    """Day-stamped weighted money-flow graph.
+    """Day-stamped weighted money-flow graph over the transfer table's
+    `names`: one row per (src, dst, day), rows sorted so, holding the day's
+    summed `units` (10**-4 EOS) and transfer `count`."""
 
-    Edge state is kept per (src, dst, day): summed EOS weight and the
-    number of transfers that day.
-    """
+    def __init__(self, names, src, dst, day, units, count):
+        self.names, self.src, self.dst, self.day = names, src, dst, day
+        self.units, self.count = units, count
+        self._ids = {name: i for i, name in enumerate(names)}
 
-    def __init__(self):
-        self.out = {}  # src -> dst -> day -> [weight Decimal, count int]
-        self.inc = {}  # dst -> src -> day -> same objects (shared)
+    @cached_property
+    def _pairs(self):
+        """(each row's src * node count + dst, as a list; pair starts; out-degrees)."""
+        key = self.src * len(self.names) + self.dst
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]][:len(key)])
+        return key.tolist(), starts, np.bincount(self.src[starts], minlength=len(self.names)).tolist()
 
-    def add_transfer(self, day: int, src: str, dst: str, amount: Decimal):
-        if amount <= 0:
-            raise GraphError(f"non-positive transfer weight: {amount}")
-        days = self.out.setdefault(src, {}).setdefault(dst, {})
-        cell = days.get(day)
-        if cell is None:
-            cell = days[day] = [amount, 1]
-            self.inc.setdefault(dst, {}).setdefault(src, {})[day] = cell
-        else:
-            cell[0] += amount
-            cell[1] += 1
+    @cached_property
+    def _daily(self):
+        """direction -> lists: each node's first (node, day) group, and day, units, count."""
+        tables = {}
+        for direction, node in (("out", self.src), ("in", self.dst)):
+            _, _, (group_node, day), sums = group_sums((node, self.day), self.units, self.count)
+            first = np.searchsorted(group_node, np.arange(len(self.names) + 1))
+            tables[direction] = [column.tolist() for column in (first, day, *sums)]
+        return tables
 
-    @property
-    def nodes(self):
-        seen = set(self.out)
-        seen.update(self.inc)
-        return seen
-
-    def edges(self):
-        for src, dsts in self.out.items():
-            for dst, days in dsts.items():
-                yield src, dst, days
+    def out_degree(self, account) -> int:
+        """The number of distinct accounts `account` sent EOS to."""
+        i = self._ids.get(account)
+        return 0 if i is None else self._pairs[2][i]
 
     def edge_days(self, src, dst):
-        return self.out.get(src, {}).get(dst, {})
+        """day -> (exact EOS weight, transfer count) of the src -> dst edge."""
+        if src not in self._ids or dst not in self._ids:
+            return {}
+        keys, key = self._pairs[0], self._ids[src] * len(self.names) + self._ids[dst]
+        lo, hi = bisect_left(keys, key), bisect_right(keys, key)
+        if lo == hi:
+            return {}
+        return {day: (eos_decimal(units), count) for day, units, count in zip(
+            self.day[lo:hi].tolist(), self.units[lo:hi].tolist(), self.count[lo:hi].tolist())}
 
     def total_weight(self) -> Decimal:
-        total = Decimal(0)
-        for _, _, days in self.edges():
-            for weight, _ in days.values():
-                total += weight
-        return total
+        return eos_decimal(self.units.sum())
 
     def total_count(self) -> int:
-        return sum(c for _, _, days in self.edges() for _, c in days.values())
-
-    def edge_weight(self, src, dst) -> Decimal:
-        return sum((w for w, _ in self.edge_days(src, dst).values()), Decimal(0))
+        return int(self.count.sum())
 
     def daily(self, account, direction):
-        """day -> (EOS volume, transfer count) summed over the account's
+        """day -> (units, transfer count) summed over the account's
         outgoing ("out") or incoming ("in") edges."""
         if direction not in ("in", "out"):
             raise ValueError(f"bad direction: {direction!r}")
-        adjacency = self.out if direction == "out" else self.inc
-        totals = {}
-        for days in adjacency.get(account, {}).values():
-            for day, (weight, count) in days.items():
-                total = totals.get(day)
-                totals[day] = ((weight, count) if total is None
-                               else (total[0] + weight, total[1] + count))
-        return totals
+        first, day, units, count = self._daily[direction]
+        i = self._ids.get(account)
+        lo, hi = (0, 0) if i is None else (first[i], first[i + 1])
+        return dict(zip(day[lo:hi], zip(units[lo:hi], count[lo:hi])))
 
 
 def build_emfg(transfers) -> Emfg:
-    """Aggregate extract_transfers output into the money-flow graph."""
-    g = Emfg()
-    for t in transfers:
-        g.add_transfer(t.day, t.src, t.dst, t.amount)
-    return g
+    """Aggregate an extract_transfers table into the money-flow graph."""
+    if len(transfers) and transfers.units.min() <= 0:
+        raise GraphError(f"non-positive transfer weight: {eos_decimal(transfers.units.min())}")
+    _, _, keys, sums = group_sums((transfers.src, transfers.dst, transfers.day),
+                                  transfers.units, np.ones(len(transfers), dtype=np.int64))
+    return Emfg(transfers.names, *keys, *sums)
 
 
 class Eacg:
@@ -95,13 +100,6 @@ class Eacg:
         self.children = {}  # creator -> list of children
         self.roots = set()
         self._depth = {}
-
-    @property
-    def nodes(self):
-        return set(self.parent) | self.roots | set(self.children)
-
-    def edge_count(self) -> int:
-        return len(self.parent)
 
     def out_degree(self, account) -> int:
         return len(self.children.get(account, ()))
@@ -216,7 +214,7 @@ def silent_accounts(emfg: Emfg, ecig: Ecig, snapshot) -> set:
     Receiving EOS does not disqualify."""
     silent = set()
     for name in snapshot:
-        if emfg.out.get(name):
+        if emfg.out_degree(name):
             continue
         if ecig.out.get(name):
             continue
@@ -277,11 +275,11 @@ class DiGraph:
 
 
 def emfg_to_digraph(emfg: Emfg) -> DiGraph:
-    return DiGraph.from_edges(
-        ((src, dst, float(sum(w for w, _ in days.values())))
-         for src, dst, days in emfg.edges()),
-        emfg.nodes,
-    )
+    """One row per (src, dst) pair, weighted by its EOS sum as a float:
+    units / 10**4 is the correctly rounded quotient below 2**53 units."""
+    _, starts, _ = emfg._pairs
+    units = np.add.reduceat(emfg.units, starts) if len(starts) else emfg.units
+    return DiGraph(emfg.names, emfg.src[starts], emfg.dst[starts], units / UNITS_PER_EOS)
 
 
 def eacg_to_digraph(eacg: Eacg) -> DiGraph:

@@ -22,6 +22,12 @@ File formats (all newline-delimited, UTF-8):
   integers >= 1, public keys non-empty strings, granted accounts and permissions
   account names. Its one decoder is from_json and its one encoder to_json.
 * registries: CSV files with a header row (see Registry.load).
+* Transfers, the one form of a genuine EOS transfer after parsing: read-only
+  int64 columns, one row per transfer in trace order. `seq`; `us`, UTC
+  microseconds since the epoch; `day`, the window day index (days since the
+  epoch without a window); `src` and `dst`, ids into the sorted `names`; and
+  `units`, the amount in 10**-4 EOS as an EOSIO asset stores it. Their sum
+  stays below 2**63; amounts become Decimals only where they leave the program.
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .errors import GraphError, IngestError
+import numpy as np
+
+from .errors import IngestError
 
 ACCOUNT_NAME_RE = re.compile(r"[a-z1-5.]{1,12}")
 SYMBOL_RE = re.compile(r"[A-Z]{1,7}")
@@ -49,6 +57,15 @@ OFFICIAL_TOKEN_CONTRACT = "eosio.token"
 SYSTEM_ACCOUNT = "eosio"
 
 KINDS = ("external", "inline", "deferred", "notification")
+
+# Inside the program an EOS amount is an int64 count of 10**-EOS_PRECISION
+# EOS units, and no sum of them may exceed INT64_MAX.
+EOS_PRECISION = 4
+UNITS_PER_EOS = 10**EOS_PRECISION
+INT64_MAX = 2**63 - 1
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+ONE_US = timedelta(microseconds=1)
+US_PER_DAY = 86_400_000_000
 
 # Fraction of malformed lines above which ingestion aborts.
 MALFORMED_FATAL_RATIO = 0.01
@@ -74,19 +91,22 @@ def check_name(name, what: str):
 @dataclass(frozen=True, slots=True)
 class Quantity:
     """A fixed-point token amount with `precision` fractional digits (0-18,
-    as in an EOSIO asset symbol). EOS has exactly 4."""
+    as in an EOSIO asset symbol). EOS has exactly EOS_PRECISION."""
 
     amount: Decimal
     symbol: str
-    precision: int = 4
+    precision: int = EOS_PRECISION
 
     def __post_init__(self):
         if self.amount < 0:
             raise ValueError(f"negative quantity: {self.amount}")
         if not SYMBOL_RE.fullmatch(self.symbol):
             raise ValueError(f"bad token symbol: {self.symbol!r}")
-        if self.symbol == "EOS" and self.precision != 4:
-            raise ValueError(f"EOS precision must be 4, not {self.precision}")
+        if self.symbol == "EOS" and self.precision != EOS_PRECISION:
+            raise ValueError(f"EOS precision must be {EOS_PRECISION}, not {self.precision}")
+        # so amount * 10**precision is an exact integer
+        if not self.amount.is_finite() or self.amount.as_tuple().exponent < -self.precision:
+            raise ValueError(f"{self.amount} has more than {self.precision} decimals")
 
     @classmethod
     def parse(cls, text: str) -> "Quantity":
@@ -466,6 +486,8 @@ def _decode_action(obj: dict, memo: _Memo) -> tuple:
     seq, tx_id = obj["global_seq"], obj["tx_id"]
     if type(seq) is not int:  # a bool is an int too, but not a JSON integer
         raise ValueError(f"global_seq is not an integer: {type(seq).__name__}")
+    if abs(seq) > INT64_MAX:
+        raise ValueError(f"global_seq beyond int64: {seq}")
     if not isinstance(tx_id, str):
         raise ValueError(f"tx_id is not a string: {type(tx_id).__name__}")
     timestamp, in_window = memo.timestamp(obj["timestamp"])
@@ -554,41 +576,75 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def is_genuine_transfer(record: ActionRecord) -> bool:
-    """True for a real EOS movement via the official token contract."""
-    return (
-        record.action_name == "transfer"
-        and record.executing_contract == OFFICIAL_TOKEN_CONTRACT
-        and record.kind != "notification"
-        and isinstance(record.payload, TransferPayload)
-        and record.payload.quantity.symbol == "EOS"
-        and record.payload.src != record.payload.dst
-    )
+def eos_decimal(units) -> Decimal:
+    """The exact EOS amount of an integer count of units."""
+    return Decimal(int(units)).scaleb(-EOS_PRECISION)
 
 
-@dataclass(frozen=True, slots=True)
-class TransferTuple:
-    day: int
-    src: str
-    dst: str
-    amount: Decimal
+def epoch_us(ts: datetime) -> int:
+    return (ts - EPOCH) // ONE_US
 
 
-def extract_transfers(actions, window: ObservationWindow):
-    """Reduce an action stream to genuine money-flow tuples.
+def utc_from_us(us) -> datetime:
+    return EPOCH + timedelta(microseconds=int(us))
 
-    Only official eosio.token EOS transfers count; notification copies,
-    fake-token transfers and self-transfers are filtered out silently.
-    """
-    out = []
-    for record in actions:
-        if is_genuine_transfer(record):
-            p = record.payload
-            out.append(
-                TransferTuple(window.day_index(record.timestamp), p.src, p.dst,
-                              p.quantity.amount)
-            )
-    return out
+
+def group_sums(keys, *values):
+    """Group rows by their int64 `keys` columns, the first the primary sort key:
+    (stable row order, group starts in it, keys per group, `values` sums per group)."""
+    order = np.lexsort(keys[::-1])
+    ordered = [k[order] for k in keys]
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for k in ordered:
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    sums = [np.add.reduceat(v[order], starts) if len(starts) else v[:0] for v in values]
+    return order, starts, [k[starts] for k in ordered], sums
+
+
+@dataclass(frozen=True, eq=False)
+class Transfers:
+    """The transfer table of the module docstring."""
+
+    names: tuple
+    seq: np.ndarray
+    us: np.ndarray
+    day: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    units: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.seq, self.us, self.day, self.src, self.dst, self.units):
+            column.flags.writeable = False
+
+    def __len__(self):
+        return len(self.seq)
+
+
+def extract_transfers(actions, window: ObservationWindow | None = None) -> Transfers:
+    """The genuine transfers of an action stream: official eosio.token EOS
+    transfers; notification copies, fake-token transfers and self-transfers
+    are filtered out silently. A volume of 2**63 units or more is an
+    IngestError."""
+    genuine = [r for r in actions if r.action_name == "transfer" and r.kind != "notification"
+               and r.executing_contract == OFFICIAL_TOKEN_CONTRACT
+               and isinstance(p := r.payload, TransferPayload)
+               and p.quantity.symbol == "EOS" and p.src != p.dst]
+    # Lists per column, not a tuple per transfer, which the cyclic GC would track.
+    units = [int(r.payload.quantity.amount * UNITS_PER_EOS) for r in genuine]
+    if sum(units) > INT64_MAX:
+        raise IngestError("transfer volume exceeds 2**63 - 1 token units of 10**-4 EOS")
+    srcs, dsts = [r.payload.src for r in genuine], [r.payload.dst for r in genuine]
+    names = tuple(sorted({*srcs, *dsts}))
+    ids = {name: i for i, name in enumerate(names)}
+    us = np.array([epoch_us(r.timestamp) for r in genuine], dtype=np.int64)
+    day = us // US_PER_DAY - (0 if window is None else (window.start_day - EPOCH.date()).days)
+    return Transfers(names, np.array([r.global_seq for r in genuine], dtype=np.int64), us, day,
+                     np.array([ids[n] for n in srcs], dtype=np.int64),
+                     np.array([ids[n] for n in dsts], dtype=np.int64),
+                     np.array(units, dtype=np.int64))
 
 
 @dataclass

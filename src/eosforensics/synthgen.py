@@ -18,10 +18,9 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .errors import GenerationError
-from .model import ObservationWindow, write_ndjson
+from .model import UNITS_PER_EOS as UNIT, ObservationWindow, write_ndjson
 
 GENESIS = date(2018, 6, 9)
-UNIT = 10_000  # 0.0001 EOS units per EOS
 DAPP_COUNT = 3  # gambling DApps
 INCENTIVE_DAPP_COUNT = 2
 

@@ -7,7 +7,13 @@ from hypothesis import example, given, strategies as st
 from eosforensics import attacks
 from eosforensics.errors import BundleError, IngestError
 from eosforensics.model import ObservationWindow, Registry, extract_transfers
-from tests_support import make_transfer, oracle_profit_scan, ts
+from tests_support import (
+    make_transfer,
+    oracle_liveness_filter,
+    oracle_profit_scan,
+    transfers_of,
+    ts,
+)
 
 
 def _registry():
@@ -162,10 +168,7 @@ class TestSharedDetectorLoop:
 
 class TestProfitScan:
     def _events(self, rows):
-        return [
-            attacks.TransferEvent(i + 1, when, src, dst, Decimal(amount))
-            for i, (when, src, dst, amount) in enumerate(rows)
-        ]
+        return transfers_of(rows)
 
     def test_day_window_flagged(self):
         events = self._events([
@@ -202,10 +205,10 @@ class TestProfitScan:
         assert hour == []  # neither single hour clears W1
 
     def test_volume_beyond_int64_is_error(self):
-        events = self._events([(ts(5, 10), "whale", "lucky", "500000000000000.0000"),
-                               (ts(5, 11), "lucky", "whale", "500000000000000.0000")])
+        # the table refuses it, so no scan over it can overflow
         with pytest.raises(IngestError, match=r"2\*\*63 - 1 token units of 10\*\*-4"):
-            attacks.profit_scan(events, attacks.ScanConfig())
+            self._events([(ts(5, 10), "whale", "lucky", "500000000000000.0000"),
+                          (ts(5, 11), "lucky", "whale", "500000000000000.0000")])
 
     @pytest.mark.parametrize("w1", ["Infinity", "1E+30"])
     def test_w1_beyond_int64_flags_nothing(self, w1):
@@ -251,11 +254,38 @@ streams = st.lists(
 @example(EDGE_STREAM, "0.5", 2.0)  # b's ratio is exactly W2
 @example(EDGE_STREAM, "0.5", 1.5)  # b's day and hour both flagged
 def test_profit_scan_matches_dict_oracle(rows, w1, w2):
-    events = [attacks.TransferEvent(seq, when, src, dst, amount)
-              for seq, (when, src, dst, amount) in enumerate(rows, start=1)]
+    events = transfers_of(rows)
     config = attacks.ScanConfig(w1=Decimal(w1), w2=w2)
     assert ([repr(w) for w in attacks.profit_scan(events, config)]
             == [repr(w) for w in oracle_profit_scan(events, config)])
+
+
+# Two DApps; c receives the same net from both in one hour, so a, first by
+# name, takes the window.
+TWO_DAPPS = Registry(dapp_accounts={"a": ("A", "gambling"), "b": ("B", "gambling")})
+TIE_STREAM = [(EDGE_TIMES[1], "a", "c", Decimal("2")),
+              (EDGE_TIMES[2], "b", "c", Decimal("2.00")),
+              (EDGE_TIMES[3], "c", "d", Decimal("0.5"))]
+
+
+@given(streams, st.sampled_from(["0.5", "1", "2", "400"]), st.sampled_from([1.2, 2.0]),
+       st.sampled_from([0.5, 0.9, 1.0]))
+@example(TIE_STREAM, "1", 1.2, 0.5)
+@example(TIE_STREAM + [(EDGE_TIMES[5], "b", "c", Decimal(3))], "1", 1.2, 0.5)
+def test_liveness_filter_matches_dict_oracle(rows, w1, w2, w3):
+    events = transfers_of(rows)
+    config = attacks.ScanConfig(w1=Decimal(w1), w2=w2, w3=w3)
+    windows = attacks.profit_scan(events, config)
+    assert ([repr(f) for f in attacks.liveness_filter(windows, events, TWO_DAPPS, config)]
+            == [repr(f) for f in oracle_liveness_filter(windows, events, TWO_DAPPS, config)])
+
+
+def test_liveness_tie_goes_to_first_dapp_by_name():
+    events = transfers_of(TIE_STREAM)
+    config = attacks.ScanConfig(w1=Decimal(1), w3=0.5)
+    findings = attacks.liveness_filter(attacks.profit_scan(events, config), events,
+                                       TWO_DAPPS, config)
+    assert [(f.attacker, f.victim, str(f.profit)) for f in findings] == [("c", "a", "2.0000")]
 
 
 class TestLiveness:
@@ -270,11 +300,7 @@ class TestLiveness:
         # thin enough that no background window clears W1 on its own
         for i in range(lifetime_extra):
             rows.append((ts(2 + i % 4, 10, i), "gamehouse", "attacker", 300))
-        events = [
-            attacks.TransferEvent(seq, when, src, dst, Decimal(amount))
-            for seq, (when, src, dst, amount) in enumerate(rows, start=1)
-        ]
-        return cfg, events
+        return cfg, transfers_of(rows)
 
     def test_hit_and_run_detected(self):
         cfg, events = self._setup()
@@ -384,7 +410,8 @@ class TestBundles:
         from eosforensics import graphs
 
         with pytest.raises(BundleError):
-            attacks.evidence_bundle(finding, {}, graphs.Emfg(), tmp_path / "x")
+            attacks.evidence_bundle(finding, {}, graphs.build_emfg(extract_transfers([])),
+                                    tmp_path / "x")
 
 
 def test_finding_json_inf_sentinel():

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import given, strategies as st
 from eosforensics import botnet, graphs
 from eosforensics.errors import CalibrationError
 from eosforensics.model import ObservationWindow, write_ndjson
+from tests_support import transfers_of, ts
 
 
 class TestThresholdBox:
@@ -139,13 +139,12 @@ class TestVectors:
         assert len(bv.time_vec) == 2 * days
 
     def test_two_transfers_day_zero(self):
-        emfg = graphs.Emfg()
-        emfg.add_transfer(0, "acct", "other", Decimal(1))
-        emfg.add_transfer(0, "acct", "other", Decimal(2))
-        ecig = graphs.Ecig()
         from datetime import date
 
         w = ObservationWindow(date(2018, 6, 9), date(2018, 6, 18))
+        emfg = graphs.build_emfg(transfers_of([(ts(1, 10), "acct", "other", 1),
+                                               (ts(1, 11), "acct", "other", 2)], w))
+        ecig = graphs.Ecig()
         bv = botnet.behavior_vectors("acct", emfg, ecig, w, {})
         assert bv.time_vec[0] == 2
         assert bv.time_vec[1:].sum() == 0

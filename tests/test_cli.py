@@ -365,6 +365,42 @@ def test_attacks_scan_volume_beyond_int64_is_error(tmp_path, capsys):
     assert err.splitlines()[-1].startswith("error: transfer volume exceeds 2**63 - 1")
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "generate", "--days", "0"],
+    ["synth", "generate", "--days", "-3"],
+    ["metrics", "--top", "-3"],
+    ["metrics", "--top", "0"],
+])
+def test_non_positive_count_flag_is_error(files, tmp_path, capsys, argv):
+    flag = argv[-2]
+    if argv[0] == "metrics":
+        argv = argv + _common(files, tmp_path)
+    code = _exit_code(argv + ["--out", str(tmp_path / "x")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: argument {flag}: expected a positive integer" in err
+    assert not (tmp_path / "x" / "pagerank_emfg.csv").exists()
+
+
+def test_ingest_volume_beyond_int64_is_error(tmp_path, capsys):
+    big = _action("eosio.token", "transfer", {"from": "alice", "to": "bob",
+                                              "quantity": "500000000000000.0000 EOS"})
+    code = main(["ingest"] + _tiny_inputs(tmp_path, [big, big]))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: transfer volume exceeds 2**63 - 1")
+
+
+def test_ingest_total_without_genuine_transfers(tmp_path):
+    fake = _action("evil.token", "transfer", {"from": "alice", "to": "bob",
+                                              "quantity": "1.0000 EOS"})
+    assert main(["ingest"] + _tiny_inputs(tmp_path, [fake])) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "ingest.json").read_text())
+    assert (summary["genuine_transfers"], summary["transfer_total"]) == (0, "0.0000")
+
+
 def test_synth_generate_deterministic(tmp_path):
     args = ["synth", "generate", "--seed", "7", "--days", "15", "--users", "20",
             "--services", "2", "--bots", "click_fraud:32:cal",

@@ -1,12 +1,14 @@
-from datetime import date
+from datetime import date, datetime, timezone
 from decimal import Decimal
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eosforensics import graphs, synthgen
 from eosforensics.errors import GraphError
-from eosforensics.model import ObservationWindow, TransferTuple, parse_account_snapshot
+from eosforensics.model import ObservationWindow, extract_transfers, parse_account_snapshot
+from tests_support import make_transfer, oracle_emfg, transfers_of, ts
 
 
 def _w(days=30):
@@ -16,49 +18,55 @@ def _w(days=30):
     return ObservationWindow(start, start + timedelta(days=days - 1))
 
 
+def _emfg(*rows):
+    """The EMFG of (window day, src, dst, amount) transfers, noon of each day."""
+    return graphs.build_emfg(transfers_of(
+        [(ts(day + 1), src, dst, amount) for day, src, dst, amount in rows], _w()))
+
+
 class TestEmfg:
     def test_same_day_additivity(self):
-        g = graphs.Emfg()
-        g.add_transfer(0, "a", "b", Decimal(1))
-        g.add_transfer(0, "a", "b", Decimal(2))
-        assert g.edge_days("a", "b")[0] == [Decimal(3), 2]
+        g = _emfg((0, "a", "b", 1), (0, "a", "b", 2))
+        assert g.edge_days("a", "b") == {0: (Decimal(3), 2)}
+        assert str(g.edge_days("a", "b")[0][0]) == "3.0000"
 
     def test_multi_day_edge(self):
-        g = graphs.Emfg()
-        g.add_transfer(0, "a", "b", Decimal(1))
-        g.add_transfer(5, "a", "b", Decimal(1))
+        g = _emfg((0, "a", "b", 1), (5, "a", "b", 1))
         assert sorted(g.edge_days("a", "b")) == [0, 5]
+        assert g.edge_days("b", "a") == {} and g.edge_days("a", "nobody") == {}
 
     def test_nonpositive_weight_rejected(self):
-        g = graphs.Emfg()
         with pytest.raises(GraphError):
-            g.add_transfer(0, "a", "b", Decimal(0))
+            _emfg((0, "a", "b", 0))
 
     def test_total_weight_is_exact_decimal_sum(self):
-        g = graphs.Emfg()
-        g.add_transfer(0, "a", "b", Decimal("0.0001"))
-        g.add_transfer(1, "b", "c", Decimal("0.0002"))
+        g = _emfg((0, "a", "b", "0.0001"), (1, "b", "c", "0.0002"))
         assert g.total_weight() == Decimal("0.0003")
 
     def test_in_out_views_agree(self):
-        g = graphs.Emfg()
-        g.add_transfer(0, "a", "b", Decimal(1))
-        g.add_transfer(0, "c", "b", Decimal(2))
-        assert g.daily("b", "in") == {0: (Decimal(3), 2)}
-        assert g.daily("a", "out") == {0: (Decimal(1), 1)}
+        g = _emfg((0, "a", "b", 1), (0, "c", "b", 2))
+        assert g.daily("b", "in") == {0: (30000, 2)}
+        assert g.daily("a", "out") == {0: (10000, 1)}
 
     def test_daily_sums_every_edge_per_day(self):
-        g = graphs.Emfg()
-        g.add_transfer(0, "a", "b", Decimal("1.5"))
-        g.add_transfer(0, "a", "b", Decimal("0.5"))
-        g.add_transfer(0, "a", "c", Decimal(2))
-        g.add_transfer(3, "a", "c", Decimal("0.0001"))
-        assert g.daily("a", "out") == {0: (Decimal(4), 3), 3: (Decimal("0.0001"), 1)}
-        assert g.daily("c", "in") == {0: (Decimal(2), 1), 3: (Decimal("0.0001"), 1)}
+        g = _emfg((0, "a", "b", "1.5"), (0, "a", "b", "0.5"), (0, "a", "c", 2),
+                  (3, "a", "c", "0.0001"))
+        assert g.daily("a", "out") == {0: (40000, 3), 3: (1, 1)}
+        assert g.daily("c", "in") == {0: (20000, 1), 3: (1, 1)}
         assert g.daily("a", "in") == {}
         assert g.daily("nobody", "out") == {}
         with pytest.raises(ValueError):
             g.daily("a", "both")
+
+    def test_out_degree_counts_distinct_receivers(self):
+        g = _emfg((0, "a", "b", 1), (1, "a", "b", 1), (0, "a", "c", 1), (0, "c", "a", 1))
+        assert [g.out_degree(x) for x in ("a", "b", "c", "nobody")] == [2, 0, 1, 0]
+
+    def test_empty(self):
+        g = graphs.build_emfg(extract_transfers([], _w()))
+        assert g.total_weight() == 0 and g.total_count() == 0
+        view = graphs.emfg_to_digraph(g)
+        assert view.nodes == () and len(view.src) == 0 and view.weight.dtype == np.float64
 
     def test_conservation_against_manifest(self, scenario, built_graphs):
         _, manifest = scenario
@@ -154,8 +162,7 @@ class TestSilent:
         assert silent == set(manifest["silent_accounts"])
 
     def test_receiving_does_not_disqualify(self):
-        emfg = graphs.Emfg()
-        emfg.add_transfer(0, "payer", "idle", Decimal(1))
+        emfg = _emfg((0, "payer", "idle", 1))
         ecig = graphs.Ecig()
         silent = graphs.silent_accounts(emfg, ecig, {"payer": None, "idle": None})
         assert silent == {"idle"}
@@ -179,9 +186,9 @@ class TestDigraphAndExports:
     def test_views_keep_node_sets_and_weights(self, built_graphs):
         emfg, eacg, ecig = built_graphs
         emfg_view = graphs.emfg_to_digraph(emfg)
-        assert set(emfg_view.nodes) == emfg.nodes
+        assert emfg_view.nodes == emfg.names
         for u, v, w in emfg_view.edges():
-            assert w == float(emfg.edge_weight(u, v))
+            assert w == float(sum(weight for weight, _ in emfg.edge_days(u, v).values()))
         eacg_view = graphs.eacg_to_digraph(eacg)
         assert set(eacg_view.nodes) == set(eacg.parent) | eacg.roots
         assert set(eacg_view.weight.tolist()) == {1.0}
@@ -222,10 +229,66 @@ class TestDigraphAndExports:
     )
 )
 def test_emfg_total_equals_input_sum(rows):
-    transfers = [
-        TransferTuple(day, src, dst, Decimal(amount) / 10000)
-        for day, src, dst, amount in rows
-    ]
-    g = graphs.build_emfg(transfers)
-    assert g.total_weight() == sum((t.amount for t in transfers), Decimal(0))
-    assert g.total_count() == len(transfers)
+    amounts = [Decimal(amount) / 10000 for _, _, _, amount in rows]
+    g = _emfg(*((day, src, dst, a) for (day, src, dst, _), a in zip(rows, amounts)))
+    assert g.total_weight() == sum(amounts, Decimal(0))
+    assert g.total_count() == len(rows)
+
+
+_DAY_EDGE = datetime(2018, 6, 9, 23, 59, 59, 500000, tzinfo=timezone.utc)
+# Transfers the table must drop (a self-transfer, a notification copy, a
+# fake token, a counterfeit contract) or keep, either side of a day edge.
+_kinds = st.sampled_from([{}, {"kind": "notification", "notified": "c"},
+                          {"symbol": "JUNK"}, {"contract": "evil.token"}])
+_records = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([_DAY_EDGE, datetime(2018, 6, 10, tzinfo=timezone.utc)]),
+                  st.datetimes(datetime(2018, 6, 9), datetime(2018, 6, 13),
+                               timezones=st.just(timezone.utc))),
+        st.sampled_from("abcd"), st.sampled_from("abcd"),
+        st.builds(lambda n, places: Decimal(n).scaleb(-places),
+                  st.integers(1, 10**9), st.sampled_from([0, 2, 4])),
+        _kinds,
+    ),
+    max_size=40,
+)
+
+
+@given(_records)
+@example([(_DAY_EDGE, "a", "b", Decimal("0.5"), {}),
+          (_DAY_EDGE, "a", "a", Decimal(7), {}),
+          (datetime(2018, 6, 10, tzinfo=timezone.utc), "a", "b", Decimal("1.25"), {}),
+          (_DAY_EDGE, "a", "b", Decimal(9), {"kind": "notification", "notified": "c"}),
+          (_DAY_EDGE, "b", "a", Decimal(9), {"symbol": "JUNK"})])
+def test_emfg_matches_dict_oracle(rows):
+    actions = [make_transfer(seq, src, dst, amount, when=when, **kind)
+               for seq, (when, src, dst, amount, kind) in enumerate(rows, start=1)]
+    window = _w()
+    g = graphs.build_emfg(extract_transfers(actions, window))
+    cells = oracle_emfg(actions, window)
+    nodes = sorted({*cells, *(dst for dsts in cells.values() for dst in dsts)})
+    edges = [(src, dst, days) for src, dsts in cells.items() for dst, days in dsts.items()]
+    assert g.total_weight() == sum((w for _, _, days in edges for w, _ in days.values()),
+                                   Decimal(0))
+    assert g.total_count() == sum(c for _, _, days in edges for _, c in days.values())
+    for src, dst, days in edges:
+        got = g.edge_days(src, dst)
+        assert {d: (str(w), c) for d, (w, c) in got.items()} == {
+            d: (str(w), c) for d, (w, c) in days.items()}
+    for account in "abcd":
+        assert g.out_degree(account) == len(cells.get(account, {}))
+        for direction in ("out", "in"):
+            want = {}
+            for src, dst, days in edges:
+                if account == (src if direction == "out" else dst):
+                    for d, (w, c) in days.items():
+                        units, count = want.get(d, (0, 0))
+                        want[d] = (units + int(w.scaleb(4)), count + c)
+            assert g.daily(account, direction) == want
+    view = graphs.emfg_to_digraph(g)
+    expected = graphs.DiGraph.from_edges(
+        ((src, dst, float(sum(w for w, _ in days.values()))) for src, dst, days in edges), nodes)
+    assert view.nodes == expected.nodes == tuple(nodes)
+    for got, want in zip((view.src, view.dst, view.weight),
+                         (expected.src, expected.dst, expected.weight)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()

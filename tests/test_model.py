@@ -6,6 +6,7 @@ from datetime import date, datetime, timezone
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -79,6 +80,13 @@ class TestQuantity:
     def test_eos_precision_checked_on_construction(self):
         with pytest.raises(ValueError):
             Quantity(Decimal("1.00"), "EOS", precision=2)
+
+    @pytest.mark.parametrize("amount, symbol, precision", [
+        ("0.00001", "EOS", 4), ("1.00000", "EOS", 4), ("0.5", "FAKE", 0),
+        ("Infinity", "EOS", 4)])
+    def test_more_decimals_than_precision_rejected(self, amount, symbol, precision):
+        with pytest.raises(ValueError):
+            Quantity(Decimal(amount), symbol, precision)
 
 
 class TestWindow:
@@ -245,6 +253,7 @@ class TestTraceParsing:
         ("from", "BAD NAME", "bad sender name: 'BAD NAME'"),
         ("to", "BAD NAME", "bad recipient name: 'BAD NAME'"),
         ("memo", 7, "transfer memo is not a string: int"),
+        ("global_seq", 2**63, f"global_seq beyond int64: {2**63}"),
     ])
     def test_mistyped_field_is_diagnostic(self, tmp_path, field, value, message):
         if field in ("global_seq", "tx_id"):
@@ -307,14 +316,41 @@ class TestExtractTransfers:
         result = parse_action_trace(p, _window())
         transfers = extract_transfers(result.records, _window())
         assert len(transfers) == 1
-        assert transfers[0].src == "alice"
-        assert transfers[0].amount == Decimal("1.0000")
+        assert transfers.names == ("alice", "bob")
+        assert (transfers.src.tolist(), transfers.dst.tolist()) == ([0], [1])
+        assert transfers.units.tolist() == [10000]
+        assert transfers.seq.tolist() == [1]
+        assert transfers.day.tolist() == [1]  # 2018-06-10 in a window from 06-09
+
+    def test_columns_are_read_only_int64(self, tmp_path):
+        p = tmp_path / "t.ndjson"
+        p.write_text(_action_line(7, timestamp="2018-06-10T23:59:59.500Z") + "\n")
+        transfers = extract_transfers(parse_action_trace(p, _window()).records)
+        epoch_us = int(datetime(2018, 6, 10, 23, 59, 59, 500000, tzinfo=timezone.utc)
+                       .timestamp()) * 10**6 + 500000
+        assert transfers.us.tolist() == [epoch_us]
+        assert transfers.day.tolist() == [epoch_us // 86_400_000_000]  # from the epoch
+        for column in (transfers.seq, transfers.us, transfers.day, transfers.src,
+                       transfers.dst, transfers.units):
+            assert column.dtype == np.int64
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_volume_beyond_int64_is_error(self, tmp_path):
+        big = {"from": "alice", "to": "bob", "quantity": "500000000000000.0000 EOS",
+               "memo": ""}
+        p = tmp_path / "t.ndjson"
+        p.write_text(_action_line(1, payload=big) + "\n" + _action_line(2, payload=big) + "\n")
+        records = parse_action_trace(p, _window()).records
+        assert len(extract_transfers(records[:1])) == 1
+        with pytest.raises(IngestError, match=r"^transfer volume exceeds 2\*\*63 - 1"):
+            extract_transfers(records)
 
     def test_fake_token_excluded(self, tmp_path):
         p = tmp_path / "t.ndjson"
         p.write_text(_action_line(1, executing_contract="evil.token") + "\n")
         result = parse_action_trace(p, _window())
-        assert extract_transfers(result.records, _window()) == []
+        assert len(extract_transfers(result.records, _window())) == 0
 
     def test_notification_copy_excluded(self, tmp_path):
         p = tmp_path / "t.ndjson"
@@ -333,7 +369,7 @@ class TestExtractTransfers:
             + "\n"
         )
         result = parse_action_trace(p, _window())
-        assert extract_transfers(result.records, _window()) == []
+        assert len(extract_transfers(result.records, _window())) == 0
 
     def test_non_eos_symbol_excluded(self, tmp_path):
         p = tmp_path / "t.ndjson"
@@ -343,7 +379,7 @@ class TestExtractTransfers:
             + "\n"
         )
         result = parse_action_trace(p, _window())
-        assert extract_transfers(result.records, _window()) == []
+        assert len(extract_transfers(result.records, _window())) == 0
 
     def test_count_matches_planted(self, scenario, parsed, window):
         _, manifest = scenario

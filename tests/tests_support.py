@@ -3,8 +3,8 @@
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
-from eosforensics.attacks import INF_RATIO, SuspiciousWindow
-from eosforensics.model import ActionRecord, Quantity, TransferPayload
+from eosforensics.attacks import INF_RATIO, AttackFinding, SuspiciousWindow
+from eosforensics.model import ActionRecord, Quantity, TransferPayload, extract_transfers
 
 
 def ts(day=1, hour=12, minute=0, second=0):
@@ -41,34 +41,73 @@ def make_transfer(seq, src, dst, amount, *, when=None, contract="eosio.token",
     )
 
 
+# The exact zero of a sum of EOS amounts, which all have four decimals.
+ZERO_EOS = Decimal("0.0000")
+
+
+def transfer_rows(table):
+    """(seq, timestamp, src, dst, EOS amount) per row of a Transfers table,
+    built without the program's own conversions."""
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    for seq, us, src, dst, units in zip(table.seq.tolist(), table.us.tolist(),
+                                        table.src.tolist(), table.dst.tolist(),
+                                        table.units.tolist()):
+        yield (seq, epoch + timedelta(microseconds=us), table.names[src],
+               table.names[dst], Decimal(units).scaleb(-4))
+
+
+def transfers_of(rows, window=None):
+    """The Transfers table of (timestamp, src, dst, amount) rows, built by
+    extract_transfers from one make_transfer record each (seq 1, 2, ...)."""
+    return extract_transfers([make_transfer(seq, src, dst, amount, when=when)
+                              for seq, (when, src, dst, amount) in enumerate(rows, start=1)],
+                             window)
+
+
+def oracle_emfg(actions, window):
+    """graphs.build_emfg(extract_transfers(actions, window)) as the dict of
+    Decimal cells it used to be: src -> dst -> day -> [EOS weight, count]."""
+    out = {}
+    for r in actions:
+        p = r.payload
+        if (r.action_name == "transfer" and r.executing_contract == "eosio.token"
+                and r.kind != "notification" and isinstance(p, TransferPayload)
+                and p.quantity.symbol == "EOS" and p.src != p.dst):
+            day = window.day_index(r.timestamp)
+            cell = out.setdefault(p.src, {}).setdefault(p.dst, {}).setdefault(
+                day, [ZERO_EOS, 0])
+            cell[0] += p.quantity.amount
+            cell[1] += 1
+    return out
+
+
 def oracle_profit_scan(events, config):
     """attacks.profit_scan as one dict bucket per (account, granularity,
     window start), updated per transfer with Decimal sums: the reference
     the grouped integer scan must match window for window."""
     buckets = {}  # (account, granularity, bucket_start) -> {cp: [recv, sent, seqs]}
 
-    def touch(account, cp, ev, received):
+    def touch(account, cp, seq, when, amount, received):
         for gran in ("day", "hour"):
             if gran == "day":
-                start = ev.timestamp.replace(hour=0, minute=0, second=0,
-                                             microsecond=0)
+                start = when.replace(hour=0, minute=0, second=0, microsecond=0)
             else:
-                start = ev.timestamp.replace(minute=0, second=0, microsecond=0)
+                start = when.replace(minute=0, second=0, microsecond=0)
             bucket = buckets.setdefault((account, gran, start), {})
             cell = bucket.get(cp)
             if cell is None:
-                cell = bucket[cp] = [Decimal(0), Decimal(0), []]
-            cell[0 if received else 1] += ev.amount
-            cell[2].append(ev.seq)
+                cell = bucket[cp] = [ZERO_EOS, ZERO_EOS, []]
+            cell[0 if received else 1] += amount
+            cell[2].append(seq)
 
-    for ev in events:
-        touch(ev.dst, ev.src, ev, True)
-        touch(ev.src, ev.dst, ev, False)
+    for seq, when, src, dst, amount in transfer_rows(events):
+        touch(dst, src, seq, when, amount, True)
+        touch(src, dst, seq, when, amount, False)
 
     out = []
     for (account, gran, start), flows in sorted(buckets.items()):
-        received = sum((c[0] for c in flows.values()), Decimal(0))
-        sent = sum((c[1] for c in flows.values()), Decimal(0))
+        received = sum((c[0] for c in flows.values()), ZERO_EOS)
+        sent = sum((c[1] for c in flows.values()), ZERO_EOS)
         profit = received - sent
         if profit <= config.w1:
             continue
@@ -92,3 +131,68 @@ def oracle_profit_scan(events, config):
             )
         )
     return out
+
+
+def oracle_liveness_filter(suspicious, events, registry, config):
+    """attacks.liveness_filter with lifetime inflow summed per transfer into
+    a dict and Decimal sums: the reference for the grouped version."""
+    rows = list(transfer_rows(events))
+    lifetime_in = {}  # (account, dapp) -> total received ever
+    for _, _, src, dst, amount in rows:
+        if src in registry.dapp_accounts:
+            key = (dst, src)
+            lifetime_in[key] = lifetime_in.get(key, ZERO_EOS) + amount
+
+    attributed = {}  # (account, dapp) -> {seq set}
+    for window in suspicious:
+        best_dapp = None
+        best_profit = Decimal(0)
+        for cp, (received, sent) in sorted(window.flows.items()):
+            if cp not in registry.dapp_accounts:
+                continue
+            net = received - sent
+            if net > best_profit:
+                best_profit = net
+                best_dapp = cp
+        if best_dapp is None:
+            continue
+        attributed.setdefault((window.account, best_dapp), set()).update(
+            window.seqs[best_dapp]
+        )
+
+    rows_by_seq = {row[0]: row for row in rows}
+    results = []
+    for (account, dapp), seqs in sorted(attributed.items()):
+        total_in = lifetime_in.get((account, dapp), ZERO_EOS)
+        if total_in == 0:
+            continue
+        received = ZERO_EOS
+        sent = ZERO_EOS
+        times = []
+        for seq in seqs:
+            _, when, src, _, amount = rows_by_seq[seq]
+            times.append(when)
+            if src == dapp:
+                received += amount
+            else:
+                sent += amount
+        profit = received - sent
+        if profit <= 0:
+            continue
+        if float(profit / total_in) <= config.w3:
+            continue
+        ratio = INF_RATIO if sent == 0 else float(received / sent)
+        results.append(
+            AttackFinding(
+                attacker=account,
+                victim=dapp,
+                kind="predictable_state",
+                window_start=min(times),
+                window_end=max(times),
+                profit=profit,
+                profitability_ratio=ratio,
+                evidence=sorted(seqs),
+            )
+        )
+    results.sort(key=lambda f: (f.attacker, f.window_start))
+    return results
