@@ -90,14 +90,26 @@ def genuine_transfer_events(actions) -> Transfers:
 
 
 def _same_day_flows(events):
-    """(day, src, dst) -> the (seq, units) of that day's transfers from src
-    to dst, in order; accounts by name."""
-    flows = {}
-    names = events.names
-    for seq, day, src, dst, units in zip(*(column.tolist() for column in (
-            events.seq, events.us // US_PER_DAY, events.src, events.dst, events.units))):
-        flows.setdefault((day, names[src], names[dst]), []).append((seq, units))
-    return flows
+    """flow(day, src, dst): the seqs, in trace order, and the summed units
+    of that epoch day's transfers from src to dst (accounts by name), read
+    from one group-by of the transfers by (day, src, dst)."""
+    ids = {name: i for i, name in enumerate(events.names)}
+    n = len(ids)
+    order, starts, (day, src, dst), (units,) = group_sums(
+        (events.us // US_PER_DAY, events.src, events.dst), events.units)
+    ends = np.r_[starts[1:], len(order)]
+    # one int key per group, not a tuple the cyclic GC would track
+    group = {(d * n + s) * n + t: g
+             for g, (d, s, t) in enumerate(zip(day.tolist(), src.tolist(), dst.tolist()))}
+
+    def flow(day, src, dst):
+        g = None
+        if src in ids and dst in ids:
+            g = group.get((day * n + ids[src]) * n + ids[dst])
+        if g is None:
+            return [], 0
+        return events.seq[order[starts[g]:ends[g]]].tolist(), int(units[g])
+    return flow
 
 
 def _fake_findings(actions, events, registry, kind, claim):
@@ -122,9 +134,9 @@ def _fake_findings(actions, events, registry, kind, claim):
             continue
         if flows is None:
             flows = _same_day_flows(events)
-        received = flows.get((day, victim, attacker), [])
-        sent = flows.get((day, attacker, victim), [])
-        profit = sum(u for _, u in received) - sum(u for _, u in sent)
+        (received, received_units), (sent, sent_units) = (
+            flows(day, victim, attacker), flows(day, attacker, victim))
+        profit = received_units - sent_units
         if profit <= 0:
             continue
         seen.add((attacker, victim, day))
@@ -138,7 +150,7 @@ def _fake_findings(actions, events, registry, kind, claim):
                 window_end=start + timedelta(days=1, seconds=-1),
                 profit=eos_decimal(profit),
                 profitability_ratio=INF_RATIO,
-                evidence=sorted({record.global_seq, *(seq for seq, _ in received + sent)}),
+                evidence=sorted({record.global_seq, *received, *sent}),
             )
         )
     findings.sort(key=lambda f: (f.attacker, f.window_start))

@@ -7,17 +7,23 @@ executing contract is not eosio.token (token transfers are tracked
 separately as money-flow actions). The contract-target vector, however,
 covers every contract an account calls, eosio.token included, because
 bots in the same farm hit the same targets whichever kind they are.
+
+Everything reads the column graphs. `behavior_vectors` reads one account's
+row of each day view; `extract_features` builds the feature matrix of a
+whole account list at once, and `categorize` labels a whole list from maps
+built once per call, so its rules do constant work per account.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import CalibrationError
-from .graphs import Eacg, Ecig, Emfg
-from .model import OFFICIAL_TOKEN_CONTRACT, UNITS_PER_EOS, ObservationWindow
+from .graphs import Eacg, Ecig, Emfg, node_values
+from .model import UNITS_PER_EOS, ObservationWindow
 
 DEFAULT_MIN_CHILDREN = 30
 CLICK_FRAUD_RATIO = 0.95
@@ -108,15 +114,6 @@ class SimilarityThreshold:
 
 
 @dataclass
-class AccountFeatures:
-    account: str
-    values: np.ndarray  # aligned with FEATURE_NAMES
-
-    def as_dict(self):
-        return dict(zip(FEATURE_NAMES, (float(v) for v in self.values)))
-
-
-@dataclass
 class BotVerdict:
     account: str
     is_bot: bool
@@ -139,27 +136,23 @@ def shortlist_creators(eacg: Eacg, min_children=DEFAULT_MIN_CHILDREN) -> set:
 
 def contract_universe(ecig: Ecig):
     """Canonical sorted contract list shared across one run."""
-    contracts = set()
-    for _, contract, _ in ecig.edges():
-        contracts.add(contract)
-    return sorted(contracts)
+    return [ecig.names[i] for i in np.unique(ecig.dst).tolist()]
 
 
 def behavior_vectors(account, emfg: Emfg, ecig: Ecig, window: ObservationWindow,
                      contract_index) -> BehaviorVectors:
     days = window.day_count
     t = np.zeros(2 * days)
-    for day, (_, count) in emfg.daily(account, "out").items():
-        if 0 <= day < days:
-            t[day] += count
-    for day, count in ecig.out_daily_counts(account).items():
-        if 0 <= day < days:
-            t[days + day] += count
+    for offset, (day, *_, count) in ((0, emfg.sent.row(emfg.node(account))),
+                                     (days, ecig.calls.row(ecig.node(account)))):
+        for d, c in zip(day.tolist(), count.tolist()):
+            if 0 <= d < days:
+                t[offset + d] = c
     s = np.zeros(len(contract_index))
-    for contract, count in ecig.target_counts(account).items():
-        idx = contract_index.get(contract)
+    for contract, c in zip(*ecig.targets(account)):
+        idx = contract_index.get(ecig.names[contract])
         if idx is not None:
-            s[idx] = count
+            s[idx] = c
     return BehaviorVectors(account, t, s)
 
 
@@ -281,148 +274,117 @@ def merge_by_pubkey(flagged_accounts, snapshot):
 
 
 # ---------------------------------------------------------------------------
-# Per-account features + classification
+# Features + classification
 
 
-def _std(values) -> float:
-    if len(values) == 0:
-        return 0.0
-    return float(np.std(np.asarray(values, dtype=np.float64)))
+def _row_std(series, created):
+    """np.std of each row of `series` from its `created` day on, one call
+    per distinct creation day."""
+    out = np.zeros(len(series))
+    for day in np.unique(created).tolist():
+        rows = created == day
+        out[rows] = np.std(series[rows, day:], axis=1)
+    return out
 
 
-def extract_features(account, emfg: Emfg, ecig: Ecig, eacg: Eacg,
-                     snapshot, window: ObservationWindow,
-                     siblings: int) -> AccountFeatures:
-    """The 11 classification features. Per-day statistics run from the
-    account's creation day (clamped into the window) through the window
-    end; accounts with no transfers get zero means/stds. `siblings` is the
-    account's siblings_for count."""
-    record = snapshot[account]
-    created_day = max(0, window.day_index(record.created_at))
-    span = window.day_count - created_day
-    if span <= 0:
-        span = 1
-        created_day = window.day_count - 1
+def extract_features(accounts, emfg: Emfg, ecig: Ecig, eacg: Eacg,
+                     snapshot, window: ObservationWindow) -> np.ndarray:
+    """The 11 classification features of each account, as a len(accounts)
+    x 11 float64 matrix in FEATURE_NAMES order. Per-day statistics run from
+    the account's creation day (clamped into the window) through the window
+    end; accounts with no transfers get zero means/stds. Siblings are the
+    other accounts of the same creator created on the same date."""
+    days = window.day_count
+    records = [snapshot[a] for a in accounts]
+    created = np.array([min(max(0, window.day_index(r.created_at)), days - 1) for r in records],
+                       dtype=np.int64)
+    in_span = np.arange(days) >= created[:, None]
+    e, c = emfg.ids(accounts), ecig.ids(accounts)
 
-    def daily_series(day_map):
-        series = np.zeros(span)
-        for day, value in day_map.items():
-            if created_day <= day < window.day_count:
-                series[day - created_day] = float(value)
-        return series
+    def money_flow(view):
+        """(daily EOS volumes, EOS volume per transfer) of each account."""
+        count = view.totals(e, 1)
+        return (view.matrix(e, days, 0) / UNITS_PER_EOS,
+                np.divide(view.totals(e, 0) / UNITS_PER_EOS, count,
+                          out=np.zeros(len(e)), where=count > 0))
 
-    def money_flow(direction):
-        """(daily EOS volume series, total EOS volume, transfer count)."""
-        daily = emfg.daily(account, direction)
-        volumes = {day: units / UNITS_PER_EOS for day, (units, _) in daily.items()}
-        return (daily_series(volumes),
-                sum(units for units, _ in daily.values()) / UNITS_PER_EOS,
-                sum(count for _, count in daily.values()))
-
-    in_vol, in_total, in_count = money_flow("in")
-    out_vol, out_total, out_count = money_flow("out")
-
-    invocations = ecig.out_daily_counts(account)
-    inv_series = daily_series(invocations)
-    inv_total = int(inv_series.sum())
-    inv_contracts = len(
-        ecig.target_counts(account, exclude=(OFFICIAL_TOKEN_CONTRACT,))
-    )
-
-    # transfer weights are positive, so out_vol is nonzero exactly on the
-    # days with an outgoing transfer
-    active_days = np.count_nonzero(out_vol + inv_series)
-
-    values = np.array(
-        [
-            eacg.depth(account),
-            _std(in_vol),
-            _std(out_vol),
-            in_total / in_count if in_count else 0.0,
-            out_total / out_count if out_count else 0.0,
-            emfg.out_degree(account),
-            inv_contracts,
-            inv_total,
-            _std(inv_series),
-            active_days / span,
-            siblings,
-        ],
-        dtype=np.float64,
-    )
-    return AccountFeatures(account, values)
-
-
-def sibling_counts(snapshot):
-    """(creator, creation date) cohort sizes, read by siblings_for."""
-    cohorts = {}
-    for record in snapshot.values():
-        if record.creator is None:
-            continue
-        key = (record.creator, record.created_at.date())
-        cohorts[key] = cohorts.get(key, 0) + 1
-    return cohorts
-
-
-def siblings_for(record, cohorts) -> int:
-    if record.creator is None:
-        return 0
-    return cohorts.get((record.creator, record.created_at.date()), 1) - 1
+    (in_vol, in_per), (out_vol, out_per) = money_flow(emfg.received), money_flow(emfg.sent)
+    calls = ecig.calls.matrix(c, days, 0)
+    cohorts = Counter((r.creator, r.created_at.date())
+                      for r in snapshot.values() if r.creator is not None)
+    return np.column_stack([
+        [eacg.depth(a) for a in accounts],
+        _row_std(in_vol, created),
+        _row_std(out_vol, created),
+        in_per,
+        out_per,
+        node_values(np.diff(emfg.pairs.first), e),
+        node_values(ecig.out_sums(ecig.is_call(ecig.pairs.dst)), c),
+        (calls * in_span).sum(axis=1),
+        _row_std(calls, created),
+        np.count_nonzero((out_vol + calls > 0) & in_span, axis=1) / (days - created),
+        [0 if r.creator is None else cohorts[(r.creator, r.created_at.date())] - 1
+         for r in records],
+    ]).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
 # Categorization
 
 
-def categorize(account, emfg: Emfg, ecig: Ecig, snapshot, registry,
-               merged_communities=None) -> str:
-    """First matching rule wins: dapp_team, account_seller, bonus_hunter,
-    click_fraud, other."""
-    record = snapshot.get(account)
+def categorize(accounts, emfg: Emfg, ecig: Ecig, snapshot, registry, merged=None) -> list:
+    """One category per account; for each, the first matching rule wins:
+    dapp_team, account_seller, bonus_hunter, click_fraud, other. The maps
+    the rules read are built once per call."""
+    # dapp_team: an account that is a DApp or shares an active key with one
+    dapp_keys = set().union(*(snapshot[d].active_keys()
+                              for d in registry.dapp_accounts if d in snapshot))
 
-    # 1. DApp team: shares an active key with a DApp account, or is one.
-    if account in registry.dapp_accounts:
-        return "dapp_team"
-    if record is not None:
-        keys = record.active_keys()
-        if keys:
-            for dapp in registry.dapp_accounts:
-                dapp_record = snapshot.get(dapp)
-                if dapp_record is not None and keys & dapp_record.active_keys():
-                    return "dapp_team"
+    # per caller: invocations of every contract but eosio.token, and of
+    # incentive DApps among them
+    pairs = ecig.pairs
+    calls = np.where(ecig.is_call(pairs.dst), pairs.count, 0)
+    invoked = ecig.out_sums(calls)
+    hunted = ecig.out_sums(np.where(np.isin(pairs.dst, ecig.ids(registry.incentive_dapps)),
+                                    calls, 0))
 
-    inv_targets = ecig.target_counts(account, exclude=(OFFICIAL_TOKEN_CONTRACT,))
-    inv_total = sum(inv_targets.values())
+    def invocations(account):
+        i = ecig.node(account)
+        return (0.0, 0.0) if i is None else (invoked[i], hunted[i])
 
-    # 2. Account seller: registry seed, or a big shared-key community
-    # whose members never invoke any contract.
-    if account in registry.seller_seed:
-        return "account_seller"
-    if merged_communities:
-        for members in merged_communities.values():
-            if account in members and len(members) >= SELLER_MIN_COMMUNITY:
-                if all(
-                    not ecig.target_counts(m, exclude=(OFFICIAL_TOKEN_CONTRACT,))
-                    for m in members
-                ):
-                    return "account_seller"
+    # account_seller: a member of a big shared-key group whose members
+    # never invoke a contract
+    sellers = {m for members in (merged or {}).values()
+               if len(members) >= SELLER_MIN_COMMUNITY
+               and not any(invocations(m)[0] for m in members) for m in members}
 
-    # 3. Bonus hunter: most invocations target incentive DApps.
-    if inv_total:
-        incentive = sum(
-            c for t, c in inv_targets.items() if t in registry.incentive_dapps
-        )
-        if incentive / inv_total > BONUS_HUNTER_FRACTION:
+    # click_fraud: account -> DApp -> [units sent to it, units received from it]
+    flows = {}
+    dapp = np.isin(np.arange(len(emfg.names)), emfg.ids(registry.dapp_accounts))
+    src, dst = emfg.pairs.src, emfg.pairs.dst
+    touching = dapp[src] | dapp[dst]
+    for s, d, units in zip(src[touching].tolist(), dst[touching].tolist(),
+                           emfg.pair_sums(emfg.units)[touching].tolist()):
+        if dapp[d]:
+            flows.setdefault(emfg.names[s], {}).setdefault(emfg.names[d], [0, 0])[0] = units
+        if dapp[s]:
+            flows.setdefault(emfg.names[d], {}).setdefault(emfg.names[s], [0, 0])[1] = units
+
+    def label(account):
+        record = snapshot.get(account)
+        if account in registry.dapp_accounts or (
+                record is not None and record.active_keys() & dapp_keys):
+            return "dapp_team"
+        if account in registry.seller_seed or account in sellers:
+            return "account_seller"
+        total, hunting = invocations(account)
+        if total and hunting / total > BONUS_HUNTER_FRACTION:
             return "bonus_hunter"
+        for sent, received in flows.get(account, {}).values():
+            sent, received = sent / UNITS_PER_EOS, received / UNITS_PER_EOS
+            if (sent + received >= CLICK_FRAUD_MIN_FLOW
+                    and min(sent, received) / max(sent, received) >= CLICK_FRAUD_RATIO):
+                return "click_fraud"
+        return "other"
 
-    # 4. Click fraud: near-balanced flow with some DApp counterparty.
-    for dapp in registry.dapp_accounts:
-        sent = float(sum(w for w, _ in emfg.edge_days(account, dapp).values()))
-        received = float(sum(w for w, _ in emfg.edge_days(dapp, account).values()))
-        total = sent + received
-        if total < CLICK_FRAUD_MIN_FLOW or total == 0:
-            continue
-        low, high = min(sent, received), max(sent, received)
-        if high > 0 and low / high >= CLICK_FRAUD_RATIO:
-            return "click_fraud"
-
-    return "other"
+    return [label(a) for a in accounts]

@@ -239,19 +239,13 @@ def cmd_bots_detect(args):
     registry = _registry_from(args)
     _, snapshot, emfg, eacg, ecig = _load_graphs(args, window)
 
-    universe = botnet.contract_universe(ecig)
-    contract_index = {c: i for i, c in enumerate(universe)}
+    contract_index = {c: i for i, c in enumerate(botnet.contract_universe(ecig))}
     silent = graphs.silent_accounts(emfg, ecig, snapshot)
-    cache = {}
 
     def vector_for(account):
         if account in silent:
             return None
-        if account not in cache:
-            cache[account] = botnet.behavior_vectors(
-                account, emfg, ecig, window, contract_index
-            )
-        return cache[account]
+        return botnet.behavior_vectors(account, emfg, ecig, window, contract_index)
 
     bot_dists = []
     for controller, members in registry.labeled_bot_communities:
@@ -287,17 +281,12 @@ def cmd_bots_detect(args):
     merged = botnet.merge_by_pubkey(flagged_accounts, snapshot)
     _dump(out / "bot_pubkey_groups.json", merged)
 
-    verdicts = []
-    for community in flagged:
-        for member in community.measured:
-            category = botnet.categorize(
-                member, emfg, ecig, snapshot, registry, merged
-            )
-            verdicts.append(
-                botnet.BotVerdict(member, True, "community",
-                                  community_id=community.controller,
+    measured = [(c.controller, m) for c in flagged for m in c.measured]
+    categories = botnet.categorize([m for _, m in measured], emfg, ecig, snapshot,
+                                   registry, merged)
+    verdicts = [botnet.BotVerdict(member, True, "community", community_id=controller,
                                   category=category)
-            )
+                for (controller, member), category in zip(measured, categories)]
     verdicts.sort(key=lambda v: v.account)
     write_ndjson(out / "bot_verdicts.ndjson", (v.to_json() for v in verdicts))
     print(f"{len(flagged)}/{len(stats)} communities flagged, "
@@ -318,16 +307,8 @@ def cmd_bots_classify(args):
               file=sys.stderr)
         return EXIT_ERROR
 
-    cohorts = botnet.sibling_counts(snapshot)
-
-    def features_for(account):
-        return botnet.extract_features(
-            account, emfg, ecig, eacg, snapshot, window,
-            siblings=botnet.siblings_for(snapshot[account], cohorts),
-        ).values
-
     labeled = sorted(a for a in labeled_bot | labeled_normal if a in snapshot)
-    X = [features_for(a) for a in labeled]
+    X = botnet.extract_features(labeled, emfg, ecig, eacg, snapshot, window)
     y = [1 if a in labeled_bot else 0 for a in labeled]
     result = forest.train_classifier(X, y, seed=args.seed)
     result.model.save(out / "bot_model.json")
@@ -345,16 +326,14 @@ def cmd_bots_classify(args):
         a for a in snapshot if a not in silent and a not in labeled_bot
         and a not in labeled_normal
     )
-    verdicts = []
+    bots = []
     if candidates:
-        probs = result.model.predict_prob([features_for(a) for a in candidates])
-        for account, prob in zip(candidates, probs):
-            if prob >= 0.5:
-                verdicts.append(
-                    botnet.BotVerdict(account, True, "classifier",
-                                      category=botnet.categorize(
-                                          account, emfg, ecig, snapshot, registry))
-                )
+        probs = result.model.predict_prob(
+            botnet.extract_features(candidates, emfg, ecig, eacg, snapshot, window))
+        bots = [account for account, prob in zip(candidates, probs) if prob >= 0.5]
+    verdicts = [botnet.BotVerdict(account, True, "classifier", category=category)
+                for account, category in zip(bots, botnet.categorize(
+                    bots, emfg, ecig, snapshot, registry))]
     write_ndjson(out / "bot_classified.ndjson", (v.to_json() for v in verdicts))
     print(f"held-out accuracy {result.test_accuracy:.4f}, "
           f"{len(verdicts)}/{len(candidates)} candidates classified as bots")

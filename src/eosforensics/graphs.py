@@ -4,65 +4,147 @@ integer-indexed edge-array graph that every metric and export reads."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from decimal import Decimal
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GraphError
 from .model import (
+    EPOCH,
     OFFICIAL_TOKEN_CONTRACT,
     UNITS_PER_EOS,
     ObservationWindow,
     eos_decimal,
     group_sums,
+    window_days,
     write_csv,
 )
 
 INVOCATION_KINDS = frozenset({"external", "inline", "deferred"})
 
 
-class Emfg:
-    """Day-stamped weighted money-flow graph over the transfer table's
-    `names`: one row per (src, dst, day), rows sorted so, holding the day's
-    summed `units` (10**-4 EOS) and transfer `count`."""
+def node_values(per_node, ids):
+    """per_node[ids], with 0 for id -1 (an account not in the graph)."""
+    return np.where(ids >= 0, per_node[ids], 0)
 
-    def __init__(self, names, src, dst, day, units, count):
-        self.names, self.src, self.dst, self.day = names, src, dst, day
-        self.units, self.count = units, count
+
+class Pairs(NamedTuple):
+    """A DayGraph's (src, dst) pairs in row order: the row each starts at,
+    its src and dst, its summed `count`, and each node's first pair (node
+    i's pairs are first[i]:first[i + 1])."""
+
+    starts: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    count: np.ndarray
+    first: np.ndarray
+
+
+class DayGraph:
+    """A day-stamped graph over the sorted `names`: one row per (src, dst,
+    day), rows sorted so, with the `count` of actions each row sums. The EMFG
+    and the ECIG share this layout, its pair view and its day views."""
+
+    def __init__(self, names, src, dst, day, count):
+        self.names, self.src, self.dst, self.day, self.count = names, src, dst, day, count
         self._ids = {name: i for i, name in enumerate(names)}
 
-    @cached_property
-    def _pairs(self):
-        """(each row's src * node count + dst, as a list; pair starts; out-degrees)."""
-        key = self.src * len(self.names) + self.dst
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]][:len(key)])
-        return key.tolist(), starts, np.bincount(self.src[starts], minlength=len(self.names)).tolist()
+    def node(self, account):
+        """The account's node id; None for an account not in the graph."""
+        return self._ids.get(account)
+
+    def ids(self, accounts):
+        """Each account's node id; -1 for an account not in the graph."""
+        return np.array([self._ids.get(a, -1) for a in accounts], dtype=np.int64)
 
     @cached_property
-    def _daily(self):
-        """direction -> lists: each node's first (node, day) group, and day, units, count."""
-        tables = {}
-        for direction, node in (("out", self.src), ("in", self.dst)):
-            _, _, (group_node, day), sums = group_sums((node, self.day), self.units, self.count)
-            first = np.searchsorted(group_node, np.arange(len(self.names) + 1))
-            tables[direction] = [column.tolist() for column in (first, day, *sums)]
-        return tables
+    def pairs(self) -> Pairs:
+        # the rows are in (src, dst) order already, so the stable sort keeps them
+        _, starts, (src, dst), (count,) = group_sums((self.src, self.dst), self.count)
+        return Pairs(starts, src, dst, count, np.searchsorted(src, np.arange(len(self.names) + 1)))
+
+    def pair_sums(self, column):
+        """`column` summed over each (src, dst) pair's rows."""
+        starts = self.pairs.starts
+        return np.add.reduceat(column, starts) if len(starts) else column[:0]
+
+    def out_sums(self, pair_values):
+        """Each node's sum of `pair_values` (one per pair) over its pairs, as floats."""
+        return np.bincount(self.pairs.src, pair_values, len(self.names))
+
+    def targets(self, account):
+        """(dst ids, summed counts) of the account's pairs, as lists."""
+        i, pairs = self._ids.get(account), self.pairs
+        lo, hi = (0, 0) if i is None else (pairs.first[i], pairs.first[i + 1])
+        return pairs.dst[lo:hi].tolist(), pairs.count[lo:hi].tolist()
 
     def out_degree(self, account) -> int:
-        """The number of distinct accounts `account` sent EOS to."""
-        i = self._ids.get(account)
-        return 0 if i is None else self._pairs[2][i]
+        """The number of distinct nodes `account` has an edge to."""
+        return len(self.targets(account)[0])
+
+    def to_digraph(self, column, scale) -> DiGraph:
+        """One row per (src, dst) pair, weighted by its `column` sum / `scale`:
+        for sums below 2**53 the correctly rounded quotient."""
+        return DiGraph(self.names, self.pairs.src, self.pairs.dst, self.pair_sums(column) / scale)
+
+
+class DayView:
+    """Per-node day sums of a DayGraph's rows: node i's groups are
+    first[i]:first[i + 1] of `day` (ascending) and of each of the `sums`."""
+
+    def __init__(self, node_count, node, day, *columns):
+        _, _, (group_node, self.day), self.sums = group_sums((node, day), *columns)
+        self.first = np.searchsorted(group_node, np.arange(node_count + 1))
+
+    def row(self, i):
+        """(days, *sums) of node i; empty for None (an account not in the graph)."""
+        lo, hi = (0, 0) if i is None else (self.first[i], self.first[i + 1])
+        return (self.day[lo:hi], *(column[lo:hi] for column in self.sums))
+
+    def totals(self, ids, k):
+        """Each node's sum of sums[k] over every day."""
+        cumulative = np.r_[0, np.cumsum(self.sums[k])]
+        return node_values(cumulative[self.first[1:]] - cumulative[self.first[:-1]], ids)
+
+    def matrix(self, ids, days, k):
+        """len(ids) x days floats: sums[k] of node ids[r] on day d, zero for
+        days outside 0..days - 1."""
+        lo, n = node_values(self.first[:-1], ids), node_values(np.diff(self.first), ids)
+        rows = np.repeat(np.arange(len(ids)), n)
+        groups = np.arange(len(rows)) + np.repeat(lo - np.cumsum(n) + n, n)
+        day = self.day[groups]
+        keep = (0 <= day) & (day < days)
+        out = np.zeros((len(ids), days))
+        out[rows[keep], day[keep]] = self.sums[k][groups[keep]]
+        return out
+
+
+class Emfg(DayGraph):
+    """Money-flow graph over the transfer table's `names`: each row holds
+    the day's summed `units` (10**-4 EOS) and transfer `count`."""
+
+    def __init__(self, names, src, dst, day, units, count):
+        super().__init__(names, src, dst, day, count)
+        self.units = units
+
+    @cached_property
+    def sent(self):
+        """DayView per sender of its (units, count)."""
+        return DayView(len(self.names), self.src, self.day, self.units, self.count)
+
+    @cached_property
+    def received(self):
+        """DayView per receiver of its (units, count)."""
+        return DayView(len(self.names), self.dst, self.day, self.units, self.count)
 
     def edge_days(self, src, dst):
         """day -> (exact EOS weight, transfer count) of the src -> dst edge."""
         if src not in self._ids or dst not in self._ids:
             return {}
-        keys, key = self._pairs[0], self._ids[src] * len(self.names) + self._ids[dst]
-        lo, hi = bisect_left(keys, key), bisect_right(keys, key)
-        if lo == hi:
-            return {}
+        lo, hi = np.searchsorted(self.src, [self._ids[src], self._ids[src] + 1])
+        lo, hi = lo + np.searchsorted(self.dst[lo:hi], [self._ids[dst], self._ids[dst] + 1])
         return {day: (eos_decimal(units), count) for day, units, count in zip(
             self.day[lo:hi].tolist(), self.units[lo:hi].tolist(), self.count[lo:hi].tolist())}
 
@@ -71,16 +153,6 @@ class Emfg:
 
     def total_count(self) -> int:
         return int(self.count.sum())
-
-    def daily(self, account, direction):
-        """day -> (units, transfer count) summed over the account's
-        outgoing ("out") or incoming ("in") edges."""
-        if direction not in ("in", "out"):
-            raise ValueError(f"bad direction: {direction!r}")
-        first, day, units, count = self._daily[direction]
-        i = self._ids.get(account)
-        lo, hi = (0, 0) if i is None else (first[i], first[i + 1])
-        return dict(zip(day[lo:hi], zip(units[lo:hi], count[lo:hi])))
 
 
 def build_emfg(transfers) -> Emfg:
@@ -141,85 +213,52 @@ def build_eacg(snapshot, window: ObservationWindow) -> Eacg:
     return g
 
 
-class Ecig:
-    """Contract invocation graph: (caller, contract) edges annotated with
-    per-(day, action) invocation counts."""
-
-    def __init__(self):
-        self.out = {}  # caller -> contract -> (day, action) -> count
-
-    def add_invocation(self, caller, contract, day, action):
-        slots = self.out.setdefault(caller, {}).setdefault(contract, {})
-        key = (day, action)
-        slots[key] = slots.get(key, 0) + 1
-
-    @property
-    def nodes(self):
-        seen = set(self.out)
-        for targets in self.out.values():
-            seen.update(targets)
-        return seen
-
-    def edges(self):
-        for caller, targets in self.out.items():
-            for contract, slots in targets.items():
-                yield caller, contract, slots
+class Ecig(DayGraph):
+    """Contract invocation graph: each row counts the invocations of
+    contract `dst` authorized by caller `src` on one day."""
 
     def total_invocations(self) -> int:
-        return sum(c for _, _, slots in self.edges() for c in slots.values())
+        return int(self.count.sum())
 
-    def out_daily_counts(self, account):
-        """day -> number of invocations by `account` of every contract but
-        eosio.token, whose calls count as transfers."""
-        counts = {}
-        for contract, slots in self.out.get(account, {}).items():
-            if contract == OFFICIAL_TOKEN_CONTRACT:
-                continue
-            for (day, _), c in slots.items():
-                counts[day] = counts.get(day, 0) + c
-        return counts
+    def is_call(self, contract):
+        """Whether each contract id in `contract` takes contract invocations:
+        every contract but eosio.token, whose calls count as transfers."""
+        return contract != self._ids.get(OFFICIAL_TOKEN_CONTRACT, -1)
 
-    def target_counts(self, account, exclude=()):
-        """contract -> total invocations by `account`."""
-        totals = {}
-        for contract, slots in self.out.get(account, {}).items():
-            if contract in exclude:
-                continue
-            totals[contract] = sum(slots.values())
-        return totals
+    @cached_property
+    def calls(self):
+        """DayView per caller of its contract invocation count."""
+        keep = self.is_call(self.dst)
+        return DayView(len(self.names), self.src[keep], self.day[keep], self.count[keep])
 
 
 def build_ecig(actions, window: ObservationWindow) -> Ecig:
-    """Count invocations per (caller, contract, day, action).
+    """Count invocations per (caller, contract, day).
 
     Callers are the authorizing actors; notification copies do not count.
     Every executing account counts (it did run code, including the system
     account).
     """
-    g = Ecig()
-    for record in actions:
-        if record.kind not in INVOCATION_KINDS:
-            continue
-        g.add_invocation(
-            record.actor,
-            record.executing_contract,
-            window.day_index(record.timestamp),
-            record.action_name,
-        )
-    return g
+    # Lists per column, not a tuple per invocation, which the cyclic GC would track.
+    rows = [r for r in actions if r.kind in INVOCATION_KINDS]
+    callers, contracts = [r.actor for r in rows], [r.executing_contract for r in rows]
+    names = tuple(sorted({*callers, *contracts}))
+    ids = {name: i for i, name in enumerate(names)}
+    _, _, keys, (count,) = group_sums(
+        (np.array([ids[n] for n in callers], dtype=np.int64),
+         np.array([ids[n] for n in contracts], dtype=np.int64),
+         # a UTC date's ordinal less the epoch's is epoch_us // US_PER_DAY
+         window_days(np.array([r.timestamp.toordinal() for r in rows], dtype=np.int64)
+                     - EPOCH.toordinal(), window)),
+        np.ones(len(rows), dtype=np.int64))
+    return Ecig(names, *keys, count)
 
 
 def silent_accounts(emfg: Emfg, ecig: Ecig, snapshot) -> set:
     """Accounts that never send money and never invoke a contract.
     Receiving EOS does not disqualify."""
-    silent = set()
-    for name in snapshot:
-        if emfg.out_degree(name):
-            continue
-        if ecig.out.get(name):
-            continue
-        silent.add(name)
-    return silent
+    active = {graph.names[i] for graph in (emfg, ecig) for i in np.unique(graph.src).tolist()}
+    return {name for name in snapshot if name not in active}
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +314,8 @@ class DiGraph:
 
 
 def emfg_to_digraph(emfg: Emfg) -> DiGraph:
-    """One row per (src, dst) pair, weighted by its EOS sum as a float:
-    units / 10**4 is the correctly rounded quotient below 2**53 units."""
-    _, starts, _ = emfg._pairs
-    units = np.add.reduceat(emfg.units, starts) if len(starts) else emfg.units
-    return DiGraph(emfg.names, emfg.src[starts], emfg.dst[starts], units / UNITS_PER_EOS)
+    """Pairs weighted by their EOS sum as a float."""
+    return emfg.to_digraph(emfg.units, UNITS_PER_EOS)
 
 
 def eacg_to_digraph(eacg: Eacg) -> DiGraph:
@@ -290,10 +326,8 @@ def eacg_to_digraph(eacg: Eacg) -> DiGraph:
 
 
 def ecig_to_digraph(ecig: Ecig) -> DiGraph:
-    return DiGraph.from_edges(
-        (caller, contract, float(sum(slots.values())))
-        for caller, contract, slots in ecig.edges()
-    )
+    """Pairs weighted by their invocation count as a float."""
+    return ecig.to_digraph(ecig.count, 1)
 
 
 def degree_histogram(graph: DiGraph, direction="total"):

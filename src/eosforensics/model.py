@@ -589,6 +589,12 @@ def utc_from_us(us) -> datetime:
     return EPOCH + timedelta(microseconds=int(us))
 
 
+def window_days(epoch_days, window: ObservationWindow | None = None):
+    """The window day index of each count of UTC days since the epoch (the
+    count itself without a window)."""
+    return epoch_days - (0 if window is None else (window.start_day - EPOCH.date()).days)
+
+
 def group_sums(keys, *values):
     """Group rows by their int64 `keys` columns, the first the primary sort key:
     (stable row order, group starts in it, keys per group, `values` sums per group)."""
@@ -640,8 +646,8 @@ def extract_transfers(actions, window: ObservationWindow | None = None) -> Trans
     names = tuple(sorted({*srcs, *dsts}))
     ids = {name: i for i, name in enumerate(names)}
     us = np.array([epoch_us(r.timestamp) for r in genuine], dtype=np.int64)
-    day = us // US_PER_DAY - (0 if window is None else (window.start_day - EPOCH.date()).days)
-    return Transfers(names, np.array([r.global_seq for r in genuine], dtype=np.int64), us, day,
+    return Transfers(names, np.array([r.global_seq for r in genuine], dtype=np.int64), us,
+                     window_days(us // US_PER_DAY, window),
                      np.array([ids[n] for n in srcs], dtype=np.int64),
                      np.array([ids[n] for n in dsts], dtype=np.int64),
                      np.array(units, dtype=np.int64))

@@ -100,6 +100,20 @@ class TestFakeTransfer:
         assert len(_fake_transfer(actions)) == 1
 
 
+    def test_evidence_holds_every_same_day_flow(self):
+        actions = [
+            make_transfer(1, "attacker", "gamehouse", 100, contract="attacker", when=ts(3, 10)),
+            make_transfer(2, "gamehouse", "attacker", 80, when=ts(3, 11)),
+            make_transfer(3, "attacker", "gamehouse", 10, when=ts(3, 12)),
+            make_transfer(4, "gamehouse", "attacker", 30,
+                          when=ts(3, 23, 59, 59).replace(microsecond=500000)),
+            make_transfer(5, "gamehouse", "attacker", 500, when=ts(4, 0)),  # the next day
+            make_transfer(6, "gamehouse", "player", 7, when=ts(3, 13)),
+        ]
+        (finding,) = _fake_transfer(actions)
+        assert finding.profit == Decimal(100)
+        assert finding.evidence == [1, 2, 3, 4]
+
 class TestFakeNotice:
     def test_detected(self):
         actions = [

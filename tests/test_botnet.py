@@ -1,15 +1,36 @@
 import hashlib
 import json
 import math
+from datetime import date
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eosforensics import botnet, graphs
+from eosforensics import botnet, graphs, synthgen
 from eosforensics.errors import CalibrationError
-from eosforensics.model import ObservationWindow, write_ndjson
-from tests_support import transfers_of, ts
+from eosforensics.model import (
+    AccountRecord,
+    ObservationWindow,
+    Registry,
+    extract_transfers,
+    parse_account_snapshot,
+    parse_action_trace,
+    write_ndjson,
+)
+from conftest import small_scenario_config
+from tests_support import (
+    emfg_daily,
+    make_action,
+    oracle_categorize,
+    oracle_ecig,
+    oracle_emfg,
+    oracle_features,
+    out_daily_counts,
+    target_counts,
+    transfers_of,
+    ts,
+)
 
 
 class TestThresholdBox:
@@ -120,9 +141,10 @@ class TestShortlist:
 
 
 class TestVectors:
-    def test_vector_recount(self, built_graphs, window, scenario):
+    def test_vector_recount(self, built_graphs, parsed, window, scenario):
         _, manifest = scenario
         emfg, _, ecig = built_graphs
+        cells, calls = oracle_emfg(parsed[0].records, window), oracle_ecig(parsed[0].records, window)
         universe = botnet.contract_universe(ecig)
         index = {c: i for i, c in enumerate(universe)}
         community = manifest["bot_communities"][0]
@@ -130,21 +152,17 @@ class TestVectors:
         bv = botnet.behavior_vectors(member, emfg, ecig, window, index)
         days = window.day_count
         assert bv.time_vec[:days].sum() == sum(
-            count for _, count in emfg.daily(member, "out").values()
+            count for _, count in emfg_daily(cells, member, "out").values()
         )
-        assert bv.time_vec[days:].sum() == sum(
-            ecig.out_daily_counts(member).values()
-        )
-        assert bv.target_vec.sum() == sum(ecig.target_counts(member).values())
+        assert bv.time_vec[days:].sum() == sum(out_daily_counts(calls, member).values())
+        assert bv.target_vec.sum() == sum(target_counts(calls, member).values())
         assert len(bv.time_vec) == 2 * days
 
     def test_two_transfers_day_zero(self):
-        from datetime import date
-
         w = ObservationWindow(date(2018, 6, 9), date(2018, 6, 18))
         emfg = graphs.build_emfg(transfers_of([(ts(1, 10), "acct", "other", 1),
                                                (ts(1, 11), "acct", "other", 2)], w))
-        ecig = graphs.Ecig()
+        ecig = graphs.build_ecig([], w)
         bv = botnet.behavior_vectors("acct", emfg, ecig, w, {})
         assert bv.time_vec[0] == 2
         assert bv.time_vec[1:].sum() == 0
@@ -218,11 +236,11 @@ class TestDetection:
         _, manifest = scenario
         accounts = sorted({m for c in flagged for m in c.measured})
         merged = botnet.merge_by_pubkey(accounts, snapshot)
-        for community in manifest["bot_communities"]:
-            for member in community["members"][:5]:
-                got = botnet.categorize(member, emfg, ecig, snapshot, registry,
-                                        merged)
-                assert got == community["category"], (member, got)
+        members = [(m, c["category"]) for c in manifest["bot_communities"]
+                   for m in c["members"][:5]]
+        got = botnet.categorize([m for m, _ in members], emfg, ecig, snapshot, registry,
+                                merged)
+        assert list(zip([m for m, _ in members], got)) == members
 
     def test_skipped_all_silent_community(self):
         g = graphs.Eacg()
@@ -244,11 +262,10 @@ class TestFeatures:
         _, snapshot = parsed
         _, manifest = scenario
         member = manifest["bot_communities"][0]["members"][0]
-        siblings = botnet.siblings_for(snapshot[member], botnet.sibling_counts(snapshot))
-        feats = botnet.extract_features(member, emfg, ecig, eacg, snapshot,
-                                        window, siblings)
-        assert len(feats.values) == len(botnet.FEATURE_NAMES) == 11
-        d = feats.as_dict()
+        feats = botnet.extract_features([member], emfg, ecig, eacg, snapshot, window)
+        assert feats.shape == (1, len(botnet.FEATURE_NAMES)) == (1, 11)
+        assert feats.dtype == np.float64
+        d = dict(zip(botnet.FEATURE_NAMES, feats[0].tolist()))
         assert d["acg_depth"] == 2.0  # eosio -> controller -> member
         assert 0.0 <= d["activate_time"] <= 1.0
 
@@ -258,15 +275,14 @@ class TestFeatures:
         _, snapshot = parsed
         _, manifest = scenario
         idle = next(a for a in manifest["silent_accounts"] if a.startswith("idle"))
-        siblings = botnet.siblings_for(snapshot[idle], botnet.sibling_counts(snapshot))
-        feats = botnet.extract_features(idle, emfg, ecig, eacg, snapshot, window, siblings)
-        d = feats.as_dict()
+        feats = botnet.extract_features([idle], emfg, ecig, eacg, snapshot, window)
+        d = dict(zip(botnet.FEATURE_NAMES, feats[0].tolist()))
         assert d["transfer_out_std"] == 0.0
         assert d["invocation_num"] == 0.0
         assert d["volume_per_transfer_out"] == 0.0
 
     # SHA-256 of every account's 11 features on the fixture scenario, computed
-    # before Emfg's four per-direction daily methods became Emfg.daily.
+    # one account at a time before the features became one matrix.
     GOLDEN_FEATURES_SHA256 = (
         "cc0eb710389058402e90c9c73e5f5e27ebe2e328b079473bf31101f63abb5c1b")
 
@@ -275,17 +291,84 @@ class TestFeatures:
         emfg, eacg, ecig = built_graphs
         _, snapshot = parsed
         accounts = snapshot.accounts if as_dict else snapshot
-        cohorts = botnet.sibling_counts(accounts)
-        rows = [
-            [a, [float(v) for v in botnet.extract_features(
-                a, emfg, ecig, eacg, accounts, window,
-                botnet.siblings_for(accounts[a], cohorts)).values]]
-            for a in sorted(snapshot.accounts)
-        ]
+        names = sorted(snapshot.accounts)
+        features = botnet.extract_features(names, emfg, ecig, eacg, accounts, window)
+        rows = [[a, [float(v) for v in row]] for a, row in zip(names, features)]
         assert len(rows) == 358
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == self.GOLDEN_FEATURES_SHA256
 
+
+class TestOracles:
+    """extract_features and categorize against the per-account oracles,
+    compared by the repr of every feature and every label, with and
+    without merged public-key groups."""
+
+    CATEGORIES = {"dapp_team", "account_seller", "bonus_hunter", "click_fraud", "other"}
+
+    @staticmethod
+    def _labels(records, snapshot, registry, window, manifest):
+        emfg = graphs.build_emfg(extract_transfers(records, window))
+        eacg = graphs.build_eacg(snapshot, window)
+        ecig = graphs.build_ecig(records, window)
+        cells, calls = oracle_emfg(records, window), oracle_ecig(records, window)
+        accounts = sorted(snapshot.accounts)
+        features = botnet.extract_features(accounts, emfg, ecig, eacg, snapshot, window)
+        assert features.shape == (len(accounts), 11)
+        for account, row in zip(accounts, features.tolist()):
+            want = oracle_features(account, cells, calls, eacg, snapshot, window)
+            assert list(map(repr, row)) == list(map(repr, want)), account
+        merged = botnet.merge_by_pubkey(
+            [m for c in manifest["bot_communities"] for m in c["members"]], snapshot)
+        for groups in (None, merged):
+            labels = botnet.categorize(accounts, emfg, ecig, snapshot, registry, groups)
+            assert labels == [oracle_categorize(a, cells, calls, snapshot, registry, groups)
+                              for a in accounts]
+        # the seller rule fired on a merged group of 10 or more, and the
+        # dapp_team rule on an account sharing a key with a DApp
+        sellers = {a for a, label in zip(accounts, labels) if label == "account_seller"}
+        assert any(len(g) >= 10 and set(g) <= sellers - registry.seller_seed
+                   for g in merged.values())
+        assert any(label == "dapp_team" and a not in registry.dapp_accounts
+                   for a, label in zip(accounts, labels))
+        return set(labels)
+
+    def test_fixture_scenario(self, parsed, registry, window, scenario):
+        trace, snapshot = parsed
+        labels = self._labels(trace.records, snapshot, registry, window, scenario[1])
+        assert labels == self.CATEGORIES
+
+    def test_second_scenario(self, tmp_path):
+        config = small_scenario_config(seed=2)
+        config.day_count = 20
+        manifest = synthgen.generate(config, tmp_path)
+        w = manifest["window"]
+        window = ObservationWindow(date.fromisoformat(w["start_day"]),
+                                   date.fromisoformat(w["end_day"]))
+        registry = Registry.load(dapps=tmp_path / "dapps.csv",
+                                 incentives=tmp_path / "incentives.csv")
+        labels = self._labels(parse_action_trace(tmp_path / "trace.ndjson", window).records,
+                              parse_account_snapshot(tmp_path / "snapshot.ndjson"),
+                              registry, window, manifest)
+        assert labels == self.CATEGORIES
+
+
+    def test_seller_group_needs_every_member_silent(self):
+        w = ObservationWindow(date(2018, 6, 9), date(2018, 6, 18))
+        members = [f"farm{c}" for c in "abcdefghij"]
+        snapshot = {m: AccountRecord(m, "eosio", ts(0), {}) for m in members}
+        emfg = graphs.build_emfg(extract_transfers([], w))
+        for calls, want in (([], "account_seller"),
+                            ([make_action(1, actor="farmd", contract="dice")], "other"),
+                            ([make_action(1, actor="farmd", contract="eosio.token")],
+                             "account_seller")):
+            ecig = graphs.build_ecig(calls, w)
+            got = botnet.categorize(members, emfg, ecig, snapshot, Registry(),
+                                    {"pk-0000": members})
+            assert got == [want] * 10
+        small = {"pk-0000": members[:9]}
+        assert botnet.categorize(members[:9], emfg, graphs.build_ecig([], w), snapshot,
+                                 Registry(), small) == ["other"] * 9
 
 def test_verdict_serialization(tmp_path):
     verdicts = [

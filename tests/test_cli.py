@@ -515,29 +515,53 @@ def _digests(root, patterns):
 
 
 
-# SHA-256 of every CSV and NDJSON stage file of one pipeline pass over the
-# fixture scenario, with evidence bundles, and of the `synth generate` trace
-# and snapshot of a small config: a writer or a record's JSON form that
-# moves one byte of any of them fails here.
+# SHA-256 of every stage file (CSV, NDJSON, JSON and text) of one pipeline
+# pass over the fixture scenario, with evidence bundles, and of the `synth
+# generate` trace and snapshot of a small config: a writer, a record's JSON
+# form or a detector that moves one byte of any of them fails here.
 STAGE_DIGESTS = {
     "attack_findings.ndjson":
         "5d16fb00b29ebb3a1271b02f8e4e7ff8c7f3682723e182b5d80d3b7152e71002",
+    "attack_notes.json":
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     "bot_classified.ndjson":
         "06f0c163ea62f0fa659aa8ad9e4025c6c3fb3394d1154fafb35c21d867198b0f",
+    "bot_communities.json":
+        "7dc1ee6296cedcd02a9a09e0ec0bd8595ba5d2fdd2423e8e8b812801cc9d8a1d",
+    "bot_model.json":
+        "cf67158c54704703f109af5dc9749b47417c81551a0112b887c4901fd63ae5b6",
+    "bot_pubkey_groups.json":
+        "0dc757ce909ef60b59ce51e68fa48e6a4f5c9a9c1fbf687d8b0839bc6a71faa0",
+    "bot_threshold.json":
+        "ccb0b6d1d7991a46ff697ffb724e1ae94e70d45116e62f62802041bc3ee435d0",
+    "bot_training.json":
+        "c525b107e17eefe5f9e0ed6465fd8c6d6a55796a1d94cd81846617fc41c1bafb",
     "bot_verdicts.ndjson":
         "80c5079ac0603436034e66d764ebdc87c6f426d04387fdef1769c38b81d69be3",
     "bundles/0000-fake_transfer-atkaaaaaaaaa/actions.ndjson":
         "c8981f706a768167e48363b592653c7b17679e10739d9f19664444e4971a590e",
+    "bundles/0000-fake_transfer-atkaaaaaaaaa/finding.json":
+        "63166833e99ff5795d3bc47d09e6607e8f21671437fd444760bebbc830661146",
     "bundles/0000-fake_transfer-atkaaaaaaaaa/flow.csv":
         "6814502c1d4ca420333743256a4a8ce579454e083fb07683289cad0f51956665",
+    "bundles/0000-fake_transfer-atkaaaaaaaaa/manifest.json":
+        "d14d6bbe85ca3a5f534d52a1df1eaaac9d820af28ea36e035a5eff4189ac892c",
     "bundles/0001-fake_notice-atkaaaaaaaab/actions.ndjson":
         "00d100b23718a8476bd5d4292e9bf4d230d86f29021595eddc5ee0022832fcde",
+    "bundles/0001-fake_notice-atkaaaaaaaab/finding.json":
+        "228e6d0397f3bef20fb1d1cc928782a9a70f060b09323909ab4a6263d9c615e0",
     "bundles/0001-fake_notice-atkaaaaaaaab/flow.csv":
         "b8ef7954d0befbe43396f50b812e1dff7aceb47642e48c8219f128929d0a1197",
+    "bundles/0001-fake_notice-atkaaaaaaaab/manifest.json":
+        "cc5fa27f57dc0c57a712ef61f6c1d41d0d3b80a46989d168264b06ad385dcdb6",
     "bundles/0002-predictable_state-atkaaaaaaaac/actions.ndjson":
         "6f05bf2e90c51215a5c0c9206618667c354c96833bed584178f43f9ba3b7db52",
+    "bundles/0002-predictable_state-atkaaaaaaaac/finding.json":
+        "af4aea25926c7920f22f383b8197474492e8802eca1c2972f294a2ab963575a5",
     "bundles/0002-predictable_state-atkaaaaaaaac/flow.csv":
         "17a1796beeb9d4c64bb4efaaa94dbe9f97af9c008bab709c7abc9207f53f6fd3",
+    "bundles/0002-predictable_state-atkaaaaaaaac/manifest.json":
+        "bbfe02f50b0129ebc1bfe7a9d5253b921ecc6e912f0a86f9c24906a51c58b837",
     "eacg_edges.csv":
         "8fe577800dd19208da92df091797870794960496d7329f1687393178500ea7f9",
     "eacg_in_degree.csv":
@@ -556,8 +580,18 @@ STAGE_DIGESTS = {
         "f353bcd2b31a334e31b227bed435d6250536fa8deb7c23ec6751439c0d25a68b",
     "emfg_out_degree.csv":
         "770c64bfdd65bc76d7d9061537d9855141f8ca578f580f1f5e8b5938af3dfef6",
+    "graphs.json":
+        "c864b181b5edb657aca2fbe9b37c1031ffe608e0a425fa7abf357d494e711220",
+    "ingest.json":
+        "5ff2655ccfb7260a601421af01493b34631dba83a760ccca64ff94f316aea31d",
     "ingest_diagnostics.ndjson":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "metrics_eacg.json":
+        "9b95a1b011b7c7136a254a76c19c5e62a800d19097a4c5cc3ff9d92ac2355e14",
+    "metrics_ecig.json":
+        "fea2a8b6fb0c6e378b5e5617b46eac3a0bf63d54ea00b6ecebce547ea7ff7be2",
+    "metrics_emfg.json":
+        "1a50bb1d4d81468050a9c29f80701019edb52cf173780d05b71a7e552cd2db16",
     "pagerank_eacg.csv":
         "6755d19696cf1664bd4409afcd0433e1c5eb0d9090c6104ad399a96f6eb8b590",
     "pagerank_ecig.csv":
@@ -566,12 +600,18 @@ STAGE_DIGESTS = {
         "19a91e8a0c429d0f94e54bb439efbde8697e8b8ca7e32e1d8ee684124c3aa901",
     "perm_findings.csv":
         "6e951c307fd320c1fd60df8cf67760bb51aba45bb9da6bd7710a9d94a4f6b28e",
+    "perm_summary.json":
+        "c6c13b8f47deea06029507f187ccb1e8d877878b0f59a8c3dbd97ca3eea8a8d7",
+    "report.txt":
+        "a96e814685be41d7a90d1266767a89ba42eba285878269fd02a2431a92c3f1fc",
     "report_attacks.csv":
         "d2e20f3ac0dbe41d906a03b6dd14eba5d28c232ff00e9c782039b1315f6d59aa",
     "report_bots.csv":
         "e61617677f00125cca4026ed79d2ccd090ef1f6f861c9d57fcaeeb911e4906ae",
     "report_metrics.csv":
         "f6f57d4fa7f81621dc1a7cf2fb78e9134cbfa20e7b5a8f01269ec57aea6de918",
+    "silent_accounts.txt":
+        "4bf8a170b785bdf39504ff966645065d054eb4a70d8da4c411c2b6429b818f83",
 }
 GENERATED_DIGESTS = {
     "snapshot.ndjson":
@@ -595,7 +635,7 @@ def test_stage_files_are_pinned(files, tmp_path):
                   "--out", str(out), "--bundles"] + registry,
                  ["report", "--out", str(out)]):
         assert main(argv) in (EXIT_OK, EXIT_FINDINGS), argv
-    assert _digests(out, ("*.csv", "*.ndjson")) == STAGE_DIGESTS
+    assert _digests(out, ("*.csv", "*.ndjson", "*.json", "*.txt")) == STAGE_DIGESTS
     assert main(["synth", "generate", "--out", str(gen), "--seed", "3", "--days", "10",
                  "--users", "30", "--services", "2", "--bots", "click_fraud:31:cal",
                  "--attacks", "fake_transfer:90:4", "--misuse", "misuse:2,benign:1"]) == EXIT_OK

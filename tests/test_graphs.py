@@ -5,10 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from eosforensics import graphs, synthgen
+from eosforensics import botnet, graphs, synthgen
 from eosforensics.errors import GraphError
 from eosforensics.model import ObservationWindow, extract_transfers, parse_account_snapshot
-from tests_support import make_transfer, oracle_emfg, transfers_of, ts
+from tests_support import (
+    make_action,
+    make_transfer,
+    oracle_ecig,
+    oracle_emfg,
+    oracle_silent,
+    oracle_vectors,
+    transfers_of,
+    ts,
+)
 
 
 def _w(days=30):
@@ -16,6 +25,12 @@ def _w(days=30):
 
     start = date(2018, 6, 9)
     return ObservationWindow(start, start + timedelta(days=days - 1))
+
+
+def _row(view, graph, account):
+    """day -> (units, count) of the account's row of an EMFG day view."""
+    day, units, count = (column.tolist() for column in view.row(graph.node(account)))
+    return dict(zip(day, zip(units, count)))
 
 
 def _emfg(*rows):
@@ -45,18 +60,20 @@ class TestEmfg:
 
     def test_in_out_views_agree(self):
         g = _emfg((0, "a", "b", 1), (0, "c", "b", 2))
-        assert g.daily("b", "in") == {0: (30000, 2)}
-        assert g.daily("a", "out") == {0: (10000, 1)}
+        assert _row(g.received, g, "b") == {0: (30000, 2)}
+        assert _row(g.sent, g, "a") == {0: (10000, 1)}
 
     def test_daily_sums_every_edge_per_day(self):
         g = _emfg((0, "a", "b", "1.5"), (0, "a", "b", "0.5"), (0, "a", "c", 2),
                   (3, "a", "c", "0.0001"))
-        assert g.daily("a", "out") == {0: (40000, 3), 3: (1, 1)}
-        assert g.daily("c", "in") == {0: (20000, 1), 3: (1, 1)}
-        assert g.daily("a", "in") == {}
-        assert g.daily("nobody", "out") == {}
-        with pytest.raises(ValueError):
-            g.daily("a", "both")
+        assert _row(g.sent, g, "a") == {0: (40000, 3), 3: (1, 1)}
+        assert _row(g.received, g, "c") == {0: (20000, 1), 3: (1, 1)}
+        assert _row(g.received, g, "a") == {}
+        assert _row(g.sent, g, "nobody") == {}
+        ids = g.ids(["a", "nobody", "c"])
+        assert g.sent.totals(ids, 0).tolist() == [40001, 0, 0]
+        assert g.received.totals(ids, 1).tolist() == [0, 0, 2]
+        assert g.sent.matrix(ids, 3, 1).tolist() == [[3.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3]
 
     def test_out_degree_counts_distinct_receivers(self):
         g = _emfg((0, "a", "b", 1), (1, "a", "b", 1), (0, "a", "c", 1), (0, "c", "a", 1))
@@ -145,12 +162,11 @@ class TestEcig:
     def test_exclude_filter(self, built_graphs):
         # Calls of eosio.token are transfers, never contract invocations.
         _, _, ecig = built_graphs
-        token_callers = [a for a, targets in ecig.out.items() if "eosio.token" in targets]
-        assert token_callers
-        for account in ecig.out:
-            token_calls = ecig.target_counts(account).get("eosio.token", 0)
-            assert sum(ecig.out_daily_counts(account).values()) == (
-                sum(ecig.target_counts(account).values()) - token_calls)
+        token = ecig.node("eosio.token")
+        assert (ecig.dst == token).any()
+        for caller in np.unique(ecig.src).tolist():
+            _, count = ecig.calls.row(caller)
+            assert count.sum() == ecig.count[(ecig.src == caller) & (ecig.dst != token)].sum()
 
 
 class TestSilent:
@@ -163,7 +179,7 @@ class TestSilent:
 
     def test_receiving_does_not_disqualify(self):
         emfg = _emfg((0, "payer", "idle", 1))
-        ecig = graphs.Ecig()
+        ecig = graphs.build_ecig([], _w())
         silent = graphs.silent_accounts(emfg, ecig, {"payer": None, "idle": None})
         assert silent == {"idle"}
 
@@ -193,7 +209,7 @@ class TestDigraphAndExports:
         assert set(eacg_view.nodes) == set(eacg.parent) | eacg.roots
         assert set(eacg_view.weight.tolist()) == {1.0}
         ecig_view = graphs.ecig_to_digraph(ecig)
-        assert set(ecig_view.nodes) == ecig.nodes
+        assert ecig_view.nodes == ecig.names
         assert sum(ecig_view.weight.tolist()) == ecig.total_invocations()
 
     def test_histogram_sums_to_node_count(self, built_graphs):
@@ -284,7 +300,7 @@ def test_emfg_matches_dict_oracle(rows):
                     for d, (w, c) in days.items():
                         units, count = want.get(d, (0, 0))
                         want[d] = (units + int(w.scaleb(4)), count + c)
-            assert g.daily(account, direction) == want
+            assert _row(g.sent if direction == "out" else g.received, g, account) == want
     view = graphs.emfg_to_digraph(g)
     expected = graphs.DiGraph.from_edges(
         ((src, dst, float(sum(w for w, _ in days.values()))) for src, dst, days in edges), nodes)
@@ -292,3 +308,65 @@ def test_emfg_matches_dict_oracle(rows):
     for got, want in zip((view.src, view.dst, view.weight),
                          (expected.src, expected.dst, expected.weight)):
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+_MIDNIGHT = datetime(2018, 6, 10, tzinfo=timezone.utc)
+_times = st.one_of(st.sampled_from([_DAY_EDGE, _MIDNIGHT]),
+                   st.datetimes(datetime(2018, 6, 8), datetime(2018, 6, 13),
+                                timezones=st.just(timezone.utc)))
+# Invocations (self-invocations of "a" and "b" included) and transfers, whose
+# eosio.token calls are invocations too; notification copies count for neither.
+_KINDS = ("external", "inline", "deferred", "notification")
+_calls = st.lists(st.one_of(
+    st.tuples(st.just("call"), _times, st.sampled_from("abc"),
+              st.sampled_from(["a", "b", "dice", "eosio.token"]), st.sampled_from(_KINDS)),
+    st.tuples(st.just("transfer"), _times, st.sampled_from("abc"), st.sampled_from("abcd"),
+              st.sampled_from(_KINDS)),
+), max_size=40)
+
+
+def _invocation_actions(rows):
+    actions = []
+    for seq, (what, when, actor, target, kind) in enumerate(rows, start=1):
+        notified = "d" if kind == "notification" else None
+        if what == "call":
+            actions.append(make_action(seq, contract=target, actor=actor, kind=kind,
+                                       notified=notified, when=when))
+        else:
+            actions.append(make_transfer(seq, actor, target, seq, when=when, kind=kind,
+                                         notified=notified))
+    return actions
+
+
+@given(_calls)
+@example([])
+@example([("call", _DAY_EDGE, "a", "a", "external"), ("call", _MIDNIGHT, "a", "a", "inline"),
+          ("call", _DAY_EDGE, "b", "dice", "notification"),
+          ("call", _MIDNIGHT, "c", "eosio.token", "deferred"),
+          ("transfer", _DAY_EDGE, "a", "b", "external"),
+          ("transfer", _MIDNIGHT, "a", "b", "notification")])
+def test_ecig_matches_dict_oracle(rows):
+    actions = _invocation_actions(rows)
+    window = _w(2)  # the trace runs from day -1 to day 4
+    ecig = graphs.build_ecig(actions, window)
+    emfg = graphs.build_emfg(extract_transfers(actions, window))
+    calls, cells = oracle_ecig(actions, window), oracle_emfg(actions, window)
+    edges = [(caller, contract, days) for caller, targets in calls.items()
+             for contract, days in targets.items()]
+    assert ecig.total_invocations() == sum(sum(days.values()) for _, _, days in edges)
+    view = graphs.ecig_to_digraph(ecig)
+    expected = graphs.DiGraph.from_edges(
+        (caller, contract, float(sum(days.values()))) for caller, contract, days in edges)
+    assert view.nodes == expected.nodes
+    for got, want in zip((view.src, view.dst, view.weight),
+                         (expected.src, expected.dst, expected.weight)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    universe = botnet.contract_universe(ecig)
+    assert universe == sorted({contract for _, contract, _ in edges})
+    snapshot = dict.fromkeys(["a", "b", "c", "d", "dice", "eosio.token", "nobody"])
+    assert graphs.silent_accounts(emfg, ecig, snapshot) == oracle_silent(cells, calls, snapshot)
+    index = {contract: i for i, contract in enumerate(universe)}
+    for account in snapshot:
+        bv = botnet.behavior_vectors(account, emfg, ecig, window, index)
+        t, s = oracle_vectors(account, cells, calls, window, index)
+        assert bv.time_vec.tolist() == t.tolist() and bv.target_vec.tolist() == s.tolist()

@@ -3,6 +3,8 @@
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
+import numpy as np
+
 from eosforensics.attacks import INF_RATIO, AttackFinding, SuspiciousWindow
 from eosforensics.model import ActionRecord, Quantity, TransferPayload, extract_transfers
 
@@ -196,3 +198,155 @@ def oracle_liveness_filter(suspicious, events, registry, config):
         )
     results.sort(key=lambda f: (f.attacker, f.window_start))
     return results
+
+
+# ---------------------------------------------------------------------------
+# Bot-pipeline oracles: the dict ECIG and the per-account feature and
+# category rules, written over dict cells instead of the column graphs.
+
+INVOCATION_KINDS = ("external", "inline", "deferred")
+
+
+def oracle_ecig(actions, window):
+    """graphs.build_ecig as the dict it used to be: caller -> contract ->
+    day -> invocation count. Notification copies do not count."""
+    out = {}
+    for r in actions:
+        if r.kind in INVOCATION_KINDS:
+            slots = out.setdefault(r.actor, {}).setdefault(r.executing_contract, {})
+            day = window.day_index(r.timestamp)
+            slots[day] = slots.get(day, 0) + 1
+    return out
+
+
+def out_daily_counts(ecig, account):
+    """day -> invocations by `account` of every contract but eosio.token."""
+    counts = {}
+    for contract, slots in ecig.get(account, {}).items():
+        if contract != "eosio.token":
+            for day, c in slots.items():
+                counts[day] = counts.get(day, 0) + c
+    return counts
+
+
+def target_counts(ecig, account, exclude=()):
+    """contract -> total invocations by `account`."""
+    return {contract: sum(slots.values())
+            for contract, slots in ecig.get(account, {}).items() if contract not in exclude}
+
+
+def emfg_daily(cells, account, direction):
+    """day -> (exact EOS volume, transfer count) over the account's outgoing
+    ("out") or incoming ("in") edges of oracle_emfg cells."""
+    daily = {}
+    for src, dsts in cells.items():
+        for dst, days in dsts.items():
+            if account == (src if direction == "out" else dst):
+                for day, (weight, count) in days.items():
+                    w, c = daily.get(day, (ZERO_EOS, 0))
+                    daily[day] = (w + weight, c + count)
+    return daily
+
+
+def oracle_vectors(account, cells, ecig, window, contract_index):
+    """botnet.behavior_vectors' (time vector, target vector) over dict cells."""
+    days = window.day_count
+    t = np.zeros(2 * days)
+    for day, (_, count) in emfg_daily(cells, account, "out").items():
+        if 0 <= day < days:
+            t[day] += count
+    for day, count in out_daily_counts(ecig, account).items():
+        if 0 <= day < days:
+            t[days + day] += count
+    s = np.zeros(len(contract_index))
+    for contract, count in target_counts(ecig, account).items():
+        if contract in contract_index:
+            s[contract_index[contract]] = count
+    return t, s
+
+
+def oracle_silent(cells, ecig, snapshot):
+    """Accounts of `snapshot` that never send EOS and never invoke a contract."""
+    return {name for name in snapshot if not cells.get(name) and not ecig.get(name)}
+
+
+def oracle_features(account, cells, ecig, eacg, snapshot, window):
+    """botnet.extract_features' 11 values for one account, computed the
+    per-account way over dict cells."""
+    record = snapshot[account]
+    cohorts = {}
+    for r in snapshot.values():
+        if r.creator is not None:
+            key = (r.creator, r.created_at.date())
+            cohorts[key] = cohorts.get(key, 0) + 1
+    siblings = (0 if record.creator is None
+                else cohorts[(record.creator, record.created_at.date())] - 1)
+    created_day = max(0, window.day_index(record.created_at))
+    span = window.day_count - created_day
+    if span <= 0:
+        span = 1
+        created_day = window.day_count - 1
+
+    def daily_series(day_map):
+        series = np.zeros(span)
+        for day, value in day_map.items():
+            if created_day <= day < window.day_count:
+                series[day - created_day] = float(value)
+        return series
+
+    def money_flow(direction):
+        daily = emfg_daily(cells, account, direction)
+        return (daily_series({day: float(w) for day, (w, _) in daily.items()}),
+                float(sum((w for w, _ in daily.values()), ZERO_EOS)),
+                sum(c for _, c in daily.values()))
+
+    in_vol, in_total, in_count = money_flow("in")
+    out_vol, out_total, out_count = money_flow("out")
+    inv_series = daily_series(out_daily_counts(ecig, account))
+    return [float(v) for v in (
+        eacg.depth(account),
+        np.std(in_vol),
+        np.std(out_vol),
+        in_total / in_count if in_count else 0.0,
+        out_total / out_count if out_count else 0.0,
+        len(cells.get(account, {})),
+        len(target_counts(ecig, account, exclude=("eosio.token",))),
+        int(inv_series.sum()),
+        np.std(inv_series),
+        int(np.count_nonzero(out_vol + inv_series)) / span,
+        siblings,
+    )]
+
+
+def oracle_categorize(account, cells, ecig, snapshot, registry, merged=None):
+    """botnet.categorize's label for one account, rule by rule over every
+    DApp and every merged group."""
+    record = snapshot.get(account)
+    if account in registry.dapp_accounts:
+        return "dapp_team"
+    if record is not None and record.active_keys():
+        for dapp in registry.dapp_accounts:
+            dapp_record = snapshot.get(dapp)
+            if dapp_record is not None and record.active_keys() & dapp_record.active_keys():
+                return "dapp_team"
+    inv_targets = target_counts(ecig, account, exclude=("eosio.token",))
+    inv_total = sum(inv_targets.values())
+    if account in registry.seller_seed:
+        return "account_seller"
+    for members in (merged or {}).values():
+        if (account in members and len(members) >= 10 and not any(
+                target_counts(ecig, m, exclude=("eosio.token",)) for m in members)):
+            return "account_seller"
+    if inv_total and sum(c for t, c in inv_targets.items()
+                         if t in registry.incentive_dapps) / inv_total > 0.5:
+        return "bonus_hunter"
+    for dapp in registry.dapp_accounts:
+        sent = float(sum((w for w, _ in cells.get(account, {}).get(dapp, {}).values()), ZERO_EOS))
+        received = float(sum((w for w, _ in cells.get(dapp, {}).get(account, {}).values()),
+                             ZERO_EOS))
+        total = sent + received
+        if total < 10 or total == 0:
+            continue
+        if max(sent, received) > 0 and min(sent, received) / max(sent, received) >= 0.95:
+            return "click_fraud"
+    return "other"
