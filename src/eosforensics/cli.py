@@ -2,7 +2,8 @@
 
 Every stage reads plain files and writes plain files into --out, so
 stages are resumable and the artifacts are portable. Exit codes: 0 ok,
-1 findings present (CI gating), 2 error.
+1 findings present (CI gating), 2 error. `run` chains every stage into one
+--out; the stages one process runs parse a given trace or snapshot once.
 
 argparse is the one flag table. The defaults of --out, --window-start,
 --days, --threads, --min-children, --seed and --w1/--w2/--w3 can be
@@ -13,8 +14,12 @@ EOSFOR_MIN_CHILDREN=40); `synth generate` reads only EOSFOR_SEED.
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import hashlib
 import json
 import os
+import stat
 import sys
 from datetime import date, timedelta
 from decimal import Decimal
@@ -115,6 +120,28 @@ def _add_common(p, *, trace=False, snapshot=False, registry=False):
         p.add_argument("--sellers", help="sellers.csv registry")
 
 
+def _add_metrics_flags(p):
+    p.add_argument("--top", type=_positive_int, default=50, help="pagerank rows to keep")
+
+
+def _add_detect_flags(p):
+    p.add_argument("--min-children", type=int,
+                   default=_env_default("min_children", "30"))
+
+
+def _add_classify_flags(p):
+    p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
+
+
+def _add_scan_flags(p):
+    p.add_argument("--rollback-log", help="optional off-chain rollback NDJSON")
+    p.add_argument("--w1", type=float, default=_env_default("w1", "400"))
+    p.add_argument("--w2", type=float, default=_env_default("w2", "1.2"))
+    p.add_argument("--w3", type=float, default=_env_default("w3", "0.9"))
+    p.add_argument("--bundles", action="store_true",
+                   help="write per-finding evidence bundles")
+
+
 def _window(args) -> ObservationWindow:
     """The --days days that start on --window-start."""
     start = args.window_start
@@ -129,6 +156,79 @@ def _window(args) -> ObservationWindow:
 def _registry_from(args) -> Registry:
     return Registry.load(dapps=args.dapps, incentives=args.incentives,
                          labels=args.labels, sellers=args.sellers)
+
+
+# The last parse of each input, so that the commands one process runs parse
+# a given trace or snapshot once: {"trace" | "snapshot": (key, parse)}. The
+# key is the SHA-256 of the bytes parsed (with the window, for a trace), so
+# any change to the bytes is a fresh parse. The entry outlives main();
+# PARSES.clear() frees it. Freeing it at exit, before the interpreter's
+# shutdown collection walks every kept object, saves a launched command
+# about 80 ms for a 9 MB trace on a 2-vCPU VM.
+PARSES = {}
+atexit.register(PARSES.clear)
+
+
+def _regular(path):
+    """Whether `path` is a regular file. A FIFO can be read only once, so it
+    is never hashed or kept; a missing or unreadable file is left to the
+    parser, which names it in its error."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        return False
+
+
+def _file_digest(path):
+    """SHA-256 of the bytes of the regular file at `path`, or None."""
+    if not _regular(path):
+        return None
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 20):
+                digest.update(block)
+    except OSError:
+        return None
+    return digest.digest()
+
+
+def _memo(kind, path, extra, parse):
+    """parse(digest), or the kept value of the last parse of `kind` when the
+    file at `path` holds the same bytes and `extra` is the same. The parser
+    feeds `digest` the bytes it reads, so the key names the bytes parsed even
+    when the file changes between the check and the parse."""
+    entry = PARSES.pop(kind, None)
+    if entry is not None and entry[0] == (_file_digest(path), extra):
+        PARSES[kind] = entry
+        return entry[1]
+    del entry  # never two parses of one input alive at once
+    digest = hashlib.sha256() if _regular(path) else None
+    value = parse(digest)
+    if digest is not None:
+        PARSES[kind] = ((digest.digest(), extra), value)
+    return value
+
+
+class _Trace:
+    """A parsed trace and, once asked for, its transfer table."""
+
+    def __init__(self, result, window):
+        self.result, self.window = result, window
+
+    @functools.cached_property
+    def transfers(self):
+        return extract_transfers(self.result.records, self.window)
+
+
+def _trace(args, window) -> _Trace:
+    return _memo("trace", args.trace, window, lambda digest: _Trace(
+        parse_action_trace(args.trace, window, digest=digest), window))
+
+
+def _snapshot(args):
+    return _memo("snapshot", args.snapshot, None,
+                 lambda digest: parse_account_snapshot(args.snapshot, digest=digest))
 
 
 def _out_dir(args) -> Path:
@@ -148,9 +248,10 @@ def _dump(path: Path, obj):
 def cmd_ingest(args):
     window = _window(args)
     out = _out_dir(args)
-    result = parse_action_trace(args.trace, window)
-    snapshot = parse_account_snapshot(args.snapshot)
-    transfers = extract_transfers(result.records, window)
+    trace = _trace(args, window)
+    result = trace.result
+    snapshot = _snapshot(args)
+    transfers = trace.transfers
     summary = {
         "actions": len(result.records),
         "dropped_out_of_window": result.dropped_out_of_window,
@@ -171,13 +272,12 @@ def cmd_ingest(args):
 
 
 def _load_graphs(args, window):
-    result = parse_action_trace(args.trace, window)
-    snapshot = parse_account_snapshot(args.snapshot)
-    transfers = extract_transfers(result.records, window)
-    emfg = graphs.build_emfg(transfers)
+    trace = _trace(args, window)
+    snapshot = _snapshot(args)
+    emfg = graphs.build_emfg(trace.transfers)
     eacg = graphs.build_eacg(snapshot, window)
-    ecig = graphs.build_ecig(result.records, window)
-    return result.records, snapshot, emfg, eacg, ecig
+    ecig = graphs.build_ecig(trace.result.records, window)
+    return trace.result.records, snapshot, emfg, eacg, ecig
 
 
 def cmd_graph_build(args):
@@ -215,14 +315,13 @@ def cmd_metrics(args):
     # Each graph is built from its own input alone: EACG from the snapshot,
     # EMFG and ECIG from the trace.
     if args.graph == "eacg":
-        snapshot = parse_account_snapshot(args.snapshot)
-        view = graphs.eacg_to_digraph(graphs.build_eacg(snapshot, window))
+        view = graphs.eacg_to_digraph(graphs.build_eacg(_snapshot(args), window))
     else:
-        records = parse_action_trace(args.trace, window).records
+        trace = _trace(args, window)
         if args.graph == "emfg":
-            view = graphs.emfg_to_digraph(graphs.build_emfg(extract_transfers(records, window)))
+            view = graphs.emfg_to_digraph(graphs.build_emfg(trace.transfers))
         else:
-            view = graphs.ecig_to_digraph(graphs.build_ecig(records, window))
+            view = graphs.ecig_to_digraph(graphs.build_ecig(trace.result.records, window))
     report = metrics.compute_metrics(view)
     (out / f"metrics_{args.graph}.json").write_text(report.to_json() + "\n")
     ranks = metrics.pagerank(view)
@@ -241,11 +340,13 @@ def cmd_bots_detect(args):
 
     contract_index = {c: i for i, c in enumerate(botnet.contract_universe(ecig))}
     silent = graphs.silent_accounts(emfg, ecig, snapshot)
+    computed = {}  # calibration and detection ask for some accounts twice
 
     def vector_for(account):
-        if account in silent:
-            return None
-        return botnet.behavior_vectors(account, emfg, ecig, window, contract_index)
+        if account not in computed:
+            computed[account] = None if account in silent else botnet.behavior_vectors(
+                account, emfg, ecig, window, contract_index)
+        return computed[account]
 
     bot_dists = []
     for controller, members in registry.labeled_bot_communities:
@@ -343,9 +444,9 @@ def cmd_bots_classify(args):
 def cmd_perms_audit(args):
     window = _window(args)
     out = _out_dir(args)
-    result = parse_action_trace(args.trace, window)
-    snapshot = parse_account_snapshot(args.snapshot)
-    grants, diagnostics = permissions.scan_updateauth(result.records, window)
+    records = _trace(args, window).result.records
+    snapshot = _snapshot(args)
+    grants, diagnostics = permissions.scan_updateauth(records, window)
     findings = permissions.detect_misuse(grants, snapshot)
     permissions.export_findings_csv(findings, out / "perm_findings.csv")
     pairs = permissions.account_pair_summary(findings)
@@ -371,7 +472,7 @@ def cmd_attacks_scan(args):
     window = _window(args)
     out = _out_dir(args)
     registry = _registry_from(args)
-    result = parse_action_trace(args.trace, window)
+    trace = _trace(args, window)
     config = attacks_mod.ScanConfig(
         w1=Decimal(str(args.w1)), w2=args.w2, w3=args.w3
     )
@@ -379,13 +480,13 @@ def cmd_attacks_scan(args):
     if args.rollback_log:
         rollback = attacks_mod.load_rollback_log(args.rollback_log)
     findings, notes = attacks_mod.scan_attacks(
-        result.records, registry, config, rollback_entries=rollback
+        trace.result.records, registry, config, rollback_entries=rollback
     )
     write_ndjson(out / "attack_findings.ndjson", (f.to_json() for f in findings))
     _dump(out / "attack_notes.json", notes)
     if args.bundles and findings:
-        actions_by_seq = {r.global_seq: r for r in result.records}
-        emfg = graphs.build_emfg(extract_transfers(result.records, window))
+        actions_by_seq = {r.global_seq: r for r in trace.result.records}
+        emfg = graphs.build_emfg(trace.transfers)
         for i, finding in enumerate(findings):
             attacks_mod.evidence_bundle(
                 finding, actions_by_seq, emfg,
@@ -538,6 +639,27 @@ def cmd_report(args):
     return EXIT_OK
 
 
+# What `run` chains, in the order an analyst runs the commands: (command,
+# the flags it adds to run's own).
+RUN_STAGES = ((cmd_ingest, {}), (cmd_graph_build, {}),
+              *((cmd_metrics, {"graph": graph}) for graph in ("emfg", "eacg", "ecig")),
+              (cmd_bots_detect, {}), (cmd_bots_classify, {}), (cmd_perms_audit, {}),
+              (cmd_attacks_scan, {}), (cmd_report, {}))
+
+
+def cmd_run(args):
+    """Every stage in turn into one --out, each writing what its own command
+    writes. Stops at the first stage that exits 2; otherwise exits 1 if any
+    stage found something."""
+    code = EXIT_OK
+    for command, flags in RUN_STAGES:
+        stage = command(argparse.Namespace(**{**vars(args), **flags}))
+        if stage == EXIT_ERROR:
+            return EXIT_ERROR
+        code = max(code, stage)
+    return code
+
+
 # ---------------------------------------------------------------------------
 # parser
 
@@ -563,19 +685,18 @@ def build_parser():
     p = sub.add_parser("metrics", help="network metrics for one graph")
     _add_common(p, trace=True, snapshot=True)
     p.add_argument("--graph", choices=("emfg", "eacg", "ecig"), default="emfg")
-    p.add_argument("--top", type=_positive_int, default=50, help="pagerank rows to keep")
+    _add_metrics_flags(p)
     p.set_defaults(func=cmd_metrics)
 
     bots = sub.add_parser("bots", help="bot detection and classification")
     bsub = bots.add_subparsers(dest="subcommand", required=True)
     p = bsub.add_parser("detect", help="community-level detection")
     _add_common(p, trace=True, snapshot=True, registry=True)
-    p.add_argument("--min-children", type=int,
-                   default=_env_default("min_children", "30"))
+    _add_detect_flags(p)
     p.set_defaults(func=cmd_bots_detect)
     p = bsub.add_parser("classify", help="per-account classifier")
     _add_common(p, trace=True, snapshot=True, registry=True)
-    p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
+    _add_classify_flags(p)
     p.set_defaults(func=cmd_bots_classify)
 
     perms = sub.add_parser("perms", help="permission audit")
@@ -588,12 +709,7 @@ def build_parser():
     asub = att.add_subparsers(dest="subcommand", required=True)
     p = asub.add_parser("scan", help="fake transfer/notice + profit scan")
     _add_common(p, trace=True, registry=True)
-    p.add_argument("--rollback-log", help="optional off-chain rollback NDJSON")
-    p.add_argument("--w1", type=float, default=_env_default("w1", "400"))
-    p.add_argument("--w2", type=float, default=_env_default("w2", "1.2"))
-    p.add_argument("--w3", type=float, default=_env_default("w3", "0.9"))
-    p.add_argument("--bundles", action="store_true",
-                   help="write per-finding evidence bundles")
+    _add_scan_flags(p)
     p.set_defaults(func=cmd_attacks_scan)
 
     synth = sub.add_parser("synth", help="synthetic chain generation")
@@ -619,6 +735,13 @@ def build_parser():
     p = sub.add_parser("report", help="summarize stage outputs under --out")
     p.add_argument("--out", default=_env_default("out", "out"))
     p.set_defaults(func=cmd_report)
+
+    p = sub.add_parser("run", help="every stage from ingest to report into one --out")
+    _add_common(p, trace=True, snapshot=True, registry=True)
+    for add_flags in (_add_metrics_flags, _add_detect_flags, _add_classify_flags,
+                      _add_scan_flags):
+        add_flags(p)
+    p.set_defaults(func=cmd_run)
 
     return parser
 

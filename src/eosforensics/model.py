@@ -417,12 +417,14 @@ class _Memo:
             return q
 
 
-def read_ndjson(path, what: str, decode, on_error):
+def read_ndjson(path, what: str, decode, on_error, digest=None):
     """Yield (line number, decode(value)) for each non-blank line of the
     NDJSON file at `path`, where value is the line's JSON value. A line that
     is not UTF-8 or JSON, or that decode rejects, goes to
     on_error(line number, exception) instead. A missing file is an
-    IngestError naming `what`."""
+    IngestError naming `what`. `digest`, a hashlib object, is fed every
+    byte read, so once the file is read to its end it names the bytes
+    parsed."""
     path = Path(path)
     try:
         fh = path.open("rb")
@@ -431,6 +433,8 @@ def read_ndjson(path, what: str, decode, on_error):
     scan_once = json.JSONDecoder().scan_once
     with fh:
         for lineno, line in enumerate(fh, start=1):
+            if digest is not None:
+                digest.update(line)
             try:
                 line = line.decode("utf-8").strip()
                 if not line:
@@ -524,12 +528,12 @@ class TraceParseResult:
         return len(self.records)
 
 
-def parse_action_trace(path, window: ObservationWindow) -> TraceParseResult:
+def parse_action_trace(path, window: ObservationWindow, digest=None) -> TraceParseResult:
     """Parse a newline-delimited action trace.
 
     Records outside the observation window are dropped (and counted).
     Malformed lines are collected as diagnostics; more than 1% malformed
-    lines aborts ingestion.
+    lines aborts ingestion. `digest` is fed the bytes read (read_ndjson).
     """
     path = Path(path)
     records = []
@@ -538,7 +542,8 @@ def parse_action_trace(path, window: ObservationWindow) -> TraceParseResult:
     last_seq = None
     memo = _Memo(window)
     lines = read_ndjson(path, "trace", lambda obj: _decode_action(obj, memo),
-                        lambda lineno, exc: diagnostics.append((lineno, str(exc))))
+                        lambda lineno, exc: diagnostics.append((lineno, str(exc))),
+                        digest)
     for lineno, (record, in_window) in lines:
         if last_seq is not None and record.global_seq <= last_seq:
             diagnostics.append(
@@ -698,10 +703,11 @@ def decode_account(obj: dict, memo: _Memo | None = None) -> AccountRecord:
     )
 
 
-def parse_account_snapshot(path) -> SnapshotResult:
+def parse_account_snapshot(path, digest=None) -> SnapshotResult:
     """Parse the account snapshot and verify the creator relation is a
     forest. Duplicate names and creator cycles are fatal; a child created
-    before its creator merely warns (clock skew on real data)."""
+    before its creator merely warns (clock skew on real data). `digest` is
+    fed the bytes read (read_ndjson)."""
     def fail(lineno, exc):
         raise IngestError(f"snapshot line {lineno}: {exc}") from exc
 
@@ -709,7 +715,7 @@ def parse_account_snapshot(path) -> SnapshotResult:
     warnings = []
     memo = _Memo()
     for _, record in read_ndjson(path, "snapshot",
-                                 lambda obj: decode_account(obj, memo), fail):
+                                 lambda obj: decode_account(obj, memo), fail, digest):
         if record.name in accounts:
             raise IngestError(f"duplicate account name: {record.name}")
         accounts[record.name] = record

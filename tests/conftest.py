@@ -3,7 +3,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from eosforensics import synthgen
+from eosforensics import cli, synthgen
 from eosforensics.model import (
     ObservationWindow,
     Registry,
@@ -17,6 +17,15 @@ from eosforensics import graphs
 # every run, so a failure in CI is the one a local run with it finds.
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(autouse=True)
+def fresh_parses():
+    """Every test parses its inputs anew: the CLI keeps the last parse of
+    each input for the rest of the process (`cli.PARSES`)."""
+    cli.PARSES.clear()
+    yield
+    cli.PARSES.clear()
 
 
 def small_scenario_config(seed=1):

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eosforensics import cli
+from eosforensics import cli, model
 from eosforensics.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, main
 
 
@@ -515,6 +520,24 @@ def _digests(root, patterns):
 
 
 
+def _registry(files):
+    return ["--dapps", files["dapps"], "--incentives", files["incentives"],
+            "--labels", files["labels"]]
+
+
+def _pipeline(files, out):
+    """argv of the ten commands `run` chains, in its order."""
+    common, registry = _common(files, out), _registry(files)
+    return [["ingest"] + common, ["graph", "build"] + common,
+            *(["metrics", "--graph", g] + common for g in ("emfg", "eacg", "ecig")),
+            ["bots", "detect"] + common + registry,
+            ["bots", "classify"] + common + registry,
+            ["perms", "audit"] + common,
+            ["attacks", "scan", "--trace", files["trace"], "--days", "30",
+             "--out", str(out), "--bundles"] + registry,
+            ["report", "--out", str(out)]]
+
+
 # SHA-256 of every stage file (CSV, NDJSON, JSON and text) of one pipeline
 # pass over the fixture scenario, with evidence bundles, and of the `synth
 # generate` trace and snapshot of a small config: a writer, a record's JSON
@@ -623,20 +646,176 @@ GENERATED_DIGESTS = {
 
 def test_stage_files_are_pinned(files, tmp_path):
     out, gen = tmp_path / "out", tmp_path / "gen"
-    common = _common(files, out)
-    registry = ["--dapps", files["dapps"], "--incentives", files["incentives"],
-                "--labels", files["labels"]]
-    for argv in (["ingest"] + common, ["graph", "build"] + common,
-                 *(["metrics", "--graph", g] + common for g in ("emfg", "eacg", "ecig")),
-                 ["bots", "detect"] + common + registry,
-                 ["bots", "classify"] + common + registry,
-                 ["perms", "audit"] + common,
-                 ["attacks", "scan", "--trace", files["trace"], "--days", "30",
-                  "--out", str(out), "--bundles"] + registry,
-                 ["report", "--out", str(out)]):
+    for argv in _pipeline(files, out):
         assert main(argv) in (EXIT_OK, EXIT_FINDINGS), argv
     assert _digests(out, ("*.csv", "*.ndjson", "*.json", "*.txt")) == STAGE_DIGESTS
     assert main(["synth", "generate", "--out", str(gen), "--seed", "3", "--days", "10",
                  "--users", "30", "--services", "2", "--bots", "click_fraud:31:cal",
                  "--attacks", "fake_transfer:90:4", "--misuse", "misuse:2,benign:1"]) == EXIT_OK
     assert _digests(gen, ("trace.ndjson", "snapshot.ndjson")) == GENERATED_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# One parse per process: the commands share the last parse of each input,
+# keyed by the bytes parsed (and the window, for a trace).
+
+
+def _count_parses(monkeypatch):
+    """{parser name: calls}, counting every call the commands make."""
+    calls = {}
+    for name in ("parse_action_trace", "parse_account_snapshot"):
+        def counted(*args, _name=name, _parse=getattr(cli, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _parse(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_rewritten_trace_of_same_size_is_parsed_again(tmp_path, monkeypatch):
+    calls = _count_parses(monkeypatch)
+    send = _action("eosio.token", "transfer", {"from": "alice", "to": "bob",
+                                               "quantity": "1.0000 EOS"})
+    flags = _tiny_inputs(tmp_path, [send])
+    assert main(["ingest"] + flags) == EXIT_OK
+    assert main(["ingest"] + flags) == EXIT_OK
+    assert calls == {"parse_action_trace": 1, "parse_account_snapshot": 1}
+
+    trace = tmp_path / "trace.ndjson"
+    before, stamp = trace.read_bytes(), trace.stat()
+    trace.write_bytes(before.replace(b'"1.0000 EOS"', b'"2.0000 EOS"'))
+    os.utime(trace, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    assert trace.stat().st_size == stamp.st_size
+    assert trace.stat().st_mtime_ns == stamp.st_mtime_ns
+    assert main(["ingest"] + flags) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "ingest.json").read_text())
+    assert summary["transfer_total"] == "2.0000"
+    assert calls == {"parse_action_trace": 2, "parse_account_snapshot": 1}
+
+
+def test_trace_changed_during_parse_is_kept_under_the_bytes_parsed(tmp_path, monkeypatch):
+    calls = _count_parses(monkeypatch)
+    send = _action("eosio.token", "transfer", {"from": "alice", "to": "bob",
+                                               "quantity": "1.0000 EOS"})
+    flags = _tiny_inputs(tmp_path, [send])
+    trace = tmp_path / "trace.ndjson"
+    first = trace.read_bytes()
+    second = first.replace(b'"1.0000 EOS"', b'"2.0000 EOS"')
+    parse = cli.parse_action_trace
+
+    def rewritten_first(*args, **kwargs):  # an exporter rewrites the file mid-run
+        monkeypatch.setattr(cli, "parse_action_trace", parse)
+        trace.write_bytes(second)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_action_trace", rewritten_first)
+    totals = []
+    for content in (None, second, first):
+        if content is not None:
+            trace.write_bytes(content)
+        assert main(["ingest"] + flags) == EXIT_OK
+        totals.append(json.loads((tmp_path / "out" / "ingest.json").read_text())
+                      ["transfer_total"])
+    assert totals == ["2.0000", "2.0000", "1.0000"]
+    assert calls["parse_action_trace"] == 2
+
+
+def test_other_window_is_parsed_again(files, tmp_path, monkeypatch):
+    calls = _count_parses(monkeypatch)
+    dropped = []
+    for days in ("30", "10", "30"):
+        assert main(["ingest"] + _common(files, tmp_path, days)) == EXIT_OK
+        dropped.append(json.loads((tmp_path / "ingest.json").read_text())
+                       ["dropped_out_of_window"])
+    assert dropped[0] == dropped[2] < dropped[1]
+    assert calls == {"parse_action_trace": 3, "parse_account_snapshot": 1}
+
+
+def test_failed_parse_is_not_kept(tmp_path, monkeypatch, capsys):
+    calls = _count_parses(monkeypatch)
+    flags = _tiny_inputs(tmp_path, _FILLER)
+    trace = tmp_path / "trace.ndjson"
+    trace.write_bytes(trace.read_bytes() + b"{broken\n" * 3)  # 3 of 201: over 1%
+    for _ in range(2):
+        assert main(["ingest"] + flags) == EXIT_ERROR
+        assert "3/201 malformed lines" in capsys.readouterr().err
+    assert calls["parse_action_trace"] == 2
+    assert "trace" not in cli.PARSES
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fifo_trace_is_parsed_directly(files, tmp_path):
+    expected = tmp_path / "expected"
+    assert main(["ingest"] + _common(files, expected)) == EXIT_OK
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=(Path(files["trace"]).read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        flags = _common({**files, "trace": str(fifo)}, tmp_path / "out")
+        assert main(["ingest"] + flags) == EXIT_OK
+    finally:
+        if writer.is_alive():  # ingest never opened the pipe: let the writer fail
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert "trace" not in cli.PARSES
+    assert ((tmp_path / "out" / "ingest.json").read_bytes()
+            == (expected / "ingest.json").read_bytes())
+
+
+def test_commands_share_one_parse_and_leave_it_unchanged(files, window, tmp_path,
+                                                          monkeypatch):
+    calls = _count_parses(monkeypatch)
+    for argv in _pipeline(files, tmp_path):
+        assert main(argv) in (EXIT_OK, EXIT_FINDINGS), argv
+    assert calls == {"parse_action_trace": 1, "parse_account_snapshot": 1}
+
+    trace = cli.PARSES["trace"][1]
+    fresh = model.parse_action_trace(files["trace"], window)
+    assert ([r.to_json() for r in trace.result.records]
+            == [r.to_json() for r in fresh.records])
+    assert trace.result.dropped_out_of_window == fresh.dropped_out_of_window
+    assert trace.result.diagnostics == fresh.diagnostics
+    transfers = model.extract_transfers(fresh.records, window)
+    assert trace.transfers.names == transfers.names
+    for column in ("seq", "us", "day", "src", "dst", "units"):
+        assert np.array_equal(getattr(trace.transfers, column), getattr(transfers, column))
+
+    snapshot = cli.PARSES["snapshot"][1]
+    fresh = model.parse_account_snapshot(files["snapshot"])
+    assert ({name: r.to_json() for name, r in snapshot.items()}
+            == {name: r.to_json() for name, r in fresh.items()})
+    assert snapshot.warnings == fresh.warnings
+
+
+def test_run_matches_the_ten_commands_across_processes(files, tmp_path):
+    """`run` in one fresh process and the ten commands each in its own fresh
+    process, so each parses anew, write the same tree, the one that
+    test_stage_files_are_pinned pins."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
+    def launch(argv):
+        proc = subprocess.run([sys.executable, "-m", "eosforensics.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode in (EXIT_OK, EXIT_FINDINGS), (argv, proc.stderr)
+        return proc.returncode
+
+    run, alone = tmp_path / "run", tmp_path / "alone"
+    assert launch(["run", *_common(files, run), *_registry(files), "--bundles"]) == EXIT_FINDINGS
+    for argv in _pipeline(files, alone):
+        launch(argv)
+    assert _tree_hash(run) == _tree_hash(alone)
+    files_written = {str(p.relative_to(run)) for p in run.rglob("*") if p.is_file()}
+    assert files_written == set(STAGE_DIGESTS)
+    assert _digests(run, ("*.csv", "*.ndjson", "*.json", "*.txt")) == STAGE_DIGESTS
+
+
+def test_run_stops_at_the_first_error(files, tmp_path, capsys):
+    # Without --labels, `bots detect` exits 2, so no later stage runs.
+    assert main(["run", "--bundles"] + _common(files, tmp_path)) == EXIT_ERROR
+    assert "labeled bot communities" in capsys.readouterr().err
+    assert (tmp_path / "metrics_ecig.json").exists()
+    assert not [p.name for p in tmp_path.iterdir()
+                if p.name.startswith(("bot_", "perm_", "attack_", "report"))]

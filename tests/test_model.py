@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import tempfile
@@ -161,6 +162,16 @@ class TestTimestamp:
 
 
 class TestTraceParsing:
+    @pytest.mark.parametrize("count", [0, 300])
+    def test_digest_names_the_bytes_read(self, tmp_path, count):
+        # blank, malformed and unterminated lines are hashed as read
+        p = tmp_path / "t.ndjson"
+        lines = [_action_line(s) for s in range(1, count + 1)]
+        p.write_bytes("\n".join(lines + ["", "{x"] * (count > 0)).encode())
+        digest = hashlib.sha256()
+        parse_action_trace(p, _window(), digest=digest)
+        assert digest.digest() == hashlib.sha256(p.read_bytes()).digest()
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "t.ndjson"
         p.write_text("")
