@@ -409,9 +409,16 @@ def cmd_bots_classify(args):
         return EXIT_ERROR
 
     labeled = sorted(a for a in labeled_bot | labeled_normal if a in snapshot)
-    X = botnet.extract_features(labeled, emfg, ecig, eacg, snapshot, window)
+    silent = graphs.silent_accounts(emfg, ecig, snapshot)
+    candidates = sorted(
+        a for a in snapshot if a not in silent and a not in labeled_bot
+        and a not in labeled_normal
+    )
+    # one feature pass: each row depends only on its own account
+    features = botnet.extract_features(labeled + candidates, emfg, ecig, eacg, snapshot,
+                                       window)
     y = [1 if a in labeled_bot else 0 for a in labeled]
-    result = forest.train_classifier(X, y, seed=args.seed)
+    result = forest.train_classifier(features[:len(labeled)], y, seed=args.seed)
     result.model.save(out / "bot_model.json")
     _dump(
         out / "bot_training.json",
@@ -422,15 +429,9 @@ def cmd_bots_classify(args):
         },
     )
 
-    silent = graphs.silent_accounts(emfg, ecig, snapshot)
-    candidates = sorted(
-        a for a in snapshot if a not in silent and a not in labeled_bot
-        and a not in labeled_normal
-    )
     bots = []
     if candidates:
-        probs = result.model.predict_prob(
-            botnet.extract_features(candidates, emfg, ecig, eacg, snapshot, window))
+        probs = result.model.predict_prob(features[len(labeled):])
         bots = [account for account, prob in zip(candidates, probs) if prob >= 0.5]
     verdicts = [botnet.BotVerdict(account, True, "classifier", category=category)
                 for account, category in zip(bots, botnet.categorize(

@@ -3,6 +3,11 @@ deterministic seed contract and portable JSON persistence.
 
 Kept dependency-free on purpose: the classifier ships with the toolkit
 and its predictions must be reproducible bit-for-bit from (data, seed).
+`train_classifier` picks the grid cell with the best out-of-bag accuracy.
+Tree k of every cell grows from child k of SeedSequence(seed), so each
+tree index is grown once for the whole grid (`_grow`): cells share a
+tree until their decisions differ, and each cell's trees are the ones a
+forest of its parameters fitted alone would grow.
 """
 
 from __future__ import annotations
@@ -53,44 +58,11 @@ class _Tree:
         self.prob.append(0.0)
         return len(self.feature) - 1
 
-    def fit(self, X, y, max_depth, min_leaf, max_features, rng):
-        """Grow the tree depth first, drawing each splittable node's feature
-        subset from `rng`. Returns the deepest depth at which a node drew
-        (-1 if none did): a fit with a max_depth above that depth draws and
-        grows exactly the same, so it is the same tree."""
-        root = self._new_node()
-        stack = [(root, np.arange(X.shape[0]), 0)]
-        n_features = X.shape[1]
-        drew = -1
-        while stack:
-            node, idx, depth = stack.pop()
-            ys = y[idx]
-            pos = int(ys.sum())
-            self.prob[node] = pos / len(ys)
-            if (
-                pos == 0
-                or pos == len(ys)
-                or len(ys) < 2 * min_leaf
-                or (max_depth is not None and depth >= max_depth)
-            ):
-                continue
-            drew = max(drew, depth)
-            feats = rng.choice(n_features, size=max_features, replace=False)
-            cols = X[idx[:, None], feats]
-            best = _best_split(cols, ys, min_leaf)
-            if best is None:
-                continue
-            j, thr = best
-            mask = cols[:, j] <= thr
-            self.feature[node] = int(feats[j])
-            self.threshold[node] = float(thr)
-            left = self._new_node()
-            right = self._new_node()
-            self.left[node] = left
-            self.right[node] = right
-            stack.append((right, idx[~mask], depth + 1))
-            stack.append((left, idx[mask], depth + 1))
-        return drew
+    def copy(self):
+        twin = _Tree()
+        for name in self.__slots__:
+            setattr(twin, name, list(getattr(self, name)))
+        return twin
 
     def predict_prob(self, X):
         """Leaf probability per row of `X`. All rows descend together, one
@@ -129,86 +101,171 @@ class _Tree:
         return t
 
 
-def _best_split(cols, ys, min_leaf):
+def _best_splits(cols, ys, min_leafs):
     """Exhaustive split search over the candidate feature columns `cols`
-    (one row per sample at the node), all columns at once. Returns
-    (column, threshold) or None. Columns are tried in order, and a later
-    one wins only with a Gini lower by more than 1e-12."""
+    (one row per sample at the node), all columns at once, for each
+    min_leaf in `min_leafs`. Returns {min_leaf: (column, threshold) or
+    None}. Columns are tried in order, and a later one wins only with a
+    Gini lower by more than 1e-12.
+
+    Any sort order serves: at a split between distinct adjacent values the
+    left side holds exactly the rows at or below the lower value, however
+    ties are ordered, and every other position is ruled out."""
     n = len(ys)
-    order = np.argsort(cols, axis=0, kind="stable")
+    order = np.argsort(cols, axis=0)
     sorted_cols = cols[order, np.arange(cols.shape[1])]
     pos_left = np.cumsum(ys[order], axis=0)[:-1]
     n_left = np.arange(1, n)[:, None]
     n_right = n - n_left
-    # splits only between distinct adjacent values, honoring min_leaf
-    valid = sorted_cols[:-1] < sorted_cols[1:]
-    valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
     pos_right = ys.sum() - pos_left
     share_left = pos_left / n_left
     share_right = pos_right / n_right
     gini_left = 1.0 - share_left ** 2 - (1 - share_left) ** 2
     gini_right = 1.0 - share_right ** 2 - (1 - share_right) ** 2
     weighted = (n_left * gini_left + n_right * gini_right) / n
-    weighted[~valid] = math.inf
-    ks = np.argmin(weighted, axis=0)
-    best_gini = math.inf
-    best = None
-    for j, k in enumerate(ks):
-        if weighted[k, j] < best_gini - 1e-12:
-            best_gini = weighted[k, j]
-            best = (j, (sorted_cols[k, j] + sorted_cols[k + 1, j]) / 2.0)
-    return best
+    # splits only between distinct adjacent values
+    weighted[~(sorted_cols[:-1] < sorted_cols[1:])] = math.inf
+    splits = {}
+    for min_leaf in min_leafs:
+        # row k leaves k + 1 samples on the left: keep both sides >= min_leaf
+        lo = max(min_leaf, 1) - 1
+        allowed = weighted[lo:n - lo - 1]
+        ks = np.argmin(allowed, axis=0)
+        best_gini = math.inf
+        best = None
+        for j, k in enumerate(ks):
+            if allowed[k, j] < best_gini - 1e-12:
+                best_gini = allowed[k, j]
+                best = (j, (sorted_cols[lo + k, j] + sorted_cols[lo + k + 1, j]) / 2.0)
+        splits[min_leaf] = best
+    return splits
 
 
-def _fit_prefixes(X, y, max_depths, min_leaf, seed, sizes):
-    """Fit max(sizes) trees at each depth in `max_depths` and return, per
-    depth, the trees and the out-of-bag accuracy (None when no row is ever
-    out of bag) of each leading run of trees whose length is in `sizes`.
+class _Branch:
+    """Grid cells that share one tree so far: the tree, the nodes still to
+    grow (a depth-first stack of (node, rows, depth)) and the generator."""
 
-    Tree i grows from child i of SeedSequence(seed), and the first k
+    __slots__ = ("cells", "tree", "stack", "rng")
+
+    def __init__(self, cells, tree, stack, rng):
+        self.cells = cells
+        self.tree = tree
+        self.stack = stack
+        self.rng = rng
+
+    def fork(self, cells):
+        """A copy for `cells` that grows on alone, from the same state."""
+        rng = np.random.Generator(type(self.rng.bit_generator)(0))
+        rng.bit_generator.state = self.rng.bit_generator.state
+        return _Branch(cells, self.tree.copy(), self.stack.copy(), rng)
+
+    def split(self, node, idx, depth, feats, cols, best):
+        """Split `node` at `best` = (column of `cols`, threshold), or leave
+        it a leaf when `best` is None; the left child grows first."""
+        if best is None:
+            return
+        j, thr = best
+        mask = cols[:, j] <= thr
+        tree = self.tree
+        tree.feature[node] = int(feats[j])
+        tree.threshold[node] = float(thr)
+        left = tree._new_node()
+        right = tree._new_node()
+        tree.left[node] = left
+        tree.right[node] = right
+        self.stack.append((right, idx[~mask], depth + 1))
+        self.stack.append((left, idx[mask], depth + 1))
+
+
+def _grow(X, y, cells, max_features, rng):
+    """Grow one tree on (`X`, `y`) for every (max_depth, min_leaf) cell in
+    `cells` at once, depth first, drawing each searched node's feature
+    subset from `rng`. Returns a (tree, cells) pair per distinct tree.
+
+    At each node, every cell either stops (a pure node, fewer than
+    2 * min_leaf rows, or max_depth reached) or searches. The searching
+    cells share one draw, one sort and one Gini matrix, and each min_leaf
+    takes its own best split. Where cells disagree, each group forks with
+    its own copy of the tree, the pending nodes and the generator state
+    (taken before the draw for the cells that stop) and grows on alone, so
+    every cell's tree is the one it would grow by itself."""
+    tree = _Tree()
+    branches = [_Branch(list(cells), tree, [(tree._new_node(), np.arange(len(y)), 0)], rng)]
+    grown = []
+    while branches:
+        branch = branches.pop()
+        while branch.stack:
+            node, idx, depth = branch.stack.pop()
+            ys = y[idx]
+            pos = int(ys.sum())
+            branch.tree.prob[node] = pos / len(ys)
+            if pos == 0 or pos == len(ys):
+                continue
+            search = [(d, leaf) for d, leaf in branch.cells
+                      if len(ys) >= 2 * leaf and (d is None or depth < d)]
+            if not search:
+                continue
+            if len(search) < len(branch.cells):
+                branches.append(branch.fork([c for c in branch.cells if c not in search]))
+            feats = branch.rng.choice(X.shape[1], size=max_features, replace=False)
+            cols = X[idx[:, None], feats]
+            splits = _best_splits(cols, ys, {leaf for _, leaf in search})
+            outcomes = {}
+            for cell in search:
+                outcomes.setdefault(splits[cell[1]], []).append(cell)
+            *others, (best, branch.cells) = outcomes.items()
+            for split, shared in others:
+                twin = branch.fork(shared)
+                twin.split(node, idx, depth, feats, cols, split)
+                branches.append(twin)
+            branch.split(node, idx, depth, feats, cols, best)
+        grown.append((branch.tree, branch.cells))
+    return grown
+
+
+def _fit_prefixes(X, y, max_depths, min_leafs, seed, sizes):
+    """Fit max(sizes) trees for every (max_depth, min_leaf) cell of the
+    grid and return, per cell, the trees and the out-of-bag accuracy (None
+    when no row is ever out of bag) of each leading run of trees whose
+    length is in `sizes`.
+
+    Tree k grows from child k of SeedSequence(seed), and the first k
     children of spawn(m) are spawn(k), so the first k trees are exactly
     the forest of k trees. Out-of-bag votes add up tree by tree in that
     order, so each prefix's score is the one its own fit would give.
 
-    Tree i is fitted first at the deepest depth (None is unlimited). A
-    shallower depth d reuses the last tree fitted for tree i, with its
-    out-of-bag predictions, when that tree drew features at no node of
-    depth d or deeper: the depth-d fit would stop at the same nodes and
-    draw the same features, so it is the same tree. Otherwise tree i is
-    fitted afresh at depth d from the same seed child."""
+    Each tree index is grown once for all cells (`_grow`): one bootstrap
+    sample and one generator from its seed child, and cells that make the
+    same decisions share one tree and its out-of-bag predictions."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise TrainingError("training labels contain a single class")
     n = X.shape[0]
     max_features = max(1, int(math.sqrt(X.shape[1])))
-    depths = sorted(set(max_depths), key=lambda d: math.inf if d is None else d,
-                    reverse=True)
-    trees = {d: [] for d in depths}
-    scores = {d: dict.fromkeys(sizes) for d in depths}
-    oob_votes = {d: np.zeros(n) for d in depths}
+    cells = list(dict.fromkeys((d, leaf) for d in max_depths for leaf in min_leafs))
+    trees = {cell: [] for cell in cells}
+    scores = {cell: dict.fromkeys(sizes) for cell in cells}
+    oob_votes = np.zeros((len(cells), n))  # one row per cell
     oob_counts = np.zeros(n)
     for k, ss in enumerate(np.random.SeedSequence(seed).spawn(max(sizes)), start=1):
-        tree = None
-        for d in depths:
-            # only the first, deepest depth can be None, and it always fits
-            if tree is None or drew >= d:
-                rng = np.random.default_rng(ss)
-                sample = rng.integers(0, n, size=n)
-                tree = _Tree()
-                drew = tree.fit(X[sample], y[sample], d, min_leaf, max_features, rng)
-                oob = np.ones(n, dtype=bool)
-                oob[sample] = False
-                oob_prob = tree.predict_prob(X[oob])
-            trees[d].append(tree)
-            oob_votes[d][oob] += oob_prob
+        rng = np.random.default_rng(ss)
+        sample = rng.integers(0, n, size=n)
+        oob = np.ones(n, dtype=bool)
+        oob[sample] = False
+        X_oob = X[oob]
+        for tree, shared in _grow(X[sample], y[sample], cells, max_features, rng):
+            for cell in shared:
+                trees[cell].append(tree)
+            rows = [cells.index(cell) for cell in shared]
+            oob_votes[np.ix_(rows, oob)] += tree.predict_prob(X_oob)
         oob_counts[oob] += 1
         covered = oob_counts > 0
         if k in sizes and covered.any():
-            for d in depths:
-                pred = (oob_votes[d][covered] / oob_counts[covered]) >= 0.5
-                scores[d][k] = float(np.mean(pred == (y[covered] == 1)))
-    return {d: (trees[d], scores[d]) for d in depths}
+            pred = (oob_votes[:, covered] / oob_counts[covered]) >= 0.5
+            for cell, accuracy in zip(cells, np.mean(pred == (y[covered] == 1), axis=1)):
+                scores[cell][k] = float(accuracy)
+    return {cell: (trees[cell], scores[cell]) for cell in cells}
 
 
 @dataclass
@@ -222,8 +279,8 @@ class RandomForest:
 
     def fit(self, X, y):
         self.trees, scores = _fit_prefixes(
-            X, y, (self.max_depth,), self.min_leaf, self.seed,
-            (self.n_trees,))[self.max_depth]
+            X, y, (self.max_depth,), (self.min_leaf,), self.seed,
+            (self.n_trees,))[self.max_depth, self.min_leaf]
         self.oob_score = scores[self.n_trees]
         return self
 
@@ -294,20 +351,20 @@ def train_classifier(X, y, seed=0, grid=None) -> TrainResult:
     order = rng.permutation(X.shape[0])
     cut = int(round(TRAIN_SHARE * X.shape[0]))
     train_idx, test_idx = order[:cut], order[cut:]
+    if not len(test_idx):
+        raise TrainingError(f"{X.shape[0]} labeled rows leave the held-out test split empty")
     if len(np.unique(y[train_idx])) < 2:
         raise TrainingError("training split contains a single class")
 
-    X_train, y_train = X[train_idx], y[train_idx]
-    # One fit per min_leaf grows every (n_trees, max_depth) cell: each
-    # smaller forest is a prefix of the largest, and each tree is grown once
-    # for every max_depth it never reached. The winner is its cell's prefix.
+    # One fit grows every cell: each tree index is grown once for every
+    # (max_depth, min_leaf), and each smaller forest is a prefix of the
+    # largest. The winner is its cell's prefix.
+    fitted = _fit_prefixes(X[train_idx], y[train_idx], grid["max_depth"],
+                           grid["min_leaf"], seed, grid["n_trees"])
     cells = {}  # (n_trees, max_depth, min_leaf) -> (trees, oob score)
-    for min_leaf in grid["min_leaf"]:
-        fitted = _fit_prefixes(
-            X_train, y_train, grid["max_depth"], min_leaf, seed, grid["n_trees"])
-        for max_depth, (trees, cell_scores) in fitted.items():
-            for n_trees, score in cell_scores.items():
-                cells[n_trees, max_depth, min_leaf] = (trees[:n_trees], score)
+    for (max_depth, min_leaf), (trees, cell_scores) in fitted.items():
+        for n_trees, score in cell_scores.items():
+            cells[n_trees, max_depth, min_leaf] = (trees[:n_trees], score)
     best_score = -1.0
     best_params = None
     scores = []

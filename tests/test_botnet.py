@@ -298,6 +298,18 @@ class TestFeatures:
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == self.GOLDEN_FEATURES_SHA256
 
+    def test_feature_rows_do_not_depend_on_the_list(self, built_graphs, parsed, window):
+        # `bots classify` extracts the labeled accounts and the candidates in
+        # one call and splits the rows
+        emfg, eacg, ecig = built_graphs
+        _, snapshot = parsed
+        names = sorted(snapshot.accounts)
+        first, second = names[::2], names[1::2]
+        joined = botnet.extract_features(first + second, emfg, ecig, eacg, snapshot, window)
+        apart = [botnet.extract_features(part, emfg, ecig, eacg, snapshot, window)
+                 for part in (first, second)]
+        assert joined.tobytes() == np.vstack(apart).tobytes()
+
 
 class TestOracles:
     """extract_features and categorize against the per-account oracles,

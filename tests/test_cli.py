@@ -154,6 +154,21 @@ def test_bots_classify_without_labels_errors(files, tmp_path):
     assert code == EXIT_ERROR
 
 
+
+def test_bots_classify_two_labeled_accounts_errors(files, tmp_path, capsys):
+    # one bot and one normal account: both go to training, so the held-out
+    # split would be empty and its accuracy NaN
+    rows = Path(files["labels"]).read_text().splitlines()
+    bot = next(r for r in rows[1:] if ",bot," in r)
+    normal = next(r for r in rows[1:] if ",normal," in r)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("\n".join([rows[0], bot, normal]) + "\n")
+    out = tmp_path / "out"
+    code = main(["bots", "classify"] + _common(files, out) + ["--labels", str(labels)])
+    assert code == EXIT_ERROR
+    assert "error: 2 labeled rows leave the held-out test split empty" in capsys.readouterr().err
+    assert not (out / "bot_training.json").exists()
+
 def test_perms_audit(files, tmp_path, scenario):
     code = main(["perms", "audit"] + _common(files, tmp_path))
     assert code == EXIT_FINDINGS

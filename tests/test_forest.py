@@ -3,9 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eosforensics import forest
 from eosforensics.errors import TrainingError
+from tests_support import oracle_fit_prefixes
 
 SMALL_GRID = {"n_trees": (25,), "max_depth": (8,), "min_leaf": (1,)}
 
@@ -161,7 +163,7 @@ def test_seed_children_are_prefixes():
 def test_prefix_forests_equal_forests_fitted_alone():
     X, y = _blobs(n_per_class=70, gap=1.0)
     sizes = (3, 8, 20)
-    trees, scores = forest._fit_prefixes(X, y, (6,), 2, 11, sizes)[6]
+    trees, scores = forest._fit_prefixes(X, y, (6,), (2,), 11, sizes)[6, 2]
     assert len(trees) == 20
     for k in sizes:
         alone = forest.RandomForest(n_trees=k, max_depth=6, min_leaf=2, seed=11).fit(X, y)
@@ -170,65 +172,126 @@ def test_prefix_forests_equal_forests_fitted_alone():
         assert prefix.to_json() == alone.to_json()
 
 
-def _count_tree_fits(monkeypatch):
+def _count_split_searches(monkeypatch):
+    """Record the sorted min_leaf values of every node's split search."""
     calls = []
-    fit = forest._Tree.fit
+    search = forest._best_splits
 
-    def counting_fit(self, *args):
-        calls.append(args[2])  # max_depth
-        return fit(self, *args)
+    def counting_search(cols, ys, min_leafs):
+        calls.append(sorted(min_leafs))
+        return search(cols, ys, min_leafs)
 
-    monkeypatch.setattr(forest._Tree, "fit", counting_fit)
+    monkeypatch.setattr(forest, "_best_splits", counting_search)
     return calls
 
 
 def test_depth_forests_equal_forests_fitted_alone(monkeypatch):
     # Overlapping classes: some trees stop above depth 2 or 4 and are
-    # reused there, others grow deeper and must be refitted.
+    # shared there, others grow deeper and fork.
     X, y = _blobs(n_per_class=70, gap=2.0)
     depths, sizes = (2, 4, None), (10, 30)
-    fits = _count_tree_fits(monkeypatch)
-    cells = forest._fit_prefixes(X, y, depths, 1, 11, sizes)
-    assert fits.count(None) == 30  # each tree grows once at the deepest depth
-    assert 30 < len(fits) < 90  # both the reuse and the refit branch ran
-    monkeypatch.undo()
+    searches = _count_split_searches(monkeypatch)
+    cells = forest._fit_prefixes(X, y, depths, (1,), 11, sizes)
+    grid_searches = len(searches)
+    distinct = {id(tree) for trees, _ in cells.values() for tree in trees}
+    assert 30 < len(distinct) < 90  # both the shared and the forked branch ran
+    del searches[:]
     for d in depths:
-        trees, scores = cells[d]
+        trees, scores = cells[d, 1]
         assert len(trees) == 30
         for k in sizes:
             alone = forest.RandomForest(n_trees=k, max_depth=d, min_leaf=1, seed=11).fit(X, y)
             shared = forest.RandomForest(n_trees=k, max_depth=d, min_leaf=1, seed=11,
                                          trees=trees[:k], oob_score=scores[k])
             assert shared.to_json() == alone.to_json()  # oob_score included
+    # the depths fitted alone (10 and 30 trees each) search more nodes than
+    # the grid, which searches each node its cells share once
+    assert grid_searches < len(searches)
 
 
 def test_default_grid_grows_each_min_leaf_once(monkeypatch):
     X, y = _blobs(gap=10.0)
-    fits = _count_tree_fits(monkeypatch)
+    searches = _count_split_searches(monkeypatch)
     result = forest.train_classifier(X, y, seed=0)
-    # every tree is one split at the root, so each of the 3 min_leaf cells
-    # grows its 200 trees once for all 4 depths, and the winner is one of them
-    assert len(fits) == 3 * 200
+    # every tree is one split at the root, so each of the 200 tree indices
+    # searches its root once for all 12 cells (3 min_leaf x 4 max_depth),
+    # where fitting each min_leaf alone would search it 3 times
+    assert searches == [[1, 5, 20]] * 200
     assert len(result.model.trees) == result.best_params["n_trees"]
 
 
 def test_winner_is_its_grid_cell_not_a_refit(monkeypatch):
     # Overlapping classes, so trees grow to different depths: the winner
-    # takes no tree fit beyond the grid's, and equals a forest of its
+    # takes no split search beyond the grid's, and equals a forest of its
     # parameters fitted alone on the same training split.
     X, y = _blobs(n_per_class=60, seed=5, gap=1.0)
     grid = {"n_trees": (5, 10), "max_depth": (2, None), "min_leaf": (1, 3)}
-    fits = _count_tree_fits(monkeypatch)
+    searches = _count_split_searches(monkeypatch)
     result = forest.train_classifier(X, y, seed=9, grid=grid)
-    trained = len(fits)
+    trained = len(searches)
     train_idx = np.random.default_rng(9).permutation(len(y))[:int(round(0.8 * len(y)))]
-    del fits[:]
-    for min_leaf in grid["min_leaf"]:
-        forest._fit_prefixes(X[train_idx], y[train_idx], grid["max_depth"], min_leaf,
-                             9, grid["n_trees"])
-    assert trained == len(fits)
+    del searches[:]
+    forest._fit_prefixes(X[train_idx], y[train_idx], grid["max_depth"], grid["min_leaf"],
+                         9, grid["n_trees"])
+    assert trained == len(searches)
     alone = forest.RandomForest(seed=9, **result.best_params).fit(X[train_idx], y[train_idx])
     assert result.model.to_json() == alone.to_json()
+
+
+@st.composite
+def grid_problems(draw):
+    """A small training set and grid: few distinct values (ties), duplicate
+    rows, maybe a constant column, unbalanced labels, min_leaf at or above
+    n/2, max_depth 0 and None, and unsorted forest sizes."""
+    n = draw(st.integers(4, 30))
+    n_features = draw(st.integers(1, 5))
+    values = draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0]),
+                           min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.lists(st.sampled_from(values), min_size=n_features,
+                                  max_size=n_features), min_size=n, max_size=n))
+    X = np.array(rows, dtype=np.float64)
+    copies = draw(st.integers(0, n // 2))
+    X[n - copies:] = X[:copies]
+    if draw(st.booleans()):
+        X[:, -1] = values[0]
+    y = np.zeros(n, dtype=np.int64)
+    y[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))] = 1
+    depths = draw(st.lists(st.sampled_from([0, 1, 2, 3, None]), min_size=1, max_size=4,
+                           unique=True))
+    leafs = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(n // 2, n)),
+                          min_size=1, max_size=3, unique=True))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+    return X, y, depths, leafs, draw(st.integers(0, 2**32 - 1)), sizes
+
+
+def _tied_features(n, seed):
+    """Three distinct values per feature and labels that follow feature 0,
+    so min_leaf 1 and 3 often split one node differently and grow on."""
+    rng = np.random.default_rng(seed)
+    X = rng.choice([0.0, 1.0, 3.0], size=(n, 4))
+    return X, (X[:, 0] + rng.normal(0.0, 1.0, n) > 1.2).astype(np.int64)
+
+
+@settings(max_examples=100)
+@given(grid_problems())
+@example((*_tied_features(12, 12), [None], [1, 3], 5, [4]))
+@example((*_tied_features(24, 24), [0, 2, None], [1, 2, 3], 5, [4, 2]))
+def test_grid_grower_matches_per_cell_oracle(problem):
+    X, y, depths, leafs, seed, sizes = problem
+    cells = forest._fit_prefixes(X, y, depths, leafs, seed, sizes)
+    assert list(cells) == [(d, leaf) for d in depths for leaf in leafs]
+    for leaf in leafs:
+        for depth, (trees, scores) in oracle_fit_prefixes(
+                X, y, depths, leaf, seed, sizes).items():
+            grown, grown_scores = cells[depth, leaf]
+            assert [t.to_json() for t in grown] == [t.to_json() for t in trees]
+            assert grown_scores == scores
+
+
+def test_empty_held_out_split_rejected():
+    # round(0.8 * 2) = 2 rows train, so nothing is left to test on
+    with pytest.raises(TrainingError, match="held-out test split empty"):
+        forest.train_classifier([[0.0], [1.0]], [0, 1], grid=SMALL_GRID)
 
 
 # Computed with the per-configuration fit and the per-row tree walk that

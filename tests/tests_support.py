@@ -1,11 +1,14 @@
 """Small builders shared across test modules."""
 
+import math
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import numpy as np
 
+from eosforensics import forest
 from eosforensics.attacks import INF_RATIO, AttackFinding, SuspiciousWindow
+from eosforensics.errors import TrainingError
 from eosforensics.model import ActionRecord, Quantity, TransferPayload, extract_transfers
 
 
@@ -350,3 +353,126 @@ def oracle_categorize(account, cells, ecig, snapshot, registry, merged=None):
         if max(sent, received) > 0 and min(sent, received) / max(sent, received) >= 0.95:
             return "click_fraud"
     return "other"
+
+
+class OracleTree(forest._Tree):
+    """forest._Tree with the per-cell fit that the grid grower replaced."""
+
+    __slots__ = ()
+
+    def fit(self, X, y, max_depth, min_leaf, max_features, rng):
+        """Grow the tree depth first, drawing each splittable node's feature
+        subset from `rng`. Returns the deepest depth at which a node drew
+        (-1 if none did): a fit with a max_depth above that depth draws and
+        grows exactly the same, so it is the same tree."""
+        root = self._new_node()
+        stack = [(root, np.arange(X.shape[0]), 0)]
+        n_features = X.shape[1]
+        drew = -1
+        while stack:
+            node, idx, depth = stack.pop()
+            ys = y[idx]
+            pos = int(ys.sum())
+            self.prob[node] = pos / len(ys)
+            if (
+                pos == 0
+                or pos == len(ys)
+                or len(ys) < 2 * min_leaf
+                or (max_depth is not None and depth >= max_depth)
+            ):
+                continue
+            drew = max(drew, depth)
+            feats = rng.choice(n_features, size=max_features, replace=False)
+            cols = X[idx[:, None], feats]
+            best = oracle_best_split(cols, ys, min_leaf)
+            if best is None:
+                continue
+            j, thr = best
+            mask = cols[:, j] <= thr
+            self.feature[node] = int(feats[j])
+            self.threshold[node] = float(thr)
+            left = self._new_node()
+            right = self._new_node()
+            self.left[node] = left
+            self.right[node] = right
+            stack.append((right, idx[~mask], depth + 1))
+            stack.append((left, idx[mask], depth + 1))
+        return drew
+
+
+def oracle_best_split(cols, ys, min_leaf):
+    """Exhaustive split search over the candidate feature columns `cols`
+    (one row per sample at the node), all columns at once. Returns
+    (column, threshold) or None. Columns are tried in order, and a later
+    one wins only with a Gini lower by more than 1e-12."""
+    n = len(ys)
+    order = np.argsort(cols, axis=0, kind="stable")
+    sorted_cols = cols[order, np.arange(cols.shape[1])]
+    pos_left = np.cumsum(ys[order], axis=0)[:-1]
+    n_left = np.arange(1, n)[:, None]
+    n_right = n - n_left
+    # splits only between distinct adjacent values, honoring min_leaf
+    valid = sorted_cols[:-1] < sorted_cols[1:]
+    valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
+    pos_right = ys.sum() - pos_left
+    share_left = pos_left / n_left
+    share_right = pos_right / n_right
+    gini_left = 1.0 - share_left ** 2 - (1 - share_left) ** 2
+    gini_right = 1.0 - share_right ** 2 - (1 - share_right) ** 2
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+    weighted[~valid] = math.inf
+    ks = np.argmin(weighted, axis=0)
+    best_gini = math.inf
+    best = None
+    for j, k in enumerate(ks):
+        if weighted[k, j] < best_gini - 1e-12:
+            best_gini = weighted[k, j]
+            best = (j, (sorted_cols[k, j] + sorted_cols[k + 1, j]) / 2.0)
+    return best
+
+
+def oracle_fit_prefixes(X, y, max_depths, min_leaf, seed, sizes):
+    """forest._fit_prefixes for one min_leaf, one tree fit per cell: fit
+    max(sizes) trees at each depth in `max_depths` and return, per depth,
+    the trees and the out-of-bag accuracy (None when no row is ever out of
+    bag) of each leading run of trees whose length is in `sizes`.
+
+    Tree i is fitted first at the deepest depth (None is unlimited). A
+    shallower depth d reuses the last tree fitted for tree i, with its
+    out-of-bag predictions, when that tree drew features at no node of
+    depth d or deeper: the depth-d fit would stop at the same nodes and
+    draw the same features, so it is the same tree. Otherwise tree i is
+    fitted afresh at depth d from the same seed child."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if len(np.unique(y)) < 2:
+        raise TrainingError("training labels contain a single class")
+    n = X.shape[0]
+    max_features = max(1, int(math.sqrt(X.shape[1])))
+    depths = sorted(set(max_depths), key=lambda d: math.inf if d is None else d,
+                    reverse=True)
+    trees = {d: [] for d in depths}
+    scores = {d: dict.fromkeys(sizes) for d in depths}
+    oob_votes = {d: np.zeros(n) for d in depths}
+    oob_counts = np.zeros(n)
+    for k, ss in enumerate(np.random.SeedSequence(seed).spawn(max(sizes)), start=1):
+        tree = None
+        for d in depths:
+            # only the first, deepest depth can be None, and it always fits
+            if tree is None or drew >= d:
+                rng = np.random.default_rng(ss)
+                sample = rng.integers(0, n, size=n)
+                tree = OracleTree()
+                drew = tree.fit(X[sample], y[sample], d, min_leaf, max_features, rng)
+                oob = np.ones(n, dtype=bool)
+                oob[sample] = False
+                oob_prob = tree.predict_prob(X[oob])
+            trees[d].append(tree)
+            oob_votes[d][oob] += oob_prob
+        oob_counts[oob] += 1
+        covered = oob_counts > 0
+        if k in sizes and covered.any():
+            for d in depths:
+                pred = (oob_votes[d][covered] / oob_counts[covered]) >= 0.5
+                scores[d][k] = float(np.mean(pred == (y[covered] == 1)))
+    return {d: (trees[d], scores[d]) for d in depths}
