@@ -2,8 +2,11 @@
 
 Every stage reads plain files and writes plain files into --out, so
 stages are resumable and the artifacts are portable. Exit codes: 0 ok,
-1 findings present (CI gating), 2 error. `run` chains every stage into one
---out; the stages one process runs parse a given trace or snapshot once.
+1 findings present (CI gating), 2 error. A command writes into a fresh
+.stage-* directory under --out, which replaces its namesakes in --out only
+when the command exits 0 or 1. `run` chains every stage into one --out;
+the stages one process runs parse a given trace or snapshot once and build
+each graph from it once.
 
 argparse is the one flag table. The defaults of --out, --window-start,
 --days, --threads, --min-children, --seed and --w1/--w2/--w3 can be
@@ -19,8 +22,10 @@ import functools
 import hashlib
 import json
 import os
+import shutil
 import stat
 import sys
+import tempfile
 from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
@@ -44,6 +49,7 @@ from .model import (
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
+GRAPHS = ("emfg", "eacg", "ecig")
 
 
 def _env_default(flag, fallback):
@@ -108,7 +114,7 @@ def _add_common(p, *, trace=False, snapshot=False, registry=False):
     p.add_argument("--days", type=_positive_int, default=_env_default("days", "357"),
                    help="window length in days")
     p.add_argument("--threads", type=int, default=_env_default("threads", "1"),
-                   help="parallelism bound (results are identical for any N)")
+                   help="accepted for interface stability; nothing reads it")
     if trace:
         p.add_argument("--trace", required=True, help="action trace (NDJSON)")
     if snapshot:
@@ -118,6 +124,10 @@ def _add_common(p, *, trace=False, snapshot=False, registry=False):
         p.add_argument("--incentives", help="incentives.csv registry")
         p.add_argument("--labels", help="labels.csv registry")
         p.add_argument("--sellers", help="sellers.csv registry")
+
+
+def _add_graph_flag(p):
+    p.add_argument("--graph", choices=GRAPHS, default="emfg")
 
 
 def _add_metrics_flags(p):
@@ -140,6 +150,28 @@ def _add_scan_flags(p):
     p.add_argument("--w3", type=float, default=_env_default("w3", "0.9"))
     p.add_argument("--bundles", action="store_true",
                    help="write per-finding evidence bundles")
+
+
+def _add_synth_flags(p):
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
+    p.add_argument("--days", type=_positive_int, default=30)
+    p.add_argument("--users", type=int, default=100)
+    p.add_argument("--services", type=int, default=3)
+    p.add_argument("--bots", action="append", type=_bot_spec,
+                   help="category:size[:cal], repeatable")
+    p.add_argument("--attacks", action="append", type=_attack_spec,
+                   help="kind:profit:day, repeatable")
+    p.add_argument("--misuse", type=_misuse_plan, default=synthgen.MisusePlan(),
+                   help="e.g. misuse:150,partial:300,benign:250")
+    p.add_argument("--rate", type=float, default=1.0,
+                   help="background traffic multiplier")
+    p.add_argument("--silent", type=int, default=0)
+    p.add_argument("--deep-chain", type=int, default=0)
+
+
+def _add_report_flags(p):
+    p.add_argument("--out", default=_env_default("out", "out"))
 
 
 def _window(args) -> ObservationWindow:
@@ -193,25 +225,30 @@ def _file_digest(path):
     return digest.digest()
 
 
-def _memo(kind, path, extra, parse):
+def _memo(kind, path, extra, parse, checked):
     """parse(digest), or the kept value of the last parse of `kind` when the
     file at `path` holds the same bytes and `extra` is the same. The parser
     feeds `digest` the bytes it reads, so the key names the bytes parsed even
-    when the file changes between the check and the parse."""
+    when the file changes between the check and the parse. `checked` maps
+    each kind parsed or checked during this main() call to its path; such a
+    kept parse is used without hashing its file again."""
     entry = PARSES.pop(kind, None)
-    if entry is not None and entry[0] == (_file_digest(path), extra):
+    if entry is not None and entry[0][1] == extra and (
+            checked.get(kind) == path or entry[0][0] == _file_digest(path)):
         PARSES[kind] = entry
+        checked[kind] = path
         return entry[1]
     del entry  # never two parses of one input alive at once
     digest = hashlib.sha256() if _regular(path) else None
     value = parse(digest)
     if digest is not None:
         PARSES[kind] = ((digest.digest(), extra), value)
+        checked[kind] = path
     return value
 
 
 class _Trace:
-    """A parsed trace and, once asked for, its transfer table."""
+    """A parsed trace and, once asked for, its transfer table, EMFG and ECIG."""
 
     def __init__(self, result, window):
         self.result, self.window = result, window
@@ -220,21 +257,70 @@ class _Trace:
     def transfers(self):
         return extract_transfers(self.result.records, self.window)
 
+    @functools.cached_property
+    def emfg(self):
+        return graphs.build_emfg(self.transfers)
 
-def _trace(args, window) -> _Trace:
-    return _memo("trace", args.trace, window, lambda digest: _Trace(
-        parse_action_trace(args.trace, window, digest=digest), window))
-
-
-def _snapshot(args):
-    return _memo("snapshot", args.snapshot, None,
-                 lambda digest: parse_account_snapshot(args.snapshot, digest=digest))
+    @functools.cached_property
+    def ecig(self):
+        return graphs.build_ecig(self.result.records, self.window)
 
 
-def _out_dir(args) -> Path:
+class _Snapshot(dict):
+    """A parsed snapshot (`result`), mapping each window asked for to its EACG."""
+
+    def __init__(self, result):
+        super().__init__()
+        self.result = result
+
+    def __missing__(self, window):
+        eacg = self[window] = graphs.build_eacg(self.result, window)
+        return eacg
+
+
+def _trace(args) -> _Trace:
+    return _memo("trace", args.trace, args.window, lambda digest: _Trace(
+        parse_action_trace(args.trace, args.window, digest=digest), args.window),
+        args.checked)
+
+
+def _snapshot(args) -> _Snapshot:
+    return _memo("snapshot", args.snapshot, None, lambda digest: _Snapshot(
+        parse_account_snapshot(args.snapshot, digest=digest)), args.checked)
+
+
+def _graph(args, name):
+    """The EMFG, EACG or ECIG, each built from its own input alone: the EACG
+    from the snapshot, the EMFG and the ECIG from the trace."""
+    return _snapshot(args)[args.window] if name == "eacg" else getattr(_trace(args), name)
+
+
+def _view(args, name):
+    return getattr(graphs, f"{name}_to_digraph")(_graph(args, name))
+
+
+def _staged(command, args):
+    """command(args, stage), which writes its files into `stage`, a fresh
+    .stage-* directory under --out. On exit 0 or 1 each top-level entry of
+    the stage replaces its namesake in --out, one os.replace each, so a
+    directory such as bundles/ is replaced whole; on exit 2 or an exception
+    --out is left as it was. Commands with a window find it in args.window."""
+    if "window_start" in args:
+        args.window = _window(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    stage = Path(tempfile.mkdtemp(prefix=".stage-", dir=out))
+    try:
+        code = command(args, stage)
+        if code != EXIT_ERROR:
+            for entry in sorted(stage.iterdir()):
+                target = out / entry.name
+                if target.is_dir():  # os.replace cannot overwrite a directory
+                    os.replace(target, stage / f".old-{entry.name}")
+                os.replace(entry, target)
+        return code
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _dump(path: Path, obj):
@@ -245,12 +331,10 @@ def _dump(path: Path, obj):
 # commands
 
 
-def cmd_ingest(args):
-    window = _window(args)
-    out = _out_dir(args)
-    trace = _trace(args, window)
+def cmd_ingest(args, stage):
+    trace = _trace(args)
     result = trace.result
-    snapshot = _snapshot(args)
+    snapshot = _snapshot(args).result
     transfers = trace.transfers
     summary = {
         "actions": len(result.records),
@@ -261,8 +345,8 @@ def cmd_ingest(args):
         "genuine_transfers": len(transfers),
         "transfer_total": str(eos_decimal(transfers.units.sum())),
     }
-    _dump(out / "ingest.json", summary)
-    write_ndjson(out / "ingest_diagnostics.ndjson",
+    _dump(stage / "ingest.json", summary)
+    write_ndjson(stage / "ingest_diagnostics.ndjson",
                  ({"line": lineno, "message": message}
                   for lineno, message in result.diagnostics))
     print(f"parsed {summary['actions']} actions, {summary['accounts']} accounts, "
@@ -271,72 +355,45 @@ def cmd_ingest(args):
     return EXIT_OK
 
 
-def _load_graphs(args, window):
-    trace = _trace(args, window)
-    snapshot = _snapshot(args)
-    emfg = graphs.build_emfg(trace.transfers)
-    eacg = graphs.build_eacg(snapshot, window)
-    ecig = graphs.build_ecig(trace.result.records, window)
-    return trace.result.records, snapshot, emfg, eacg, ecig
-
-
-def cmd_graph_build(args):
-    window = _window(args)
-    out = _out_dir(args)
-    _, snapshot, emfg, eacg, ecig = _load_graphs(args, window)
-    views = {
-        "emfg": graphs.emfg_to_digraph(emfg),
-        "eacg": graphs.eacg_to_digraph(eacg),
-        "ecig": graphs.ecig_to_digraph(ecig),
-    }
+def cmd_graph_build(args, stage):
+    views = {name: _view(args, name) for name in GRAPHS}
     for name, view in views.items():
-        graphs.export_edges_csv(view, out / f"{name}_edges.csv")
+        graphs.export_edges_csv(view, stage / f"{name}_edges.csv")
         for direction in ("in", "out"):
             hist = graphs.degree_histogram(view, direction)
-            graphs.export_histogram_csv(hist, out / f"{name}_{direction}_degree.csv")
-    silent = sorted(graphs.silent_accounts(emfg, ecig, snapshot))
-    (out / "silent_accounts.txt").write_text("".join(s + "\n" for s in silent))
+            graphs.export_histogram_csv(hist, stage / f"{name}_{direction}_degree.csv")
+    silent = sorted(graphs.silent_accounts(_graph(args, "emfg"), _graph(args, "ecig"),
+                                           _snapshot(args).result))
+    (stage / "silent_accounts.txt").write_text("".join(s + "\n" for s in silent))
     summary = {
         name: {"nodes": len(view.nodes), "edges": len(view.src)}
         for name, view in views.items()
     }
     summary["silent_accounts"] = len(silent)
-    summary["eacg_max_depth"] = eacg.max_depth()
-    _dump(out / "graphs.json", summary)
-    for name in ("emfg", "eacg", "ecig"):
+    summary["eacg_max_depth"] = _graph(args, "eacg").max_depth()
+    _dump(stage / "graphs.json", summary)
+    for name in GRAPHS:
         print(f"{name}: {summary[name]['nodes']} nodes, {summary[name]['edges']} edges")
     print(f"silent accounts: {len(silent)}")
     return EXIT_OK
 
 
-def cmd_metrics(args):
-    window = _window(args)
-    out = _out_dir(args)
-    # Each graph is built from its own input alone: EACG from the snapshot,
-    # EMFG and ECIG from the trace.
-    if args.graph == "eacg":
-        view = graphs.eacg_to_digraph(graphs.build_eacg(_snapshot(args), window))
-    else:
-        trace = _trace(args, window)
-        if args.graph == "emfg":
-            view = graphs.emfg_to_digraph(graphs.build_emfg(trace.transfers))
-        else:
-            view = graphs.ecig_to_digraph(graphs.build_ecig(trace.result.records, window))
+def cmd_metrics(args, stage):
+    view = _view(args, args.graph)
     report = metrics.compute_metrics(view)
-    (out / f"metrics_{args.graph}.json").write_text(report.to_json() + "\n")
+    (stage / f"metrics_{args.graph}.json").write_text(report.to_json() + "\n")
     ranks = metrics.pagerank(view)
     top = sorted(ranks.items(), key=lambda kv: (-kv[1], kv[0]))[: args.top]
-    write_csv(out / f"pagerank_{args.graph}.csv", ["account", "rank"],
+    write_csv(stage / f"pagerank_{args.graph}.csv", ["account", "rank"],
               ((account, repr(rank)) for account, rank in top))
     print(report.to_text())
     return EXIT_OK
 
 
-def cmd_bots_detect(args):
-    window = _window(args)
-    out = _out_dir(args)
+def cmd_bots_detect(args, stage):
     registry = _registry_from(args)
-    _, snapshot, emfg, eacg, ecig = _load_graphs(args, window)
+    emfg, eacg, ecig = (_graph(args, name) for name in GRAPHS)
+    snapshot = _snapshot(args).result
 
     contract_index = {c: i for i, c in enumerate(botnet.contract_universe(ecig))}
     silent = graphs.silent_accounts(emfg, ecig, snapshot)
@@ -345,7 +402,7 @@ def cmd_bots_detect(args):
     def vector_for(account):
         if account not in computed:
             computed[account] = None if account in silent else botnet.behavior_vectors(
-                account, emfg, ecig, window, contract_index)
+                account, emfg, ecig, args.window, contract_index)
         return computed[account]
 
     bot_dists = []
@@ -357,13 +414,13 @@ def cmd_bots_detect(args):
         dist_s, dist_t = botnet.group_similarity(vectors)
         bot_dists.append((dist_t, dist_s))
     threshold = botnet.calibrate_threshold(bot_dists)
-    _dump(out / "bot_threshold.json", threshold.to_json())
+    _dump(stage / "bot_threshold.json", threshold.to_json())
 
     flagged, stats = botnet.detect_communities(
         eacg, vector_for, threshold, min_children=args.min_children
     )
     _dump(
-        out / "bot_communities.json",
+        stage / "bot_communities.json",
         [
             {
                 "controller": c.controller,
@@ -380,7 +437,7 @@ def cmd_bots_detect(args):
 
     flagged_accounts = sorted({m for c in flagged for m in c.measured})
     merged = botnet.merge_by_pubkey(flagged_accounts, snapshot)
-    _dump(out / "bot_pubkey_groups.json", merged)
+    _dump(stage / "bot_pubkey_groups.json", merged)
 
     measured = [(c.controller, m) for c in flagged for m in c.measured]
     categories = botnet.categorize([m for _, m in measured], emfg, ecig, snapshot,
@@ -389,17 +446,16 @@ def cmd_bots_detect(args):
                                   category=category)
                 for (controller, member), category in zip(measured, categories)]
     verdicts.sort(key=lambda v: v.account)
-    write_ndjson(out / "bot_verdicts.ndjson", (v.to_json() for v in verdicts))
+    write_ndjson(stage / "bot_verdicts.ndjson", (v.to_json() for v in verdicts))
     print(f"{len(flagged)}/{len(stats)} communities flagged, "
           f"{len(verdicts)} bot accounts")
     return EXIT_FINDINGS if verdicts else EXIT_OK
 
 
-def cmd_bots_classify(args):
-    window = _window(args)
-    out = _out_dir(args)
+def cmd_bots_classify(args, stage):
     registry = _registry_from(args)
-    _, snapshot, emfg, eacg, ecig = _load_graphs(args, window)
+    emfg, eacg, ecig = (_graph(args, name) for name in GRAPHS)
+    snapshot = _snapshot(args).result
 
     labeled_bot = {m for _, ms in registry.labeled_bot_communities for m in ms}
     labeled_normal = {m for _, ms in registry.labeled_normal_communities for m in ms}
@@ -416,18 +472,13 @@ def cmd_bots_classify(args):
     )
     # one feature pass: each row depends only on its own account
     features = botnet.extract_features(labeled + candidates, emfg, ecig, eacg, snapshot,
-                                       window)
+                                       args.window)
     y = [1 if a in labeled_bot else 0 for a in labeled]
     result = forest.train_classifier(features[:len(labeled)], y, seed=args.seed)
-    result.model.save(out / "bot_model.json")
-    _dump(
-        out / "bot_training.json",
-        {
-            "test_accuracy": result.test_accuracy,
-            "best_params": result.best_params,
-            "labeled": len(labeled),
-        },
-    )
+    result.model.save(stage / "bot_model.json")
+    _dump(stage / "bot_training.json", {"test_accuracy": result.test_accuracy,
+                                        "best_params": result.best_params,
+                                        "labeled": len(labeled)})
 
     bots = []
     if candidates:
@@ -436,62 +487,48 @@ def cmd_bots_classify(args):
     verdicts = [botnet.BotVerdict(account, True, "classifier", category=category)
                 for account, category in zip(bots, botnet.categorize(
                     bots, emfg, ecig, snapshot, registry))]
-    write_ndjson(out / "bot_classified.ndjson", (v.to_json() for v in verdicts))
+    write_ndjson(stage / "bot_classified.ndjson", (v.to_json() for v in verdicts))
     print(f"held-out accuracy {result.test_accuracy:.4f}, "
           f"{len(verdicts)}/{len(candidates)} candidates classified as bots")
     return EXIT_FINDINGS if verdicts else EXIT_OK
 
 
-def cmd_perms_audit(args):
-    window = _window(args)
-    out = _out_dir(args)
-    records = _trace(args, window).result.records
-    snapshot = _snapshot(args)
-    grants, diagnostics = permissions.scan_updateauth(records, window)
+def cmd_perms_audit(args, stage):
+    records = _trace(args).result.records
+    snapshot = _snapshot(args).result
+    grants, diagnostics = permissions.scan_updateauth(records, args.window)
     findings = permissions.detect_misuse(grants, snapshot)
-    permissions.export_findings_csv(findings, out / "perm_findings.csv")
+    permissions.export_findings_csv(findings, stage / "perm_findings.csv")
     pairs = permissions.account_pair_summary(findings)
     counts = {"misuse": 0, "partial": 0, "benign": 0}
     for f in findings:
         counts[f.severity] += 1
-    _dump(
-        out / "perm_summary.json",
-        {
-            "grants": len(grants),
-            "by_severity": counts,
-            "distinct_pairs": len(pairs),
-            "diagnostics": len(diagnostics),
-        },
-    )
+    _dump(stage / "perm_summary.json", {"grants": len(grants), "by_severity": counts,
+                                        "distinct_pairs": len(pairs),
+                                        "diagnostics": len(diagnostics)})
     print(f"{len(grants)} eosio.code grants: "
           f"{counts['misuse']} misuse, {counts['partial']} partial, "
           f"{counts['benign']} benign")
     return EXIT_FINDINGS if counts["misuse"] else EXIT_OK
 
 
-def cmd_attacks_scan(args):
-    window = _window(args)
-    out = _out_dir(args)
+def cmd_attacks_scan(args, stage):
     registry = _registry_from(args)
-    trace = _trace(args, window)
-    config = attacks_mod.ScanConfig(
-        w1=Decimal(str(args.w1)), w2=args.w2, w3=args.w3
-    )
-    rollback = None
-    if args.rollback_log:
-        rollback = attacks_mod.load_rollback_log(args.rollback_log)
-    findings, notes = attacks_mod.scan_attacks(
-        trace.result.records, registry, config, rollback_entries=rollback
-    )
-    write_ndjson(out / "attack_findings.ndjson", (f.to_json() for f in findings))
-    _dump(out / "attack_notes.json", notes)
-    if args.bundles and findings:
-        actions_by_seq = {r.global_seq: r for r in trace.result.records}
-        emfg = graphs.build_emfg(trace.transfers)
+    trace = _trace(args)
+    config = attacks_mod.ScanConfig(w1=Decimal(str(args.w1)), w2=args.w2, w3=args.w3)
+    rollback = (attacks_mod.load_rollback_log(args.rollback_log) if args.rollback_log
+                else None)
+    findings, notes = attacks_mod.scan_attacks(trace.result.records, registry, config,
+                                               rollback_entries=rollback)
+    write_ndjson(stage / "attack_findings.ndjson", (f.to_json() for f in findings))
+    _dump(stage / "attack_notes.json", notes)
+    if args.bundles:  # always staged, so that it replaces the last scan's whole
+        (stage / "bundles").mkdir()
+        actions_by_seq = {r.global_seq: r for r in trace.result.records} if findings else {}
         for i, finding in enumerate(findings):
             attacks_mod.evidence_bundle(
-                finding, actions_by_seq, emfg,
-                out / "bundles" / f"{i:04d}-{finding.kind}-{finding.attacker}",
+                finding, actions_by_seq, trace.emfg,
+                stage / "bundles" / f"{i:04d}-{finding.kind}-{finding.attacker}",
             )
     print(f"{len(findings)} attack findings "
           f"({sum(1 for f in findings if f.kind == 'fake_transfer')} fake-transfer, "
@@ -502,8 +539,7 @@ def cmd_attacks_scan(args):
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
-def cmd_synth_generate(args):
-    out = Path(args.out)
+def cmd_synth_generate(args, stage):
     config = synthgen.ScenarioConfig(
         seed=args.seed,
         day_count=args.days,
@@ -516,11 +552,11 @@ def cmd_synth_generate(args):
         silent_account_count=args.silent,
         deep_chain_length=args.deep_chain,
     )
-    manifest = synthgen.generate(config, out)
+    manifest = synthgen.generate(config, stage)
     print(f"generated {manifest['action_count']} actions, "
           f"{len(manifest['users'])} users, "
           f"{len(manifest['bot_communities'])} bot communities, "
-          f"{len(manifest['attacks'])} attacks -> {out}")
+          f"{len(manifest['attacks'])} attacks -> {args.out}")
     return EXIT_OK
 
 
@@ -567,10 +603,10 @@ def _finding_row(obj) -> tuple:
     return [_text(obj, c) for c in ATTACK_COLUMNS], Decimal(obj["profit"])
 
 
-def cmd_report(args):
+def cmd_report(args, stage):
     """Summarize the stage outputs under --out. Every input is read and
     checked before any report file is written."""
-    out = _out_dir(args)
+    out = Path(args.out)
 
     def read(name, reader, how):
         return reader(out / name, how) if (out / name).exists() else None
@@ -593,7 +629,7 @@ def cmd_report(args):
 
     if metric_rows:
         section("Graph metrics")
-        write_csv(out / "report_metrics.csv", ["graph", *METRIC_FIELDS],
+        write_csv(stage / "report_metrics.csv", ["graph", *METRIC_FIELDS],
                   ([name] + [obj[f] for f in METRIC_FIELDS] for name, obj in metric_rows))
         for name, obj in metric_rows:
             lines.append(f"[{name}]")
@@ -606,7 +642,7 @@ def cmd_report(args):
         counts = {}
         for category in categories:
             counts[category] = counts.get(category, 0) + 1
-        write_csv(out / "report_bots.csv", ["category", "accounts"], sorted(counts.items()))
+        write_csv(stage / "report_bots.csv", ["category", "accounts"], sorted(counts.items()))
         for cat in sorted(counts):
             lines.append(f"  {cat}: {counts[cat]}")
         lines.append(f"  total: {sum(counts.values())}")
@@ -621,7 +657,7 @@ def cmd_report(args):
 
     if attack_rows is not None:
         section("Attack findings")
-        write_csv(out / "report_attacks.csv", ATTACK_COLUMNS, (row for row, _ in attack_rows))
+        write_csv(stage / "report_attacks.csv", ATTACK_COLUMNS, (row for row, _ in attack_rows))
         by_kind = {}
         for row, profit in attack_rows:
             by_kind.setdefault(row[0], []).append(profit)
@@ -635,7 +671,7 @@ def cmd_report(args):
               file=sys.stderr)
         return EXIT_ERROR
     text = "\n".join(lines).rstrip() + "\n"
-    (out / "report.txt").write_text(text)
+    (stage / "report.txt").write_text(text)
     print(text, end="")
     return EXIT_OK
 
@@ -643,18 +679,19 @@ def cmd_report(args):
 # What `run` chains, in the order an analyst runs the commands: (command,
 # the flags it adds to run's own).
 RUN_STAGES = ((cmd_ingest, {}), (cmd_graph_build, {}),
-              *((cmd_metrics, {"graph": graph}) for graph in ("emfg", "eacg", "ecig")),
+              *((cmd_metrics, {"graph": graph}) for graph in GRAPHS),
               (cmd_bots_detect, {}), (cmd_bots_classify, {}), (cmd_perms_audit, {}),
               (cmd_attacks_scan, {}), (cmd_report, {}))
 
 
 def cmd_run(args):
-    """Every stage in turn into one --out, each writing what its own command
-    writes. Stops at the first stage that exits 2; otherwise exits 1 if any
-    stage found something."""
+    """Every stage in turn into one --out, each staged and committed as its
+    own command is. Stops at the first stage that exits 2, so --out keeps
+    what the stages before it wrote; otherwise exits 1 if any stage found
+    something."""
     code = EXIT_OK
     for command, flags in RUN_STAGES:
-        stage = command(argparse.Namespace(**{**vars(args), **flags}))
+        stage = _staged(command, argparse.Namespace(**{**vars(args), **flags}))
         if stage == EXIT_ERROR:
             return EXIT_ERROR
         code = max(code, stage)
@@ -664,6 +701,34 @@ def cmd_run(args):
 # ---------------------------------------------------------------------------
 # parser
 
+_inputs = functools.partial(_add_common, trace=True, snapshot=True)
+_inputs_and_registry = functools.partial(_inputs, registry=True)
+
+# One row per command: (its words, help, command, what adds its flags).
+COMMANDS = (
+    ("ingest", "parse and summarize inputs", cmd_ingest, (_inputs,)),
+    ("graph build", "build EMFG/EACG/ECIG and export edges", cmd_graph_build, (_inputs,)),
+    ("metrics", "network metrics for one graph", cmd_metrics,
+     (_inputs, _add_graph_flag, _add_metrics_flags)),
+    ("bots detect", "community-level detection", cmd_bots_detect,
+     (_inputs_and_registry, _add_detect_flags)),
+    ("bots classify", "per-account classifier", cmd_bots_classify,
+     (_inputs_and_registry, _add_classify_flags)),
+    ("perms audit", "replay updateauth and flag eosio.code misuse", cmd_perms_audit,
+     (_inputs,)),
+    ("attacks scan", "fake transfer/notice + profit scan", cmd_attacks_scan,
+     (functools.partial(_add_common, trace=True, registry=True), _add_scan_flags)),
+    ("synth generate", "generate a scenario with ground truth", cmd_synth_generate,
+     (_add_synth_flags,)),
+    ("report", "summarize stage outputs under --out", cmd_report, (_add_report_flags,)),
+    ("run", "every stage from ingest to report into one --out", cmd_run,
+     (_inputs_and_registry, _add_metrics_flags, _add_detect_flags, _add_classify_flags,
+      _add_scan_flags)),
+)
+GROUP_HELP = {"graph": "graph construction", "bots": "bot detection and classification",
+              "perms": "permission audit", "attacks": "attack scanning",
+              "synth": "synthetic chain generation"}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -672,90 +737,25 @@ def build_parser():
                     "permissions, attacks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="parse and summarize inputs")
-    _add_common(p, trace=True, snapshot=True)
-    p.set_defaults(func=cmd_ingest)
-
-    graph = sub.add_parser("graph", help="graph construction")
-    gsub = graph.add_subparsers(dest="subcommand", required=True)
-    p = gsub.add_parser("build", help="build EMFG/EACG/ECIG and export edges")
-    _add_common(p, trace=True, snapshot=True)
-    p.set_defaults(func=cmd_graph_build)
-
-    p = sub.add_parser("metrics", help="network metrics for one graph")
-    _add_common(p, trace=True, snapshot=True)
-    p.add_argument("--graph", choices=("emfg", "eacg", "ecig"), default="emfg")
-    _add_metrics_flags(p)
-    p.set_defaults(func=cmd_metrics)
-
-    bots = sub.add_parser("bots", help="bot detection and classification")
-    bsub = bots.add_subparsers(dest="subcommand", required=True)
-    p = bsub.add_parser("detect", help="community-level detection")
-    _add_common(p, trace=True, snapshot=True, registry=True)
-    _add_detect_flags(p)
-    p.set_defaults(func=cmd_bots_detect)
-    p = bsub.add_parser("classify", help="per-account classifier")
-    _add_common(p, trace=True, snapshot=True, registry=True)
-    _add_classify_flags(p)
-    p.set_defaults(func=cmd_bots_classify)
-
-    perms = sub.add_parser("perms", help="permission audit")
-    psub = perms.add_subparsers(dest="subcommand", required=True)
-    p = psub.add_parser("audit", help="replay updateauth and flag eosio.code misuse")
-    _add_common(p, trace=True, snapshot=True)
-    p.set_defaults(func=cmd_perms_audit)
-
-    att = sub.add_parser("attacks", help="attack scanning")
-    asub = att.add_subparsers(dest="subcommand", required=True)
-    p = asub.add_parser("scan", help="fake transfer/notice + profit scan")
-    _add_common(p, trace=True, registry=True)
-    _add_scan_flags(p)
-    p.set_defaults(func=cmd_attacks_scan)
-
-    synth = sub.add_parser("synth", help="synthetic chain generation")
-    ssub = synth.add_subparsers(dest="subcommand", required=True)
-    p = ssub.add_parser("generate", help="generate a scenario with ground truth")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
-    p.add_argument("--days", type=_positive_int, default=30)
-    p.add_argument("--users", type=int, default=100)
-    p.add_argument("--services", type=int, default=3)
-    p.add_argument("--bots", action="append", type=_bot_spec,
-                   help="category:size[:cal], repeatable")
-    p.add_argument("--attacks", action="append", type=_attack_spec,
-                   help="kind:profit:day, repeatable")
-    p.add_argument("--misuse", type=_misuse_plan, default=synthgen.MisusePlan(),
-                   help="e.g. misuse:150,partial:300,benign:250")
-    p.add_argument("--rate", type=float, default=1.0,
-                   help="background traffic multiplier")
-    p.add_argument("--silent", type=int, default=0)
-    p.add_argument("--deep-chain", type=int, default=0)
-    p.set_defaults(func=cmd_synth_generate)
-
-    p = sub.add_parser("report", help="summarize stage outputs under --out")
-    p.add_argument("--out", default=_env_default("out", "out"))
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("run", help="every stage from ingest to report into one --out")
-    _add_common(p, trace=True, snapshot=True, registry=True)
-    for add_flags in (_add_metrics_flags, _add_detect_flags, _add_classify_flags,
-                      _add_scan_flags):
-        add_flags(p)
-    p.set_defaults(func=cmd_run)
-
+    groups = {}
+    for words, help_text, command, add_flags in COMMANDS:
+        group, _, name = words.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = sub.add_parser(group, help=GROUP_HELP[group]).add_subparsers(
+                dest="subcommand", required=True)
+        p = (groups[group] if group else sub).add_parser(name, help=help_text)
+        for add in add_flags:
+            add(p)
+        p.set_defaults(func=command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.checked = {}  # shared by the stages of a `run`: see _memo
     try:
-        return args.func(args)
-    except ForensicsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+        return cmd_run(args) if args.func is cmd_run else _staged(args.func, args)
+    except (ForensicsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eosforensics import cli, model
+from eosforensics import attacks, botnet, cli, graphs, metrics, model, permissions, synthgen
 from eosforensics.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, main
 
 
@@ -195,6 +197,28 @@ def test_attacks_scan_with_bundles(files, tmp_path, scenario):
         assert (bundle / "manifest.json").exists()
 
 
+def test_attacks_scan_replaces_the_last_bundles_whole(files, tmp_path):
+    argv = ["attacks", "scan", "--trace", files["trace"], "--days", "30",
+            "--out", str(tmp_path), "--dapps", files["dapps"]]
+
+    def written():
+        findings = [json.loads(l) for l in
+                    (tmp_path / "attack_findings.ndjson").read_text().splitlines()]
+        names = sorted(p.name for p in (tmp_path / "bundles").iterdir())
+        return [f"{i:04d}-{f['kind']}-{f['attacker']}" for i, f in enumerate(findings)], names
+
+    assert main(argv + ["--bundles"]) == EXIT_FINDINGS
+    expected, names = written()
+    assert len(names) == 3 and names == expected
+    # The profit scan flags nothing above 100,000 EOS, so a bundle goes.
+    assert main(argv + ["--bundles", "--w1", "100000"]) == EXIT_FINDINGS
+    expected, names = written()
+    assert len(names) < 3 and names == expected
+    # Without --bundles the last bundles are left as they are.
+    assert main(argv) == EXIT_FINDINGS
+    assert written()[1] == names
+
+
 def _tiny_inputs(tmp_path, trace_lines, bob_key=("EOSKEYB", 1)):
     """A snapshot of alice and bob, who hold different keys, and a trace of
     `trace_lines` (action objects without global_seq). Returns the flags
@@ -228,6 +252,16 @@ def _grant(contract="eosio", **over):
 # 198 transfers keep one bad line of 200 under the 1% malformed-line gate.
 _FILLER = [_action("eosio.token", "transfer",
                    {"from": "alice", "to": "bob", "quantity": "1.0000 EOS"})] * 198
+
+
+def test_attacks_scan_without_findings_empties_bundles(tmp_path):
+    _tiny_inputs(tmp_path, [_action("eosio.token", "transfer", {
+        "from": "alice", "to": "bob", "quantity": "1.0000 EOS"})])
+    out = tmp_path / "out"
+    (out / "bundles" / "0000-fake_transfer-alice").mkdir(parents=True)
+    assert main(["attacks", "scan", "--trace", str(tmp_path / "trace.ndjson"), "--days", "30",
+                 "--out", str(out), "--bundles"]) == EXIT_OK
+    assert list((out / "bundles").iterdir()) == []
 
 
 @pytest.mark.parametrize("contract,code,grants", [("eosio", EXIT_FINDINGS, 1),
@@ -540,15 +574,15 @@ def _registry(files):
             "--labels", files["labels"]]
 
 
-def _pipeline(files, out):
+def _pipeline(files, out, days="30"):
     """argv of the ten commands `run` chains, in its order."""
-    common, registry = _common(files, out), _registry(files)
+    common, registry = _common(files, out, days), _registry(files)
     return [["ingest"] + common, ["graph", "build"] + common,
             *(["metrics", "--graph", g] + common for g in ("emfg", "eacg", "ecig")),
             ["bots", "detect"] + common + registry,
             ["bots", "classify"] + common + registry,
             ["perms", "audit"] + common,
-            ["attacks", "scan", "--trace", files["trace"], "--days", "30",
+            ["attacks", "scan", "--trace", files["trace"], "--days", days,
              "--out", str(out), "--bundles"] + registry,
             ["report", "--out", str(out)]]
 
@@ -797,7 +831,7 @@ def test_commands_share_one_parse_and_leave_it_unchanged(files, window, tmp_path
     for column in ("seq", "us", "day", "src", "dst", "units"):
         assert np.array_equal(getattr(trace.transfers, column), getattr(transfers, column))
 
-    snapshot = cli.PARSES["snapshot"][1]
+    snapshot = cli.PARSES["snapshot"][1].result
     fresh = model.parse_account_snapshot(files["snapshot"])
     assert ({name: r.to_json() for name, r in snapshot.items()}
             == {name: r.to_json() for name, r in fresh.items()})
@@ -834,3 +868,102 @@ def test_run_stops_at_the_first_error(files, tmp_path, capsys):
     assert (tmp_path / "metrics_ecig.json").exists()
     assert not [p.name for p in tmp_path.iterdir()
                 if p.name.startswith(("bot_", "perm_", "attack_", "report"))]
+
+
+def test_run_hashes_no_input_again(files, tmp_path, monkeypatch):
+    hashed = []
+    digest = cli._file_digest
+    monkeypatch.setattr(cli, "_file_digest", lambda path: hashed.append(path) or digest(path))
+    assert main(["run", *_common(files, tmp_path), *_registry(files)]) == EXIT_FINDINGS
+    assert hashed == []
+    # Another main() call checks each kept parse against its file once.
+    assert main(["ingest"] + _common(files, tmp_path)) == EXIT_OK
+    assert sorted(hashed) == sorted([files["trace"], files["snapshot"]])
+
+
+def test_one_pass_builds_each_graph_once(files, tmp_path, monkeypatch):
+    calls = {}
+    for name in ("build_emfg", "build_eacg", "build_ecig"):
+        def counted(*args, _name=name, _build=getattr(graphs, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _build(*args)
+        monkeypatch.setattr(graphs, name, counted)
+    for argv in _pipeline(files, tmp_path):
+        assert main(argv) in (EXIT_OK, EXIT_FINDINGS), argv
+    assert calls == {"build_emfg": 1, "build_eacg": 1, "build_ecig": 1}
+
+
+# ---------------------------------------------------------------------------
+# Staged output: a command's files replace their namesakes in --out only when
+# it exits 0 or 1.
+
+
+@pytest.fixture(scope="module")
+def filled_out(files, tmp_path_factory):
+    """An --out that one pipeline pass over a shorter window has filled, so
+    that every command of a 30-day pass writes other bytes into it. The EACG
+    metrics do not depend on the window, so each JSON file gains a trailing
+    blank line; `report` would rewrite its files from the same inputs, so
+    they are removed."""
+    out = tmp_path_factory.mktemp("filled")
+    for argv in _pipeline(files, out, days="10"):
+        assert main(argv) in (EXIT_OK, EXIT_FINDINGS), argv
+    for path in out.glob("*.json"):
+        path.write_bytes(path.read_bytes() + b"\n")
+    for path in out.glob("report*"):
+        path.unlink()
+    cli.PARSES.clear()
+    return out
+
+
+# command -> (its index in _pipeline, or None for `synth generate`; the step
+# that fails; how many calls of that step pass first). Each step comes after
+# the command's first write.
+FAILING_STEPS = {
+    "ingest": (0, cli, "write_ndjson", 0),
+    "graph_build": (1, graphs, "silent_accounts", 0),
+    "metrics_emfg": (2, metrics, "pagerank", 0),
+    "metrics_eacg": (3, metrics, "pagerank", 0),
+    "metrics_ecig": (4, metrics, "pagerank", 0),
+    "bots_detect": (5, botnet, "detect_communities", 0),
+    "bots_classify": (6, botnet, "categorize", 0),
+    "perms_audit": (7, permissions, "account_pair_summary", 0),
+    "attacks_scan": (8, attacks, "evidence_bundle", 1),
+    "report": (9, cli, "write_csv", 1),
+    "synth_generate": (None, synthgen._Chain, "_snapshot_lines", 0),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAILING_STEPS))
+def test_failed_command_leaves_out_unchanged(files, filled_out, tmp_path, monkeypatch,
+                                             command):
+    index, owner, attr, passing = FAILING_STEPS[command]
+    out = tmp_path / "out"
+    shutil.copytree(filled_out, out)
+    argv = (_pipeline(files, out)[index] if index is not None else
+            ["synth", "generate", "--out", str(out), "--seed", "3", "--days", "10",
+             "--users", "30", "--services", "2"])
+    before = _tree_hash(out)
+    step, passed, wrote = getattr(owner, attr), [], []
+
+    def fail_after(*args, **kwargs):
+        if len(passed) < passing:
+            passed.append(True)
+            return step(*args, **kwargs)
+        wrote.append(_tree_hash(out) != before)
+        raise OSError("injected failure")
+
+    monkeypatch.setattr(owner, attr, fail_after)
+    assert main(argv) == EXIT_ERROR
+    assert wrote == [True], "the step failed before the command wrote anything"
+    assert _tree_hash(out) == before
+    assert not list(out.glob(".stage-*"))
+
+
+def test_exit_2_discards_what_the_command_wrote(tmp_path):
+    def command(args, stage):
+        (stage / "ingest.json").write_text("partial\n")
+        return EXIT_ERROR
+
+    assert cli._staged(command, argparse.Namespace(out=str(tmp_path))) == EXIT_ERROR
+    assert list(tmp_path.iterdir()) == []
