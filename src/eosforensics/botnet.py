@@ -8,10 +8,12 @@ separately as money-flow actions). The contract-target vector, however,
 covers every contract an account calls, eosio.token included, because
 bots in the same farm hit the same targets whichever kind they are.
 
-Everything reads the column graphs. `behavior_vectors` reads one account's
-row of each day view; `extract_features` builds the feature matrix of a
-whole account list at once, and `categorize` labels a whole list from maps
-built once per call, so its rules do constant work per account.
+Everything reads the column graphs, and reads a whole account list at once:
+`behavior_matrices` builds its time and target vectors (`behavior_vectors`
+is the one-row case), `extract_features` its feature matrix, and
+`categorize` labels it from maps built once per call, so its rules do
+constant work per account. The shortlist and its communities are read off
+the EACG's DiGraph view.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CalibrationError
-from .graphs import Eacg, Ecig, Emfg, node_values
+from .graphs import DayView, Eacg, Ecig, Emfg, eacg_to_digraph, node_values
 from .model import UNITS_PER_EOS, ObservationWindow
 
 DEFAULT_MIN_CHILDREN = 30
@@ -129,9 +131,19 @@ class BotVerdict:
 # Shortlist + behavior vectors
 
 
+def communities(eacg: Eacg, min_children=DEFAULT_MIN_CHILDREN) -> dict:
+    """Each account with more than `min_children` out-edges in the EACG (the
+    accounts it created) -> its children, both in name order."""
+    view = eacg_to_digraph(eacg)  # children ascend per creator, creators ascend
+    counts = view.out_degrees()
+    ends = np.cumsum(counts)
+    return {eacg.names[c]: [eacg.names[m] for m in view.dst[ends[c] - counts[c]:ends[c]].tolist()]
+            for c in np.flatnonzero(counts > min_children).tolist()}
+
+
 def shortlist_creators(eacg: Eacg, min_children=DEFAULT_MIN_CHILDREN) -> set:
     """Accounts that created strictly more than `min_children` accounts."""
-    return {a for a in eacg.children if eacg.out_degree(a) > min_children}
+    return set(communities(eacg, min_children))
 
 
 def contract_universe(ecig: Ecig):
@@ -139,21 +151,26 @@ def contract_universe(ecig: Ecig):
     return [ecig.names[i] for i in np.unique(ecig.dst).tolist()]
 
 
+def behavior_matrices(accounts, emfg: Emfg, ecig: Ecig, window: ObservationWindow,
+                      contract_index) -> tuple:
+    """(time matrix, target matrix), one row per account: its daily transfers
+    sent, then its daily contract invocations over the window; its calls of
+    each contract of `contract_index` (name -> column; others are left out)."""
+    days, e, c = window.day_count, emfg.ids(accounts), ecig.ids(accounts)
+    time = np.hstack([emfg.sent.matrix(e, days, 1), ecig.calls.matrix(c, days, 0)])
+    pairs = ecig.pairs
+    column = np.full(len(ecig.names) + 1, -1)  # the last slot takes contracts not in the ECIG
+    column[ecig.ids(contract_index)] = list(contract_index.values())
+    keep = np.isin(pairs.src, c)
+    targets = DayView(len(ecig.names), pairs.src[keep], column[pairs.dst[keep]], pairs.count[keep])
+    return time, targets.matrix(c, len(contract_index), 0)
+
+
 def behavior_vectors(account, emfg: Emfg, ecig: Ecig, window: ObservationWindow,
                      contract_index) -> BehaviorVectors:
-    days = window.day_count
-    t = np.zeros(2 * days)
-    for offset, (day, *_, count) in ((0, emfg.sent.row(emfg.node(account))),
-                                     (days, ecig.calls.row(ecig.node(account)))):
-        for d, c in zip(day.tolist(), count.tolist()):
-            if 0 <= d < days:
-                t[offset + d] = c
-    s = np.zeros(len(contract_index))
-    for contract, c in zip(*ecig.targets(account)):
-        idx = contract_index.get(ecig.names[contract])
-        if idx is not None:
-            s[idx] = c
-    return BehaviorVectors(account, t, s)
+    """One account's row of behavior_matrices."""
+    time, targets = behavior_matrices([account], emfg, ecig, window, contract_index)
+    return BehaviorVectors(account, time[0], targets[0])
 
 
 def cosine_distance(u, v) -> float:
@@ -177,6 +194,16 @@ def group_similarity(members_vectors) -> tuple:
     dist_t = group_mean_distance([bv.time_vec for bv in members_vectors])
     dist_s = group_mean_distance([bv.target_vec for bv in members_vectors])
     return dist_s, dist_t
+
+
+def measure_community(members, vector_for):
+    """(the members' vectors that are neither silent (None from
+    `vector_for`) nor zero, and their (dist_t, dist_s) or None if none is)."""
+    vectors = [v for v in map(vector_for, members) if v is not None and not v.is_zero()]
+    if not vectors:
+        return vectors, None
+    dist_s, dist_t = group_similarity(vectors)
+    return vectors, (dist_t, dist_s)
 
 
 # ---------------------------------------------------------------------------
@@ -204,31 +231,17 @@ def calibrate_threshold(bot_dists) -> SimilarityThreshold:
 def detect_communities(eacg: Eacg, vector_for, threshold: SimilarityThreshold,
                        min_children=DEFAULT_MIN_CHILDREN):
     """Evaluate every shortlisted creator's community against the
-    calibrated box.
-
-    `vector_for(account)` returns a BehaviorVectors or None for silent
-    accounts. Returns (flagged, all_stats) with deterministic order.
-    """
+    calibrated box, measured as measure_community does with `vector_for`.
+    Returns (flagged, all_stats) in controller order."""
     stats = []
-    for controller in sorted(shortlist_creators(eacg, min_children)):
-        members = sorted(eacg.children[controller])
-        vectors = []
-        for member in members:
-            bv = vector_for(member)
-            if bv is not None and not bv.is_zero():
-                vectors.append(bv)
-        if not vectors:
-            stats.append(
-                CommunityStats(controller, members, [], float("nan"), float("nan"),
-                               skipped_reason="all members silent")
-            )
-            continue
-        dist_s, dist_t = group_similarity(vectors)
-        flagged = threshold.contains(dist_t, dist_s)
-        stats.append(
-            CommunityStats(controller, members, [bv.account for bv in vectors],
-                           dist_t, dist_s, flagged=flagged)
-        )
+    for controller, members in communities(eacg, min_children).items():
+        vectors, dists = measure_community(members, vector_for)
+        if dists is None:
+            stats.append(CommunityStats(controller, members, [], float("nan"), float("nan"),
+                                        skipped_reason="all members silent"))
+        else:
+            stats.append(CommunityStats(controller, members, [bv.account for bv in vectors],
+                                        *dists, flagged=threshold.contains(*dists)))
     return [c for c in stats if c.flagged], stats
 
 

@@ -397,27 +397,20 @@ def cmd_bots_detect(args, stage):
 
     contract_index = {c: i for i, c in enumerate(botnet.contract_universe(ecig))}
     silent = graphs.silent_accounts(emfg, ecig, snapshot)
-    computed = {}  # calibration and detection ask for some accounts twice
-
-    def vector_for(account):
-        if account not in computed:
-            computed[account] = None if account in silent else botnet.behavior_vectors(
-                account, emfg, ecig, args.window, contract_index)
-        return computed[account]
-
-    bot_dists = []
-    for controller, members in registry.labeled_bot_communities:
-        vectors = [v for v in map(vector_for, sorted(members))
-                   if v is not None and not v.is_zero()]
-        if not vectors:
-            continue
-        dist_s, dist_t = botnet.group_similarity(vectors)
-        bot_dists.append((dist_t, dist_s))
+    communities = botnet.communities(eacg, args.min_children)
+    # one batch for every account calibration and detection measure
+    accounts = sorted({m for _, ms in registry.labeled_bot_communities for m in ms}
+                      .union(*communities.values()) - silent)
+    vectors = {account: botnet.BehaviorVectors(account, time, targets)
+               for account, time, targets in zip(accounts, *botnet.behavior_matrices(
+                   accounts, emfg, ecig, args.window, contract_index))}
+    bot_dists = [d for _, members in registry.labeled_bot_communities
+                 if (d := botnet.measure_community(sorted(members), vectors.get)[1]) is not None]
     threshold = botnet.calibrate_threshold(bot_dists)
     _dump(stage / "bot_threshold.json", threshold.to_json())
 
     flagged, stats = botnet.detect_communities(
-        eacg, vector_for, threshold, min_children=args.min_children
+        eacg, vectors.get, threshold, min_children=args.min_children
     )
     _dump(
         stage / "bot_communities.json",
@@ -750,8 +743,15 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(environment):
+    """build_parser(), kept while the EOSFOR_* `environment` its defaults read holds."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser(tuple(sorted(item for item in os.environ.items()
+                                if item[0].startswith("EOSFOR_")))).parse_args(argv)
     args.checked = {}  # shared by the stages of a `run`: see _memo
     try:
         return cmd_run(args) if args.func is cmd_run else _staged(args.func, args)

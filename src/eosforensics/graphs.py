@@ -26,8 +26,8 @@ INVOCATION_KINDS = frozenset({"external", "inline", "deferred"})
 
 
 def node_values(per_node, ids):
-    """per_node[ids], with 0 for id -1 (an account not in the graph)."""
-    return np.where(ids >= 0, per_node[ids], 0)
+    """per_node[ids], with 0 for id -1 (an account not in the graph, even an empty one)."""
+    return np.append(per_node, 0)[ids]
 
 
 class Pairs(NamedTuple):
@@ -74,16 +74,6 @@ class DayGraph:
         """Each node's sum of `pair_values` (one per pair) over its pairs, as floats."""
         return np.bincount(self.pairs.src, pair_values, len(self.names))
 
-    def targets(self, account):
-        """(dst ids, summed counts) of the account's pairs, as lists."""
-        i, pairs = self._ids.get(account), self.pairs
-        lo, hi = (0, 0) if i is None else (pairs.first[i], pairs.first[i + 1])
-        return pairs.dst[lo:hi].tolist(), pairs.count[lo:hi].tolist()
-
-    def out_degree(self, account) -> int:
-        """The number of distinct nodes `account` has an edge to."""
-        return len(self.targets(account)[0])
-
     def to_digraph(self, column, scale) -> DiGraph:
         """One row per (src, dst) pair, weighted by its `column` sum / `scale`:
         for sums below 2**53 the correctly rounded quotient."""
@@ -97,11 +87,6 @@ class DayView:
     def __init__(self, node_count, node, day, *columns):
         _, _, (group_node, self.day), self.sums = group_sums((node, day), *columns)
         self.first = np.searchsorted(group_node, np.arange(node_count + 1))
-
-    def row(self, i):
-        """(days, *sums) of node i; empty for None (an account not in the graph)."""
-        lo, hi = (0, 0) if i is None else (self.first[i], self.first[i + 1])
-        return (self.day[lo:hi], *(column[lo:hi] for column in self.sums))
 
     def totals(self, ids, k):
         """Each node's sum of sums[k] over every day."""
@@ -165,52 +150,55 @@ def build_emfg(transfers) -> Emfg:
 
 
 class Eacg:
-    """Account creation forest: child -> (creator, creation day)."""
+    """Account creation forest over the sorted snapshot `names`: each account's
+    `creator` id (-1 for a root, whose creator is None or absent) and creation `day`."""
 
-    def __init__(self):
-        self.parent = {}  # child -> (creator, day)
-        self.children = {}  # creator -> list of children
-        self.roots = set()
-        self._depth = {}
+    def __init__(self, names, creator, day):
+        self.names, self.creator, self.day = names, creator, day
+        self._ids = {name: i for i, name in enumerate(names)}
 
-    def out_degree(self, account) -> int:
-        return len(self.children.get(account, ()))
+    @cached_property
+    def depths(self):
+        """Each account's depth (a root's is 0), by pointer doubling: after
+        round k, up[i] is i's 2**k-th ancestor (-1 past its root) and
+        depth[i] is i's distance to up[i], or to its root once up[i] is -1."""
+        up, depth = self.creator.copy(), (self.creator >= 0).astype(np.int64)
+        live = np.flatnonzero(up >= 0)
+        for _ in range(len(self.names).bit_length()):
+            depth[live] += depth[up[live]]
+            up[live] = up[up[live]]
+            live = live[up[live] >= 0]
+        if len(live):
+            raise GraphError(f"creator cycle through account {self.names[live[0]]!r}")
+        return depth
 
     def depth(self, account) -> int:
-        """Root depth 0, child depth = parent depth + 1. Iterative so
-        chains thousands deep (seen in the wild) do not blow the stack."""
-        if account in self._depth:
-            return self._depth[account]
-        if account not in self.parent and account not in self.roots:
+        if account not in self._ids:
             raise GraphError(f"unknown account in creation forest: {account!r}")
-        chain = []
-        node = account
-        while node not in self._depth:
-            if node in self.roots:
-                self._depth[node] = 0
-                break
-            chain.append(node)
-            node = self.parent[node][0]
-        for n in reversed(chain):
-            self._depth[n] = self._depth[self.parent[n][0]] + 1
-        return self._depth[account]
+        return int(self.depths[self._ids[account]])
 
     def max_depth(self) -> int:
-        return max((self.depth(n) for n in self.parent), default=0)
+        return int(self.depths.max(initial=0))
+
+    @cached_property
+    def parent(self):
+        """child -> (creator, creation day), for every account but the roots."""
+        child = np.flatnonzero(self.creator >= 0).tolist()
+        return {self.names[c]: (self.names[p], d) for c, p, d in zip(
+            child, self.creator[child].tolist(), self.day[child].tolist())}
+
+    @cached_property
+    def roots(self):
+        return frozenset(self.names[i] for i in np.flatnonzero(self.creator < 0).tolist())
 
 
 def build_eacg(snapshot, window: ObservationWindow) -> Eacg:
-    """Build the creation forest from a parsed snapshot. Accounts whose
-    creator is absent from the snapshot become roots."""
-    g = Eacg()
-    for name, record in snapshot.items():
-        if record.creator is None or record.creator not in snapshot:
-            g.roots.add(name)
-        else:
-            g.parent[name] = (record.creator, window.day_index(record.created_at))
-            g.children.setdefault(record.creator, []).append(name)
-    # forest identity: every non-root has exactly one parent by construction
-    return g
+    """The creation forest of a parsed snapshot (or a plain dict of records)."""
+    names = tuple(sorted(snapshot))
+    ids = {name: i for i, name in enumerate(names)}
+    records = [snapshot[name] for name in names]
+    return Eacg(names, np.array([ids.get(r.creator, -1) for r in records], dtype=np.int64),
+                np.array([window.day_index(r.created_at) for r in records], dtype=np.int64))
 
 
 class Ecig(DayGraph):
@@ -280,26 +268,6 @@ class DiGraph:
             array.flags.writeable = False
         self.nodes, self.src, self.dst, self.weight = nodes, src, dst, weight
 
-    @classmethod
-    def from_edges(cls, edges, nodes=()) -> DiGraph:
-        """Graph of the (u, v, weight) triples in `edges` plus the isolated
-        `nodes`. The weights of a repeated (u, v) are summed in input order."""
-        heads, tails, weights = [], [], []
-        for head, tail, weight in edges:
-            heads.append(head)
-            tails.append(tail)
-            weights.append(weight)
-        names = tuple(sorted({*nodes, *heads, *tails}))
-        index = {name: i for i, name in enumerate(names)}
-        n = len(names)
-        u = np.fromiter(map(index.__getitem__, heads), np.int64, len(heads))
-        v = np.fromiter(map(index.__getitem__, tails), np.int64, len(tails))
-        w = np.array(weights, dtype=np.float64)
-        key, row = np.unique(u * n + v, return_inverse=True)
-        weight = np.zeros(len(key))
-        np.add.at(weight, row, w)
-        return cls(names, *np.divmod(key, n), weight)
-
     def edges(self):
         """(u, v, weight) by name, in row order."""
         names = self.nodes
@@ -319,10 +287,11 @@ def emfg_to_digraph(emfg: Emfg) -> DiGraph:
 
 
 def eacg_to_digraph(eacg: Eacg) -> DiGraph:
-    return DiGraph.from_edges(
-        ((creator, child, 1.0) for child, (creator, _) in eacg.parent.items()),
-        eacg.roots,
-    )
+    """One creator -> child row of weight 1 per child, in (creator, child)
+    order: the stable sort keeps each creator's children ascending."""
+    child = np.flatnonzero(eacg.creator >= 0)
+    child = child[np.argsort(eacg.creator[child], kind="stable")]
+    return DiGraph(eacg.names, eacg.creator[child], child, np.ones(len(child)))
 
 
 def ecig_to_digraph(ecig: Ecig) -> DiGraph:

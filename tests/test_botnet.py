@@ -123,15 +123,17 @@ class TestCosine:
         assert 0.0 <= d <= 1.0
 
 
+def _boss_forest(children):
+    """The creation forest of a plain dict snapshot: root "boss" and the
+    `children` it created on day 0."""
+    snapshot = {name: AccountRecord(name, creator, ts(1), {})
+                for name, creator in [("boss", None), *((c, "boss") for c in children)]}
+    return graphs.build_eacg(snapshot, ObservationWindow(date(2018, 6, 9), date(2018, 6, 18)))
+
+
 class TestShortlist:
     def _eacg(self, n_children):
-        g = graphs.Eacg()
-        g.roots.add("boss")
-        for i in range(n_children):
-            child = f"kid{i}"
-            g.parent[child] = ("boss", 0)
-            g.children.setdefault("boss", []).append(child)
-        return g
+        return _boss_forest([f"kid{i}" for i in range(n_children)])
 
     def test_boundary_exactly_30_excluded(self):
         assert botnet.shortlist_creators(self._eacg(30)) == set()
@@ -243,12 +245,7 @@ class TestDetection:
         assert list(zip([m for m, _ in members], got)) == members
 
     def test_skipped_all_silent_community(self):
-        g = graphs.Eacg()
-        g.roots.add("boss")
-        for i in range(40):
-            child = f"kid{i:02d}"
-            g.parent[child] = ("boss", 0)
-            g.children.setdefault("boss", []).append(child)
+        g = _boss_forest([f"kid{i:02d}" for i in range(40)])
         threshold = botnet.SimilarityThreshold(0.1, 0.1, 0.1, 0.1)
         flagged, stats = botnet.detect_communities(g, lambda a: None, threshold)
         assert flagged == []

@@ -511,6 +511,21 @@ def test_env_override(files, tmp_path, monkeypatch):
     assert args.min_children == 5000
 
 
+def test_one_parser_per_environment(files, tmp_path, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in _pipeline(files, tmp_path):
+        assert main(argv) in (EXIT_OK, EXIT_FINDINGS), argv
+    assert len(builds) == 1
+    # an EOSFOR_* variable set between calls builds a parser that reads it
+    monkeypatch.setenv("EOSFOR_MIN_CHILDREN", "5000")
+    assert main(["bots", "detect"] + _common(files, tmp_path) + _registry(files)) == EXIT_OK
+    assert len(builds) == 2
+    assert json.loads((tmp_path / "bot_communities.json").read_text()) == []
+
+
 def test_report_aggregates(files, tmp_path, capsys):
     main(["metrics"] + _common(files, tmp_path))
     main(["perms", "audit"] + _common(files, tmp_path))

@@ -7,10 +7,18 @@ from hypothesis import example, given, strategies as st
 
 from eosforensics import botnet, graphs, synthgen
 from eosforensics.errors import GraphError
-from eosforensics.model import ObservationWindow, extract_transfers, parse_account_snapshot
+from eosforensics.model import (
+    AccountRecord,
+    ObservationWindow,
+    extract_transfers,
+    parse_account_snapshot,
+)
 from tests_support import (
+    from_edges,
     make_action,
     make_transfer,
+    oracle_eacg,
+    oracle_eacg_digraph,
     oracle_ecig,
     oracle_emfg,
     oracle_silent,
@@ -29,7 +37,9 @@ def _w(days=30):
 
 def _row(view, graph, account):
     """day -> (units, count) of the account's row of an EMFG day view."""
-    day, units, count = (column.tolist() for column in view.row(graph.node(account)))
+    i = graph.node(account)
+    lo, hi = (0, 0) if i is None else (view.first[i], view.first[i + 1])
+    day, units, count = (column[lo:hi].tolist() for column in (view.day, *view.sums))
     return dict(zip(day, zip(units, count)))
 
 
@@ -77,7 +87,8 @@ class TestEmfg:
 
     def test_out_degree_counts_distinct_receivers(self):
         g = _emfg((0, "a", "b", 1), (1, "a", "b", 1), (0, "a", "c", 1), (0, "c", "a", 1))
-        assert [g.out_degree(x) for x in ("a", "b", "c", "nobody")] == [2, 0, 1, 0]
+        ids = g.ids(["a", "b", "c", "nobody"])
+        assert graphs.node_values(np.diff(g.pairs.first), ids).tolist() == [2, 0, 1, 0]
 
     def test_empty(self):
         g = graphs.build_emfg(extract_transfers([], _w()))
@@ -165,8 +176,8 @@ class TestEcig:
         token = ecig.node("eosio.token")
         assert (ecig.dst == token).any()
         for caller in np.unique(ecig.src).tolist():
-            _, count = ecig.calls.row(caller)
-            assert count.sum() == ecig.count[(ecig.src == caller) & (ecig.dst != token)].sum()
+            total = ecig.calls.totals(np.array([caller]), 0)[0]
+            assert total == ecig.count[(ecig.src == caller) & (ecig.dst != token)].sum()
 
 
 class TestSilent:
@@ -186,7 +197,7 @@ class TestSilent:
 
 class TestDigraphAndExports:
     def test_from_edges_sorts_rows_and_sums_repeats(self):
-        g = graphs.DiGraph.from_edges(
+        g = from_edges(
             [("b", "a", 0.1), ("a", "c", 2.0), ("b", "a", 0.2), ("a", "a", 1.0)],
             nodes=["z"],
         )
@@ -292,7 +303,8 @@ def test_emfg_matches_dict_oracle(rows):
         assert {d: (str(w), c) for d, (w, c) in got.items()} == {
             d: (str(w), c) for d, (w, c) in days.items()}
     for account in "abcd":
-        assert g.out_degree(account) == len(cells.get(account, {}))
+        assert graphs.node_values(np.diff(g.pairs.first), g.ids([account])).tolist() == [
+            len(cells.get(account, {}))]
         for direction in ("out", "in"):
             want = {}
             for src, dst, days in edges:
@@ -302,7 +314,7 @@ def test_emfg_matches_dict_oracle(rows):
                         want[d] = (units + int(w.scaleb(4)), count + c)
             assert _row(g.sent if direction == "out" else g.received, g, account) == want
     view = graphs.emfg_to_digraph(g)
-    expected = graphs.DiGraph.from_edges(
+    expected = from_edges(
         ((src, dst, float(sum(w for w, _ in days.values()))) for src, dst, days in edges), nodes)
     assert view.nodes == expected.nodes == tuple(nodes)
     for got, want in zip((view.src, view.dst, view.weight),
@@ -355,7 +367,7 @@ def test_ecig_matches_dict_oracle(rows):
              for contract, days in targets.items()]
     assert ecig.total_invocations() == sum(sum(days.values()) for _, _, days in edges)
     view = graphs.ecig_to_digraph(ecig)
-    expected = graphs.DiGraph.from_edges(
+    expected = from_edges(
         (caller, contract, float(sum(days.values()))) for caller, contract, days in edges)
     assert view.nodes == expected.nodes
     for got, want in zip((view.src, view.dst, view.weight),
@@ -369,4 +381,77 @@ def test_ecig_matches_dict_oracle(rows):
     for account in snapshot:
         bv = botnet.behavior_vectors(account, emfg, ecig, window, index)
         t, s = oracle_vectors(account, cells, calls, window, index)
+        assert bv.time_vec.tolist() == t.tolist() and bv.target_vec.tolist() == s.tolist()
+
+
+# Creation forests as plain-dict snapshots: accounts whose creator is None,
+# missing from the snapshot ("ghost") or an account drawn before them, and a
+# chain up to a few hundred deep hung from one of them, inserted in a
+# shuffled order. Names sort in an order unrelated to creation.
+_NAMES = st.text("abcz12345", min_size=1, max_size=4)
+
+
+@st.composite
+def _forests(draw):
+    names = draw(st.lists(_NAMES, unique=True, max_size=25))
+    chain = [f"chain.{k:03d}" for k in draw(st.permutations(range(draw(st.integers(0, 300)))))]
+    creators = []
+    for i, _ in enumerate(names):
+        pick = draw(st.integers(-2, i - 1))
+        creators.append(None if pick == -2 else "ghost" if pick == -1 else names[pick])
+    if chain:
+        creators.append(draw(st.sampled_from([None, "ghost", *names])))
+        creators.extend(chain[:-1])
+    when = st.datetimes(datetime(2018, 6, 1), datetime(2018, 7, 20),
+                        timezones=st.just(timezone.utc))
+    records = [AccountRecord(name, creator, draw(when), {})
+               for name, creator in zip(names + chain, creators)]
+    return {r.name: r for r in draw(st.permutations(records))}
+
+
+@given(_forests(), st.integers(0, 3))
+@example({}, 0)
+def test_eacg_matches_dict_oracle(snapshot, min_children):
+    window = _w()
+    eacg, oracle = graphs.build_eacg(snapshot, window), oracle_eacg(snapshot, window)
+    assert eacg.parent == oracle.parent
+    assert eacg.roots == oracle.roots
+    assert eacg.names == tuple(sorted(snapshot))
+    assert [eacg.depth(a) for a in eacg.names] == [oracle.depth(a) for a in eacg.names]
+    assert eacg.max_depth() == oracle.max_depth()
+    with pytest.raises(GraphError):
+        eacg.depth("ghost")
+    view, expected = graphs.eacg_to_digraph(eacg), oracle_eacg_digraph(oracle)
+    assert view.nodes == expected.nodes
+    for got, want in zip((view.src, view.dst, view.weight),
+                         (expected.src, expected.dst, expected.weight)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert botnet.communities(eacg, min_children) == {
+        creator: sorted(children) for creator, children in sorted(oracle.children.items())
+        if oracle.out_degree(creator) > min_children}
+
+
+# Contract indexes: {}, a part of the contracts in any order, or one naming a
+# contract that no one calls.
+_indexes = st.lists(st.sampled_from(["a", "b", "dice", "eosio.token", "ghost"]), unique=True)
+
+
+@given(_calls, _indexes, st.sampled_from([1, 2, 7]))
+@example([("call", _DAY_EDGE, "a", "dice", "external"),
+          ("transfer", _MIDNIGHT, "a", "b", "inline")], [], 2)
+def test_behavior_matrices_match_dict_oracle(rows, contracts, days):
+    actions = _invocation_actions(rows)
+    window = _w(days)  # the trace runs from day -1 to day 4
+    ecig = graphs.build_ecig(actions, window)
+    emfg = graphs.build_emfg(extract_transfers(actions, window))
+    cells, calls = oracle_emfg(actions, window), oracle_ecig(actions, window)
+    index = {contract: i for i, contract in enumerate(contracts)}
+    # "d" only receives, "nobody" is in neither graph
+    accounts = ["nobody", "d", "c", "b", "a", "dice"]
+    time, targets = botnet.behavior_matrices(accounts, emfg, ecig, window, index)
+    assert time.shape == (len(accounts), 2 * days) and targets.shape == (len(accounts), len(index))
+    for account, t_row, s_row in zip(accounts, time, targets):
+        t, s = oracle_vectors(account, cells, calls, window, index)
+        assert t_row.tolist() == t.tolist() and s_row.tolist() == s.tolist(), account
+        bv = botnet.behavior_vectors(account, emfg, ecig, window, index)
         assert bv.time_vec.tolist() == t.tolist() and bv.target_vec.tolist() == s.tolist()

@@ -9,7 +9,7 @@ import pytest
 
 from eosforensics import metrics
 from eosforensics.errors import ConvergenceError, MetricError
-from eosforensics.graphs import DiGraph
+from tests_support import from_edges
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def random_graph(rng, max_nodes=50):
     p = rng.uniform(0.02, 0.3)
     edges = [(u, v, rng.choice([1.0, rng.uniform(0.1, 50.0)]))
              for u in names for v in names if u != v and rng.random() < p]
-    return DiGraph.from_edges(edges, names)
+    return from_edges(edges, names)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_metrics_match_oracles(seed):
 
 
 def _digraph(rng, n, p):
-    return DiGraph.from_edges(
+    return from_edges(
         [(f"n{i}", f"n{j}", rng.uniform(0.1, 50.0))
          for i in range(n) for j in range(n) if i != j and rng.random() < p],
         [f"n{i}" for i in range(n)])
@@ -214,7 +214,7 @@ def _digraph(rng, n, p):
 
 def _copies(g, k):
     """k disjoint copies of g, prefixed c<copy>:"""
-    return DiGraph.from_edges(
+    return from_edges(
         [(f"c{c}:{u}", f"c{c}:{v}", w) for c in range(k) for u, v, w in g.edges()],
         [f"c{c}:{node}" for c in range(k) for node in g.nodes])
 
@@ -226,8 +226,8 @@ def test_clustering_matches_oracle_above_2048_nodes(self_loop):
     big = _copies(copy, 70)
     if self_loop:
         heavy = 1000.0 * max(w for _, _, w in copy.edges())
-        copy = DiGraph.from_edges([*copy.edges(), ("n0", "n0", heavy)], copy.nodes)
-        big = DiGraph.from_edges([*big.edges(), ("c0:n0", "c0:n0", heavy)], big.nodes)
+        copy = from_edges([*copy.edges(), ("n0", "n0", heavy)], copy.nodes)
+        big = from_edges([*big.edges(), ("c0:n0", "c0:n0", heavy)], big.nodes)
     assert len(big.nodes) == 2100
     expected = oracle_clustering(copy)
     assert expected > 0.01
@@ -250,7 +250,7 @@ def test_clustering_ignores_self_loops_and_zero_weights(seed, kind):
                 extra.append((u, v, 0.0))
         else:
             extra.append((u, u, 1000.0 * wmax if kind == "heavy_loop" else 0.01))
-    g = DiGraph.from_edges([*g.edges(), *extra], g.nodes)
+    g = from_edges([*g.edges(), *extra], g.nodes)
     expected = oracle_clustering(g)
     got = metrics.clustering_coefficient(g)
     if expected is None:
@@ -267,7 +267,7 @@ def _local_graph(rng, n, m):
         i = rng.randrange(n)
         edges.append((f"n{i}", f"n{(i + rng.randint(1, 8)) % n}",
                       rng.choice([1.0, rng.uniform(0.1, 50.0)])))
-    return DiGraph.from_edges(edges, [f"n{i}" for i in range(n)])
+    return from_edges(edges, [f"n{i}" for i in range(n)])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -307,7 +307,7 @@ def test_pagerank_and_components_match_networkx_at_scale():
     edges += [(f"n{rng.randrange(n)}", f"n{rng.randrange(n)}", rng.uniform(0.1, 50.0))
               for _ in range(4000)]
     edges += [(f"n{i}", f"n{i}", 5.0) for i in rng.sample(range(n), 100)]
-    g = DiGraph.from_edges(edges, [f"iso{i}" for i in range(200)])
+    g = from_edges(edges, [f"iso{i}" for i in range(200)])
     assert len(g.nodes) >= 3000
     ng = nx.DiGraph()
     ng.add_nodes_from(g.nodes)
@@ -331,7 +331,7 @@ def test_pagerank_and_components_match_networkx_at_scale():
 
 
 def _cycle(n=3, weight=1.0):
-    return DiGraph.from_edges((f"n{i}", f"n{(i + 1) % n}", weight) for i in range(n))
+    return from_edges((f"n{i}", f"n{(i + 1) % n}", weight) for i in range(n))
 
 
 def test_three_cycle():
@@ -345,7 +345,7 @@ def test_three_cycle():
 
 
 def test_clustering_none_without_triangles():
-    g = DiGraph.from_edges([("a", "b", 1.0)])
+    g = from_edges([("a", "b", 1.0)])
     assert metrics.clustering_coefficient(g) is None
 
 
@@ -372,14 +372,14 @@ def test_pagerank_sums_to_one():
 
 
 def test_pagerank_dangling_mass():
-    g = DiGraph.from_edges([("a", "b", 1.0)])  # b is dangling
+    g = from_edges([("a", "b", 1.0)])  # b is dangling
     pr = metrics.pagerank(g)
     assert pr["b"] > pr["a"]
     assert sum(pr.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pagerank_weighted_preference():
-    g = DiGraph.from_edges([("s", "heavy", 9.0), ("s", "light", 1.0)])
+    g = from_edges([("s", "heavy", 9.0), ("s", "light", 1.0)])
     pr = metrics.pagerank(g)
     assert pr["heavy"] > pr["light"]
 
@@ -394,11 +394,11 @@ def test_pagerank_convergence_error_carries_iterate():
 
 def test_pagerank_bad_damping():
     with pytest.raises(MetricError):
-        metrics.pagerank(DiGraph.from_edges([]), damping=1.5)
+        metrics.pagerank(from_edges([]), damping=1.5)
 
 
 def test_component_ordering_deterministic():
-    g = DiGraph.from_edges(
+    g = from_edges(
         [("x", "y", 1.0), ("y", "x", 1.0), ("a", "b", 1.0), ("b", "a", 1.0)], ["zzz"])
     sccs = metrics.strongly_connected_components(g)
     assert sccs[0] == {"a", "b"}  # size tie broken by smallest member
@@ -408,7 +408,7 @@ def test_component_ordering_deterministic():
 
 def test_components_of_a_chain_deeper_than_the_recursion_limit():
     n = 10_000
-    g = DiGraph.from_edges((f"n{i:05d}", f"n{i + 1:05d}", 1.0) for i in range(n - 1))
+    g = from_edges((f"n{i:05d}", f"n{i + 1:05d}", 1.0) for i in range(n - 1))
     sccs, wccs = metrics.components(g)
     assert len(sccs) == n and sccs[0] == {"n00000"}
     assert wccs == [set(g.nodes)]

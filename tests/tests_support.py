@@ -8,7 +8,8 @@ import numpy as np
 
 from eosforensics import forest
 from eosforensics.attacks import INF_RATIO, AttackFinding, SuspiciousWindow
-from eosforensics.errors import TrainingError
+from eosforensics.errors import GraphError, TrainingError
+from eosforensics.graphs import DiGraph
 from eosforensics.model import ActionRecord, Quantity, TransferPayload, extract_transfers
 
 
@@ -84,6 +85,84 @@ def oracle_emfg(actions, window):
             cell[0] += p.quantity.amount
             cell[1] += 1
     return out
+
+
+def from_edges(edges, nodes=()) -> DiGraph:
+    """The DiGraph of the (u, v, weight) triples in `edges` plus the isolated
+    `nodes`. The weights of a repeated (u, v) are summed in input order."""
+    heads, tails, weights = [], [], []
+    for head, tail, weight in edges:
+        heads.append(head)
+        tails.append(tail)
+        weights.append(weight)
+    names = tuple(sorted({*nodes, *heads, *tails}))
+    index = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    u = np.fromiter(map(index.__getitem__, heads), np.int64, len(heads))
+    v = np.fromiter(map(index.__getitem__, tails), np.int64, len(tails))
+    w = np.array(weights, dtype=np.float64)
+    key, row = np.unique(u * n + v, return_inverse=True)
+    weight = np.zeros(len(key))
+    np.add.at(weight, row, w)
+    return DiGraph(names, *np.divmod(key, n), weight)
+
+
+class OracleEacg:
+    """graphs.Eacg as the dicts it used to be, with its chain-walk depth:
+    child -> (creator, creation day)."""
+
+    def __init__(self):
+        self.parent = {}  # child -> (creator, day)
+        self.children = {}  # creator -> list of children
+        self.roots = set()
+        self._depth = {}
+
+    def out_degree(self, account) -> int:
+        return len(self.children.get(account, ()))
+
+    def depth(self, account) -> int:
+        """Root depth 0, child depth = parent depth + 1. Iterative so
+        chains thousands deep (seen in the wild) do not blow the stack."""
+        if account in self._depth:
+            return self._depth[account]
+        if account not in self.parent and account not in self.roots:
+            raise GraphError(f"unknown account in creation forest: {account!r}")
+        chain = []
+        node = account
+        while node not in self._depth:
+            if node in self.roots:
+                self._depth[node] = 0
+                break
+            chain.append(node)
+            node = self.parent[node][0]
+        for n in reversed(chain):
+            self._depth[n] = self._depth[self.parent[n][0]] + 1
+        return self._depth[account]
+
+    def max_depth(self) -> int:
+        return max((self.depth(n) for n in self.parent), default=0)
+
+
+def oracle_eacg(snapshot, window):
+    """graphs.build_eacg over the dict forest. Accounts whose creator is
+    absent from the snapshot become roots."""
+    g = OracleEacg()
+    for name, record in snapshot.items():
+        if record.creator is None or record.creator not in snapshot:
+            g.roots.add(name)
+        else:
+            g.parent[name] = (record.creator, window.day_index(record.created_at))
+            g.children.setdefault(record.creator, []).append(name)
+    # forest identity: every non-root has exactly one parent by construction
+    return g
+
+
+def oracle_eacg_digraph(eacg):
+    """graphs.eacg_to_digraph of an OracleEacg, built by from_edges."""
+    return from_edges(
+        ((creator, child, 1.0) for child, (creator, _) in eacg.parent.items()),
+        eacg.roots,
+    )
 
 
 def oracle_profit_scan(events, config):
