@@ -3,7 +3,6 @@ profit scan for predictable-state exploits, plus evidence bundles."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from .model import (
     eos_decimal,
     epoch_us,
     extract_transfers,
+    file_sha256,
     format_timestamp,
     group_sums,
     parse_timestamp,
@@ -369,14 +369,6 @@ def scan_attacks(actions, registry, config: ScanConfig,
 # Evidence bundles
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def evidence_bundle(finding: AttackFinding, actions_by_seq, emfg, out_dir):
     """Write a self-contained evidence directory: the finding, every
     referenced action verbatim, the attacker/victim money-flow sub-edge
@@ -400,7 +392,7 @@ def evidence_bundle(finding: AttackFinding, actions_by_seq, emfg, out_dir):
                for day, (weight, count) in sorted(emfg.edge_days(src, dst).items())))
 
     manifest = {
-        name: _sha256(out_dir / name)
+        name: file_sha256(out_dir / name).hexdigest()
         for name in ("finding.json", "actions.ndjson", "flow.csv")
     }
     (out_dir / "manifest.json").write_text(
@@ -419,6 +411,6 @@ def verify_bundle(bundle_dir):
         path = bundle_dir / name
         if not path.exists():
             raise BundleError(f"bundle file missing: {name}")
-        if _sha256(path) != digest:
+        if file_sha256(path).hexdigest() != digest:
             raise BundleError(f"bundle file tampered: {name}")
     return True

@@ -13,7 +13,8 @@ Everything reads the column graphs, and reads a whole account list at once:
 is the one-row case), `extract_features` its feature matrix, and
 `categorize` labels it from maps built once per call, so its rules do
 constant work per account. The shortlist and its communities are read off
-the EACG's DiGraph view.
+the EACG's DiGraph view; the public-key groups are `metrics`' weak
+components of the shared-key links.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CalibrationError
-from .graphs import DayView, Eacg, Ecig, Emfg, eacg_to_digraph, node_values
+from .graphs import DayView, DiGraph, Eacg, Ecig, Emfg, eacg_to_digraph, node_values
+from .metrics import weakly_connected_components
 from .model import UNITS_PER_EOS, ObservationWindow
 
 DEFAULT_MIN_CHILDREN = 30
@@ -141,11 +143,6 @@ def communities(eacg: Eacg, min_children=DEFAULT_MIN_CHILDREN) -> dict:
             for c in np.flatnonzero(counts > min_children).tolist()}
 
 
-def shortlist_creators(eacg: Eacg, min_children=DEFAULT_MIN_CHILDREN) -> set:
-    """Accounts that created strictly more than `min_children` accounts."""
-    return set(communities(eacg, min_children))
-
-
 def contract_universe(ecig: Ecig):
     """Canonical sorted contract list shared across one run."""
     return [ecig.names[i] for i in np.unique(ecig.dst).tolist()]
@@ -246,44 +243,19 @@ def detect_communities(eacg: Eacg, vector_for, threshold: SimilarityThreshold,
 
 
 def merge_by_pubkey(flagged_accounts, snapshot):
-    """Union-find over shared active public keys among flagged accounts.
-    Returns a deterministic mapping community id -> sorted member list."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # keep the lexicographically smaller root for determinism
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
+    """Groups of flagged accounts that share active public keys: the weak
+    components of the links from each account to the first flagged account
+    (by name) that holds each of its keys. Returns community id -> sorted
+    member list, numbered in order of each group's smallest member."""
     flagged = sorted(set(flagged_accounts))
-    for acct in flagged:
-        parent[acct] = acct
-    key_owner = {}
-    for acct in flagged:
+    owner, links = {}, set()
+    for i, acct in enumerate(flagged):
         record = snapshot.get(acct)
-        if record is None:
-            continue
-        for key in sorted(record.active_keys()):
-            if key in key_owner:
-                union(key_owner[key], acct)
-            else:
-                key_owner[key] = acct
-    groups = {}
-    for acct in flagged:
-        groups.setdefault(find(acct), []).append(acct)
-    return {
-        f"pk-{i:04d}": sorted(members)
-        for i, (_, members) in enumerate(sorted(groups.items()))
-    }
+        for key in () if record is None else record.active_keys():
+            links.add((i, owner.setdefault(key, i)))
+    src, dst = np.array(sorted(links), dtype=np.int64).reshape(-1, 2).T
+    groups = weakly_connected_components(DiGraph(flagged, src, dst, np.ones(len(src))))
+    return {f"pk-{i:04d}": sorted(members) for i, members in enumerate(sorted(groups, key=min))}
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import shutil
 import stat
 import sys
 import tempfile
+from collections import Counter
 from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
@@ -39,6 +40,7 @@ from .model import (
     Registry,
     eos_decimal,
     extract_transfers,
+    file_sha256,
     parse_account_snapshot,
     parse_action_trace,
     read_ndjson,
@@ -215,14 +217,10 @@ def _file_digest(path):
     """SHA-256 of the bytes of the regular file at `path`, or None."""
     if not _regular(path):
         return None
-    digest = hashlib.sha256()
     try:
-        with open(path, "rb") as fh:
-            while block := fh.read(1 << 20):
-                digest.update(block)
+        return file_sha256(path).digest()
     except OSError:
         return None
-    return digest.digest()
 
 
 def _memo(kind, path, extra, parse, checked):
@@ -493,9 +491,8 @@ def cmd_perms_audit(args, stage):
     findings = permissions.detect_misuse(grants, snapshot)
     permissions.export_findings_csv(findings, stage / "perm_findings.csv")
     pairs = permissions.account_pair_summary(findings)
-    counts = {"misuse": 0, "partial": 0, "benign": 0}
-    for f in findings:
-        counts[f.severity] += 1
+    counts = Counter({"misuse": 0, "partial": 0, "benign": 0})
+    counts.update(f.severity for f in findings)
     _dump(stage / "perm_summary.json", {"grants": len(grants), "by_severity": counts,
                                         "distinct_pairs": len(pairs),
                                         "diagnostics": len(diagnostics)})
@@ -523,10 +520,9 @@ def cmd_attacks_scan(args, stage):
                 finding, actions_by_seq, trace.emfg,
                 stage / "bundles" / f"{i:04d}-{finding.kind}-{finding.attacker}",
             )
-    print(f"{len(findings)} attack findings "
-          f"({sum(1 for f in findings if f.kind == 'fake_transfer')} fake-transfer, "
-          f"{sum(1 for f in findings if f.kind == 'fake_notice')} fake-notice, "
-          f"{sum(1 for f in findings if f.kind == 'predictable_state')} predictable-state)")
+    kinds = Counter(f.kind for f in findings)
+    print(f"{len(findings)} attack findings ({kinds['fake_transfer']} fake-transfer, "
+          f"{kinds['fake_notice']} fake-notice, {kinds['predictable_state']} predictable-state)")
     for note in notes:
         print(f"note: {note}")
     return EXIT_FINDINGS if findings else EXIT_OK
@@ -632,9 +628,7 @@ def cmd_report(args, stage):
 
     if categories is not None:
         section("Bot accounts by category")
-        counts = {}
-        for category in categories:
-            counts[category] = counts.get(category, 0) + 1
+        counts = Counter(categories)
         write_csv(stage / "report_bots.csv", ["category", "accounts"], sorted(counts.items()))
         for cat in sorted(counts):
             lines.append(f"  {cat}: {counts[cat]}")

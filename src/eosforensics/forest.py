@@ -59,10 +59,7 @@ class _Tree:
         return len(self.feature) - 1
 
     def copy(self):
-        twin = _Tree()
-        for name in self.__slots__:
-            setattr(twin, name, list(getattr(self, name)))
-        return twin
+        return _Tree.from_json(self.to_json())
 
     def predict_prob(self, X):
         """Leaf probability per row of `X`. All rows descend together, one
@@ -81,23 +78,15 @@ class _Tree:
             node[rows] = np.where(go_left, left[at], right[at])
         return np.asarray(self.prob, dtype=np.float64)[node]
 
+    # the fields are _Tree.__slots__: a subclass's own __slots__ is empty
     def to_json(self):
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-            "prob": self.prob,
-        }
+        return {name: getattr(self, name) for name in _Tree.__slots__}
 
     @classmethod
     def from_json(cls, obj):
         t = cls()
-        t.feature = list(obj["feature"])
-        t.threshold = list(obj["threshold"])
-        t.left = list(obj["left"])
-        t.right = list(obj["right"])
-        t.prob = list(obj["prob"])
+        for name in _Tree.__slots__:
+            setattr(t, name, list(obj[name]))
         return t
 
 

@@ -33,6 +33,7 @@ File formats (all newline-delimited, UTF-8):
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import re
 import sys
@@ -571,6 +572,15 @@ def write_ndjson(path, objs) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for obj in objs:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def file_sha256(path):
+    """A hashlib SHA-256 object fed every byte of the file at `path`."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest
 
 
 def write_csv(path, header, rows) -> None:

@@ -11,6 +11,7 @@ arithmetic is exact.
 
 from __future__ import annotations
 
+import csv
 import json
 import random
 from dataclasses import dataclass, field
@@ -584,20 +585,15 @@ class _Chain:
         self.records.sort(key=lambda r: (r[0], r[1]))
         write_ndjson(out_dir / "trace.ndjson", self._trace_lines())
         write_ndjson(out_dir / "snapshot.ndjson", self._snapshot_lines())
-        with (out_dir / "dapps.csv").open("w", encoding="utf-8", newline="") as fh:
-            fh.write("account,dapp,category\n")
-            for account, dapp, category in self.dapps:
-                fh.write(f"{account},{dapp},{category}\n")
-        with (out_dir / "incentives.csv").open("w", encoding="utf-8", newline="") as fh:
-            fh.write("account\n")
-            for account in self.incentives:
-                fh.write(f"{account}\n")
-        with (out_dir / "labels.csv").open("w", encoding="utf-8", newline="") as fh:
-            fh.write("community_id,role,account\n")
-            for community_id, role, account in self.labels:
-                fh.write(f"{community_id},{role},{account}\n")
         # No generated seller is known off-chain: the registry lists none.
-        (out_dir / "sellers.csv").write_text("account\n", encoding="utf-8", newline="")
+        for name, header, rows in (("dapps", ("account", "dapp", "category"), self.dapps),
+                                   ("incentives", ("account",), zip(self.incentives)),
+                                   ("labels", ("community_id", "role", "account"), self.labels),
+                                   ("sellers", ("account",), ())):
+            with (out_dir / f"{name}.csv").open("w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
         (out_dir / "manifest.json").write_text(
             json.dumps(self.manifest, sort_keys=True, indent=1)
         )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from datetime import date
 
 import numpy as np
@@ -11,6 +12,7 @@ from eosforensics import botnet, graphs, synthgen
 from eosforensics.errors import CalibrationError
 from eosforensics.model import (
     AccountRecord,
+    Authority,
     ObservationWindow,
     Registry,
     extract_transfers,
@@ -26,6 +28,7 @@ from tests_support import (
     oracle_ecig,
     oracle_emfg,
     oracle_features,
+    oracle_merge_by_pubkey,
     out_daily_counts,
     target_counts,
     transfers_of,
@@ -136,10 +139,41 @@ class TestShortlist:
         return _boss_forest([f"kid{i}" for i in range(n_children)])
 
     def test_boundary_exactly_30_excluded(self):
-        assert botnet.shortlist_creators(self._eacg(30)) == set()
+        assert set(botnet.communities(self._eacg(30))) == set()
 
     def test_31_included(self):
-        assert botnet.shortlist_creators(self._eacg(31)) == {"boss"}
+        assert set(botnet.communities(self._eacg(31))) == {"boss"}
+
+
+_KEYS = [f"EOSKEY{i}" for i in range(6)]
+
+
+@st.composite
+def _keyed_snapshots(draw):
+    """(flagged accounts, with repeats and names absent from the snapshot, and
+    a plain-dict snapshot). Each present account holds an owner key and 0-3
+    active keys of one pool of 6, or no active permission at all."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    names = [f"acct{i:02d}" for i in range(draw(st.integers(1, 24)))]
+    snapshot = {}
+    for name in names:
+        kind = rng.choice(["absent", "no active", "active", "active"])
+        if kind == "absent":
+            continue
+        permissions = {"owner": Authority(1, ((rng.choice(_KEYS), 1),), ())}
+        if kind == "active":
+            keys = rng.sample(_KEYS, rng.randint(0, 3))
+            permissions["active"] = Authority(1, tuple((k, 1) for k in keys), ())
+        snapshot[name] = AccountRecord(name, None, ts(1), permissions)
+    return rng.choices(names, k=rng.randint(0, 40)), snapshot
+
+
+@given(_keyed_snapshots())
+def test_merge_by_pubkey_matches_union_find_oracle(case):
+    flagged, snapshot = case
+    got = botnet.merge_by_pubkey(flagged, snapshot)
+    want = oracle_merge_by_pubkey(flagged, snapshot)
+    assert list(got.items()) == list(want.items())
 
 
 class TestVectors:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eosforensics import forest
 from eosforensics.errors import TrainingError
-from tests_support import oracle_fit_prefixes
+from tests_support import OracleTree, oracle_fit_prefixes
 
 SMALL_GRID = {"n_trees": (25,), "max_depth": (8,), "min_leaf": (1,)}
 
@@ -150,6 +150,17 @@ def test_tree_predict_after_json_round_trip():
         again = forest._Tree.from_json(json.loads(json.dumps(tree.to_json())))
         assert np.array_equal(again.predict_prob(X), _scalar_walk(tree, X))
         assert np.array_equal(again.predict_prob(X[:0]), np.empty(0))
+
+
+def test_copy_of_a_subclass_tree_keeps_every_node():
+    # OracleTree declares __slots__ = (), so the fields are _Tree's
+    X, y = _blobs(n_per_class=40, gap=1.0)
+    tree = OracleTree()
+    tree.fit(X, y, 3, 1, 2, np.random.default_rng(0))
+    twin = tree.copy()
+    assert len(tree.feature) >= 3
+    assert twin.to_json() == tree.to_json()
+    assert all(getattr(twin, name) is not getattr(tree, name) for name in forest._Tree.__slots__)
 
 
 def test_seed_children_are_prefixes():

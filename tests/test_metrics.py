@@ -5,10 +5,13 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from eosforensics import metrics
 from eosforensics.errors import ConvergenceError, MetricError
+from eosforensics.graphs import DiGraph
 from tests_support import from_edges
 
 
@@ -324,6 +327,81 @@ def test_pagerank_and_components_match_networkx_at_scale():
     assert {frozenset(c) for c in wccs} == {
         frozenset(c) for c in nx.weakly_connected_components(ng)}
     assert sum(len(c) == 1 for c in wccs) >= 200
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: no oracle, so they hold at any graph size
+
+
+def _array_graph(n, src, dst, weight):
+    """The DiGraph on nodes n0000.. of the rows src -> dst; a repeated pair
+    keeps its first weight."""
+    key, first = np.unique(src * n + dst, return_index=True)
+    return DiGraph(tuple(f"n{i:04d}" for i in range(n)), key // n, key % n, weight[first])
+
+
+@st.composite
+def _graph_rows(draw):
+    """(n, src, dst, weight, rng) of up to 300 nodes and 4 edges a node,
+    each edge reaching at most `span` ids ahead, so a short span closes
+    triangles and cycles; with self-loops, zero weights and nodes that have
+    no outgoing weight."""
+    n = draw(st.integers(1, 300))
+    m = draw(st.integers(0, 4 * n))
+    span = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src = rng.integers(0, n, m)
+    dst = (src + rng.integers(0, span, m)) % n
+    weight = np.where(rng.random(m) < 0.5, 1.0, rng.uniform(0.1, 50.0, m))
+    weight[rng.random(m) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
+    return n, src, dst, weight, rng
+
+
+def _near(a, b, tol):
+    return a is b is None or (a is not None and b is not None and abs(a - b) <= tol)
+
+
+@given(_graph_rows())
+def test_metrics_do_not_depend_on_node_order(rows):
+    n, src, dst, weight, rng = rows
+    perm = rng.permutation(n)  # node i is renamed to n<perm[i]>
+    g, h = _array_graph(n, src, dst, weight), _array_graph(n, perm[src], perm[dst], weight)
+    for metric in (metrics.clustering_coefficient, metrics.assortativity,
+                   metrics.pearson_in_out):
+        assert _near(metric(g), metric(h), 1e-12), metric.__name__
+    for got, want in zip(metrics.components(g), metrics.components(h)):
+        assert sorted(map(len, got)) == sorted(map(len, want))
+    # the power iteration stops at an L1 delta of 1e-10, so a permuted sum
+    # order may take one more step
+    pr_g, pr_h = metrics.pagerank(g), metrics.pagerank(h)
+    assert max(abs(pr_g[g.nodes[i]] - pr_h[h.nodes[perm[i]]]) for i in range(n)) <= 1e-9
+
+
+@given(_graph_rows())
+def test_graph_identities(rows):
+    n, src, dst, weight, _ = rows
+    g = _array_graph(n, src, dst, weight)
+    assert abs(sum(metrics.pagerank(g).values()) - 1.0) <= 1e-9
+    sccs, wccs = metrics.components(g)
+    assert sum(map(len, wccs)) == n
+    wcc_of = {node: i for i, c in enumerate(wccs) for node in c}
+    assert all(len({wcc_of[node] for node in c}) == 1 for c in sccs)
+
+
+@given(_graph_rows())
+def test_pagerank_of_a_dangling_node_is_that_of_a_link_to_every_node(rows):
+    # PageRank spreads the rank of a node without outgoing weight over all n
+    # nodes, as a node with one edge of equal weight to each node spreads it
+    n, src, dst, weight, _ = rows
+    g = _array_graph(n, src, dst, weight)
+    out = np.bincount(g.src, weights=g.weight, minlength=n)
+    live = out[g.src] > 0
+    dangling = np.flatnonzero(out == 0)
+    linked = _array_graph(n, np.concatenate((g.src[live], np.repeat(dangling, n))),
+                          np.concatenate((g.dst[live], np.tile(np.arange(n), len(dangling)))),
+                          np.concatenate((g.weight[live], np.ones(n * len(dangling)))))
+    pr, pr_linked = metrics.pagerank(g), metrics.pagerank(linked)
+    assert max(abs(pr[v] - pr_linked[v]) for v in g.nodes) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,47 @@ def oracle_categorize(account, cells, ecig, snapshot, registry, merged=None):
     return "other"
 
 
+def oracle_merge_by_pubkey(flagged_accounts, snapshot):
+    """Union-find over shared active public keys among flagged accounts.
+    Returns a deterministic mapping community id -> sorted member list."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            # keep the lexicographically smaller root for determinism
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+
+    flagged = sorted(set(flagged_accounts))
+    for acct in flagged:
+        parent[acct] = acct
+    key_owner = {}
+    for acct in flagged:
+        record = snapshot.get(acct)
+        if record is None:
+            continue
+        for key in sorted(record.active_keys()):
+            if key in key_owner:
+                union(key_owner[key], acct)
+            else:
+                key_owner[key] = acct
+    groups = {}
+    for acct in flagged:
+        groups.setdefault(find(acct), []).append(acct)
+    return {
+        f"pk-{i:04d}": sorted(members)
+        for i, (_, members) in enumerate(sorted(groups.items()))
+    }
+
+
 class OracleTree(forest._Tree):
     """forest._Tree with the per-cell fit that the grid grower replaced."""
 
