@@ -14,14 +14,15 @@ import numpy as np
 
 from .errors import BundleError, ConfigError, IngestError
 from .model import (
+    DEFERRED,
     INT64_MAX,
+    NOTIFICATION,
     OFFICIAL_TOKEN_CONTRACT,
     UNITS_PER_EOS,
     US_PER_DAY,
-    TransferPayload,
+    Actions,
     Transfers,
     eos_decimal,
-    epoch_us,
     extract_transfers,
     file_sha256,
     format_timestamp,
@@ -112,28 +113,25 @@ def _same_day_flows(events):
     return flow
 
 
-def _fake_findings(actions, events, registry, kind, claim):
-    """The loop both fake detectors share. `claim(record)` returns the
-    (attacker, victim) an EOS-symbol transfer record implicates, or None;
-    a claim against a DApp account is a finding, once per (attacker,
-    victim, day), when the attacker's same-day net gain from the victim
-    over the genuine `events` (so no self-transfers) is positive."""
-    flows = None  # built on the first claim against a DApp
+def _fake_findings(table, events, registry, kind, claimed, attackers, victims):
+    """The scan both fake detectors share, over the transfer payloads of the
+    action table (table.transfers): an EOS-symbol payload that `claimed`
+    marks implicates attacker id attackers[i] against victim id victims[i].
+    A claim against a DApp account is a finding, once per (attacker, victim,
+    day), when the attacker's same-day net gain from the victim over the
+    genuine `events` (so no self-transfers) is positive."""
+    t = table.transfers
+    pick = np.flatnonzero(claimed & (t.symbol == table.id("EOS"))
+                          & np.isin(victims, table.ids(registry.dapp_accounts)))
+    flows = _same_day_flows(events) if len(pick) else None
     findings = []
     seen = set()
-    for record in actions:
-        if (record.action_name != "transfer" or not isinstance(record.payload, TransferPayload)
-                or record.payload.quantity.symbol != "EOS"):
-            continue
-        pair = claim(record)
-        if pair is None or pair[1] not in registry.dapp_accounts:
-            continue
-        attacker, victim = pair
-        day = epoch_us(record.timestamp) // US_PER_DAY
+    for row, attacker, victim in zip(t.row[pick].tolist(), attackers[pick].tolist(),
+                                     victims[pick].tolist()):
+        attacker, victim = table.names[attacker], table.names[victim]
+        day = int(table.us[row]) // US_PER_DAY
         if (attacker, victim, day) in seen:
             continue
-        if flows is None:
-            flows = _same_day_flows(events)
         (received, received_units), (sent, sent_units) = (
             flows(day, victim, attacker), flows(day, attacker, victim))
         profit = received_units - sent_units
@@ -150,54 +148,41 @@ def _fake_findings(actions, events, registry, kind, claim):
                 window_end=start + timedelta(days=1, seconds=-1),
                 profit=eos_decimal(profit),
                 profitability_ratio=INF_RATIO,
-                evidence=sorted({record.global_seq, *received, *sent}),
+                evidence=sorted({int(table.seq[row]), *received, *sent}),
             )
         )
     findings.sort(key=lambda f: (f.attacker, f.window_start))
     return findings
 
 
-def _counterfeit_transfer(record):
-    # a transfer executed by a contract other than eosio.token: the claimed
-    # sender attacks the claimed receiver
-    if (
-        record.kind != "notification"
-        and record.executing_contract != OFFICIAL_TOKEN_CONTRACT
-    ):
-        return record.payload.src, record.payload.dst
-    return None
-
-
-def _third_party_notice(record):
-    # a genuine transfer's notification delivered to an account on neither
-    # side: the authorizing actor attacks the notified account
-    if (
-        record.kind == "notification"
-        and record.executing_contract == OFFICIAL_TOKEN_CONTRACT
-        and record.notified not in (record.payload.src, record.payload.dst)
-    ):
-        return record.actor, record.notified
-    return None
-
-
 def detect_fake_transfer(actions, events, registry):
     """Transfer-named actions carrying the EOS symbol but executed by a
     contract other than eosio.token, aimed at a DApp account, corroborated
-    by same-day profit from that DApp. `events` are the trace's
-    genuine_transfer_events."""
-    return _fake_findings(actions, events, registry, "fake_transfer",
-                          _counterfeit_transfer)
+    by same-day profit from that DApp: the claimed sender attacks the
+    claimed receiver. `events` are the trace's genuine_transfer_events."""
+    table = Actions.of(actions)
+    t = table.transfers
+    counterfeit = ((table.kind[t.row] != NOTIFICATION)
+                   & (table.contract[t.row] != table.id(OFFICIAL_TOKEN_CONTRACT)))
+    return _fake_findings(table, events, registry, "fake_transfer", counterfeit, t.src, t.dst)
 
 
 def detect_fake_notice(actions, events, registry):
     """Genuine eosio.token transfer notifications delivered to a DApp
     account that is neither side of the transfer, corroborated by
-    same-day profit for the notification's authorizing actor. Returns
-    (findings, note); the note says why the scan could not run."""
-    if not any(r.kind == "notification" for r in actions):
+    same-day profit for the notification's authorizing actor, who attacks
+    the notified account. Returns (findings, note); the note says why the
+    scan could not run."""
+    table = Actions.of(actions)
+    if not (table.kind == NOTIFICATION).any():
         return [], "insufficient data: no notification records in trace"
-    return _fake_findings(actions, events, registry, "fake_notice",
-                          _third_party_notice), None
+    t = table.transfers
+    notified = table.notified[t.row]
+    third_party = ((table.kind[t.row] == NOTIFICATION)
+                   & (table.contract[t.row] == table.id(OFFICIAL_TOKEN_CONTRACT))
+                   & (notified != t.src) & (notified != t.dst))
+    return _fake_findings(table, events, registry, "fake_notice", third_party,
+                          table.actor[t.row], notified), None
 
 
 @dataclass
@@ -332,7 +317,7 @@ def load_rollback_log(path):
     def decode(obj):
         return obj["tx_id"], obj["actor"], parse_timestamp(obj["timestamp"])
 
-    return [entry for _, entry in read_ndjson(path, "rollback log", decode, fail)]
+    return [entry for _, _, entry in read_ndjson(path, "rollback log", decode, fail)]
 
 
 def auxiliary_signals(account, deferred_counts, rollback_counts=None):
@@ -347,16 +332,20 @@ def scan_attacks(actions, registry, config: ScanConfig,
                  rollback_entries=None):
     """Run every detector and return deterministic, signal-annotated
     findings plus scan notes."""
-    events = genuine_transfer_events(actions)
+    table = Actions.of(actions)
+    events = genuine_transfer_events(table)
     notes = []
-    fake_transfer = detect_fake_transfer(actions, events, registry)
-    fake_notice, notice_note = detect_fake_notice(actions, events, registry)
+    fake_transfer = detect_fake_transfer(table, events, registry)
+    fake_notice, notice_note = detect_fake_notice(table, events, registry)
     if notice_note:
         notes.append(notice_note)
     suspicious = profit_scan(events, config)
     predictable = liveness_filter(suspicious, events, registry, config)
     findings = fake_transfer + fake_notice + predictable
-    deferred = Counter(r.actor for r in actions if r.kind == "deferred")
+    attackers = sorted({f.attacker for f in findings})
+    per_actor = np.bincount(table.actor[table.kind == DEFERRED], minlength=len(table.names))
+    deferred = Counter({a: int(per_actor[i]) for a, i in zip(attackers, table.ids(attackers))
+                        if i >= 0})
     rollbacks = (None if rollback_entries is None
                  else Counter(actor for _, actor, _ in rollback_entries))
     for finding in findings:
@@ -371,8 +360,9 @@ def scan_attacks(actions, registry, config: ScanConfig,
 
 def evidence_bundle(finding: AttackFinding, actions_by_seq, emfg, out_dir):
     """Write a self-contained evidence directory: the finding, every
-    referenced action verbatim, the attacker/victim money-flow sub-edge
-    list, and a SHA-256 manifest. Missing referenced actions are fatal."""
+    referenced action verbatim (from `actions_by_seq`, global_seq ->
+    ActionRecord), the attacker/victim money-flow sub-edge list, and a
+    SHA-256 manifest. Missing referenced actions are fatal."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

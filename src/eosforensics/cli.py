@@ -503,6 +503,10 @@ def cmd_perms_audit(args, stage):
 
 
 def cmd_attacks_scan(args, stage):
+    if args.bundles and not _regular(args.trace):
+        print(f"error: --bundles reads the evidence lines of --trace again, so it must be "
+              f"a regular file, not a pipe or other stream: {args.trace}", file=sys.stderr)
+        return EXIT_ERROR
     registry = _registry_from(args)
     trace = _trace(args)
     config = attacks_mod.ScanConfig(w1=Decimal(str(args.w1)), w2=args.w2, w3=args.w3)
@@ -514,10 +518,11 @@ def cmd_attacks_scan(args, stage):
     _dump(stage / "attack_notes.json", notes)
     if args.bundles:  # always staged, so that it replaces the last scan's whole
         (stage / "bundles").mkdir()
-        actions_by_seq = {r.global_seq: r for r in trace.result.records} if findings else {}
+        # the evidence lines alone are decoded again, each once
+        evidence = trace.result.records.by_seq(seq for f in findings for seq in f.evidence)
         for i, finding in enumerate(findings):
             attacks_mod.evidence_bundle(
-                finding, actions_by_seq, trace.emfg,
+                finding, evidence, trace.emfg,
                 stage / "bundles" / f"{i:04d}-{finding.kind}-{finding.attacker}",
             )
     kinds = Counter(f.kind for f in findings)
@@ -576,7 +581,7 @@ def _read_stage_ndjson(path: Path, decode) -> list:
     def fail(lineno, exc):
         raise IngestError(f"{path} line {lineno}: {exc!r}") from exc
 
-    return [item for _, item in read_ndjson(path, path.name, decode, fail)]
+    return [item for _, _, item in read_ndjson(path, path.name, decode, fail)]
 
 
 def _text(obj, key) -> str:

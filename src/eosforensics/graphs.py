@@ -12,17 +12,17 @@ import numpy as np
 
 from .errors import GraphError
 from .model import (
-    EPOCH,
+    NOTIFICATION,
     OFFICIAL_TOKEN_CONTRACT,
     UNITS_PER_EOS,
+    US_PER_DAY,
+    Actions,
     ObservationWindow,
     eos_decimal,
     group_sums,
     window_days,
     write_csv,
 )
-
-INVOCATION_KINDS = frozenset({"external", "inline", "deferred"})
 
 
 def node_values(per_node, ids):
@@ -221,23 +221,18 @@ class Ecig(DayGraph):
 
 
 def build_ecig(actions, window: ObservationWindow) -> Ecig:
-    """Count invocations per (caller, contract, day).
+    """Count invocations per (caller, contract, day): one group-by over the
+    action table (a parsed trace's records view, or any ActionRecords).
 
     Callers are the authorizing actors; notification copies do not count.
     Every executing account counts (it did run code, including the system
     account).
     """
-    # Lists per column, not a tuple per invocation, which the cyclic GC would track.
-    rows = [r for r in actions if r.kind in INVOCATION_KINDS]
-    callers, contracts = [r.actor for r in rows], [r.executing_contract for r in rows]
-    names = tuple(sorted({*callers, *contracts}))
-    ids = {name: i for i, name in enumerate(names)}
+    table = Actions.of(actions)
+    rows = np.flatnonzero(table.kind != NOTIFICATION)
+    names, (callers, contracts) = table.relabel(table.actor[rows], table.contract[rows])
     _, _, keys, (count,) = group_sums(
-        (np.array([ids[n] for n in callers], dtype=np.int64),
-         np.array([ids[n] for n in contracts], dtype=np.int64),
-         # a UTC date's ordinal less the epoch's is epoch_us // US_PER_DAY
-         window_days(np.array([r.timestamp.toordinal() for r in rows], dtype=np.int64)
-                     - EPOCH.toordinal(), window)),
+        (callers, contracts, window_days(table.us[rows] // US_PER_DAY, window)),
         np.ones(len(rows), dtype=np.int64))
     return Ecig(names, *keys, count)
 

@@ -146,20 +146,45 @@ def pearson_in_out(graph: DiGraph) -> float | None:
 # Components
 
 
-def _components(graph: DiGraph, heads, tails):
-    """Strongly connected components of the digraph on the node ids of
-    `graph` with the edges heads[i] -> tails[i], as name sets sorted by size
-    descending, then by smallest member.
+# Rounds of SCC trimming: each is a few array passes over the edges, and
+# Tarjan takes whatever is left, so the cap only bounds the trimming of
+# long chains.
+TRIM_ROUNDS = 16
 
-    Iterative Tarjan over CSR arrays, so chains of any depth are safe. A
-    frame of `work` is [node id, position of its next edge in `indices`]."""
+
+def _sorted_components(graph: DiGraph, groups):
+    """`groups` (lists of node ids) as name sets sorted by size descending,
+    then by smallest member."""
+    groups.sort(key=lambda c: (-len(c), min(c)))
+    return [{graph.nodes[i] for i in c} for c in groups]
+
+
+def strongly_connected_components(graph: DiGraph):
+    """Trimming first (McLendon et al. 2005): a node with no incoming or no
+    outgoing edge among the nodes left is on no cycle, so it is a component
+    of its own; that takes most nodes of a shallow forest or star. Then an
+    iterative Tarjan over CSR arrays of the rest, so chains of any depth are
+    safe. A frame of `work` is [node id, position of its next edge in
+    `indices`]."""
     n = len(graph.nodes)
+    alive = np.ones(n, dtype=bool)
+    kept = graph.src != graph.dst  # a self-loop makes no cycle through other nodes
+    for _ in range(TRIM_ROUNDS):
+        heads, tails = graph.src[kept], graph.dst[kept]
+        trim = alive & ((np.bincount(heads, minlength=n) == 0)
+                        | (np.bincount(tails, minlength=n) == 0))
+        if not trim.any():
+            break
+        alive &= ~trim
+        kept &= alive[graph.src] & alive[graph.dst]
+    heads, tails = graph.src[kept], graph.dst[kept]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(heads, minlength=n)))).tolist()
     indices = tails[np.argsort(heads, kind="stable")].tolist()
-    index = [-1] * n  # discovery order
+    index = np.where(alive, -1, 0).tolist()  # discovery order; trimmed nodes count as done
     low = [0] * n
     on_stack = [False] * n
-    stack, work, found = [], [], []
+    stack, work = [], []
+    found = [[i] for i in np.flatnonzero(~alive).tolist()]
     order = itertools.count()
 
     def discover(node):
@@ -168,7 +193,7 @@ def _components(graph: DiGraph, heads, tails):
         on_stack[node] = True
         work.append([node, indptr[node]])
 
-    for root in range(n):
+    for root in np.flatnonzero(alive).tolist():
         if index[root] >= 0:
             continue
         discover(root)
@@ -194,19 +219,29 @@ def _components(graph: DiGraph, heads, tails):
                     component.append(stack.pop())
                     on_stack[component[-1]] = False
                 found.append(component)
-    found.sort(key=lambda c: (-len(c), min(c)))
-    return [{graph.nodes[i] for i in c} for c in found]
-
-
-def strongly_connected_components(graph: DiGraph):
-    return _components(graph, graph.src, graph.dst)
+    return _sorted_components(graph, found)
 
 
 def weakly_connected_components(graph: DiGraph):
-    """The strongly connected components of the graph with every edge also
-    reversed."""
-    return _components(graph, np.concatenate((graph.src, graph.dst)),
-                       np.concatenate((graph.dst, graph.src)))
+    """Components of the graph with its edges undirected, by pointer
+    jumping: each round hooks the larger root of every edge whose ends have
+    different roots to the smaller one, then points every node at its root,
+    until no edge joins two roots. A root only ever points at a smaller id,
+    so each component ends with its smallest node as root."""
+    root = np.arange(len(graph.nodes))
+    while True:
+        at_src, at_dst = root[graph.src], root[graph.dst]
+        apart = at_src != at_dst
+        if not apart.any():
+            break
+        np.minimum.at(root, np.maximum(at_src, at_dst)[apart],
+                      np.minimum(at_src, at_dst)[apart])
+        while not np.array_equal(up := root[root], root):
+            root = up
+    order = np.argsort(root, kind="stable")
+    cut = np.flatnonzero(root[order][1:] != root[order][:-1]) + 1
+    groups = np.split(order, cut) if len(order) else []
+    return _sorted_components(graph, [group.tolist() for group in groups])
 
 
 def components(graph: DiGraph):
@@ -237,14 +272,15 @@ def pagerank(graph: DiGraph, damping=0.85, tol=1e-10, max_iter=1000):
     for _ in range(max_iter):
         spread = base + damping * rank[dangling].sum() / n
         new = np.bincount(dst, damping * rank[src] / src_weight * weight, n) + spread
-        # renormalize to kill drift; invariant: sums to 1 within 1e-9
-        new /= new.sum()
+        # invariant: each step keeps the mass at 1 within 1e-9; dividing by
+        # the sum then removes the float drift
+        mass = new.sum()
+        if not abs(mass - 1.0) < 1e-9:
+            raise MetricError(f"pagerank mass drifted to {float(mass)!r}")
+        new /= mass
         delta = np.abs(new - rank).sum()
         rank = new
         if delta < tol:
-            mass = float(rank.sum())
-            if not abs(mass - 1.0) < 1e-9:
-                raise MetricError(f"pagerank mass drifted to {mass!r}")
             return dict(zip(graph.nodes, rank.tolist()))
     raise ConvergenceError(
         f"pagerank did not converge in {max_iter} iterations",

@@ -22,6 +22,16 @@ File formats (all newline-delimited, UTF-8):
   integers >= 1, public keys non-empty strings, granted accounts and permissions
   account names. Its one decoder is from_json and its one encoder to_json.
 * registries: CSV files with a header row (see Registry.load).
+* Actions, the one form of a parsed trace: one row per kept action in trace
+  order, as read-only columns. int64 `seq`, `us` (UTC microseconds since the
+  epoch) and `offset` (the byte offset of its line, -1 for a row built from
+  an ActionRecord); int8 `kind`, the index in KINDS; and int32 `contract`,
+  `action`, `actor` and `notified` (-1 when absent), ids into the sorted
+  `names`, one table of every name, action name and token symbol. Beside
+  them `transfers` (TransferRows) holds each decoded transfer payload, and
+  `auth` the system account's updateauth and deleteauth payloads by row.
+  An ActionRecord is built only when a row is read through the Records
+  view, which decodes its line again.
 * Transfers, the one form of a genuine EOS transfer after parsing: read-only
   int64 columns, one row per transfer in trace order. `seq`; `us`, UTC
   microseconds since the epoch; `day`, the window day index (days since the
@@ -32,16 +42,22 @@ File formats (all newline-delimited, UTF-8):
 
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
 import hashlib
+import itertools
 import json
+import os
 import re
+import stat
 import sys
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +81,7 @@ EOS_PRECISION = 4
 UNITS_PER_EOS = 10**EOS_PRECISION
 INT64_MAX = 2**63 - 1
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+EPOCH_DATE = EPOCH.date()
 ONE_US = timedelta(microseconds=1)
 US_PER_DAY = 86_400_000_000
 
@@ -117,6 +134,11 @@ class Quantity:
         units, fraction, symbol = m.groups()
         fraction = fraction or ""
         return cls(Decimal(f"{units}.{fraction}"), symbol, len(fraction))
+
+    @property
+    def units(self) -> int:
+        """The amount as an integer count of 10**-precision units."""
+        return int(self.amount.scaleb(self.precision))
 
     def __str__(self) -> str:
         return f"{self.amount:.{self.precision}f} {self.symbol}"
@@ -368,31 +390,38 @@ def format_timestamp(ts: datetime) -> str:
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse a zero-padded UTC timestamp; out-of-range fields are rejected by
-    the datetime constructor."""
-    if TIMESTAMP_RE.fullmatch(text) is None:
-        raise ValueError(f"bad timestamp: {text!r}")
-    # Fixed widths: the fraction, if any, is text[20:-1].
-    return datetime(int(text[:4]), int(text[5:7]), int(text[8:10]),
-                    int(text[11:13]), int(text[14:16]), int(text[17:19]),
-                    int(text[20:-1].ljust(6, "0")), tzinfo=timezone.utc)
+    """Parse a zero-padded UTC timestamp; out-of-range fields are rejected
+    with the messages of the datetime constructor (see _Memo.timestamp)."""
+    return utc_from_us(_Memo().timestamp(text)[0])
 
 
 class _Memo:
     """The distinct strings of one parse, each validated and converted once:
     account names (to the interned name), timestamps and quantities. A
-    timestamp entry is (datetime, whether the memo's window contains it), so
-    the window is checked once per distinct timestamp; without a window
-    every timestamp is in it. Every value is immutable, so records share
-    them. A memo lives for one parse call; nothing is kept between calls."""
+    timestamp entry is (UTC microseconds since the epoch, whether the memo's
+    window holds them), so the window is checked once per distinct
+    timestamp; without a window every timestamp is in it. A quantity entry
+    is (Quantity, its units as an Actions table holds them). Every value is
+    immutable, so records share them. A memo lives for one parse call;
+    nothing is kept between calls, and clear_values() forgets the
+    timestamps and quantities, so a parse holds those of one chunk."""
 
-    __slots__ = ("window", "names", "timestamps", "quantities")
+    __slots__ = ("window_us", "names", "timestamps", "quantities", "minutes")
 
     def __init__(self, window: ObservationWindow | None = None):
-        self.window = window
+        # the window's microseconds since the epoch, as [first, last + 1)
+        self.window_us = None if window is None else (
+            (window.start_day - EPOCH_DATE).days * US_PER_DAY,
+            ((window.end_day - EPOCH_DATE).days + 1) * US_PER_DAY)
         self.names = {}
         self.timestamps = {}
         self.quantities = {}
+        self.minutes = {}  # "YYYY-MM-DDTHH:MM" -> microseconds from the epoch to its start
+
+    def clear_values(self):
+        self.timestamps.clear()
+        self.quantities.clear()
+        self.minutes.clear()
 
     def account_name(self, name, what: str = "account") -> str:
         try:
@@ -402,27 +431,68 @@ class _Memo:
             return name
 
     def timestamp(self, text) -> tuple:
-        try:
-            return self.timestamps[text]
-        except (KeyError, TypeError):
-            ts = parse_timestamp(text)
-            entry = self.timestamps[text] = (
-                ts, self.window is None or self.window.contains(ts))
+        """The entry of a timestamp of TIMESTAMP_RE's fixed widths. Its date
+        is checked by the date constructor and an hour, minute or second out
+        of range by the time constructor, so a bad field raises what the
+        datetime constructor would, in its order."""
+        entry = self.timestamps.get(text) if type(text) is str else None
+        if entry is not None:
             return entry
+        if TIMESTAMP_RE.fullmatch(text) is None:
+            raise ValueError(f"bad timestamp: {text!r}")
+        minute_us = self.minutes.get(text[:16])
+        if minute_us is None:
+            day = date(int(text[:4]), int(text[5:7]), int(text[8:10]))
+            hour, minute = int(text[11:13]), int(text[14:16])
+            if hour > 23 or minute > 59:
+                time(hour, minute)  # raises the constructor's message
+            minute_us = self.minutes[text[:16]] = (
+                ((day - EPOCH_DATE).days * 1440 + hour * 60 + minute) * 60_000_000)
+        second = int(text[17:19])
+        if second > 59:
+            time(0, 0, second)  # raises the constructor's message
+        # the fraction, if any, is text[20:-1]
+        us = minute_us + second * 1_000_000 + (
+            int(text[20:-1].ljust(6, "0")) if len(text) > 20 else 0)
+        entry = self.timestamps[text] = (
+            us, self.window_us is None or self.window_us[0] <= us < self.window_us[1])
+        return entry
 
-    def quantity(self, text) -> Quantity:
+    def quantity(self, text) -> tuple:
         try:
             return self.quantities[text]
         except (KeyError, TypeError):
-            q = self.quantities[text] = Quantity.parse(text)
-            return q
+            q = Quantity.parse(text)
+            entry = self.quantities[text] = (q, _table_units(q))
+            return entry
+
+
+def _table_units(quantity: Quantity) -> int:
+    """Quantity.units as an Actions table holds it: -1 beyond int64."""
+    units = quantity.units
+    return units if units <= INT64_MAX else -1
+
+
+_SCAN_ONCE = json.JSONDecoder().scan_once
+
+
+def _json_line(line: str):
+    """The JSON value of a stripped, non-blank line. The line has no JSON
+    whitespace at either end, so a value the scanner ends where the line
+    ends is json.loads(line); any other line is decoded again by json.loads,
+    so that a bad line's message is exactly json.loads's."""
+    try:
+        value, end = _SCAN_ONCE(line, 0)
+    except Exception:  # json.loads below raises its own error
+        end = None
+    return value if end == len(line) else json.loads(line)
 
 
 def read_ndjson(path, what: str, decode, on_error, digest=None):
-    """Yield (line number, decode(value)) for each non-blank line of the
-    NDJSON file at `path`, where value is the line's JSON value. A line that
-    is not UTF-8 or JSON, or that decode rejects, goes to
-    on_error(line number, exception) instead. A missing file is an
+    """Yield (line number, byte offset of the line, decode(value)) for each
+    non-blank line of the NDJSON file at `path`, where value is the line's
+    JSON value. A line that is not UTF-8 or JSON, or that decode rejects,
+    goes to on_error(line number, exception) instead. A missing file is an
     IngestError naming `what`. `digest`, a hashlib object, is fed every
     byte read, so once the file is read to its end it names the bytes
     parsed."""
@@ -431,52 +501,49 @@ def read_ndjson(path, what: str, decode, on_error, digest=None):
         fh = path.open("rb")
     except OSError as exc:
         raise IngestError(f"cannot read {what} {path}: {exc}") from exc
-    scan_once = json.JSONDecoder().scan_once
+    offset = 0
     with fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, raw in enumerate(fh, start=1):
             if digest is not None:
-                digest.update(line)
+                digest.update(raw)
+            start, offset = offset, offset + len(raw)
             try:
-                line = line.decode("utf-8").strip()
+                line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                # The stripped line has no JSON whitespace at either end, so
-                # a value that ends where the line ends is json.loads(line).
-                try:
-                    value, end = scan_once(line, 0)
-                except Exception:  # json.loads below raises its own error
-                    end = None
-                if end != len(line):
-                    value = json.loads(line)
-                item = decode(value)
+                item = decode(_json_line(line))
             except LINE_ERRORS as exc:
                 on_error(lineno, exc)
                 continue
-            yield lineno, item
+            yield lineno, start, item
+
+
+TRANSFER_KEYS = frozenset(("from", "to", "quantity"))
+UPDATEAUTH_KEYS = frozenset(("account", "permission", "threshold"))
 
 
 def _decode_payload(executing: str, action_name: str, raw: dict, memo: _Memo):
+    """A transfer's (src, dst, quantity memo entry, memo text); the system
+    account's UpdateAuthPayload; any other payload as it is."""
     if not isinstance(raw, dict):
         raise ValueError(f"payload is not an object: {type(raw).__name__}")
-    if action_name == "transfer" and {"from", "to", "quantity"} <= raw.keys():
+    if action_name == "transfer" and TRANSFER_KEYS <= raw.keys():
         note = raw.get("memo", "")
         if not isinstance(note, str):
             raise ValueError(f"transfer memo is not a string: {type(note).__name__}")
-        return TransferPayload(
-            src=memo.account_name(raw["from"], "sender"),
-            dst=memo.account_name(raw["to"], "recipient"),
-            quantity=memo.quantity(raw["quantity"]),
-            memo=note,
-        )
+        return (memo.account_name(raw["from"], "sender"),
+                memo.account_name(raw["to"], "recipient"), memo.quantity(raw["quantity"]), note)
     if (executing == SYSTEM_ACCOUNT and action_name == "updateauth"
-            and {"account", "permission", "threshold"} <= raw.keys()):
+            and UPDATEAUTH_KEYS <= raw.keys()):
         return UpdateAuthPayload(raw["account"], raw["permission"],
                                  raw.get("parent", ""), Authority.from_json(raw))
     return raw
 
 
-def _decode_action(obj: dict, memo: _Memo) -> tuple:
-    """(ActionRecord, whether the memo's window holds its timestamp)."""
+def _decode_fields(obj: dict, memo: _Memo) -> tuple:
+    """The checked fields of one trace line in ActionRecord's order, except
+    that the timestamp is its memo entry and a transfer payload the tuple of
+    _decode_payload."""
     kind = obj["kind"]
     if kind not in KINDS:
         raise ValueError(f"unknown action kind: {kind!r}")
@@ -495,30 +562,242 @@ def _decode_action(obj: dict, memo: _Memo) -> tuple:
         raise ValueError(f"global_seq beyond int64: {seq}")
     if not isinstance(tx_id, str):
         raise ValueError(f"tx_id is not a string: {type(tx_id).__name__}")
-    timestamp, in_window = memo.timestamp(obj["timestamp"])
-    record = ActionRecord(
-        global_seq=seq,
-        tx_id=tx_id,
-        timestamp=timestamp,
-        executing_contract=executing,
-        action_name=action_name,
-        actor=actor,
-        kind=kind,
-        payload=_decode_payload(executing, action_name, obj["payload"], memo),
-        notified=notified,
-    )
-    return record, in_window
+    stamp = memo.timestamp(obj["timestamp"])
+    return (seq, tx_id, stamp, executing, action_name, actor, kind,
+            _decode_payload(executing, action_name, obj["payload"], memo), notified)
 
 
 def decode_action(obj: dict) -> ActionRecord:
     """Build an ActionRecord from one decoded trace line, validating names
     and field types."""
-    return _decode_action(obj, _Memo())[0]
+    seq, tx_id, stamp, executing, action_name, actor, kind, payload, notified = (
+        _decode_fields(obj, _Memo()))
+    if type(payload) is tuple:
+        src, dst, (quantity, _), note = payload
+        payload = TransferPayload(src, dst, quantity, note)
+    return ActionRecord(seq, tx_id, utc_from_us(stamp[0]), executing, action_name, actor, kind,
+                        payload, notified)
+
+
+# Rows an Actions table collects as Python ints before it moves them into arrays.
+CHUNK_ROWS = 65_536
+KIND_IDS = {kind: i for i, kind in enumerate(KINDS)}
+NOTIFICATION, DEFERRED = KIND_IDS["notification"], KIND_IDS["deferred"]
+AUTH_ACTIONS = ("updateauth", "deleteauth")
+
+
+class TransferRows(NamedTuple):
+    """The decoded transfer payloads of an Actions table, one row each in
+    table order: the action's `row`, the `src`, `dst` and `symbol` name ids,
+    and `units`, the amount in int64 units of 10**-precision (-1 for an
+    amount beyond int64)."""
+
+    row: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    symbol: np.ndarray
+    units: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Actions:
+    """The action table of the module docstring."""
+
+    names: tuple
+    seq: np.ndarray
+    us: np.ndarray
+    offset: np.ndarray
+    kind: np.ndarray
+    contract: np.ndarray
+    action: np.ndarray
+    actor: np.ndarray
+    notified: np.ndarray
+    transfers: TransferRows
+    auth: tuple  # (row, payload) per updateauth or deleteauth of the system account
+
+    def __post_init__(self):
+        for column in (self.seq, self.us, self.offset, self.kind, self.contract, self.action,
+                       self.actor, self.notified, *self.transfers):
+            column.flags.writeable = False
+
+    def __len__(self):
+        return len(self.seq)
+
+    def id(self, name) -> int:
+        """The name's id; -1 for a name the table does not hold."""
+        i = bisect.bisect_left(self.names, name)
+        return i if i < len(self.names) and self.names[i] == name else -1
+
+    def ids(self, names) -> np.ndarray:
+        return np.array([self.id(name) for name in names], dtype=np.int64)
+
+    def relabel(self, *columns):
+        """(the sorted names that the id `columns` hold, each column as int64
+        ids into those names)."""
+        used = np.unique(np.concatenate(columns))
+        return (tuple(self.names[i] for i in used.tolist()),
+                [np.searchsorted(used, column) for column in columns])
+
+    @classmethod
+    def of(cls, actions) -> "Actions":
+        """The table of a parsed trace's records view, or of a table itself;
+        any other iterable of ActionRecords goes through from_records."""
+        if isinstance(actions, cls):
+            return actions
+        if isinstance(actions, Records):
+            return actions.table
+        return cls.from_records(actions)
+
+    @classmethod
+    def from_records(cls, records) -> "Actions":
+        """The table of ActionRecords, such as tests build by hand. Their
+        payloads are taken as they are, and no row has a line (offset -1)."""
+        rows = _RowBuffer()
+        for r in records:
+            payload = r.payload
+            if r.action_name == "transfer" and isinstance(payload, TransferPayload):
+                payload = (payload.src, payload.dst,
+                           (payload.quantity, _table_units(payload.quantity)), payload.memo)
+            rows.add(-1, r.global_seq, epoch_us(r.timestamp), r.kind, r.executing_contract,
+                     r.action_name, r.actor, r.notified, payload)
+        return rows.table()
+
+
+class _Ids(dict):
+    """Name -> id, each new name taking the next id; None -> -1."""
+
+    def __init__(self):
+        super().__init__({None: -1})
+
+    def __missing__(self, name):
+        i = self[name] = len(self) - 1
+        return i
+
+
+class _RowBuffer:
+    """Collects the rows of an Actions table, one tuple of ints each with
+    names as first-seen ids, and moves them into arrays every `chunk` rows;
+    table() renumbers the ids in name order."""
+
+    # The dtype of each column of a row, and of a transfer row; NAMED marks
+    # the columns of name ids in either.
+    ROW = (np.int64,) * 3 + (np.int8,) + (np.int32,) * 4
+    TRANSFER = (np.int64,) + (np.int32,) * 3 + (np.int64,)
+    NAMED = (False,) * 4 + (True,) * 4 + (False,) + (True,) * 3 + (False,)
+
+    def __init__(self, chunk=CHUNK_ROWS):
+        self.chunk = chunk
+        self.ids = _Ids()
+        self.rows, self.transfers, self.auth = [], [], []
+        self.parts = [[] for _ in self.NAMED]
+        self.count = 0
+
+    def add(self, offset, seq, us, kind, contract, action, actor, notified, payload) -> bool:
+        """Append one row: `payload` is a transfer's (src, dst, (Quantity,
+        table units), memo) or any other payload. True when it fills a chunk."""
+        ids, row = self.ids, self.count
+        self.count += 1
+        self.rows.append((offset, seq, us, KIND_IDS[kind], ids[contract], ids[action],
+                          ids[actor], ids[notified]))
+        if type(payload) is tuple:
+            src, dst, (quantity, units), _ = payload
+            self.transfers.append((row, ids[src], ids[dst], ids[quantity.symbol], units))
+        elif contract == SYSTEM_ACCOUNT and action in AUTH_ACTIONS:
+            self.auth.append((row, payload))
+        if len(self.rows) < self.chunk:
+            return False
+        self.flush()
+        return True
+
+    def flush(self):
+        parts = iter(self.parts)
+        for pending, dtypes in ((self.rows, self.ROW), (self.transfers, self.TRANSFER)):
+            block = np.fromiter(itertools.chain.from_iterable(pending), np.int64,
+                                len(pending) * len(dtypes)).reshape(-1, len(dtypes))
+            for j, dtype in enumerate(dtypes):
+                next(parts).append(block[:, j].astype(dtype))
+            pending.clear()
+
+    def table(self) -> Actions:
+        """The table of every row added, over the sorted names."""
+        self.flush()
+        names = sorted(name for name in self.ids if name is not None)
+        # position[first-seen id] = sorted id; position[-1] = -1 keeps an absent notified
+        position = np.full(len(names) + 1, -1, dtype=np.int32)
+        position[[self.ids[name] for name in names]] = np.arange(len(names), dtype=np.int32)
+        columns = [position[np.concatenate(part)] if named else np.concatenate(part)
+                   for part, named in zip(self.parts, self.NAMED)]
+        offset, seq, us, *rest = columns[:len(self.ROW)]
+        return Actions(tuple(names), seq, us, offset, *rest,
+                       TransferRows(*columns[len(self.ROW):]), tuple(self.auth))
+
+
+class Records(Sequence):
+    """The read-only sequence view of a parsed trace's `table`: item i is
+    the ActionRecord of row i, decoded again from its line of the trace file
+    at `path` (so each item read costs about twice what the parse of its
+    line did). A line that no longer holds its row's global_seq, or a trace that
+    cannot be read again (a missing file, or a pipe, which can be read only
+    once), is an IngestError. A view equals a list of equal records."""
+
+    def __init__(self, table: Actions, path):
+        self.table, self.path = table, Path(path)
+
+    def __len__(self):
+        return len(self.table)
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        return list(self.read(rows)) if isinstance(index, slice) else next(self.read([rows]))
+
+    def __iter__(self):
+        return self.read(range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, Records)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"<Records: {len(self)} actions of {self.path}>"
+
+    def read(self, rows):
+        """Yield the ActionRecord of each table row in `rows`, in that order."""
+        try:
+            if not stat.S_ISREG(os.stat(self.path).st_mode):  # a pipe would block
+                raise OSError("not a regular file")
+            fh = self.path.open("rb")
+        except OSError as exc:
+            raise IngestError(f"cannot read trace {self.path} again: {exc}") from exc
+        seq, offset = self.table.seq, self.table.offset
+        with fh:
+            for row in rows:
+                fh.seek(offset[row])
+                try:
+                    record = decode_action(_json_line(fh.readline().decode("utf-8").strip()))
+                except LINE_ERRORS:
+                    record = None
+                if record is None or record.global_seq != seq[row]:
+                    raise IngestError(f"{self.path} changed since it was parsed: the line at "
+                                      f"byte {offset[row]} no longer holds global_seq {seq[row]}")
+                yield record
+
+    def by_seq(self, seqs) -> dict:
+        """global_seq -> ActionRecord for each of `seqs` that a row holds."""
+        seq = self.table.seq  # ascending, as the parse keeps it
+        wanted = np.unique(np.fromiter(seqs, dtype=np.int64))
+        rows = np.searchsorted(seq, wanted)
+        found = rows < len(seq)
+        found[found] = seq[rows[found]] == wanted[found]
+        rows = rows[found].tolist()
+        return {r.global_seq: r for r in self.read(rows)} if rows else {}
 
 
 @dataclass
 class TraceParseResult:
-    records: list
+    records: Records
     dropped_out_of_window: int
     diagnostics: list  # (line_number, message)
 
@@ -529,42 +808,45 @@ class TraceParseResult:
         return len(self.records)
 
 
-def parse_action_trace(path, window: ObservationWindow, digest=None) -> TraceParseResult:
-    """Parse a newline-delimited action trace.
+def parse_action_trace(path, window: ObservationWindow, digest=None,
+                       chunk=CHUNK_ROWS) -> TraceParseResult:
+    """Parse a newline-delimited action trace into an Actions table, `chunk`
+    rows at a time; its `records` are the table's Records view.
 
     Records outside the observation window are dropped (and counted).
     Malformed lines are collected as diagnostics; more than 1% malformed
     lines aborts ingestion. `digest` is fed the bytes read (read_ndjson).
     """
     path = Path(path)
-    records = []
+    rows = _RowBuffer(chunk)
     diagnostics = []
     dropped = 0
     last_seq = None
     memo = _Memo(window)
-    lines = read_ndjson(path, "trace", lambda obj: _decode_action(obj, memo),
+    lines = read_ndjson(path, "trace", functools.partial(_decode_fields, memo=memo),
                         lambda lineno, exc: diagnostics.append((lineno, str(exc))),
                         digest)
-    for lineno, (record, in_window) in lines:
-        if last_seq is not None and record.global_seq <= last_seq:
-            diagnostics.append(
-                (lineno, f"global_seq {record.global_seq} not increasing")
-            )
+    for lineno, offset, (seq, _, (us, in_window), contract, action, actor, kind, payload,
+                         notified) in lines:
+        if last_seq is not None and seq <= last_seq:
+            diagnostics.append((lineno, f"global_seq {seq} not increasing"))
             continue
-        last_seq = record.global_seq
+        last_seq = seq
         if not in_window:
             dropped += 1
             continue
-        records.append(record)
+        if rows.add(offset, seq, us, kind, contract, action, actor, notified, payload):
+            memo.clear_values()
+    table = rows.table()
 
     # Every non-blank line is a record, a drop or a diagnostic.
-    total = len(records) + dropped + len(diagnostics)
+    total = len(table) + dropped + len(diagnostics)
     if total and len(diagnostics) / total > MALFORMED_FATAL_RATIO:
         raise IngestError(
             f"{len(diagnostics)}/{total} malformed lines in {path}; "
             f"first: line {diagnostics[0][0]}: {diagnostics[0][1]}"
         )
-    return TraceParseResult(records, dropped, diagnostics)
+    return TraceParseResult(Records(table, path), dropped, diagnostics)
 
 
 def write_ndjson(path, objs) -> None:
@@ -575,11 +857,14 @@ def write_ndjson(path, objs) -> None:
 
 
 def file_sha256(path):
-    """A hashlib SHA-256 object fed every byte of the file at `path`."""
+    """A hashlib SHA-256 object fed every byte of the file at `path`, read
+    into one reused buffer (a fresh block per read costs about a sixth more)."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            digest.update(block)
+    block = bytearray(1 << 18)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(block):
+            digest.update(view[:n])
     return digest
 
 
@@ -645,27 +930,26 @@ class Transfers:
 
 
 def extract_transfers(actions, window: ObservationWindow | None = None) -> Transfers:
-    """The genuine transfers of an action stream: official eosio.token EOS
-    transfers; notification copies, fake-token transfers and self-transfers
-    are filtered out silently. A volume of 2**63 units or more is an
-    IngestError."""
-    genuine = [r for r in actions if r.action_name == "transfer" and r.kind != "notification"
-               and r.executing_contract == OFFICIAL_TOKEN_CONTRACT
-               and isinstance(p := r.payload, TransferPayload)
-               and p.quantity.symbol == "EOS" and p.src != p.dst]
-    # Lists per column, not a tuple per transfer, which the cyclic GC would track.
-    units = [int(r.payload.quantity.amount * UNITS_PER_EOS) for r in genuine]
-    if sum(units) > INT64_MAX:
+    """The genuine transfers of an action stream (a parsed trace's records
+    view, or any ActionRecords): official eosio.token EOS transfers, a mask
+    over the action table's transfer payloads; notification copies,
+    fake-token transfers and self-transfers are filtered out silently. A
+    volume of 2**63 units or more is an IngestError."""
+    table = Actions.of(actions)
+    t = table.transfers
+    genuine = ((table.kind[t.row] != NOTIFICATION)
+               & (table.contract[t.row] == table.id(OFFICIAL_TOKEN_CONTRACT))
+               & (t.symbol == table.id("EOS")) & (t.src != t.dst))
+    units = t.units[genuine]
+    # -1 marks an amount beyond int64; the rest is summed exactly in 32-bit halves
+    if (units < 0).any() or (
+            (int((units >> 32).sum()) << 32) + int((units & 0xFFFFFFFF).sum()) > INT64_MAX):
         raise IngestError("transfer volume exceeds 2**63 - 1 token units of 10**-4 EOS")
-    srcs, dsts = [r.payload.src for r in genuine], [r.payload.dst for r in genuine]
-    names = tuple(sorted({*srcs, *dsts}))
-    ids = {name: i for i, name in enumerate(names)}
-    us = np.array([epoch_us(r.timestamp) for r in genuine], dtype=np.int64)
-    return Transfers(names, np.array([r.global_seq for r in genuine], dtype=np.int64), us,
-                     window_days(us // US_PER_DAY, window),
-                     np.array([ids[n] for n in srcs], dtype=np.int64),
-                     np.array([ids[n] for n in dsts], dtype=np.int64),
-                     np.array(units, dtype=np.int64))
+    rows = t.row[genuine]
+    names, (src, dst) = table.relabel(t.src[genuine], t.dst[genuine])
+    us = table.us[rows]
+    return Transfers(names, table.seq[rows], us, window_days(us // US_PER_DAY, window),
+                     src, dst, units)
 
 
 @dataclass
@@ -706,7 +990,7 @@ def decode_account(obj: dict, memo: _Memo | None = None) -> AccountRecord:
     return AccountRecord(
         name=name,
         creator=creator,
-        created_at=memo.timestamp(obj["created_at"])[0],
+        created_at=utc_from_us(memo.timestamp(obj["created_at"])[0]),
         permissions={check_name(pname, "permission"): Authority.from_json(p)
                      for pname, p in raw_permissions.items()},
         has_contract=has_contract,
@@ -724,7 +1008,7 @@ def parse_account_snapshot(path, digest=None) -> SnapshotResult:
     accounts = {}
     warnings = []
     memo = _Memo()
-    for _, record in read_ndjson(path, "snapshot",
+    for _, _, record in read_ndjson(path, "snapshot",
                                  lambda obj: decode_account(obj, memo), fail, digest):
         if record.name in accounts:
             raise IngestError(f"duplicate account name: {record.name}")

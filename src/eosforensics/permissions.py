@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import SYSTEM_ACCOUNT, UpdateAuthPayload, write_csv
+from .model import (NOTIFICATION, US_PER_DAY, Actions, UpdateAuthPayload, window_days,
+                    write_csv)
 
 CODE_PERMISSION = "eosio.code"
 
@@ -34,40 +35,34 @@ class MisuseFinding:
 def scan_updateauth(actions, window):
     """Replay the system account's updateauth and deleteauth actions in
     global_seq order and return the final active eosio.code grants, one per
-    surviving account-weight entry. Another contract's action of the same
-    name changes no permission, so it is ignored.
+    surviving account-weight entry. They are the `auth` list of the action
+    table (of a parsed trace's records view, or of any ActionRecords).
+    Another contract's action of the same name changes no permission, so it
+    is ignored.
 
     A later updateauth on the same (account, permission) supersedes the
     earlier authority entirely, so revocations fall out naturally; a
     deleteauth removes it. Malformed payloads are skipped with a diagnostic.
     """
+    table = Actions.of(actions)
     state = {}  # (granter, linked_permission) -> (payload, day, seq)
     diagnostics = []
-    for record in sorted(
-        (r for r in actions if r.action_name in ("updateauth", "deleteauth")
-         and r.executing_contract == SYSTEM_ACCOUNT and r.kind != "notification"),
-        key=lambda r: r.global_seq,
-    ):
-        payload = record.payload
-        if record.action_name == "deleteauth":
+    for row, payload in sorted(table.auth, key=lambda entry: table.seq[entry[0]]):
+        if table.kind[row] == NOTIFICATION:
+            continue
+        seq = int(table.seq[row])
+        if table.names[table.action[row]] == "deleteauth":
             key = (payload.get("account"), payload.get("permission"))
             if all(isinstance(part, str) for part in key):
                 state.pop(key, None)
             else:
-                diagnostics.append(
-                    (record.global_seq, "deleteauth without a string account and permission")
-                )
+                diagnostics.append((seq, "deleteauth without a string account and permission"))
             continue
         if not isinstance(payload, UpdateAuthPayload):
-            diagnostics.append(
-                (record.global_seq, "updateauth with undecodable authority payload")
-            )
+            diagnostics.append((seq, "updateauth with undecodable authority payload"))
             continue
         state[(payload.account, payload.permission)] = (
-            payload,
-            window.day_index(record.timestamp),
-            record.global_seq,
-        )
+            payload, int(window_days(table.us[row] // US_PER_DAY, window)), seq)
 
     grants = []
     for (granter, linked), (payload, day, seq) in sorted(state.items()):

@@ -62,6 +62,7 @@ class MisusePlan:
     benign: int = 0  # shared-key decoys
     revoked: int = 0
     unrelated: int = 0  # updateauth without eosio.code entries
+    deleted: int = 0  # grants on their own permission, which deleteauth later removes
 
 
 @dataclass
@@ -455,13 +456,13 @@ class _Chain:
     def _build_misuse(self, services):
         plan = self.config.misuse_plan
         rng = self.rng
-        counters = {"misuse": plan.misuse, "partial": plan.partial,
-                    "benign": plan.benign, "revoked": plan.revoked,
-                    "unrelated": plan.unrelated}
+        kinds = ("misuse", "partial", "benign", "revoked", "unrelated", "deleted")
         manifest = {"misuse": [], "partial": [], "benign": [], "revoked": []}
+        if plan.deleted:  # so that a plan without deleted grants keeps its manifest bytes
+            manifest["deleted"] = []
         gi = 0
-        for kind in ("misuse", "partial", "benign", "revoked", "unrelated"):
-            for _ in range(counters[kind]):
+        for kind in kinds:
+            for _ in range(getattr(plan, kind)):
                 granter = _name("grant", gi)
                 grantee = _name("code", gi)
                 day = rng.randrange(1, self.config.day_count)
@@ -477,10 +478,12 @@ class _Chain:
                     account_weights = [[grantee, "active", 1]]
                 else:
                     account_weights = [[grantee, "eosio.code", 1]]
+                permission, parent = ("codecall", "active") if kind == "deleted" else (
+                    "active", "owner")
                 payload = {
                     "account": granter,
-                    "permission": "active",
-                    "parent": "owner",
+                    "permission": permission,
+                    "parent": parent,
                     "threshold": threshold,
                     "key_weights": [[self.accounts[granter]["key"], 1]],
                     "account_weights": account_weights,
@@ -488,13 +491,15 @@ class _Chain:
                 sec = rng.randrange(86400)
                 self.emit(day, sec, "eosio", "updateauth", granter, "external",
                           ("D", payload))
+                later = min(day + 1, self.config.day_count - 1)
                 if kind == "revoked":
                     revoke = dict(payload, account_weights=[])
-                    self.emit(min(day + 1, self.config.day_count - 1), sec,
-                              "eosio", "updateauth", granter, "external",
+                    self.emit(later, sec, "eosio", "updateauth", granter, "external",
                               ("D", revoke))
-                    manifest["revoked"].append([granter, grantee])
-                elif kind != "unrelated":
+                elif kind == "deleted":
+                    self.emit(later, sec, "eosio", "deleteauth", granter, "external",
+                              ("D", {"account": granter, "permission": permission}))
+                if kind != "unrelated":
                     manifest[kind].append([granter, grantee])
         return manifest
 

@@ -828,6 +828,56 @@ def test_fifo_trace_is_parsed_directly(files, tmp_path):
             == (expected / "ingest.json").read_bytes())
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_bundles_of_a_fifo_trace_exit_2(files, tmp_path, capsys):
+    # --bundles decodes the evidence lines of the trace file again, which a
+    # pipe cannot give twice; the scan says so before it reads the pipe.
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    # one line, which fits in the pipe's buffer, so the writer ends once the
+    # pipe has a reader
+    line = Path(files["trace"]).read_bytes().splitlines(keepends=True)[0]
+    writer = threading.Thread(target=fifo.write_bytes, args=(line,), daemon=True)
+    writer.start()
+    out = tmp_path / "out"
+    try:
+        assert main(["attacks", "scan", "--trace", str(fifo), "--days", "30",
+                     "--out", str(out), "--bundles"] + _registry(files)) == EXIT_ERROR
+    finally:
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        writer.join(timeout=30)
+        os.close(reader)
+    assert not writer.is_alive()
+    err = capsys.readouterr().err
+    assert err.startswith("error: --bundles") and "regular file" in err
+    assert not (out / "attack_findings.ndjson").exists()
+
+
+def test_only_bundle_evidence_becomes_action_records(files, tmp_path, monkeypatch):
+    """The commands read the action table's columns; an ActionRecord is built
+    only for each evidence action of a bundle, once."""
+    built = []
+
+    class CountedRecord(model.ActionRecord):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.global_seq)
+
+    monkeypatch.setattr(model, "ActionRecord", CountedRecord)
+    pipeline = _pipeline(files, tmp_path)
+    scan = pipeline[-2]
+    for argv in pipeline[:-2] + [[a for a in scan if a != "--bundles"]]:
+        assert main(argv) in (EXIT_OK, EXIT_FINDINGS), argv
+        assert built == [], argv
+    assert main(scan) == EXIT_FINDINGS
+    evidence = {seq for line in (tmp_path / "attack_findings.ndjson").read_text().splitlines()
+                for seq in json.loads(line)["evidence"]}
+    assert len(evidence) > 10
+    assert sorted(built) == sorted(evidence)
+
+
 def test_commands_share_one_parse_and_leave_it_unchanged(files, window, tmp_path,
                                                           monkeypatch):
     calls = _count_parses(monkeypatch)

@@ -1,9 +1,11 @@
 """Metric implementations cross-checked against deliberately naive
 oracles (triple loops, transitive closure, dense power iteration)."""
 
+import inspect
 import math
 import random
 import statistics
+import textwrap
 
 import numpy as np
 import pytest
@@ -456,6 +458,20 @@ def test_pagerank_dangling_mass():
     assert sum(pr.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_pagerank_that_drops_dangling_mass_fails_its_mass_check():
+    # The mutant is pagerank's own source with the dangling mass left out of
+    # each step's uniform spread, compiled in the metrics module's namespace.
+    source = textwrap.dedent(inspect.getsource(metrics.pagerank))
+    dropped = "damping * rank[dangling].sum() / n"
+    assert source.count(dropped) == 1
+    namespace = dict(vars(metrics))
+    exec(source.replace(dropped, "0.0"), namespace)
+    g = from_edges([("a", "b", 1.0)])  # b is dangling
+    with pytest.raises(MetricError, match="pagerank mass drifted"):
+        namespace["pagerank"](g)
+    assert sum(metrics.pagerank(g).values()) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_pagerank_weighted_preference():
     g = from_edges([("s", "heavy", 9.0), ("s", "light", 1.0)])
     pr = metrics.pagerank(g)
@@ -490,6 +506,22 @@ def test_components_of_a_chain_deeper_than_the_recursion_limit():
     sccs, wccs = metrics.components(g)
     assert len(sccs) == n and sccs[0] == {"n00000"}
     assert wccs == [set(g.nodes)]
+
+
+def test_components_of_cycles_beyond_the_trimming_rounds():
+    # Chains longer than 2 * TRIM_ROUNDS lead into and out of two cycles and a
+    # self-loop, so trimming stops early and Tarjan finds the rest.
+    k = 2 * metrics.TRIM_ROUNDS + 5
+    edges = [(f"in{i:03d}", f"in{i + 1:03d}", 1.0) for i in range(k)]
+    edges += [(f"in{k:03d}", "c0", 1.0), ("c0", "c1", 1.0), ("c1", "c2", 1.0), ("c2", "c0", 1.0),
+              ("c2", "d0", 1.0), ("d0", "d1", 1.0), ("d1", "d0", 1.0), ("d1", "d1", 2.0)]
+    edges += [("d1", "out000", 1.0)] + [(f"out{i:03d}", f"out{i + 1:03d}", 1.0)
+                                        for i in range(k)]
+    g = from_edges(edges)
+    sccs = metrics.strongly_connected_components(g)
+    assert {frozenset(c) for c in sccs} == oracle_scc(g)
+    assert sccs[:2] == [{"c0", "c1", "c2"}, {"d0", "d1"}]
+    assert {frozenset(c) for c in metrics.weakly_connected_components(g)} == oracle_wcc(g)
 
 
 def test_report_shape(built_graphs):

@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import os
 import tempfile
+import threading
 from collections.abc import Mapping
 from datetime import date, datetime, timezone
 from decimal import Decimal
@@ -16,6 +18,7 @@ from eosforensics.errors import IngestError
 from eosforensics.model import (
     ACCOUNT_NAME_RE,
     LINE_ERRORS,
+    Actions,
     Authority,
     ObservationWindow,
     Quantity,
@@ -32,6 +35,7 @@ from eosforensics.model import (
     parse_timestamp,
     write_ndjson,
 )
+from tests_support import oracle_parse_action_trace, oracle_parse_timestamp
 
 
 def _window():
@@ -159,6 +163,29 @@ class TestTimestamp:
             json.dumps(json.loads(_action_line(i + 1, timestamp=t)), sort_keys=True)
             + "\n" for i, t in enumerate(stamps))
         assert parse_action_trace(again, _window()).records == result.records
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 9999), st.integers(0, 99), st.integers(0, 99), st.integers(0, 99),
+       st.integers(0, 99), st.integers(0, 99), st.sampled_from(["", ".5", ".000001", ".999999",
+                                                                ".25", ".1234"]))
+@example(2018, 2, 30, 24, 0, 0, "")  # a bad date is reported before a bad hour
+@example(2018, 6, 10, 23, 60, 61, "")
+@example(0, 1, 1, 0, 0, 0, "")
+@example(9999, 12, 31, 23, 59, 59, ".999999")
+def test_timestamp_matches_the_datetime_constructor(year, month, day, hour, minute, second,
+                                                    fraction):
+    text = (f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}"
+            f"{fraction}Z")
+    try:
+        expected = oracle_parse_timestamp(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            parse_timestamp(text)
+        assert str(info.value) == str(exc)
+    else:
+        got = parse_timestamp(text)
+        assert got == expected and got.tzinfo is timezone.utc
 
 
 class TestTraceParsing:
@@ -861,8 +888,8 @@ def test_trace_reader_matches_json_loads(lines):
         except IngestError as exc:
             assert str(exc) == expected
             return
-    assert (repr(result.records), result.diagnostics,
-            result.dropped_out_of_window) == expected
+        assert (repr(list(result.records)), result.diagnostics,
+                result.dropped_out_of_window) == expected
 
 
 _ACCOUNT = json.dumps(_SNAPSHOT_TEMPLATE).encode()
@@ -899,3 +926,139 @@ def test_snapshot_reader_matches_json_loads(lines):
         assert _has_creator_cycle(expected)
     else:
         assert repr(got) == repr(expected)
+
+
+# ---------------------------------------------------------------------------
+# The Actions table: the same table at any chunk size, equal to the record
+# parse it replaced, and read back through its records view.
+
+_TRANSFER = {"from": "alice", "to": "gamehouse", "quantity": "2.5000 EOS", "memo": ""}
+_LINE_KINDS = {  # kind -> the fields a line of that kind overrides
+    "transfer": {"payload": _TRANSFER},
+    "notice": {"kind": "notification", "notified": "gamehouse", "payload": _TRANSFER},
+    "third_party": {"kind": "notification", "notified": "dice", "payload": _TRANSFER},
+    "fake_token": {"executing_contract": "fake.token",
+                   "payload": {**_TRANSFER, "quantity": "9.00 FAKE"}},
+    "huge": {"payload": {**_TRANSFER, "quantity": "5000000000000000.0000 EOS"}},
+    "updateauth": {k: _UPDATEAUTH[k] for k in ("executing_contract", "action_name",
+                                               "payload")},
+    "deleteauth": {"executing_contract": "eosio", "action_name": "deleteauth",
+                   "payload": {"account": "alice", "permission": "active"}},
+    "play": {"executing_contract": "dice", "action_name": "play", "kind": "inline",
+             "payload": {"bet": [1, 2.5, None]}},
+    "deferred": {"executing_contract": "dice", "action_name": "reveal", "kind": "deferred",
+                 "payload": {}},
+    "late": {"timestamp": "2019-01-01T00:00:00.5Z"},
+    "early": {"timestamp": "2018-06-08T23:59:59Z"},
+}
+# Lines that are malformed or not rows whatever the seq: bad UTF-8, two
+# halves that join into one valid value, and blank lines.
+_RAW_LINES = {"bad_utf8": [b'{"kind": "\xff"}'], "split": [b'{"a":[{}', b'{}]}'],
+              "blank": [b""], "spaces": [b"  \t"]}
+# Kinds that repeat the last seq, so that the line is not increasing.
+_STALE = {"stale_transfer": "transfer", "stale_play": "play"}
+
+
+def _trace_bytes(kinds, crlf, last_newline):
+    """The trace of one line per kind, seqs increasing but for _STALE kinds;
+    line i ends in CRLF where crlf[i % len(crlf)], and the last line ends in
+    a newline only when last_newline."""
+    lines, seq = [], 0
+    for kind in kinds:
+        if kind in _RAW_LINES:
+            lines.extend(_RAW_LINES[kind])
+            continue
+        if kind not in _STALE:
+            seq += 1
+        lines.append(_action_line(seq, **_LINE_KINDS[_STALE.get(kind, kind)]).encode())
+    ends = [b"\r\n" if crlf[i % len(crlf)] else b"\n" for i in range(len(lines))]
+    if not last_newline:
+        ends[-1] = b""
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+def _table_columns(table, offsets=True):
+    """Every column of an Actions table as (dtype, values), and its names and
+    auth list (by repr, in which a NaN equals a NaN)."""
+    columns = [table.seq, table.us, table.kind, table.contract, table.action, table.actor,
+               table.notified, *table.transfers] + ([table.offset] * offsets)
+    return (table.names, [(c.dtype.str, c.tolist()) for c in columns], repr(table.auth))
+
+
+# Enough rows that a few malformed lines stay under the 1% gate.
+_PREFIX = [kind for _ in range(60) for kind in _LINE_KINDS]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.sampled_from(sorted(_LINE_KINDS) + sorted(_RAW_LINES) + sorted(_STALE)),
+                max_size=14),
+       st.lists(st.booleans(), min_size=1, max_size=5), st.booleans())
+@example(["split", "stale_transfer", "bad_utf8", "late", "blank", "huge", "split"],
+         [True, False], False)
+def test_table_is_the_same_at_every_chunk_size(kinds, crlf, last_newline):
+    data = _trace_bytes(_PREFIX + kinds, crlf, last_newline)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.ndjson"
+        path.write_bytes(data)
+        parses = {}
+        for chunk in (1, 7, 65_536):
+            try:
+                parses[chunk] = parse_action_trace(path, _window(), chunk=chunk)
+            except IngestError as exc:
+                parses[chunk] = str(exc)
+        try:
+            oracle = oracle_parse_action_trace(path, _window())
+        except IngestError as exc:
+            assert set(parses.values()) == {str(exc)}
+            return
+        assert not [p for p in parses.values() if isinstance(p, str)]
+        tables = {chunk: _table_columns(p.records.table) for chunk, p in parses.items()}
+        assert tables[1] == tables[7] == tables[65_536]
+        assert ({(p.dropped_out_of_window, tuple(p.diagnostics)) for p in parses.values()}
+                == {(oracle.dropped_out_of_window, tuple(oracle.diagnostics))})
+        result = parses[7]
+        assert repr(list(result.records)) == repr(oracle.records)
+    # a list of the same records converts to the same table, without lines
+    assert (_table_columns(Actions.from_records(oracle.records), offsets=False)
+            == _table_columns(result.records.table, offsets=False))
+
+
+def test_records_view_reads_each_line_again(tmp_path):
+    path = tmp_path / "t.ndjson"
+    lines = [_action_line(seq, **_LINE_KINDS[kind]) for seq, kind in
+             enumerate(("transfer", "play", "updateauth", "notice"), start=1)]
+    path.write_bytes("\r\n".join(lines).encode())
+    records = parse_action_trace(path, _window()).records
+    assert len(records) == 4
+    assert records == [decode_action(json.loads(line)) for line in lines]
+    assert records[-1].notified == "gamehouse" and records[1:3][0].action_name == "play"
+    assert records.by_seq([3, 99, 1]) == {1: records[0], 3: records[2]}
+
+    # a line rewritten in place to another seq is an error, not another record
+    path.write_bytes(path.read_bytes().replace(b'"global_seq": 2,', b'"global_seq": 7,'))
+    assert records[0] == decode_action(json.loads(lines[0]))
+    with pytest.raises(IngestError, match="no longer holds global_seq 2"):
+        records[1]
+    with pytest.raises(IngestError, match="no longer holds global_seq 2"):
+        list(records)
+    path.write_bytes(b"")
+    with pytest.raises(IngestError, match="no longer holds global_seq 1"):
+        records[0]
+    path.unlink()
+    with pytest.raises(IngestError, match="cannot read trace .* again"):
+        records[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_records_of_a_pipe_cannot_be_read_again(tmp_path):
+    fifo = tmp_path / "t.fifo"
+    os.mkfifo(fifo)
+    data = (_action_line(1) + "\n").encode()
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    result = parse_action_trace(fifo, _window())
+    writer.join(timeout=30)
+    assert len(result.records) == 1 and result.records.table.seq.tolist() == [1]
+    assert len(extract_transfers(result.records)) == 1  # the table needs no second read
+    with pytest.raises(IngestError, match="not a regular file"):
+        result.records[0]

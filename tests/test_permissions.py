@@ -277,3 +277,40 @@ class TestEndToEnd:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("granter,grantee")
         assert len(lines) == len(findings) + 1
+
+
+def test_deleted_grants_leave_precision_and_recall_at_one(tmp_path):
+    """Deleted grants are cross-key eosio.code grants with weight 1 against
+    threshold 1, which would be flagged as misuse but for the deleteauth that
+    removes each one's permission a day later: replaying the table's `auth`
+    list must drop them all and keep every planted misuse."""
+    from eosforensics import synthgen
+    from eosforensics.model import parse_account_snapshot
+
+    plan = synthgen.MisusePlan(misuse=12, partial=6, benign=6, revoked=4, unrelated=3,
+                               deleted=10)
+    config = synthgen.ScenarioConfig(seed=4, day_count=10, normal_account_count=20,
+                                     service_count=2, misuse_plan=plan)
+    manifest = synthgen.generate(config, tmp_path)
+    window = ObservationWindow(date(2018, 6, 9), date(2018, 6, 18))
+    trace = parse_action_trace(tmp_path / "trace.ndjson", window)
+    table = trace.records.table
+    actions = [table.names[table.action[row]] for row, _ in table.auth]
+    assert actions.count("deleteauth") == 10
+    assert actions.count("updateauth") == 12 + 6 + 6 + 4 * 2 + 3 + 10
+
+    grants, diagnostics = permissions.scan_updateauth(trace.records, window)
+    assert diagnostics == []
+    snapshot = parse_account_snapshot(tmp_path / "snapshot.ndjson")
+    findings = permissions.detect_misuse(grants, snapshot)
+    flagged = {(f.grant.granter, f.grant.grantee) for f in findings if f.severity == "misuse"}
+    planted = {tuple(pair) for pair in manifest["misuse_grants"]["misuse"]}
+    deleted = {tuple(pair) for pair in manifest["misuse_grants"]["deleted"]}
+    assert len(planted) == 12 and len(deleted) == 10
+    assert flagged == planted  # precision = recall = 1
+    assert not deleted & {(g.granter, g.grantee) for g in grants}
+
+
+def test_plan_without_deleted_grants_has_no_deleted_key(scenario):
+    _, manifest = scenario
+    assert "deleted" not in manifest["misuse_grants"]

@@ -3,14 +3,25 @@
 import math
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 
 from eosforensics import forest
 from eosforensics.attacks import INF_RATIO, AttackFinding, SuspiciousWindow
-from eosforensics.errors import GraphError, TrainingError
+from eosforensics.errors import GraphError, IngestError, TrainingError
 from eosforensics.graphs import DiGraph
-from eosforensics.model import ActionRecord, Quantity, TransferPayload, extract_transfers
+from eosforensics.model import (
+    MALFORMED_FATAL_RATIO,
+    TIMESTAMP_RE,
+    ActionRecord,
+    Quantity,
+    TraceParseResult,
+    TransferPayload,
+    decode_action,
+    extract_transfers,
+    read_ndjson,
+)
 
 
 def ts(day=1, hour=12, minute=0, second=0):
@@ -45,6 +56,53 @@ def make_transfer(seq, src, dst, amount, *, when=None, contract="eosio.token",
         payload=TransferPayload(src, dst, Quantity(Decimal(str(amount)), symbol), ""),
         notified=notified,
     )
+
+
+def oracle_parse_timestamp(text: str) -> datetime:
+    """model.parse_timestamp as it was, one datetime constructor call: the
+    reference for the memo's integer parse, values and messages alike."""
+    if TIMESTAMP_RE.fullmatch(text) is None:
+        raise ValueError(f"bad timestamp: {text!r}")
+    # Fixed widths: the fraction, if any, is text[20:-1].
+    return datetime(int(text[:4]), int(text[5:7]), int(text[8:10]),
+                    int(text[11:13]), int(text[14:16]), int(text[17:19]),
+                    int(text[20:-1].ljust(6, "0")), tzinfo=timezone.utc)
+
+
+def oracle_parse_action_trace(path, window, digest=None) -> TraceParseResult:
+    """model.parse_action_trace as it was before the Actions table, with one
+    ActionRecord kept per row in a list. Moved as it stood but for two
+    adaptations: read_ndjson now also yields each line's offset, and each
+    line is decoded by decode_action alone, where one memo used to be shared
+    across lines (test_matches_per_line_decode pins that the two agree)."""
+    path = Path(path)
+    records = []
+    diagnostics = []
+    dropped = 0
+    last_seq = None
+    lines = read_ndjson(path, "trace", decode_action,
+                        lambda lineno, exc: diagnostics.append((lineno, str(exc))),
+                        digest)
+    for lineno, _, record in lines:
+        if last_seq is not None and record.global_seq <= last_seq:
+            diagnostics.append(
+                (lineno, f"global_seq {record.global_seq} not increasing")
+            )
+            continue
+        last_seq = record.global_seq
+        if not window.contains(record.timestamp):
+            dropped += 1
+            continue
+        records.append(record)
+
+    # Every non-blank line is a record, a drop or a diagnostic.
+    total = len(records) + dropped + len(diagnostics)
+    if total and len(diagnostics) / total > MALFORMED_FATAL_RATIO:
+        raise IngestError(
+            f"{len(diagnostics)}/{total} malformed lines in {path}; "
+            f"first: line {diagnostics[0][0]}: {diagnostics[0][1]}"
+        )
+    return TraceParseResult(records, dropped, diagnostics)
 
 
 # The exact zero of a sum of EOS amounts, which all have four decimals.
