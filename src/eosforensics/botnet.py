@@ -25,7 +25,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CalibrationError
-from .graphs import DayView, DiGraph, Eacg, Ecig, Emfg, eacg_to_digraph, node_values
+from .graphs import (DayView, DiGraph, Eacg, Ecig, Emfg, concat_ranges, eacg_to_digraph,
+                     node_values)
 from .metrics import weakly_connected_components
 from .model import UNITS_PER_EOS, ObservationWindow
 
@@ -158,7 +159,10 @@ def behavior_matrices(accounts, emfg: Emfg, ecig: Ecig, window: ObservationWindo
     pairs = ecig.pairs
     column = np.full(len(ecig.names) + 1, -1)  # the last slot takes contracts not in the ECIG
     column[ecig.ids(contract_index)] = list(contract_index.values())
-    keep = np.isin(pairs.src, c)
+    # the pairs are in (src, dst) order, so the requested sources' ranges in
+    # ascending id order are their pairs in row order
+    nodes = np.unique(c[c >= 0])
+    keep = concat_ranges(pairs.first[nodes], pairs.first[nodes + 1] - pairs.first[nodes])
     targets = DayView(len(ecig.names), pairs.src[keep], column[pairs.dst[keep]], pairs.count[keep])
     return time, targets.matrix(c, len(contract_index), 0)
 

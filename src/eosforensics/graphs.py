@@ -30,6 +30,11 @@ def node_values(per_node, ids):
     return np.append(per_node, 0)[ids]
 
 
+def concat_ranges(lo, n):
+    """The indices lo[i]:lo[i] + n[i] of every i, concatenated in order."""
+    return np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+
+
 class Pairs(NamedTuple):
     """A DayGraph's (src, dst) pairs in row order: the row each starts at,
     its src and dst, its summed `count`, and each node's first pair (node
@@ -97,8 +102,7 @@ class DayView:
         """len(ids) x days floats: sums[k] of node ids[r] on day d, zero for
         days outside 0..days - 1."""
         lo, n = node_values(self.first[:-1], ids), node_values(np.diff(self.first), ids)
-        rows = np.repeat(np.arange(len(ids)), n)
-        groups = np.arange(len(rows)) + np.repeat(lo - np.cumsum(n) + n, n)
+        rows, groups = np.repeat(np.arange(len(ids)), n), concat_ranges(lo, n)
         day = self.day[groups]
         keep = (0 <= day) & (day < days)
         out = np.zeros((len(ids), days))

@@ -16,8 +16,12 @@ File formats (all newline-delimited, UTF-8):
   line the scanner does not take whole is decoded again by json.loads, so
   that a bad line's message is exactly json.loads's.
 * Every NDJSON stage output is written by write_ndjson (one sorted-key JSON
-  object per line) and every CSV one by write_csv (csv.writer's default
-  dialect: a header row, then one row per record, "\r\n" line ends).
+  object per line, encoded by encode_json) and every CSV one by write_csv
+  (csv.writer's default dialect: a header row, then one row per record,
+  "\r\n" line ends). The generator's snapshot goes through write_ndjson
+  too; its trace is the one NDJSON file written elsewhere: synthgen formats
+  each record tuple straight into the line write_ndjson would write for
+  it, and a property test holds the two to the same bytes.
 * Authority, the one type of an EOSIO authority: threshold and weights
   integers >= 1, public keys non-empty strings, granted accounts and permissions
   account names. Its one decoder is from_json and its one encoder to_json.
@@ -849,11 +853,14 @@ def parse_action_trace(path, window: ObservationWindow, digest=None,
     return TraceParseResult(Records(table, path), dropped, diagnostics)
 
 
+# json.dumps(obj, sort_keys=True), without the fresh JSONEncoder it builds per call.
+encode_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_ndjson(path, objs) -> None:
     """Write each JSON-able object of `objs` as one sorted-key line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.writelines(encode_json(obj) + "\n" for obj in objs)
 
 
 def file_sha256(path):

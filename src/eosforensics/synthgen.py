@@ -19,7 +19,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .errors import GenerationError
-from .model import UNITS_PER_EOS as UNIT, ObservationWindow, write_ndjson
+from .model import UNITS_PER_EOS as UNIT, ObservationWindow, encode_json, write_ndjson
 
 GENESIS = date(2018, 6, 9)
 DAPP_COUNT = 3  # gambling DApps
@@ -39,6 +39,24 @@ def _name(prefix, i):
 
 def _eos(units: int) -> str:
     return f"{units // UNIT}.{units % UNIT:04d} EOS"
+
+
+class _Timestamps(dict):
+    """ISO timestamps of (window day index, second of day); the dict holds
+    each day's date text and "T", made on first use."""
+
+    def __init__(self, window: ObservationWindow):
+        super().__init__()
+        self.window = window
+
+    def __missing__(self, day):
+        text = self[day] = self.window.day_date(day).isoformat() + "T"
+        return text
+
+    def stamp(self, day, sec):
+        hour, sec = divmod(sec, 3600)
+        minute, sec = divmod(sec, 60)
+        return f"{self[day]}{hour:02d}:{minute:02d}:{sec:02d}Z"
 
 
 @dataclass(frozen=True)
@@ -87,6 +105,7 @@ class _Chain:
         self.window = ObservationWindow(
             GENESIS, GENESIS + timedelta(days=config.day_count - 1)
         )
+        self.timestamps = _Timestamps(self.window)
         self.records = []  # (time_key, idx, contract, action, actor, kind, payload, notified)
         self.accounts = {}  # name -> dict
         self.balances = {}
@@ -543,33 +562,26 @@ class _Chain:
         if negative:
             raise GenerationError(f"negative balances: {negative[:5]}")
 
-    def _stamp(self, day, sec):
-        return (self.window.day_date(day).isoformat()
-                + f"T{sec // 3600:02d}:{sec % 3600 // 60:02d}:{sec % 60:02d}Z")
-
-    def _trace_lines(self):
+    def _trace_text(self, first_seq=1):
+        """Each record's trace line, in list order from global_seq `first_seq`:
+        the bytes write_ndjson writes for its sorted-key JSON object, formatted
+        from the record tuple with every string escaped by encode_json."""
+        enc, stamp = encode_json, self.timestamps.stamp
         for seq, (key, _, contract, action, actor, kind, payload, notified) in enumerate(
-            self.records, start=1
+            self.records, start=first_seq
         ):
-            day, sec = divmod(key, 86400)
-            obj = {
-                "global_seq": seq,
-                "tx_id": f"{seq:016x}",
-                "timestamp": self._stamp(day, sec),
-                "executing_contract": contract,
-                "action_name": action,
-                "actor": actor,
-                "kind": kind,
-                "payload": (
-                    {"from": payload[1], "to": payload[2],
-                     "quantity": payload[3], "memo": payload[4]}
-                    if payload[0] == "T"
-                    else payload[1]
-                ),
-            }
-            if notified is not None:
-                obj["notified"] = notified
-            yield obj
+            if payload[0] == "T":
+                _, src, dst, quantity, memo = payload
+                body = (f'{{"from": {enc(src)}, "memo": {enc(memo)}, '
+                        f'"quantity": {enc(quantity)}, "to": {enc(dst)}}}')
+            else:
+                body = enc(payload[1])
+            notice = "" if notified is None else f'"notified": {enc(notified)}, '
+            yield (f'{{"action_name": {enc(action)}, "actor": {enc(actor)}, '
+                   f'"executing_contract": {enc(contract)}, "global_seq": {seq}, '
+                   f'"kind": {enc(kind)}, {notice}"payload": {body}, '
+                   f'"timestamp": "{stamp(*divmod(key, 86400))}", '
+                   f'"tx_id": "{seq:016x}"}}\n')
 
     def _snapshot_lines(self):
         for name in sorted(self.accounts):
@@ -579,7 +591,7 @@ class _Chain:
             yield {
                 "name": name,
                 "creator": info["creator"],
-                "created_at": self._stamp(info["day"], info["sec"]),
+                "created_at": self.timestamps.stamp(info["day"], info["sec"]),
                 "has_contract": info["has_contract"],
                 "permissions": {"owner": authority, "active": authority},
             }
@@ -587,8 +599,9 @@ class _Chain:
     def write(self, out_dir):
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        self.records.sort(key=lambda r: (r[0], r[1]))
-        write_ndjson(out_dir / "trace.ndjson", self._trace_lines())
+        self.records.sort()  # by (time_key, idx): idx is unique, so no later field is compared
+        with (out_dir / "trace.ndjson").open("w", encoding="utf-8") as fh:
+            fh.writelines(self._trace_text())
         write_ndjson(out_dir / "snapshot.ndjson", self._snapshot_lines())
         # No generated seller is known off-chain: the registry lists none.
         for name, header, rows in (("dapps", ("account", "dapp", "category"), self.dapps),

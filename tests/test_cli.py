@@ -706,6 +706,24 @@ GENERATED_DIGESTS = {
     "trace.ndjson":
         "81fc0183b35967db10f78fe6f1e9d33efb2131f83c1b7bc717bbf59842d7c19e",
 }
+# The trace and snapshot of a tiny config that emits every record kind the
+# generator has: all three attacks (with the fake notice and the deferred
+# `resolve`), every MisusePlan field (with the revoking updateauth and the
+# deleteauth), all five bot categories, silent accounts, a deep chain and
+# notification copies.
+ALL_KINDS_ARGV = ["--seed", "5", "--days", "6", "--users", "6", "--services", "2",
+                  "--bots", "click_fraud:2:cal", "--bots", "bonus_hunter:2",
+                  "--bots", "dapp_team:2", "--bots", "account_seller:2:cal",
+                  "--bots", "other:2", "--attacks", "fake_transfer:20:2",
+                  "--attacks", "fake_notice:20:3", "--attacks", "predictable_state:40:4",
+                  "--misuse", "misuse:1,partial:1,benign:1,revoked:1,unrelated:1,deleted:1",
+                  "--silent", "2", "--deep-chain", "3"]
+ALL_KINDS_DIGESTS = {
+    "snapshot.ndjson":
+        "6e9ceeb36119849c729c60e153988608bacdff406488c8e033ca8018cad9bdc0",
+    "trace.ndjson":
+        "f2eb9c9f4b308eead98db426d3d2a3a96d7e5074c5df9a3e2729a131fc9364db",
+}
 
 
 def test_stage_files_are_pinned(files, tmp_path):
@@ -717,6 +735,15 @@ def test_stage_files_are_pinned(files, tmp_path):
                  "--users", "30", "--services", "2", "--bots", "click_fraud:31:cal",
                  "--attacks", "fake_transfer:90:4", "--misuse", "misuse:2,benign:1"]) == EXIT_OK
     assert _digests(gen, ("trace.ndjson", "snapshot.ndjson")) == GENERATED_DIGESTS
+
+
+def test_every_generated_record_kind_is_pinned(tmp_path):
+    assert main(["synth", "generate", "--out", str(tmp_path), *ALL_KINDS_ARGV]) == EXIT_OK
+    kinds = {(obj["kind"], obj["action_name"], "notified" in obj)
+             for obj in map(json.loads, (tmp_path / "trace.ndjson").read_text().splitlines())}
+    assert {("deferred", "resolve", False), ("notification", "transfer", True),
+            ("external", "updateauth", False), ("external", "deleteauth", False)} <= kinds
+    assert _digests(tmp_path, ("trace.ndjson", "snapshot.ndjson")) == ALL_KINDS_DIGESTS
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import hashlib
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eosforensics import synthgen
 from eosforensics.errors import GenerationError
 from conftest import small_scenario_config
+from tests_support import oracle_trace_lines
 
 
 def _tree_hash(path):
@@ -112,3 +115,39 @@ def test_dapp_registry_consistent(scenario):
     assert accounts == {d[0] for d in manifest["dapps"]}
     incentives = (out / "incentives.csv").read_text().splitlines()[1:]
     assert set(incentives) == set(manifest["incentive_dapps"])
+
+
+# Strings a JSON writer must escape: quotes, backslashes, control characters,
+# non-ASCII and non-BMP characters, mixed with any others.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\u4e2d\U0001f600'),
+                          st.characters()), max_size=4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=5,
+)
+_RECORDS = st.lists(st.one_of(
+    # emit: day, sec, contract, action, actor, kind, "D" payload, notified
+    st.tuples(st.just("emit"), st.integers(-1, 4), st.integers(0, 90_000), _TEXT, _TEXT,
+              _TEXT, _TEXT, st.dictionaries(_TEXT, _JSON, max_size=2), st.none() | _TEXT),
+    # _move: day, sec, src, dst, units, memo, whether dst gets the notification copy
+    st.tuples(st.just("move"), st.integers(-1, 4), st.integers(0, 90_000), _TEXT, _TEXT,
+              st.integers(1, 10**15), _TEXT, st.booleans()),
+), max_size=5)
+
+
+@given(_RECORDS, st.sampled_from([1, 16**16 - 1, 16**17]))
+def test_trace_text_is_the_sorted_key_json_of_each_record(ops, first_seq):
+    chain = synthgen._Chain(synthgen.ScenarioConfig(day_count=3))
+    chain.balances = defaultdict(lambda: 10**16)
+    for op, day, sec, *rest in ops:
+        if op == "emit":
+            contract, action, actor, kind, payload, notified = rest
+            chain.emit(day, sec, contract, action, actor, kind, ("D", payload), notified)
+        else:
+            src, dst, units, memo, has_contract = rest
+            chain.accounts[dst] = {"has_contract": has_contract}
+            chain._move(day, sec, src, dst, units, memo)
+    chain.records.sort()
+    assert list(chain._trace_text(first_seq)) == [
+        json.dumps(obj, sort_keys=True) + "\n" for obj in oracle_trace_lines(chain, first_seq)]

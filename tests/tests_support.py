@@ -654,3 +654,36 @@ def oracle_fit_prefixes(X, y, max_depths, min_leaf, seed, sizes):
                 pred = (oob_votes[d][covered] / oob_counts[covered]) >= 0.5
                 scores[d][k] = float(np.mean(pred == (y[covered] == 1)))
     return {d: (trees[d], scores[d]) for d in depths}
+
+
+def oracle_trace_lines(chain, first_seq=1):
+    """The trace objects `synthgen._Chain` once built, one dict per record of
+    chain.records (in list order) from global_seq `first_seq`: each written
+    trace line is json.dumps(obj, sort_keys=True) of one of them."""
+
+    def stamp(day, sec):
+        return (chain.window.day_date(day).isoformat()
+                + f"T{sec // 3600:02d}:{sec % 3600 // 60:02d}:{sec % 60:02d}Z")
+
+    for seq, (key, _, contract, action, actor, kind, payload, notified) in enumerate(
+        chain.records, start=first_seq
+    ):
+        day, sec = divmod(key, 86400)
+        obj = {
+            "global_seq": seq,
+            "tx_id": f"{seq:016x}",
+            "timestamp": stamp(day, sec),
+            "executing_contract": contract,
+            "action_name": action,
+            "actor": actor,
+            "kind": kind,
+            "payload": (
+                {"from": payload[1], "to": payload[2],
+                 "quantity": payload[3], "memo": payload[4]}
+                if payload[0] == "T"
+                else payload[1]
+            ),
+        }
+        if notified is not None:
+            obj["notified"] = notified
+        yield obj
