@@ -19,7 +19,6 @@ components of the shared-key links.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import CalibrationError
 from .graphs import (DayView, DiGraph, Eacg, Ecig, Emfg, concat_ranges, eacg_to_digraph,
                      node_values)
 from .metrics import weakly_connected_components
-from .model import UNITS_PER_EOS, ObservationWindow
+from .model import UNITS_PER_EOS, Accounts, ObservationWindow
 
 DEFAULT_MIN_CHILDREN = 30
 CLICK_FRAUD_RATIO = 0.95
@@ -249,16 +248,18 @@ def detect_communities(eacg: Eacg, vector_for, threshold: SimilarityThreshold,
 def merge_by_pubkey(flagged_accounts, snapshot):
     """Groups of flagged accounts that share active public keys: the weak
     components of the links from each account to the first flagged account
-    (by name) that holds each of its keys. Returns community id -> sorted
-    member list, numbered in order of each group's smallest member."""
+    (by name) that holds each of its keys, from the snapshot's key rows.
+    Returns community id -> sorted member list, numbered in order of each
+    group's smallest member."""
     flagged = sorted(set(flagged_accounts))
-    owner, links = {}, set()
-    for i, acct in enumerate(flagged):
-        record = snapshot.get(acct)
-        for key in () if record is None else record.active_keys():
-            links.add((i, owner.setdefault(key, i)))
-    src, dst = np.array(sorted(links), dtype=np.int64).reshape(-1, 2).T
-    groups = weakly_connected_components(DiGraph(flagged, src, dst, np.ones(len(src))))
+    table = Accounts.of(snapshot)
+    member = np.full(len(table) + 1, -1)  # position in `flagged`; the last slot takes the absent
+    member[table.ids(flagged)] = np.arange(len(flagged))
+    rows = table.key_active & (member[table.key_account] >= 0)
+    src = member[table.key_account[rows]]
+    _, first, key = np.unique(table.key[rows], return_index=True, return_inverse=True)
+    groups = weakly_connected_components(DiGraph(flagged, src, src[first][key],
+                                                 np.ones(len(src))))
     return {f"pk-{i:04d}": sorted(members) for i, members in enumerate(sorted(groups, key=min))}
 
 
@@ -282,11 +283,11 @@ def extract_features(accounts, emfg: Emfg, ecig: Ecig, eacg: Eacg,
     x 11 float64 matrix in FEATURE_NAMES order. Per-day statistics run from
     the account's creation day (clamped into the window) through the window
     end; accounts with no transfers get zero means/stds. Siblings are the
-    other accounts of the same creator created on the same date."""
+    other children of the same creator created on the same day in `eacg`,
+    the creation forest of `snapshot`, which gives the days and depths too."""
     days = window.day_count
-    records = [snapshot[a] for a in accounts]
-    created = np.array([min(max(0, window.day_index(r.created_at)), days - 1) for r in records],
-                       dtype=np.int64)
+    ids = eacg.ids(accounts)
+    created = np.clip(eacg.day[ids], 0, days - 1)
     in_span = np.arange(days) >= created[:, None]
     e, c = emfg.ids(accounts), ecig.ids(accounts)
 
@@ -299,8 +300,11 @@ def extract_features(accounts, emfg: Emfg, ecig: Ecig, eacg: Eacg,
 
     (in_vol, in_per), (out_vol, out_per) = money_flow(emfg.received), money_flow(emfg.sent)
     calls = ecig.calls.matrix(c, days, 0)
-    cohorts = Counter((r.creator, r.created_at.date())
-                      for r in snapshot.values() if r.creator is not None)
+    child = np.flatnonzero(eacg.creator >= 0)
+    _, cohort, size = np.unique(np.stack([eacg.creator[child], eacg.day[child]]), axis=1,
+                                return_inverse=True, return_counts=True)
+    siblings = np.zeros(len(eacg.names), dtype=np.int64)
+    siblings[child] = size[cohort] - 1
     return np.column_stack([
         [eacg.depth(a) for a in accounts],
         _row_std(in_vol, created),
@@ -312,8 +316,7 @@ def extract_features(accounts, emfg: Emfg, ecig: Ecig, eacg: Eacg,
         (calls * in_span).sum(axis=1),
         _row_std(calls, created),
         np.count_nonzero((out_vol + calls > 0) & in_span, axis=1) / (days - created),
-        [0 if r.creator is None else cohorts[(r.creator, r.created_at.date())] - 1
-         for r in records],
+        siblings[ids],
     ]).astype(np.float64)
 
 
@@ -326,8 +329,9 @@ def categorize(accounts, emfg: Emfg, ecig: Ecig, snapshot, registry, merged=None
     dapp_team, account_seller, bonus_hunter, click_fraud, other. The maps
     the rules read are built once per call."""
     # dapp_team: an account that is a DApp or shares an active key with one
-    dapp_keys = set().union(*(snapshot[d].active_keys()
-                              for d in registry.dapp_accounts if d in snapshot))
+    t = Accounts.of(snapshot)
+    dapp_rows = t.key_active & np.isin(t.key_account, t.ids(registry.dapp_accounts))
+    team = np.isin(t.ids(accounts), t.key_account[t.key_active & np.isin(t.key, t.key[dapp_rows])])
 
     # per caller: invocations of every contract but eosio.token, and of
     # incentive DApps among them
@@ -359,10 +363,8 @@ def categorize(accounts, emfg: Emfg, ecig: Ecig, snapshot, registry, merged=None
         if dapp[s]:
             flows.setdefault(emfg.names[d], {}).setdefault(emfg.names[s], [0, 0])[1] = units
 
-    def label(account):
-        record = snapshot.get(account)
-        if account in registry.dapp_accounts or (
-                record is not None and record.active_keys() & dapp_keys):
+    def label(account, shares_dapp_key):
+        if account in registry.dapp_accounts or shares_dapp_key:
             return "dapp_team"
         if account in registry.seller_seed or account in sellers:
             return "account_seller"
@@ -376,4 +378,4 @@ def categorize(accounts, emfg: Emfg, ecig: Ecig, snapshot, registry, merged=None
                 return "click_fraud"
         return "other"
 
-    return [label(a) for a in accounts]
+    return [label(a, shares) for a, shares in zip(accounts, team.tolist())]

@@ -224,24 +224,26 @@ def _file_digest(path):
 
 
 def _memo(kind, path, extra, parse, checked):
-    """parse(digest), or the kept value of the last parse of `kind` when the
-    file at `path` holds the same bytes and `extra` is the same. The parser
-    feeds `digest` the bytes it reads, so the key names the bytes parsed even
-    when the file changes between the check and the parse. `checked` maps
-    each kind parsed or checked during this main() call to its path; such a
-    kept parse is used without hashing its file again."""
+    """parse(digest), or the value this main() call last parsed or used for
+    `kind` when `path` and `extra` are the same (`checked` maps each kind to
+    its (path, extra, value)), or else the kept value of the last parse when
+    the file at `path` holds the same bytes and `extra` is the same. The
+    parser feeds `digest` the bytes it reads, so the key names the bytes
+    parsed even when the file changes between the check and the parse. A
+    pipe, which can be read only once, is neither hashed nor kept."""
+    if checked.get(kind, ())[:2] == (path, extra):
+        return checked[kind][2]
     entry = PARSES.pop(kind, None)
-    if entry is not None and entry[0][1] == extra and (
-            checked.get(kind) == path or entry[0][0] == _file_digest(path)):
-        PARSES[kind] = entry
-        checked[kind] = path
-        return entry[1]
-    del entry  # never two parses of one input alive at once
-    digest = hashlib.sha256() if _regular(path) else None
-    value = parse(digest)
-    if digest is not None:
-        PARSES[kind] = ((digest.digest(), extra), value)
-        checked[kind] = path
+    if entry is not None and entry[0] == (_file_digest(path), extra):
+        PARSES[kind], value = entry, entry[1]
+    else:
+        del entry  # never two parses of one input alive at once
+        checked.pop(kind, None)
+        digest = hashlib.sha256() if _regular(path) else None
+        value = parse(digest)
+        if digest is not None:
+            PARSES[kind] = ((digest.digest(), extra), value)
+    checked[kind] = (path, extra, value)
     return value
 
 
@@ -457,10 +459,7 @@ def cmd_bots_classify(args, stage):
 
     labeled = sorted(a for a in labeled_bot | labeled_normal if a in snapshot)
     silent = graphs.silent_accounts(emfg, ecig, snapshot)
-    candidates = sorted(
-        a for a in snapshot if a not in silent and a not in labeled_bot
-        and a not in labeled_normal
-    )
+    candidates = sorted(set(snapshot) - silent - labeled_bot - labeled_normal)
     # one feature pass: each row depends only on its own account
     features = botnet.extract_features(labeled + candidates, emfg, ecig, eacg, snapshot,
                                        args.window)

@@ -16,7 +16,9 @@ from .model import (
     OFFICIAL_TOKEN_CONTRACT,
     UNITS_PER_EOS,
     US_PER_DAY,
+    Accounts,
     Actions,
+    Named,
     ObservationWindow,
     eos_decimal,
     group_sums,
@@ -47,22 +49,18 @@ class Pairs(NamedTuple):
     first: np.ndarray
 
 
-class DayGraph:
+class DayGraph(Named):
     """A day-stamped graph over the sorted `names`: one row per (src, dst,
     day), rows sorted so, with the `count` of actions each row sums. The EMFG
     and the ECIG share this layout, its pair view and its day views."""
 
     def __init__(self, names, src, dst, day, count):
         self.names, self.src, self.dst, self.day, self.count = names, src, dst, day, count
-        self._ids = {name: i for i, name in enumerate(names)}
 
     def node(self, account):
         """The account's node id; None for an account not in the graph."""
-        return self._ids.get(account)
-
-    def ids(self, accounts):
-        """Each account's node id; -1 for an account not in the graph."""
-        return np.array([self._ids.get(a, -1) for a in accounts], dtype=np.int64)
+        i = self.id(account)
+        return None if i < 0 else i
 
     @cached_property
     def pairs(self) -> Pairs:
@@ -101,7 +99,9 @@ class DayView:
     def matrix(self, ids, days, k):
         """len(ids) x days floats: sums[k] of node ids[r] on day d, zero for
         days outside 0..days - 1."""
-        lo, n = node_values(self.first[:-1], ids), node_values(np.diff(self.first), ids)
+        known = ids >= 0  # id -1 has an empty range
+        lo = np.where(known, self.first[ids], 0)
+        n = np.where(known, self.first[ids + 1], 0) - lo
         rows, groups = np.repeat(np.arange(len(ids)), n), concat_ranges(lo, n)
         day = self.day[groups]
         keep = (0 <= day) & (day < days)
@@ -130,10 +130,11 @@ class Emfg(DayGraph):
 
     def edge_days(self, src, dst):
         """day -> (exact EOS weight, transfer count) of the src -> dst edge."""
-        if src not in self._ids or dst not in self._ids:
+        s, d = self.id(src), self.id(dst)
+        if s < 0 or d < 0:
             return {}
-        lo, hi = np.searchsorted(self.src, [self._ids[src], self._ids[src] + 1])
-        lo, hi = lo + np.searchsorted(self.dst[lo:hi], [self._ids[dst], self._ids[dst] + 1])
+        lo, hi = np.searchsorted(self.src, [s, s + 1])
+        lo, hi = lo + np.searchsorted(self.dst[lo:hi], [d, d + 1])
         return {day: (eos_decimal(units), count) for day, units, count in zip(
             self.day[lo:hi].tolist(), self.units[lo:hi].tolist(), self.count[lo:hi].tolist())}
 
@@ -153,33 +154,19 @@ def build_emfg(transfers) -> Emfg:
     return Emfg(transfers.names, *keys, *sums)
 
 
-class Eacg:
+class Eacg(Named):
     """Account creation forest over the sorted snapshot `names`: each account's
-    `creator` id (-1 for a root, whose creator is None or absent) and creation `day`."""
+    `creator` id (-1 for a root, whose creator is None or absent), creation
+    `day` and `depths` (a root's is 0)."""
 
-    def __init__(self, names, creator, day):
-        self.names, self.creator, self.day = names, creator, day
-        self._ids = {name: i for i, name in enumerate(names)}
-
-    @cached_property
-    def depths(self):
-        """Each account's depth (a root's is 0), by pointer doubling: after
-        round k, up[i] is i's 2**k-th ancestor (-1 past its root) and
-        depth[i] is i's distance to up[i], or to its root once up[i] is -1."""
-        up, depth = self.creator.copy(), (self.creator >= 0).astype(np.int64)
-        live = np.flatnonzero(up >= 0)
-        for _ in range(len(self.names).bit_length()):
-            depth[live] += depth[up[live]]
-            up[live] = up[up[live]]
-            live = live[up[live] >= 0]
-        if len(live):
-            raise GraphError(f"creator cycle through account {self.names[live[0]]!r}")
-        return depth
+    def __init__(self, names, creator, day, depths):
+        self.names, self.creator, self.day, self.depths = names, creator, day, depths
 
     def depth(self, account) -> int:
-        if account not in self._ids:
+        i = self.id(account)
+        if i < 0:
             raise GraphError(f"unknown account in creation forest: {account!r}")
-        return int(self.depths[self._ids[account]])
+        return int(self.depths[i])
 
     def max_depth(self) -> int:
         return int(self.depths.max(initial=0))
@@ -197,12 +184,11 @@ class Eacg:
 
 
 def build_eacg(snapshot, window: ObservationWindow) -> Eacg:
-    """The creation forest of a parsed snapshot (or a plain dict of records)."""
-    names = tuple(sorted(snapshot))
-    ids = {name: i for i, name in enumerate(names)}
-    records = [snapshot[name] for name in names]
-    return Eacg(names, np.array([ids.get(r.creator, -1) for r in records], dtype=np.int64),
-                np.array([window.day_index(r.created_at) for r in records], dtype=np.int64))
+    """The creation forest of a parsed snapshot (or a plain dict of records):
+    its Accounts table's columns, with the creation days in `window`."""
+    table = Accounts.of(snapshot)
+    return Eacg(table.names, table.creator, window_days(table.us // US_PER_DAY, window),
+                table.depth)
 
 
 class Ecig(DayGraph):
@@ -215,7 +201,7 @@ class Ecig(DayGraph):
     def is_call(self, contract):
         """Whether each contract id in `contract` takes contract invocations:
         every contract but eosio.token, whose calls count as transfers."""
-        return contract != self._ids.get(OFFICIAL_TOKEN_CONTRACT, -1)
+        return contract != self.id(OFFICIAL_TOKEN_CONTRACT)
 
     @cached_property
     def calls(self):
@@ -245,7 +231,7 @@ def silent_accounts(emfg: Emfg, ecig: Ecig, snapshot) -> set:
     """Accounts that never send money and never invoke a contract.
     Receiving EOS does not disqualify."""
     active = {graph.names[i] for graph in (emfg, ecig) for i in np.unique(graph.src).tolist()}
-    return {name for name in snapshot if name not in active}
+    return set(snapshot) - active
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,16 @@ File formats (all newline-delimited, UTF-8):
   epoch without a window); `src` and `dst`, ids into the sorted `names`; and
   `units`, the amount in 10**-4 EOS as an EOSIO asset stores it. Their sum
   stays below 2**63; amounts become Decimals only where they leave the program.
+* Accounts, the one form of a parsed snapshot: read-only columns, one row
+  per account over the sorted `names`. int64 `creator` (the creator's id, -1
+  for a root or a creator not in the snapshot), `us` (created, UTC
+  microseconds), `offset` (of its line, -1 for a row built from an
+  AccountRecord) and `depth` (in the creation forest); and key rows
+  `key_account`, `key` (ids into the sorted `public_keys`) and bool
+  `key_active` (in its active permission), one per distinct (account, key),
+  sorted so. Thresholds, weights and has_contract are checked but not kept.
+  An AccountRecord is built only when an account is read through the
+  SnapshotResult view, which decodes its line again.
 """
 
 from __future__ import annotations
@@ -268,19 +278,6 @@ class AccountRecord:
     created_at: datetime
     permissions: dict  # permission name -> Authority
     has_contract: bool = False
-
-    def keys(self) -> set:
-        """Union of public keys across all permissions."""
-        out = set()
-        for perm in self.permissions.values():
-            out.update(k for k, _ in perm.key_weights)
-        return out
-
-    def active_keys(self) -> set:
-        perm = self.permissions.get("active")
-        if perm is None:
-            return set()
-        return {k for k, _ in perm.key_weights}
 
     def to_json(self) -> dict:
         return {
@@ -603,8 +600,23 @@ class TransferRows(NamedTuple):
     units: np.ndarray
 
 
+class Named:
+    """A table over the sorted `names`."""
+
+    def id(self, name) -> int:
+        """The name's id; -1 for a name, or any other value, the table does not hold."""
+        if isinstance(name, str):
+            i = bisect.bisect_left(self.names, name)
+            if i < len(self.names) and self.names[i] == name:
+                return i
+        return -1
+
+    def ids(self, names) -> np.ndarray:
+        return np.array([self.id(name) for name in names], dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
-class Actions:
+class Actions(Named):
     """The action table of the module docstring."""
 
     names: tuple
@@ -626,14 +638,6 @@ class Actions:
 
     def __len__(self):
         return len(self.seq)
-
-    def id(self, name) -> int:
-        """The name's id; -1 for a name the table does not hold."""
-        i = bisect.bisect_left(self.names, name)
-        return i if i < len(self.names) and self.names[i] == name else -1
-
-    def ids(self, names) -> np.ndarray:
-        return np.array([self.id(name) for name in names], dtype=np.int64)
 
     def relabel(self, *columns):
         """(the sorted names that the id `columns` hold, each column as int64
@@ -736,13 +740,35 @@ class _RowBuffer:
                        TransferRows(*columns[len(self.ROW):]), tuple(self.auth))
 
 
+def _read_again(path: Path, what: str, lines, decode, field: str):
+    """Yield decode(the JSON value of the line at byte `offset` of the `what`
+    file at `path`) for each (offset, expected) of `lines`. A line whose
+    decoded `field` is no longer `expected`, or a file that cannot be read
+    again (a missing file, or a pipe, which can be read once), is an IngestError."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe would block
+            raise OSError("not a regular file")
+        fh = path.open("rb")
+    except OSError as exc:
+        raise IngestError(f"cannot read {what} {path} again: {exc}") from exc
+    with fh:
+        for offset, expected in lines:
+            fh.seek(offset)
+            try:
+                item = decode(_json_line(fh.readline().decode("utf-8").strip()))
+            except LINE_ERRORS:
+                item = None
+            if item is None or getattr(item, field) != expected:
+                raise IngestError(f"{path} changed since it was parsed: the line at "
+                                  f"byte {offset} no longer holds {field} {expected}")
+            yield item
+
+
 class Records(Sequence):
     """The read-only sequence view of a parsed trace's `table`: item i is
     the ActionRecord of row i, decoded again from its line of the trace file
-    at `path` (so each item read costs about twice what the parse of its
-    line did). A line that no longer holds its row's global_seq, or a trace that
-    cannot be read again (a missing file, or a pipe, which can be read only
-    once), is an IngestError. A view equals a list of equal records."""
+    at `path` by _read_again (so each item read costs about twice what the
+    parse of its line did). A view equals a list of equal records."""
 
     def __init__(self, table: Actions, path):
         self.table, self.path = table, Path(path)
@@ -769,24 +795,9 @@ class Records(Sequence):
 
     def read(self, rows):
         """Yield the ActionRecord of each table row in `rows`, in that order."""
-        try:
-            if not stat.S_ISREG(os.stat(self.path).st_mode):  # a pipe would block
-                raise OSError("not a regular file")
-            fh = self.path.open("rb")
-        except OSError as exc:
-            raise IngestError(f"cannot read trace {self.path} again: {exc}") from exc
         seq, offset = self.table.seq, self.table.offset
-        with fh:
-            for row in rows:
-                fh.seek(offset[row])
-                try:
-                    record = decode_action(_json_line(fh.readline().decode("utf-8").strip()))
-                except LINE_ERRORS:
-                    record = None
-                if record is None or record.global_seq != seq[row]:
-                    raise IngestError(f"{self.path} changed since it was parsed: the line at "
-                                      f"byte {offset[row]} no longer holds global_seq {seq[row]}")
-                yield record
+        return _read_again(self.path, "trace", ((offset[row], seq[row]) for row in rows),
+                           decode_action, "global_seq")
 
     def by_seq(self, seqs) -> dict:
         """global_seq -> ActionRecord for each of `seqs` that a row holds."""
@@ -959,23 +970,112 @@ def extract_transfers(actions, window: ObservationWindow | None = None) -> Trans
                      src, dst, units)
 
 
-@dataclass
-class SnapshotResult(Mapping):
-    """A parsed snapshot: a read-only mapping of account name ->
-    AccountRecord, plus the parse warnings. Every function that takes a
-    snapshot indexes it as a mapping, so a plain dict serves as well."""
+@dataclass(frozen=True, eq=False)
+class Accounts(Named):
+    """The account table of the module docstring."""
 
-    accounts: dict  # name -> AccountRecord
-    warnings: list
+    names: tuple
+    creator: np.ndarray
+    us: np.ndarray
+    offset: np.ndarray
+    depth: np.ndarray
+    public_keys: tuple
+    key_account: np.ndarray
+    key: np.ndarray
+    key_active: np.ndarray
 
-    def __getitem__(self, name):
-        return self.accounts[name]
-
-    def __iter__(self):
-        return iter(self.accounts)
+    def __post_init__(self):
+        for column in (self.creator, self.us, self.offset, self.depth, self.key_account,
+                       self.key, self.key_active):
+            column.flags.writeable = False
 
     def __len__(self):
-        return len(self.accounts)
+        return len(self.names)
+
+    @staticmethod
+    def of(snapshot) -> "Accounts":
+        """The table of a parsed snapshot, or of any other mapping of
+        AccountRecords, such as tests build by hand (no row has a line)."""
+        if isinstance(snapshot, SnapshotResult):
+            return snapshot.table
+        return _account_table((-1, r) for r in snapshot.values())
+
+
+def _account_table(lines) -> Accounts:
+    """The Accounts table of (line offset, AccountRecord) pairs in any
+    order. A name given twice, or a creator cycle, is an IngestError."""
+    row, creators, us, offsets, key_rows, keys = {}, [], [], [], [], []
+    for offset, r in lines:
+        if r.name in row:
+            raise IngestError(f"duplicate account name: {r.name}")
+        row[r.name] = i = len(row)
+        creators.append(r.creator)
+        us.append(epoch_us(r.created_at))
+        offsets.append(offset)
+        active = r.permissions.get("active")
+        active = () if active is None else [k for k, _ in active.key_weights]
+        for key in {k for a in r.permissions.values() for k, _ in a.key_weights}:
+            keys.append(key)
+            key_rows += (i, key in active)
+    names, position = np.unique(np.array(list(row), dtype=object), return_inverse=True)
+    position = np.append(position, -1)  # a row's sorted id; -1 for a root or an absent creator
+    creator = position[np.fromiter((row.get(c, -1) for c in creators), np.int64, len(row))]
+    public_keys, key = np.unique(np.array(keys, dtype=object), return_inverse=True)
+    account, active = np.array(key_rows, dtype=np.int64).reshape(-1, 2).T
+    account = position[account]
+    order, at = np.lexsort((key, account)), np.argsort(position[:-1])
+    names, creator = tuple(names.tolist()), creator[at]
+    return Accounts(names, creator, np.array(us, dtype=np.int64)[at],
+                    np.array(offsets, dtype=np.int64)[at], creation_depths(names, creator),
+                    tuple(public_keys.tolist()), account[order], key[order],
+                    active[order].astype(bool))
+
+
+def creation_depths(names, creator) -> np.ndarray:
+    """Each account's depth in the forest of its `creator` ids (a root's is
+    0), by pointer doubling: after round k, up[i] is i's 2**k-th ancestor (-1
+    past its root) and depth[i] is i's distance to up[i], or to its root once
+    up[i] is -1. An account live after more rounds than there are accounts
+    leads into a creator cycle, an IngestError naming up[i], an account on it."""
+    up, depth = creator.copy(), (creator >= 0).astype(np.int64)
+    live = np.flatnonzero(up >= 0)
+    for _ in range(len(names).bit_length()):
+        depth[live] += depth[up[live]]
+        up[live] = up[up[live]]
+        live = live[up[live] >= 0]
+    if len(live):
+        raise IngestError(f"creator cycle through account {names[up[live[0]]]!r}")
+    return depth
+
+
+class SnapshotResult(Mapping):
+    """A parsed snapshot, its own `accounts`: the read-only mapping view of
+    its Accounts `table`, name -> AccountRecord, decoded again from its line
+    of the file at `path` by _read_again; names (in file order), length and
+    membership come from the table alone. `warnings` are the parse's."""
+
+    def __init__(self, table: Accounts, path, warnings: list):
+        self.table, self.path, self.warnings = table, Path(path), warnings
+
+    @property
+    def accounts(self):
+        return self
+
+    def __getitem__(self, name):
+        i = self.table.id(name)
+        if i < 0:
+            raise KeyError(name)
+        return next(_read_again(self.path, "snapshot", [(self.table.offset[i], name)],
+                                decode_account, "name"))
+
+    def __contains__(self, name):
+        return self.table.id(name) >= 0
+
+    def __iter__(self):
+        return (self.table.names[i] for i in np.argsort(self.table.offset).tolist())
+
+    def __len__(self):
+        return len(self.table)
 
 
 def decode_account(obj: dict, memo: _Memo | None = None) -> AccountRecord:
@@ -1005,43 +1105,21 @@ def decode_account(obj: dict, memo: _Memo | None = None) -> AccountRecord:
 
 
 def parse_account_snapshot(path, digest=None) -> SnapshotResult:
-    """Parse the account snapshot and verify the creator relation is a
-    forest. Duplicate names and creator cycles are fatal; a child created
-    before its creator merely warns (clock skew on real data). `digest` is
-    fed the bytes read (read_ndjson)."""
+    """Parse the account snapshot into an Accounts table (each line checked
+    by decode_account, only the columns kept) and its view, and verify the
+    creator relation is a forest. Duplicate names and creator cycles are
+    fatal; a child created before its creator merely warns (clock skew on
+    real data), in file order. `digest` is fed the bytes read (read_ndjson)."""
     def fail(lineno, exc):
         raise IngestError(f"snapshot line {lineno}: {exc}") from exc
 
-    accounts = {}
-    warnings = []
     memo = _Memo()
-    for _, _, record in read_ndjson(path, "snapshot",
-                                 lambda obj: decode_account(obj, memo), fail, digest):
-        if record.name in accounts:
-            raise IngestError(f"duplicate account name: {record.name}")
-        accounts[record.name] = record
+    table = _account_table((offset, record) for _, offset, record in read_ndjson(
+        path, "snapshot", lambda obj: decode_account(obj, memo), fail, digest))
 
-    # Cycle check over creator pointers (creator may legitimately be
-    # missing from the snapshot on partial captures; that breaks the chain).
-    state = {}  # 0 = in progress, 1 = done
-    for start in accounts:
-        chain = []
-        node = start
-        while node is not None and node in accounts and node not in state:
-            state[node] = 0
-            chain.append(node)
-            node = accounts[node].creator
-            if node is not None and state.get(node) == 0:
-                raise IngestError(f"creator cycle through account {node!r}")
-        for n in chain:
-            state[n] = 1
-
-    for record in accounts.values():
-        creator = accounts.get(record.creator) if record.creator else None
-        if creator is not None and record.created_at < creator.created_at:
-            warnings.append(
-                f"{record.name} created before its creator {creator.name} "
+    skewed = np.flatnonzero((table.creator >= 0) & (table.us < table.us[table.creator]))
+    skewed = skewed[np.argsort(table.offset[skewed], kind="stable")]
+    warnings = [f"{table.names[i]} created before its creator {table.names[c]} "
                 "(clock skew tolerated)"
-            )
-    return SnapshotResult(accounts, warnings)
-
+                for i, c in zip(skewed.tolist(), table.creator[skewed].tolist())]
+    return SnapshotResult(table, path, warnings)

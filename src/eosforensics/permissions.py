@@ -5,8 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (NOTIFICATION, US_PER_DAY, Actions, UpdateAuthPayload, window_days,
-                    write_csv)
+import numpy as np
+
+from .model import (NOTIFICATION, US_PER_DAY, Accounts, Actions, UpdateAuthPayload,
+                    window_days, write_csv)
 
 CODE_PERMISSION = "eosio.code"
 
@@ -90,27 +92,28 @@ def detect_misuse(grants, snapshot):
     misuse: keys disjoint and the weight alone meets the threshold.
     partial: keys disjoint but several authorizers would be needed, or
     the grantee is missing from the snapshot (cross_key unknown).
-    benign: granter and grantee share a public key (same owner).
+    benign: granter and grantee share a public key (same owner), compared
+    as key ids of the snapshot table's key rows.
     """
+    table = Accounts.of(snapshot)
+    first = np.searchsorted(table.key_account, np.arange(len(table) + 1))
+
+    def key_ids(name):
+        i = table.id(name)
+        return None if i < 0 else set(table.key[first[i]:first[i + 1]].tolist())
+
     findings = []
     for grant in grants:
         effective = grant.weight >= grant.threshold
-        granter = snapshot.get(grant.granter)
-        grantee = snapshot.get(grant.grantee)
+        granter, grantee = key_ids(grant.granter), key_ids(grant.grantee)
         if grantee is None or granter is None:
-            findings.append(
-                MisuseFinding(grant, effective, None, "partial",
-                              note="grantee or granter missing from snapshot")
-            )
-            continue
-        cross_key = not (granter.keys() & grantee.keys())
-        if not cross_key:
-            severity = "benign"
-        elif effective:
-            severity = "misuse"
+            findings.append(MisuseFinding(grant, effective, None, "partial",
+                                          note="grantee or granter missing from snapshot"))
+        elif granter & grantee:
+            findings.append(MisuseFinding(grant, effective, False, "benign"))
         else:
-            severity = "partial"
-        findings.append(MisuseFinding(grant, effective, cross_key, severity))
+            findings.append(MisuseFinding(grant, effective, True,
+                                          "misuse" if effective else "partial"))
     return findings
 
 

@@ -241,7 +241,7 @@ class _Chain:
             created = self.accounts[service]["day"] + self.rng.randrange(
                 0, max(1, cfg.day_count // 2)
             )
-            created = min(created, cfg.day_count - 2)
+            created = max(0, min(created, cfg.day_count - 2))
             name = _name("usr", i)
             self.create_account(name, service, created)
             self.transfer(created, self.accounts[name]["sec"] + 2, service, name,
@@ -310,7 +310,7 @@ class _Chain:
 
             for mi in range(spec.size):
                 name = _name(f"b{_ALPHA[ci % 26]}{_ALPHA[ci // 26]}", mi)
-                mday = min(cday + rng.randrange(0, 3), cfg.day_count - 2)
+                mday = max(0, min(cday + rng.randrange(0, 3), cfg.day_count - 2))
                 key = None
                 if spec.category == "account_seller":
                     key = shared_key
@@ -321,7 +321,7 @@ class _Chain:
                               name, 20 * UNIT)
                 members.append(name)
 
-            active_start = min(cday + 3, cfg.day_count - 2)
+            active_start = max(0, min(cday + 3, cfg.day_count - 2))
             active_days = list(
                 range(active_start, min(active_start + 8, cfg.day_count))
             )
@@ -386,7 +386,7 @@ class _Chain:
     def _build_silent(self):
         for i in range(self.config.silent_account_count):
             name = _name("idle", i)
-            day = self.rng.randrange(0, self.config.day_count - 1)
+            day = self.rng.randrange(0, max(1, self.config.day_count - 1))
             self.create_account(name, "eosio", day)
             if self.rng.random() < 0.5:
                 # receiving EOS must not disqualify silence
@@ -484,7 +484,8 @@ class _Chain:
             for _ in range(getattr(plan, kind)):
                 granter = _name("grant", gi)
                 grantee = _name("code", gi)
-                day = rng.randrange(1, self.config.day_count)
+                # a one-day window has no day after the accounts' creation day
+                day = rng.randrange(min(1, self.config.day_count - 1), self.config.day_count)
                 self.create_account(granter, "eosio", max(0, day - 1))
                 shared = kind == "benign"
                 self.create_account(

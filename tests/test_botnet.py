@@ -358,14 +358,15 @@ class TestOracles:
         accounts = sorted(snapshot.accounts)
         features = botnet.extract_features(accounts, emfg, ecig, eacg, snapshot, window)
         assert features.shape == (len(accounts), 11)
+        records = dict(snapshot)  # the oracles read every record per account
         for account, row in zip(accounts, features.tolist()):
-            want = oracle_features(account, cells, calls, eacg, snapshot, window)
+            want = oracle_features(account, cells, calls, eacg, records, window)
             assert list(map(repr, row)) == list(map(repr, want)), account
         merged = botnet.merge_by_pubkey(
             [m for c in manifest["bot_communities"] for m in c["members"]], snapshot)
         for groups in (None, merged):
             labels = botnet.categorize(accounts, emfg, ecig, snapshot, registry, groups)
-            assert labels == [oracle_categorize(a, cells, calls, snapshot, registry, groups)
+            assert labels == [oracle_categorize(a, cells, calls, records, registry, groups)
                               for a in accounts]
         # the seller rule fired on a merged group of 10 or more, and the
         # dapp_team rule on an account sharing a key with a DApp

@@ -465,6 +465,28 @@ def test_synth_generate_deterministic(tmp_path):
     assert _tree_hash(a) == _tree_hash(b)
 
 
+@pytest.mark.parametrize("extra", [[], ["--silent", "1", "--misuse", "misuse:1",
+                                      "--bots", "click_fraud:31"]])
+def test_synth_generate_one_day_stays_in_its_window(tmp_path, extra):
+    # every account is created, and every action falls, on the one day, so
+    # ingest drops nothing and no account predates its creator
+    gen = tmp_path / "gen"
+    assert main(["synth", "generate", "--out", str(gen), "--days", "1", "--users", "5",
+                 "--services", "1", "--seed", "4", *extra]) == EXIT_OK
+    out = tmp_path / "out"
+    assert main(["ingest", "--trace", str(gen / "trace.ndjson"), "--snapshot",
+                 str(gen / "snapshot.ndjson"), "--days", "1", "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "ingest.json").read_text())
+    manifest = json.loads((gen / "manifest.json").read_text())
+    assert (summary["dropped_out_of_window"], summary["snapshot_warnings"]) == (0, [])
+    assert summary["actions"] == manifest["action_count"]
+    if extra:
+        assert main(["perms", "audit", "--trace", str(gen / "trace.ndjson"), "--snapshot",
+                     str(gen / "snapshot.ndjson"), "--days", "1",
+                     "--out", str(out)]) == EXIT_FINDINGS
+        assert any(a.startswith("idle") for a in manifest["silent_accounts"])
+
+
 BAD_SPECS = {
     "bots_one_field": ["--bots", "justonefield"],
     "bots_size_not_int": ["--bots", "click_fraud:x"],
@@ -853,6 +875,33 @@ def test_fifo_trace_is_parsed_directly(files, tmp_path):
     assert "trace" not in cli.PARSES
     assert ((tmp_path / "out" / "ingest.json").read_bytes()
             == (expected / "ingest.json").read_bytes())
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("command", [["graph", "build"], ["bots", "detect"],
+                                     ["bots", "classify"], ["perms", "audit"]])
+def test_fifo_snapshot_is_parsed_directly(files, tmp_path, command):
+    # a pipe can be read only once, so the same bytes in --out show that no
+    # command reads a snapshot line again
+    registry = _registry(files) if command[0] == "bots" else []
+    expected = tmp_path / "expected"
+    code = main(command + _common(files, expected) + registry)
+    assert code in (EXIT_OK, EXIT_FINDINGS)
+    fifo = tmp_path / "snapshot.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=(Path(files["snapshot"]).read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        flags = _common({**files, "snapshot": str(fifo)}, tmp_path / "out")
+        assert main(command + flags + registry) == code
+    finally:
+        if writer.is_alive():  # the command never opened the pipe: let the writer fail
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert "snapshot" not in cli.PARSES
+    assert _tree_hash(tmp_path / "out") == _tree_hash(expected)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -18,6 +18,7 @@ from eosforensics.errors import IngestError
 from eosforensics.model import (
     ACCOUNT_NAME_RE,
     LINE_ERRORS,
+    Accounts,
     Actions,
     Authority,
     ObservationWindow,
@@ -35,7 +36,8 @@ from eosforensics.model import (
     parse_timestamp,
     write_ndjson,
 )
-from tests_support import oracle_parse_action_trace, oracle_parse_timestamp
+from tests_support import (oracle_parse_account_snapshot, oracle_parse_action_trace,
+                           oracle_parse_timestamp)
 
 
 def _window():
@@ -486,7 +488,7 @@ class TestSnapshot:
         assert dict(snapshot) == snapshot.accounts
         assert list(snapshot) == list(snapshot.accounts)
         name = next(iter(snapshot))
-        assert snapshot.get(name) is snapshot.accounts[name]
+        assert snapshot.get(name) == snapshot.accounts[name]
         assert snapshot.get("nosuchacct") is None
         with pytest.raises(TypeError):
             snapshot["nosuchacct"] = snapshot[name]
@@ -916,16 +918,87 @@ def test_snapshot_reader_matches_json_loads(lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.ndjson"
         path.write_bytes(data)
-        try:
-            got = parse_account_snapshot(path).accounts
-        except IngestError as exc:
-            got = str(exc)
+        got, oracle = (_snapshot_parse(parse, path)
+                       for parse in (parse_account_snapshot, oracle_parse_account_snapshot))
     expected = _reference_snapshot(data)
     if isinstance(expected, dict) and isinstance(got, str):
         assert got.startswith("creator cycle through account")
+        assert oracle.startswith("creator cycle through account")
         assert _has_creator_cycle(expected)
     else:
-        assert repr(got) == repr(expected)
+        assert (got if isinstance(got, str) else got[0]) == (
+            expected if isinstance(expected, str) else repr(expected))
+        assert got == oracle
+
+
+def _snapshot_parse(parse, path):
+    """(the repr of the accounts as a dict, the warnings) of parse(path), or
+    the text of its IngestError."""
+    try:
+        result = parse(path)
+        return repr(dict(result.accounts)), result.warnings
+    except IngestError as exc:
+        return str(exc)
+
+
+# Snapshots of a few accounts named from a small pool, in any order and now
+# and then with a name twice, so that duplicates, creator cycles (self-cycles
+# too), orphans ("ghost" is never an account), clock skew (and equal
+# creation times) and keys shared between accounts and between permissions
+# all arise.
+_SNAPSHOT_NAMES = ["alice", "bob", "carol", "dave", "erin", "frank"]
+
+
+@st.composite
+def _account_lines(draw):
+    names = draw(st.lists(st.sampled_from(_SNAPSHOT_NAMES), unique=True, max_size=6))
+    if names and draw(st.integers(0, 3)) == 0:
+        names.append(draw(st.sampled_from(names)))
+    keys = st.sampled_from(["EOSKEYA", "EOSKEYB", "EOSKEYC"])
+    authority = st.fixed_dictionaries({
+        "threshold": st.integers(1, 2),
+        "key_weights": st.lists(st.tuples(keys, st.integers(1, 2)).map(list), max_size=3),
+        "account_weights": st.lists(st.just(["bob", "eosio.code", 1]), max_size=1)})
+    accounts = [draw(st.fixed_dictionaries(
+        {"name": st.just(name),
+         "creator": st.sampled_from([None, "ghost", *_SNAPSHOT_NAMES]),
+         "created_at": st.sampled_from(["2018-06-10T00:00:00Z", "2018-06-10T00:00:00.5Z",
+                                        "2018-06-11T08:00:00Z", "2018-06-09T23:59:59Z"]),
+         "permissions": st.dictionaries(st.sampled_from(["owner", "active", "codecall"]),
+                                        authority, max_size=3)},
+        optional={"has_contract": st.booleans()})) for name in names]
+    return [json.dumps(account).encode() for account in accounts]
+
+
+@settings(deadline=None)
+@given(_account_lines(), st.booleans())
+@example([_account("bob", creator="bob")], False)
+@example([_account("bob", creator=None, created_at="2018-06-12T00:00:00Z"),
+          _account("dave", creator="bob"), _account("carol", creator="bob")], False)
+@example([_account("bob", creator="alice"), _account("alice", creator="bob")], True)
+def test_snapshot_table_matches_the_record_parse(lines, crlf):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.ndjson"
+        path.write_bytes(b"".join(line + (b"\r\n" if crlf else b"\n") for line in lines))
+        got, oracle = (_snapshot_parse(parse, path)
+                       for parse in (parse_account_snapshot, oracle_parse_account_snapshot))
+        if isinstance(oracle, str) and oracle.startswith("creator cycle through account"):
+            assert got.startswith("creator cycle through account")
+            return
+        assert got == oracle
+        if isinstance(got, str):
+            return
+        table = parse_account_snapshot(path).accounts.table
+        records = oracle_parse_account_snapshot(path).accounts
+    # the same records as a dict convert to the same table, without lines
+    assert _account_columns(Accounts.of(records)) == _account_columns(table)
+    assert (table.offset >= 0).all() and len(set(table.offset.tolist())) == len(table)
+
+
+def _account_columns(table):
+    """Every column of an Accounts table but `offset`, as (dtype, values)."""
+    columns = [table.creator, table.us, table.key_account, table.key, table.key_active]
+    return (table.names, table.public_keys, [(c.dtype.str, c.tolist()) for c in columns])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from eosforensics.model import (
     Quantity,
     TraceParseResult,
     TransferPayload,
+    decode_account,
     decode_action,
     extract_transfers,
     read_ndjson,
@@ -107,6 +109,45 @@ def oracle_parse_action_trace(path, window, digest=None) -> TraceParseResult:
 
 # The exact zero of a sum of EOS amounts, which all have four decimals.
 ZERO_EOS = Decimal("0.0000")
+
+
+def oracle_parse_account_snapshot(path, digest=None):
+    """model.parse_account_snapshot as it was before the Accounts table: a
+    dict of every AccountRecord, a dict walk over the creator pointers and a
+    loop over the records for clock skew."""
+    def fail(lineno, exc):
+        raise IngestError(f"snapshot line {lineno}: {exc}") from exc
+
+    accounts = {}
+    warnings = []
+    for _, _, record in read_ndjson(path, "snapshot", decode_account, fail, digest):
+        if record.name in accounts:
+            raise IngestError(f"duplicate account name: {record.name}")
+        accounts[record.name] = record
+
+    # Cycle check over creator pointers (creator may legitimately be
+    # missing from the snapshot on partial captures; that breaks the chain).
+    state = {}  # 0 = in progress, 1 = done
+    for start in accounts:
+        chain = []
+        node = start
+        while node is not None and node in accounts and node not in state:
+            state[node] = 0
+            chain.append(node)
+            node = accounts[node].creator
+            if node is not None and state.get(node) == 0:
+                raise IngestError(f"creator cycle through account {node!r}")
+        for n in chain:
+            state[n] = 1
+
+    for record in accounts.values():
+        creator = accounts.get(record.creator) if record.creator else None
+        if creator is not None and record.created_at < creator.created_at:
+            warnings.append(
+                f"{record.name} created before its creator {creator.name} "
+                "(clock skew tolerated)"
+            )
+    return SimpleNamespace(accounts=accounts, warnings=warnings)
 
 
 def transfer_rows(table):
@@ -412,14 +453,15 @@ def oracle_silent(cells, ecig, snapshot):
 
 def oracle_features(account, cells, ecig, eacg, snapshot, window):
     """botnet.extract_features' 11 values for one account, computed the
-    per-account way over dict cells."""
+    per-account way over dict cells. Siblings share a creator in the
+    snapshot, as the EACG links them."""
     record = snapshot[account]
     cohorts = {}
     for r in snapshot.values():
-        if r.creator is not None:
+        if r.creator in snapshot:
             key = (r.creator, r.created_at.date())
             cohorts[key] = cohorts.get(key, 0) + 1
-    siblings = (0 if record.creator is None
+    siblings = (0 if record.creator not in snapshot
                 else cohorts[(record.creator, record.created_at.date())] - 1)
     created_day = max(0, window.day_index(record.created_at))
     span = window.day_count - created_day
@@ -458,16 +500,22 @@ def oracle_features(account, cells, ecig, eacg, snapshot, window):
     )]
 
 
+def active_keys(record) -> set:
+    """The public keys of an AccountRecord's active permission."""
+    active = record.permissions.get("active")
+    return set() if active is None else {key for key, _ in active.key_weights}
+
+
 def oracle_categorize(account, cells, ecig, snapshot, registry, merged=None):
     """botnet.categorize's label for one account, rule by rule over every
     DApp and every merged group."""
     record = snapshot.get(account)
     if account in registry.dapp_accounts:
         return "dapp_team"
-    if record is not None and record.active_keys():
+    if record is not None and active_keys(record):
         for dapp in registry.dapp_accounts:
             dapp_record = snapshot.get(dapp)
-            if dapp_record is not None and record.active_keys() & dapp_record.active_keys():
+            if dapp_record is not None and active_keys(record) & active_keys(dapp_record):
                 return "dapp_team"
     inv_targets = target_counts(ecig, account, exclude=("eosio.token",))
     inv_total = sum(inv_targets.values())
@@ -519,7 +567,7 @@ def oracle_merge_by_pubkey(flagged_accounts, snapshot):
         record = snapshot.get(acct)
         if record is None:
             continue
-        for key in sorted(record.active_keys()):
+        for key in sorted(active_keys(record)):
             if key in key_owner:
                 union(key_owner[key], acct)
             else:
