@@ -285,24 +285,29 @@ def liveness_filter(suspicious, events, registry, config: ScanConfig):
     lifetime_in = {(names[d], names[s]): units for d, s, units in zip(
         dst.tolist(), src.tolist(), inflow.tolist())}  # (account, dapp) -> units
 
-    row_of = {seq: row for row, seq in enumerate(events.seq.tolist())}
-    srcs, units, us = events.src.tolist(), events.units.tolist(), events.us.tolist()
+    # each window's rows, found by seq; hand-built events may be in any seq order
+    order = (None if (events.seq[1:] > events.seq[:-1]).all()
+             else np.argsort(events.seq, kind="stable"))
+    by_seq = events.seq if order is None else events.seq[order]
     results = []
     for (account, dapp), seqs in sorted(attributed.items()):
         total_in = lifetime_in.get((account, dapp), 0)
         if total_in == 0:
             continue  # nothing ever received from the DApp; diagnostic case
-        rows = [row_of[seq] for seq in seqs]
-        received = sum(units[r] for r in rows if names[srcs[r]] == dapp)
-        sent = sum(units[r] for r in rows) - received
+        rows = np.searchsorted(by_seq, np.fromiter(seqs, np.int64, len(seqs)))
+        if order is not None:
+            rows = order[rows]
+        units = events.units[rows]
+        received = int(units[events.src[rows] == events.id(dapp)].sum())
+        sent = int(units.sum()) - received
         profit = received - sent
         if profit <= 0 or float(Decimal(profit) / Decimal(total_in)) <= config.w3:
             continue
         ratio = INF_RATIO if sent == 0 else float(Decimal(received) / Decimal(sent))
-        times = [us[r] for r in rows]
+        times = events.us[rows]
         results.append(AttackFinding(
             attacker=account, victim=dapp, kind="predictable_state",
-            window_start=utc_from_us(min(times)), window_end=utc_from_us(max(times)),
+            window_start=utc_from_us(times.min()), window_end=utc_from_us(times.max()),
             profit=eos_decimal(profit), profitability_ratio=ratio, evidence=sorted(seqs)))
     results.sort(key=lambda f: (f.attacker, f.window_start))
     return results

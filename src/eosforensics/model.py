@@ -24,7 +24,10 @@ File formats (all newline-delimited, UTF-8):
   it, and a property test holds the two to the same bytes.
 * Authority, the one type of an EOSIO authority: threshold and weights
   integers >= 1, public keys non-empty strings, granted accounts and permissions
-  account names. Its one decoder is from_json and its one encoder to_json.
+  account names. Its one decoder is from_json and its one encoder to_json;
+  the snapshot parse checks a permission by the same two routines that
+  from_json uses, _authority_fields (the JSON shapes) and _check_authority
+  (the rules), without building an Authority.
 * registries: CSV files with a header row (see Registry.load).
 * Actions, the one form of a parsed trace: one row per kept action in trace
   order, as read-only columns. int64 `seq`, `us` (UTC microseconds since the
@@ -34,8 +37,10 @@ File formats (all newline-delimited, UTF-8):
   `names`, one table of every name, action name and token symbol. Beside
   them `transfers` (TransferRows) holds each decoded transfer payload, and
   `auth` the system account's updateauth and deleteauth payloads by row.
-  An ActionRecord is built only when a row is read through the Records
-  view, which decodes its line again.
+  The parse appends each line's checked fields straight to one plain list
+  per column, ints that the cyclic GC does not track, and every CHUNK_ROWS
+  rows the lists become arrays. An ActionRecord is built only when a row is
+  read through the Records view, which decodes its line again.
 * Transfers, the one form of a genuine EOS transfer after parsing: read-only
   int64 columns, one row per transfer in trace order. `seq`; `us`, UTC
   microseconds since the epoch; `day`, the window day index (days since the
@@ -49,7 +54,10 @@ File formats (all newline-delimited, UTF-8):
   AccountRecord) and `depth` (in the creation forest); and key rows
   `key_account`, `key` (ids into the sorted `public_keys`) and bool
   `key_active` (in its active permission), one per distinct (account, key),
-  sorted so. Thresholds, weights and has_contract are checked but not kept.
+  sorted so. The parse fills the columns straight from each checked line:
+  the created timestamp goes to `us` without a datetime, and each
+  permission is checked by Authority's rules without an Authority being
+  built. Thresholds, weights and has_contract are checked but not kept.
   An AccountRecord is built only when an account is read through the
   SnapshotResult view, which decodes its line again.
 """
@@ -58,15 +66,13 @@ from __future__ import annotations
 
 import bisect
 import csv
-import functools
 import hashlib
-import itertools
 import json
 import os
 import re
 import stat
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from decimal import Decimal, InvalidOperation
@@ -180,6 +186,29 @@ def _check_count(value, what: str) -> None:
         raise ValueError(f"{what} must be >= 1 and an integer, not {value!r}")
 
 
+def _authority_fields(obj) -> tuple:
+    """(threshold, key_weights, account_weights) of an authority's JSON
+    object, in Authority's shapes; _check_authority holds its rules."""
+    threshold = obj["threshold"]  # first: a non-object raises TypeError here
+    keys, accounts = obj.get("key_weights", []), obj.get("account_weights", [])
+    if not all(isinstance(x, list) for x in (keys, accounts, *keys, *accounts)):
+        raise ValueError("key_weights and account_weights must be lists of lists")
+    return threshold, tuple((k, w) for k, w in keys), tuple((a, p, w) for a, p, w in accounts)
+
+
+def _check_authority(threshold, key_weights, account_weights) -> None:
+    """Authority's rules, in its field order; a breach is a ValueError."""
+    _check_count(threshold, "threshold")
+    for key, w in key_weights:
+        if not (isinstance(key, str) and key):
+            raise ValueError(f"bad public key: {key!r}")
+        _check_count(w, "key weight")
+    for account, permission, w in account_weights:
+        check_name(account, "granted account")
+        check_name(permission, "granted permission")
+        _check_count(w, "account weight")
+
+
 @dataclass(frozen=True, slots=True)
 class Authority:
     """An EOSIO permission authority, of a snapshot permission or an
@@ -190,24 +219,11 @@ class Authority:
     account_weights: tuple  # of (granted_account, granted_permission, weight)
 
     def __post_init__(self):
-        _check_count(self.threshold, "threshold")
-        for key, w in self.key_weights:
-            if not (isinstance(key, str) and key):
-                raise ValueError(f"bad public key: {key!r}")
-            _check_count(w, "key weight")
-        for account, permission, w in self.account_weights:
-            check_name(account, "granted account")
-            check_name(permission, "granted permission")
-            _check_count(w, "account weight")
+        _check_authority(self.threshold, self.key_weights, self.account_weights)
 
     @classmethod
     def from_json(cls, obj) -> "Authority":
-        threshold = obj["threshold"]  # first: a non-object raises TypeError here
-        keys, accounts = obj.get("key_weights", []), obj.get("account_weights", [])
-        if not all(isinstance(x, list) for x in (keys, accounts, *keys, *accounts)):
-            raise ValueError("key_weights and account_weights must be lists of lists")
-        return cls(threshold, tuple((k, w) for k, w in keys),
-                   tuple((a, p, w) for a, p, w in accounts))
+        return cls(*_authority_fields(obj))
 
     def to_json(self) -> dict:
         return {"threshold": self.threshold,
@@ -393,36 +409,32 @@ def format_timestamp(ts: datetime) -> str:
 def parse_timestamp(text: str) -> datetime:
     """Parse a zero-padded UTC timestamp; out-of-range fields are rejected
     with the messages of the datetime constructor (see _Memo.timestamp)."""
-    return utc_from_us(_Memo().timestamp(text)[0])
+    return utc_from_us(_Memo().timestamp(text))
 
 
 class _Memo:
     """The distinct strings of one parse, each validated and converted once:
-    account names (to the interned name), timestamps and quantities. A
-    timestamp entry is (UTC microseconds since the epoch, whether the memo's
-    window holds them), so the window is checked once per distinct
-    timestamp; without a window every timestamp is in it. A quantity entry
-    is (Quantity, its units as an Actions table holds them). Every value is
-    immutable, so records share them. A memo lives for one parse call;
-    nothing is kept between calls, and clear_values() forgets the
-    timestamps and quantities, so a parse holds those of one chunk."""
+    account names (to the interned name), timestamps (to UTC microseconds
+    since the epoch) and quantities. A quantity entry is (Quantity, its
+    units as an Actions table holds them). Every value is immutable, so
+    records share them. A memo lives for one parse call; nothing is kept
+    between calls, and clear_values() forgets the timestamps and
+    quantities, so a parse holds those of one chunk."""
 
-    __slots__ = ("window_us", "names", "timestamps", "quantities", "minutes")
+    __slots__ = ("names", "timestamps", "quantities", "minutes", "seconds")
 
-    def __init__(self, window: ObservationWindow | None = None):
-        # the window's microseconds since the epoch, as [first, last + 1)
-        self.window_us = None if window is None else (
-            (window.start_day - EPOCH_DATE).days * US_PER_DAY,
-            ((window.end_day - EPOCH_DATE).days + 1) * US_PER_DAY)
+    def __init__(self):
         self.names = {}
         self.timestamps = {}
         self.quantities = {}
         self.minutes = {}  # "YYYY-MM-DDTHH:MM" -> microseconds from the epoch to its start
+        self.seconds = {}  # ":SS[.ffffff]Z" -> microseconds from the start of its minute
 
     def clear_values(self):
         self.timestamps.clear()
         self.quantities.clear()
         self.minutes.clear()
+        self.seconds.clear()
 
     def account_name(self, name, what: str = "account") -> str:
         try:
@@ -431,33 +443,39 @@ class _Memo:
             name = self.names[name] = sys.intern(check_name(name, what))
             return name
 
-    def timestamp(self, text) -> tuple:
-        """The entry of a timestamp of TIMESTAMP_RE's fixed widths. Its date
+    def timestamp(self, text) -> int:
+        """The UTC microseconds of a timestamp of TIMESTAMP_RE's fixed widths. Its date
         is checked by the date constructor and an hour, minute or second out
         of range by the time constructor, so a bad field raises what the
-        datetime constructor would, in its order."""
-        entry = self.timestamps.get(text) if type(text) is str else None
-        if entry is not None:
-            return entry
-        if TIMESTAMP_RE.fullmatch(text) is None:
-            raise ValueError(f"bad timestamp: {text!r}")
-        minute_us = self.minutes.get(text[:16])
-        if minute_us is None:
-            day = date(int(text[:4]), int(text[5:7]), int(text[8:10]))
-            hour, minute = int(text[11:13]), int(text[14:16])
-            if hour > 23 or minute > 59:
-                time(hour, minute)  # raises the constructor's message
-            minute_us = self.minutes[text[:16]] = (
-                ((day - EPOCH_DATE).days * 1440 + hour * 60 + minute) * 60_000_000)
-        second = int(text[17:19])
-        if second > 59:
-            time(0, 0, second)  # raises the constructor's message
-        # the fraction, if any, is text[20:-1]
-        us = minute_us + second * 1_000_000 + (
-            int(text[20:-1].ljust(6, "0")) if len(text) > 20 else 0)
-        entry = self.timestamps[text] = (
-            us, self.window_us is None or self.window_us[0] <= us < self.window_us[1])
-        return entry
+        datetime constructor would, in its order. A text whose minute (its
+        first 16 characters) and second (the rest) each ended a checked
+        timestamp before is valid without another check."""
+        if type(text) is str:
+            us = self.timestamps.get(text)
+            if us is not None:
+                return us
+            minute_us, second_us = self.minutes.get(text[:16]), self.seconds.get(text[16:])
+        else:
+            minute_us = second_us = None
+        if minute_us is None or second_us is None:
+            if TIMESTAMP_RE.fullmatch(text) is None:
+                raise ValueError(f"bad timestamp: {text!r}")
+            minute_us = self.minutes.get(text[:16])
+            if minute_us is None:
+                day = date(int(text[:4]), int(text[5:7]), int(text[8:10]))
+                hour, minute = int(text[11:13]), int(text[14:16])
+                if hour > 23 or minute > 59:
+                    time(hour, minute)  # raises the constructor's message
+                minute_us = self.minutes[text[:16]] = (
+                    ((day - EPOCH_DATE).days * 1440 + hour * 60 + minute) * 60_000_000)
+            second = int(text[17:19])
+            if second > 59:
+                time(0, 0, second)  # raises the constructor's message
+            # the fraction, if any, is text[20:-1]
+            second_us = self.seconds[text[16:]] = second * 1_000_000 + (
+                int(text[20:-1].ljust(6, "0")) if len(text) > 20 else 0)
+        us = self.timestamps[text] = minute_us + second_us
+        return us
 
     def quantity(self, text) -> tuple:
         try:
@@ -543,8 +561,8 @@ def _decode_payload(executing: str, action_name: str, raw: dict, memo: _Memo):
 
 def _decode_fields(obj: dict, memo: _Memo) -> tuple:
     """The checked fields of one trace line in ActionRecord's order, except
-    that the timestamp is its memo entry and a transfer payload the tuple of
-    _decode_payload."""
+    that the timestamp is its UTC microseconds and a transfer payload the
+    tuple of _decode_payload."""
     kind = obj["kind"]
     if kind not in KINDS:
         raise ValueError(f"unknown action kind: {kind!r}")
@@ -563,20 +581,20 @@ def _decode_fields(obj: dict, memo: _Memo) -> tuple:
         raise ValueError(f"global_seq beyond int64: {seq}")
     if not isinstance(tx_id, str):
         raise ValueError(f"tx_id is not a string: {type(tx_id).__name__}")
-    stamp = memo.timestamp(obj["timestamp"])
-    return (seq, tx_id, stamp, executing, action_name, actor, kind,
+    us = memo.timestamp(obj["timestamp"])
+    return (seq, tx_id, us, executing, action_name, actor, kind,
             _decode_payload(executing, action_name, obj["payload"], memo), notified)
 
 
 def decode_action(obj: dict) -> ActionRecord:
     """Build an ActionRecord from one decoded trace line, validating names
     and field types."""
-    seq, tx_id, stamp, executing, action_name, actor, kind, payload, notified = (
+    seq, tx_id, us, executing, action_name, actor, kind, payload, notified = (
         _decode_fields(obj, _Memo()))
     if type(payload) is tuple:
         src, dst, (quantity, _), note = payload
         payload = TransferPayload(src, dst, quantity, note)
-    return ActionRecord(seq, tx_id, utc_from_us(stamp[0]), executing, action_name, actor, kind,
+    return ActionRecord(seq, tx_id, utc_from_us(us), executing, action_name, actor, kind,
                         payload, notified)
 
 
@@ -660,7 +678,7 @@ class Actions(Named):
     def from_records(cls, records) -> "Actions":
         """The table of ActionRecords, such as tests build by hand. Their
         payloads are taken as they are, and no row has a line (offset -1)."""
-        rows = _RowBuffer()
+        rows = _Columns()
         for r in records:
             payload = r.payload
             if r.action_name == "transfer" and isinstance(payload, TransferPayload):
@@ -682,10 +700,11 @@ class _Ids(dict):
         return i
 
 
-class _RowBuffer:
-    """Collects the rows of an Actions table, one tuple of ints each with
-    names as first-seen ids, and moves them into arrays every `chunk` rows;
-    table() renumbers the ids in name order."""
+class _Columns:
+    """The column builder of an Actions table: each row's fields go straight
+    onto one plain list per column, as ints (which the cyclic GC does not
+    track) with names as first-seen ids, and every `chunk` rows the lists
+    move into arrays; table() renumbers the ids in name order."""
 
     # The dtype of each column of a row, and of a transfer row; NAMED marks
     # the columns of name ids in either.
@@ -696,34 +715,43 @@ class _RowBuffer:
     def __init__(self, chunk=CHUNK_ROWS):
         self.chunk = chunk
         self.ids = _Ids()
-        self.rows, self.transfers, self.auth = [], [], []
+        self.lists = [[] for _ in self.NAMED]
         self.parts = [[] for _ in self.NAMED]
-        self.count = 0
+        self.auth = []
+        self.done = 0  # rows already moved into arrays
 
     def add(self, offset, seq, us, kind, contract, action, actor, notified, payload) -> bool:
         """Append one row: `payload` is a transfer's (src, dst, (Quantity,
         table units), memo) or any other payload. True when it fills a chunk."""
-        ids, row = self.ids, self.count
-        self.count += 1
-        self.rows.append((offset, seq, us, KIND_IDS[kind], ids[contract], ids[action],
-                          ids[actor], ids[notified]))
+        ids = self.ids
+        (offsets, seqs, uss, kinds, contracts, actions, actors, notifieds,
+         t_rows, t_srcs, t_dsts, t_symbols, t_units) = self.lists
+        offsets.append(offset)
+        seqs.append(seq)
+        uss.append(us)
+        kinds.append(KIND_IDS[kind])
+        contracts.append(ids[contract])
+        actions.append(ids[action])
+        actors.append(ids[actor])
+        notifieds.append(ids[notified])
         if type(payload) is tuple:
             src, dst, (quantity, units), _ = payload
-            self.transfers.append((row, ids[src], ids[dst], ids[quantity.symbol], units))
+            t_rows.append(self.done + len(seqs) - 1)
+            t_srcs.append(ids[src])
+            t_dsts.append(ids[dst])
+            t_symbols.append(ids[quantity.symbol])
+            t_units.append(units)
         elif contract == SYSTEM_ACCOUNT and action in AUTH_ACTIONS:
-            self.auth.append((row, payload))
-        if len(self.rows) < self.chunk:
+            self.auth.append((self.done + len(seqs) - 1, payload))
+        if len(seqs) < self.chunk:
             return False
         self.flush()
         return True
 
     def flush(self):
-        parts = iter(self.parts)
-        for pending, dtypes in ((self.rows, self.ROW), (self.transfers, self.TRANSFER)):
-            block = np.fromiter(itertools.chain.from_iterable(pending), np.int64,
-                                len(pending) * len(dtypes)).reshape(-1, len(dtypes))
-            for j, dtype in enumerate(dtypes):
-                next(parts).append(block[:, j].astype(dtype))
+        self.done += len(self.lists[1])
+        for pending, part, dtype in zip(self.lists, self.parts, self.ROW + self.TRANSFER):
+            part.append(np.array(pending, dtype=dtype))
             pending.clear()
 
     def table(self) -> Actions:
@@ -833,21 +861,24 @@ def parse_action_trace(path, window: ObservationWindow, digest=None,
     lines aborts ingestion. `digest` is fed the bytes read (read_ndjson).
     """
     path = Path(path)
-    rows = _RowBuffer(chunk)
+    rows = _Columns(chunk)
     diagnostics = []
     dropped = 0
     last_seq = None
-    memo = _Memo(window)
-    lines = read_ndjson(path, "trace", functools.partial(_decode_fields, memo=memo),
+    # the window's UTC microseconds since the epoch are [first, end)
+    first = (window.start_day - EPOCH_DATE).days * US_PER_DAY
+    end = ((window.end_day - EPOCH_DATE).days + 1) * US_PER_DAY
+    memo = _Memo()
+    lines = read_ndjson(path, "trace", lambda obj: _decode_fields(obj, memo),
                         lambda lineno, exc: diagnostics.append((lineno, str(exc))),
                         digest)
-    for lineno, offset, (seq, _, (us, in_window), contract, action, actor, kind, payload,
+    for lineno, offset, (seq, _, us, contract, action, actor, kind, payload,
                          notified) in lines:
         if last_seq is not None and seq <= last_seq:
             diagnostics.append((lineno, f"global_seq {seq} not increasing"))
             continue
         last_seq = seq
-        if not in_window:
+        if not first <= us < end:
             dropped += 1
             continue
         if rows.add(offset, seq, us, kind, contract, action, actor, notified, payload):
@@ -928,7 +959,7 @@ def group_sums(keys, *values):
 
 
 @dataclass(frozen=True, eq=False)
-class Transfers:
+class Transfers(Named):
     """The transfer table of the module docstring."""
 
     names: tuple
@@ -998,23 +1029,28 @@ class Accounts(Named):
         AccountRecords, such as tests build by hand (no row has a line)."""
         if isinstance(snapshot, SnapshotResult):
             return snapshot.table
-        return _account_table((-1, r) for r in snapshot.values())
+        return _account_table(
+            (-1, r.name, r.creator, epoch_us(r.created_at),
+             {p: (a.threshold, a.key_weights, a.account_weights)
+              for p, a in r.permissions.items()}) for r in snapshot.values())
 
 
-def _account_table(lines) -> Accounts:
-    """The Accounts table of (line offset, AccountRecord) pairs in any
-    order. A name given twice, or a creator cycle, is an IngestError."""
+def _account_table(rows) -> Accounts:
+    """The Accounts table of (line offset, name, creator, created us,
+    permissions) rows in any order, each permission as the fields of
+    _authority_fields. A name given twice, or a creator cycle, is an
+    IngestError."""
     row, creators, us, offsets, key_rows, keys = {}, [], [], [], [], []
-    for offset, r in lines:
-        if r.name in row:
-            raise IngestError(f"duplicate account name: {r.name}")
-        row[r.name] = i = len(row)
-        creators.append(r.creator)
-        us.append(epoch_us(r.created_at))
+    for offset, name, creator, created, permissions in rows:
+        if name in row:
+            raise IngestError(f"duplicate account name: {name}")
+        row[name] = i = len(row)
+        creators.append(creator)
+        us.append(created)
         offsets.append(offset)
-        active = r.permissions.get("active")
-        active = () if active is None else [k for k, _ in active.key_weights]
-        for key in {k for a in r.permissions.values() for k, _ in a.key_weights}:
+        active = permissions.get("active")
+        active = () if active is None else [k for k, _ in active[1]]
+        for key in {k for a in permissions.values() for k, _ in a[1]}:
             keys.append(key)
             key_rows += (i, key in active)
     names, position = np.unique(np.array(list(row), dtype=object), return_inverse=True)
@@ -1052,7 +1088,8 @@ class SnapshotResult(Mapping):
     """A parsed snapshot, its own `accounts`: the read-only mapping view of
     its Accounts `table`, name -> AccountRecord, decoded again from its line
     of the file at `path` by _read_again; names (in file order), length and
-    membership come from the table alone. `warnings` are the parse's."""
+    membership come from the table alone. items() and values() read the
+    file once, in file order. `warnings` are the parse's."""
 
     def __init__(self, table: Accounts, path, warnings: list):
         self.table, self.path, self.warnings = table, Path(path), warnings
@@ -1065,24 +1102,48 @@ class SnapshotResult(Mapping):
         i = self.table.id(name)
         if i < 0:
             raise KeyError(name)
-        return next(_read_again(self.path, "snapshot", [(self.table.offset[i], name)],
-                                decode_account, "name"))
+        return next(self._read([i]))
 
     def __contains__(self, name):
         return self.table.id(name) >= 0
 
     def __iter__(self):
-        return (self.table.names[i] for i in np.argsort(self.table.offset).tolist())
+        return (self.table.names[i] for i in self._in_file_order())
 
     def __len__(self):
         return len(self.table)
 
+    def items(self):
+        return _Items(self)
 
-def decode_account(obj: dict, memo: _Memo | None = None) -> AccountRecord:
-    """Build an AccountRecord from one decoded snapshot line.
-    parse_account_snapshot passes the memo of its earlier lines."""
-    if memo is None:
-        memo = _Memo()
+    def values(self):
+        return _Values(self)
+
+    def _in_file_order(self) -> list:
+        return np.argsort(self.table.offset).tolist()
+
+    def _read(self, ids):
+        """Yield the AccountRecord of each account id in `ids`, in that order."""
+        names, offset = self.table.names, self.table.offset
+        return _read_again(self.path, "snapshot", ((offset[i], names[i]) for i in ids),
+                           decode_account, "name")
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.values())
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        snapshot = self._mapping
+        return snapshot._read(snapshot._in_file_order())
+
+
+def _account_fields(obj: dict, memo: _Memo) -> tuple:
+    """The checked fields of one snapshot line in AccountRecord's order,
+    except that created_at is its UTC microseconds and each permission the
+    (threshold, key_weights, account_weights) of an Authority."""
     name = memo.account_name(obj["name"])
     creator = obj.get("creator")
     if creator is not None:
@@ -1094,28 +1155,37 @@ def decode_account(obj: dict, memo: _Memo | None = None) -> AccountRecord:
     has_contract = obj.get("has_contract", False)
     if type(has_contract) is not bool:
         raise ValueError(f"has_contract is not a bool: {type(has_contract).__name__}")
-    return AccountRecord(
-        name=name,
-        creator=creator,
-        created_at=utc_from_us(memo.timestamp(obj["created_at"])[0]),
-        permissions={check_name(pname, "permission"): Authority.from_json(p)
-                     for pname, p in raw_permissions.items()},
-        has_contract=has_contract,
-    )
+    us = memo.timestamp(obj["created_at"])
+    permissions = {}
+    for pname, raw in raw_permissions.items():
+        check_name(pname, "permission")
+        permissions[pname] = fields = _authority_fields(raw)
+        _check_authority(*fields)
+    return name, creator, us, permissions, has_contract
+
+
+def decode_account(obj: dict) -> AccountRecord:
+    """Build an AccountRecord from one decoded snapshot line."""
+    name, creator, us, permissions, has_contract = _account_fields(obj, _Memo())
+    return AccountRecord(name, creator, utc_from_us(us),
+                         {p: Authority(*fields) for p, fields in permissions.items()},
+                         has_contract)
 
 
 def parse_account_snapshot(path, digest=None) -> SnapshotResult:
     """Parse the account snapshot into an Accounts table (each line checked
-    by decode_account, only the columns kept) and its view, and verify the
-    creator relation is a forest. Duplicate names and creator cycles are
-    fatal; a child created before its creator merely warns (clock skew on
-    real data), in file order. `digest` is fed the bytes read (read_ndjson)."""
+    by _account_fields, as decode_account checks it, and only the columns
+    kept) and its view, and verify the creator relation is a forest.
+    Duplicate names and creator cycles are fatal; a child created before its
+    creator merely warns (clock skew on real data), in file order. `digest`
+    is fed the bytes read (read_ndjson)."""
     def fail(lineno, exc):
         raise IngestError(f"snapshot line {lineno}: {exc}") from exc
 
     memo = _Memo()
-    table = _account_table((offset, record) for _, offset, record in read_ndjson(
-        path, "snapshot", lambda obj: decode_account(obj, memo), fail, digest))
+    lines = read_ndjson(path, "snapshot", lambda obj: _account_fields(obj, memo), fail, digest)
+    table = _account_table((offset, name, creator, us, permissions)
+                           for _, offset, (name, creator, us, permissions, _) in lines)
 
     skewed = np.flatnonzero((table.creator >= 0) & (table.us < table.us[table.creator]))
     skewed = skewed[np.argsort(table.offset[skewed], kind="stable")]

@@ -1,3 +1,4 @@
+import dataclasses
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 
@@ -283,11 +284,16 @@ TIE_STREAM = [(EDGE_TIMES[1], "a", "c", Decimal("2")),
 
 
 @given(streams, st.sampled_from(["0.5", "1", "2", "400"]), st.sampled_from([1.2, 2.0]),
-       st.sampled_from([0.5, 0.9, 1.0]))
-@example(TIE_STREAM, "1", 1.2, 0.5)
-@example(TIE_STREAM + [(EDGE_TIMES[5], "b", "c", Decimal(3))], "1", 1.2, 0.5)
-def test_liveness_filter_matches_dict_oracle(rows, w1, w2, w3):
+       st.sampled_from([0.5, 0.9, 1.0]), st.booleans())
+@example(TIE_STREAM, "1", 1.2, 0.5, False)
+@example(TIE_STREAM + [(EDGE_TIMES[5], "b", "c", Decimal(3))], "1", 1.2, 0.5, False)
+@example(TIE_STREAM + [(EDGE_TIMES[5], "b", "c", Decimal(3))], "1", 1.2, 0.5, True)
+def test_liveness_filter_matches_dict_oracle(rows, w1, w2, w3, descending):
     events = transfers_of(rows)
+    if descending:  # hand-built events need not be in ascending seq order
+        events = dataclasses.replace(events, **{
+            column: getattr(events, column)[::-1]
+            for column in ("seq", "us", "day", "src", "dst", "units")})
     config = attacks.ScanConfig(w1=Decimal(w1), w2=w2, w3=w3)
     windows = attacks.profit_scan(events, config)
     assert ([repr(f) for f in attacks.liveness_filter(windows, events, TWO_DAPPS, config)]

@@ -358,7 +358,7 @@ class TestOracles:
         accounts = sorted(snapshot.accounts)
         features = botnet.extract_features(accounts, emfg, ecig, eacg, snapshot, window)
         assert features.shape == (len(accounts), 11)
-        records = dict(snapshot)  # the oracles read every record per account
+        records = dict(snapshot.items())  # the oracles read every record per account
         for account, row in zip(accounts, features.tolist()):
             want = oracle_features(account, cells, calls, eacg, records, window)
             assert list(map(repr, row)) == list(map(repr, want)), account

@@ -28,6 +28,7 @@ from eosforensics.model import (
     UpdateAuthPayload,
     decode_account,
     decode_action,
+    epoch_us,
     extract_transfers,
     format_timestamp,
     is_account_name,
@@ -190,6 +191,31 @@ def test_timestamp_matches_the_datetime_constructor(year, month, day, hour, minu
         assert got == expected and got.tzinfo is timezone.utc
 
 
+# Minutes and seconds, valid and not, so that one parse meets timestamps
+# whose minute and whose second it checked before, each on another line.
+_MINUTES = ["2018-06-10T00:00", "2018-06-10T23:59", "2018-06-30T12:30", "2018-06-31T00:00",
+            "2018-06-10T24:00"]
+_SECONDS = [":00Z", ":59Z", ":07.5Z", ":05.000001Z", ":60Z", ":5Z"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.sampled_from(_MINUTES), st.sampled_from(_SECONDS)),
+                max_size=10))
+@example([("2018-06-10T00:00", ":00Z"), ("2018-06-10T23:59", ":07.5Z"),
+          ("2018-06-10T00:00", ":07.5Z"), ("2018-06-31T00:00", ":00Z"),
+          ("2018-06-10T00:00", ":60Z")])
+def test_one_parse_reads_each_timestamp_as_a_fresh_decode_does(stamps):
+    lines = "".join(_action_line(1000 + i, timestamp=minute + second) + "\n"
+                    for i, (minute, second) in enumerate(stamps, start=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.ndjson"
+        path.write_bytes(_GOOD_TRACE + lines.encode())
+        got = parse_action_trace(path, _window())
+        oracle = oracle_parse_action_trace(path, _window())
+    assert got.records.table.us.tolist() == [epoch_us(r.timestamp) for r in oracle.records]
+    assert got.diagnostics == oracle.diagnostics
+
+
 class TestTraceParsing:
     @pytest.mark.parametrize("count", [0, 300])
     def test_digest_names_the_bytes_read(self, tmp_path, count):
@@ -316,6 +342,19 @@ class TestTraceParsing:
         obj = json.loads(_action_line(1, kind="notification"))
         with pytest.raises(ValueError):
             decode_action(obj)
+
+    def test_tables_keep_their_column_layout(self, parsed):
+        # every later command reads these columns as the parse leaves them
+        trace, snapshot = parsed
+        actions, accounts = trace.records.table, snapshot.table
+        columns = [actions.seq, actions.us, actions.offset, actions.kind, actions.contract,
+                   actions.action, actions.actor, actions.notified, *actions.transfers,
+                   accounts.creator, accounts.us, accounts.offset, accounts.depth,
+                   accounts.key_account, accounts.key, accounts.key_active]
+        assert [c.dtype for c in columns] == (
+            [np.int64] * 3 + [np.int8] + [np.int32] * 4 + [np.int64] + [np.int32] * 3
+            + [np.int64] * 7 + [bool])
+        assert all(c.flags.c_contiguous and not c.flags.writeable and len(c) for c in columns)
 
     def test_round_trip(self, scenario, window, parsed, tmp_path):
         trace, _ = parsed
@@ -485,13 +524,27 @@ class TestSnapshot:
     def test_result_is_read_only_mapping(self, parsed):
         _, snapshot = parsed
         assert isinstance(snapshot, Mapping)
-        assert dict(snapshot) == snapshot.accounts
+        assert dict(snapshot.items()) == snapshot.accounts
         assert list(snapshot) == list(snapshot.accounts)
         name = next(iter(snapshot))
         assert snapshot.get(name) == snapshot.accounts[name]
         assert snapshot.get("nosuchacct") is None
         with pytest.raises(TypeError):
             snapshot["nosuchacct"] = snapshot[name]
+
+    def test_items_and_values_read_the_file_once(self, parsed, monkeypatch):
+        _, snapshot = parsed
+        opened = []
+        open_path = Path.open
+        monkeypatch.setattr(Path, "open", lambda path, *args, **kwargs: (
+            opened.append(path) or open_path(path, *args, **kwargs)))
+        items = dict(snapshot.items())
+        assert opened == [snapshot.path]
+        assert list(snapshot.values()) == list(items.values())
+        assert opened == [snapshot.path] * 2
+        assert list(items) == list(snapshot) and len(items) == len(snapshot) > 1
+        name = list(snapshot)[-1]
+        assert items[name] == snapshot[name] and (name, items[name]) in snapshot.items()
 
     BAD_AUTHORITIES = {
         "zero_threshold": {"threshold": 0, "key_weights": [["EOSKEYX", 1]]},
@@ -936,7 +989,7 @@ def _snapshot_parse(parse, path):
     the text of its IngestError."""
     try:
         result = parse(path)
-        return repr(dict(result.accounts)), result.warnings
+        return repr(dict(result.accounts.items())), result.warnings
     except IngestError as exc:
         return str(exc)
 
