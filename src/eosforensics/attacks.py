@@ -252,12 +252,13 @@ def profit_scan(events: Transfers, config: ScanConfig):
     out = []
     for granularity, span in SPANS.items():
         # the sort is stable: each group's rows stay in transfer order
-        order, starts, _, (net,) = group_sums((account, us // span), delta)
+        order, starts, keys, (net,) = group_sums((account, us // span), delta)
         ends = np.r_[starts[1:], len(order)]
         for g in np.flatnonzero(net > threshold).tolist():
             window = _flagged_window(events, order[starts[g]:ends[g]], granularity, config)
             if window is not None:
                 out.append(window)
+        del order, starts, keys, net, ends  # freed before the next granularity's grouping
     out.sort(key=lambda w: (w.account, w.granularity, w.start))
     return out
 

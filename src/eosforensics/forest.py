@@ -7,7 +7,10 @@ and its predictions must be reproducible bit-for-bit from (data, seed).
 Tree k of every cell grows from child k of SeedSequence(seed), so each
 tree index is grown once for the whole grid (`_grow`): cells share a
 tree until their decisions differ, and each cell's trees are the ones a
-forest of its parameters fitted alone would grow.
+forest of its parameters fitted alone would grow. Trees grow in lockstep
+groups, whose nodes share one split search per step over each feature's
+exact distinct values (`_best_splits`). A threshold is the midpoint of
+the values around it, or the lower one where the midpoint rounds up.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import TrainingError
 
 FORMAT_VERSION = 1
 TRAIN_SHARE = 0.8  # of the labeled rows; the rest is the held-out test split
+GROUP_ROWS = 1 << 12  # bootstrap rows of the trees grown in lockstep, summed
 
 DEFAULT_GRID = {
     "n_trees": (50, 100, 200),
@@ -44,11 +48,8 @@ class _Tree:
     __slots__ = ("feature", "threshold", "left", "right", "prob")
 
     def __init__(self):
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.prob = []
+        for name in _Tree.__slots__:
+            setattr(self, name, [])
 
     def _new_node(self):
         self.feature.append(-1)
@@ -59,24 +60,14 @@ class _Tree:
         return len(self.feature) - 1
 
     def copy(self):
-        return _Tree.from_json(self.to_json())
+        twin = _Tree()
+        for name in _Tree.__slots__:
+            setattr(twin, name, getattr(self, name).copy())
+        return twin
 
     def predict_prob(self, X):
-        """Leaf probability per row of `X`. All rows descend together, one
-        tree level per step, by the same `x <= threshold` test."""
-        feature = np.asarray(self.feature, dtype=np.intp)
-        threshold = np.asarray(self.threshold, dtype=np.float64)
-        left = np.asarray(self.left, dtype=np.intp)
-        right = np.asarray(self.right, dtype=np.intp)
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        rows = np.arange(X.shape[0])
-        while rows.size:
-            at = node[rows]
-            inner = feature[at] >= 0
-            rows, at = rows[inner], at[inner]
-            go_left = X[rows, feature[at]] <= threshold[at]
-            node[rows] = np.where(go_left, left[at], right[at])
-        return np.asarray(self.prob, dtype=np.float64)[node]
+        """Leaf probability per row of `X`."""
+        return _leaf_probs(X, [(self, np.arange(X.shape[0]))])[0]
 
     # the fields are _Tree.__slots__: a subclass's own __slots__ is empty
     def to_json(self):
@@ -90,125 +81,164 @@ class _Tree:
         return t
 
 
-def _best_splits(cols, ys, min_leafs):
-    """Exhaustive split search over the candidate feature columns `cols`
-    (one row per sample at the node), all columns at once, for each
-    min_leaf in `min_leafs`. Returns {min_leaf: (column, threshold) or
-    None}. Columns are tried in order, and a later one wins only with a
-    Gini lower by more than 1e-12.
+def _leaf_probs(X, walks):
+    """Leaf probabilities of the rows of `X` that each (tree, rows) of
+    `walks` names, an array per walk; all descend together, level by level."""
+    sizes = [len(tree.feature) for tree, _ in walks]
+    root = np.cumsum([0] + sizes[:-1])
+    feature, threshold, left, right, prob = (np.concatenate(
+        [getattr(tree, name) for tree, _ in walks]) for name in _Tree.__slots__)
+    left, right = left + np.repeat(root, sizes), right + np.repeat(root, sizes)
+    node = np.repeat(root, [len(rows) for _, rows in walks])
+    rows = np.concatenate([rows for _, rows in walks])
+    live = np.arange(len(rows))
+    while live.size:
+        at = node[live]
+        inner = feature[at] >= 0
+        live, at = live[inner], at[inner]
+        go_left = X[rows[live], feature[at]] <= threshold[at]
+        node[live] = np.where(go_left, left[at], right[at])
+    return np.split(prob[node], np.cumsum([len(rows) for _, rows in walks])[:-1])
 
-    Any sort order serves: at a split between distinct adjacent values the
-    left side holds exactly the rows at or below the lower value, however
-    ties are ordered, and every other position is ruled out."""
-    n = len(ys)
-    order = np.argsort(cols, axis=0)
-    sorted_cols = cols[order, np.arange(cols.shape[1])]
-    pos_left = np.cumsum(ys[order], axis=0)[:-1]
-    n_left = np.arange(1, n)[:, None]
+
+def _best_splits(bins, y, searches):
+    """One split search for the nodes of `searches`, each (row ids, feats,
+    min_leafs). Returns per node {min_leaf: (column of feats, threshold,
+    positives left)} for the min_leafs that find a split, the one a sorted
+    scan of each column finds: rows and positives are counted per (node,
+    column, bin), a boundary follows each present bin but the last and one
+    before NaN, and a later column wins only by more than 1e-12."""
+    rank, start, values = bins
+    feats = np.array([f for _, f, _ in searches])  # (node, column)
+    size = [len(rows) for rows, _, _ in searches]
+    rows = np.concatenate([rows for rows, _, _ in searches])
+    # one segment of keys per (node, column); `shift` maps a feature's bins there
+    width = (start[feats + 1] - start[feats]).reshape(-1)
+    shift = np.cumsum(width) - width - start[feats].reshape(-1)
+    keys = rank.take(np.repeat(feats * rank.shape[1], size, axis=0) + rows[:, None])
+    keys = (keys + np.repeat(shift.reshape(feats.shape), size, axis=0)).reshape(-1)
+    present = np.flatnonzero(count := np.bincount(keys))
+    count = count[present]
+    positives = np.bincount(keys, weights=np.repeat(y[rows], feats.shape[1]))[present]
+    seg = np.searchsorted(np.cumsum(width), present, side="right")
+    first = np.searchsorted(seg, np.arange(len(width)))  # no segment is empty
+    value_bin = present - shift[seg]
+    at = np.flatnonzero((seg[:-1] == seg[1:]) & ~np.isnan(values[value_bin[1:]]))
+    n_left, pos_left = np.cumsum(count), np.cumsum(positives)
+    n_left = n_left[at] - (n_left[first] - count[first])[seg[at]]
+    pos_left = pos_left[at] - (pos_left[first] - positives[first])[seg[at]]
+    n = np.repeat(size, feats.shape[1])[seg[at]]
     n_right = n - n_left
-    pos_right = ys.sum() - pos_left
     share_left = pos_left / n_left
-    share_right = pos_right / n_right
+    share_right = (np.add.reduceat(positives, first)[seg[at]] - pos_left) / n_right
     gini_left = 1.0 - share_left ** 2 - (1 - share_left) ** 2
     gini_right = 1.0 - share_right ** 2 - (1 - share_right) ** 2
     weighted = (n_left * gini_left + n_right * gini_right) / n
-    # splits only between distinct adjacent values
-    weighted[~(sorted_cols[:-1] < sorted_cols[1:])] = math.inf
-    splits = {}
-    for min_leaf in min_leafs:
-        # row k leaves k + 1 samples on the left: keep both sides >= min_leaf
-        lo = max(min_leaf, 1) - 1
-        allowed = weighted[lo:n - lo - 1]
-        ks = np.argmin(allowed, axis=0)
-        best_gini = math.inf
-        best = None
-        for j, k in enumerate(ks):
-            if allowed[k, j] < best_gini - 1e-12:
-                best_gini = allowed[k, j]
-                best = (j, (sorted_cols[lo + k, j] + sorted_cols[lo + k + 1, j]) / 2.0)
-        splits[min_leaf] = best
+
+    # one row per min_leaf: the first minimum of each segment, then of each node
+    min_leafs = sorted({leaf for _, _, leafs in searches for leaf in leafs})
+    floor = np.maximum(min_leafs, 1)[:, None]
+    gini = np.full((len(min_leafs), len(seg)), math.inf)
+    gini[:, at] = np.where((n_left >= floor) & (n_right >= floor), weighted, math.inf)
+    lowest = np.minimum.reduceat(gini, first, axis=1)
+    leaf, hit = np.nonzero(gini == lowest[:, seg])
+    entry = hit[np.searchsorted(leaf * len(width) + seg[hit], np.arange(lowest.size))]
+    lowest, entry = (a.reshape(len(min_leafs), *feats.shape) for a in (lowest, entry))
+    best, column = lowest[..., 0], np.zeros(lowest.shape[:2], dtype=np.intp)
+    for j in range(1, feats.shape[1]):
+        wins = lowest[..., j] < best - 1e-12
+        best = np.where(wins, lowest[..., j], best)
+        column = np.where(wins, j, column)
+    leaf, node = np.nonzero(best < math.inf)
+    column = column[leaf, node]
+    below = entry[leaf, node, column]  # the present bin below the boundary
+    lo, hi = values[value_bin[below]].tolist(), values[value_bin[below + 1]].tolist()
+    left = pos_left[np.searchsorted(at, below)].astype(np.int64).tolist()
+    splits = [{} for _ in searches]
+    for i, min_leaf, j, lo, hi, left in zip(node.tolist(), np.take(min_leafs, leaf).tolist(),
+                                            column.tolist(), lo, hi, left):
+        mid = (lo + hi) / 2.0  # Python floats: inf or NaN on overflow, no warning
+        splits[i][min_leaf] = (j, mid if mid < hi else lo, left)
     return splits
 
 
+@dataclass(slots=True, eq=False)
 class _Branch:
-    """Grid cells that share one tree so far: the tree, the nodes still to
-    grow (a depth-first stack of (node, rows, depth)) and the generator."""
+    """Grid cells that share one tree so far."""
 
-    __slots__ = ("cells", "tree", "stack", "rng")
-
-    def __init__(self, cells, tree, stack, rng):
-        self.cells = cells
-        self.tree = tree
-        self.stack = stack
-        self.rng = rng
+    cells: list
+    tree: _Tree
+    stack: list  # the nodes still to grow, depth first: (node, row ids, depth, positives)
+    rng: np.random.Generator
+    grown: list  # the tree index's (tree, cells) pairs, which this one joins
 
     def fork(self, cells):
         """A copy for `cells` that grows on alone, from the same state."""
         rng = np.random.Generator(type(self.rng.bit_generator)(0))
         rng.bit_generator.state = self.rng.bit_generator.state
-        return _Branch(cells, self.tree.copy(), self.stack.copy(), rng)
+        return _Branch(cells, self.tree.copy(), self.stack.copy(), rng, self.grown)
 
-    def split(self, node, idx, depth, feats, cols, best):
-        """Split `node` at `best` = (column of `cols`, threshold), or leave
-        it a leaf when `best` is None; the left child grows first."""
+    def split(self, X, top, feats, best):
+        """Split the node of `top` at `best` = (column of `feats`, threshold,
+        positives left) unless it is None, the left child to grow first."""
         if best is None:
             return
-        j, thr = best
-        mask = cols[:, j] <= thr
+        (node, rows, depth, pos), (j, thr, pos_left) = top, best
+        mask = X[rows, feats[j]] <= thr
         tree = self.tree
-        tree.feature[node] = int(feats[j])
-        tree.threshold[node] = float(thr)
-        left = tree._new_node()
-        right = tree._new_node()
-        tree.left[node] = left
-        tree.right[node] = right
-        self.stack.append((right, idx[~mask], depth + 1))
-        self.stack.append((left, idx[mask], depth + 1))
+        tree.feature[node], tree.threshold[node] = int(feats[j]), thr
+        tree.left[node], tree.right[node] = tree._new_node(), tree._new_node()
+        self.stack.append((tree.right[node], rows[~mask], depth + 1, pos - pos_left))
+        self.stack.append((tree.left[node], rows[mask], depth + 1, pos_left))
 
 
-def _grow(X, y, cells, max_features, rng):
-    """Grow one tree on (`X`, `y`) for every (max_depth, min_leaf) cell in
-    `cells` at once, depth first, drawing each searched node's feature
-    subset from `rng`. Returns a (tree, cells) pair per distinct tree.
-
-    At each node, every cell either stops (a pure node, fewer than
-    2 * min_leaf rows, or max_depth reached) or searches. The searching
-    cells share one draw, one sort and one Gini matrix, and each min_leaf
-    takes its own best split. Where cells disagree, each group forks with
-    its own copy of the tree, the pending nodes and the generator state
-    (taken before the draw for the cells that stop) and grows on alone, so
-    every cell's tree is the one it would grow by itself."""
-    tree = _Tree()
-    branches = [_Branch(list(cells), tree, [(tree._new_node(), np.arange(len(y)), 0)], rng)]
-    grown = []
+def _grow(X, y, bins, samples, cells, max_features):
+    """Grow a tree from each (bootstrap rows, generator) of `samples` for
+    every (max_depth, min_leaf) cell, in lockstep, and return per sample a
+    (tree, cells) pair per distinct tree. Each step takes every branch to
+    its next node where a cell searches: there each cell stops (pure, under
+    2 * min_leaf rows, or at max_depth) or searches, and the searchers share
+    one draw and, with the step's other nodes, one `_best_splits`. Where
+    cells disagree, each group forks with its own tree, pending nodes and
+    generator state (from before the draw for cells that stop)."""
+    grown = [[] for _ in samples]
+    branches = []
+    for out, (rows, rng) in zip(grown, samples):
+        tree = _Tree()
+        root = (tree._new_node(), rows, 0, int(y[rows].sum()))
+        branches.append(_Branch(list(cells), tree, [root], rng, out))
     while branches:
-        branch = branches.pop()
-        while branch.stack:
-            node, idx, depth = branch.stack.pop()
-            ys = y[idx]
-            pos = int(ys.sum())
-            branch.tree.prob[node] = pos / len(ys)
-            if pos == 0 or pos == len(ys):
-                continue
-            search = [(d, leaf) for d, leaf in branch.cells
-                      if len(ys) >= 2 * leaf and (d is None or depth < d)]
+        forks, searches, searched = [], [], []
+        for branch in branches:
+            search = []
+            while branch.stack and not search:  # a leaf for every cell takes no step
+                node, rows, depth, pos = branch.stack.pop()
+                branch.tree.prob[node] = pos / len(rows)
+                if 0 < pos < len(rows):
+                    search = [(d, leaf) for d, leaf in branch.cells
+                              if len(rows) >= 2 * leaf and (d is None or depth < d)]
             if not search:
                 continue
             if len(search) < len(branch.cells):
-                branches.append(branch.fork([c for c in branch.cells if c not in search]))
+                forks.append(branch.fork([c for c in branch.cells if c not in search]))
             feats = branch.rng.choice(X.shape[1], size=max_features, replace=False)
-            cols = X[idx[:, None], feats]
-            splits = _best_splits(cols, ys, {leaf for _, leaf in search})
+            searches.append((rows, feats, {leaf for _, leaf in search}))
+            searched.append((branch, (node, rows, depth, pos), feats, search))
+        for (branch, top, feats, search), splits in zip(
+                searched, _best_splits(bins, y, searches) if searches else ()):
             outcomes = {}
             for cell in search:
-                outcomes.setdefault(splits[cell[1]], []).append(cell)
+                outcomes.setdefault(splits.get(cell[1]), []).append(cell)
             *others, (best, branch.cells) = outcomes.items()
             for split, shared in others:
                 twin = branch.fork(shared)
-                twin.split(node, idx, depth, feats, cols, split)
-                branches.append(twin)
-            branch.split(node, idx, depth, feats, cols, best)
-        grown.append((branch.tree, branch.cells))
+                twin.split(X, top, feats, split)
+                forks.append(twin)
+            branch.split(X, top, feats, best)
+        for branch in branches + forks:
+            if not branch.stack:
+                branch.grown.append((branch.tree, branch.cells))
+        branches = [branch for branch in branches + forks if branch.stack]
     return grown
 
 
@@ -223,37 +253,46 @@ def _fit_prefixes(X, y, max_depths, min_leafs, seed, sizes):
     the forest of k trees. Out-of-bag votes add up tree by tree in that
     order, so each prefix's score is the one its own fit would give.
 
-    Each tree index is grown once for all cells (`_grow`): one bootstrap
-    sample and one generator from its seed child, and cells that make the
-    same decisions share one tree and its out-of-bag predictions."""
+    Each tree index is grown once for all cells from one bootstrap sample
+    and one generator, and cells that make the same decisions share one
+    tree and its out-of-bag predictions. Indices whose samples hold at most
+    GROUP_ROWS rows in all grow, and are walked, as one group."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise TrainingError("training labels contain a single class")
     n = X.shape[0]
     max_features = max(1, int(math.sqrt(X.shape[1])))
+    # bins: X[r, f] is values[rank[f, r]], feature f's sorted distinct values
+    values, ranks = zip(*(np.unique(col, return_inverse=True) for col in X.T))
+    start = np.cumsum([0] + [len(v) for v in values])
+    bins = np.stack(ranks) + start[:-1, None], start, np.concatenate(values)
     cells = list(dict.fromkeys((d, leaf) for d in max_depths for leaf in min_leafs))
     trees = {cell: [] for cell in cells}
     scores = {cell: dict.fromkeys(sizes) for cell in cells}
     oob_votes = np.zeros((len(cells), n))  # one row per cell
     oob_counts = np.zeros(n)
-    for k, ss in enumerate(np.random.SeedSequence(seed).spawn(max(sizes)), start=1):
-        rng = np.random.default_rng(ss)
-        sample = rng.integers(0, n, size=n)
-        oob = np.ones(n, dtype=bool)
-        oob[sample] = False
-        X_oob = X[oob]
-        for tree, shared in _grow(X[sample], y[sample], cells, max_features, rng):
-            for cell in shared:
-                trees[cell].append(tree)
-            rows = [cells.index(cell) for cell in shared]
-            oob_votes[np.ix_(rows, oob)] += tree.predict_prob(X_oob)
-        oob_counts[oob] += 1
-        covered = oob_counts > 0
-        if k in sizes and covered.any():
-            pred = (oob_votes[:, covered] / oob_counts[covered]) >= 0.5
-            for cell, accuracy in zip(cells, np.mean(pred == (y[covered] == 1), axis=1)):
-                scores[cell][k] = float(accuracy)
+    seeds = np.random.SeedSequence(seed).spawn(max(sizes))
+    per_group = max(1, GROUP_ROWS // n)
+    for k0 in range(0, len(seeds), per_group):
+        samples = [(rng.integers(0, n, size=n), rng)
+                   for rng in map(np.random.default_rng, seeds[k0:k0 + per_group])]
+        grown = _grow(X, y, bins, samples, cells, max_features)
+        oobs = [np.flatnonzero(np.bincount(sample, minlength=n) == 0) for sample, _ in samples]
+        probs = iter(_leaf_probs(X, [(tree, oob) for oob, pairs in zip(oobs, grown)
+                                     for tree, _ in pairs]))
+        for k, (oob, pairs) in enumerate(zip(oobs, grown), start=k0 + 1):
+            tree_of = {cell: i for i, (_, shared) in enumerate(pairs) for cell in shared}
+            for cell in cells:
+                trees[cell].append(pairs[tree_of[cell]][0])
+            votes = np.array([next(probs) for _ in pairs])  # a row per distinct tree
+            oob_votes[:, oob] += votes[[tree_of[cell] for cell in cells]]
+            oob_counts[oob] += 1
+            covered = oob_counts > 0
+            if k in sizes and covered.any():
+                pred = (oob_votes[:, covered] / oob_counts[covered]) >= 0.5
+                for cell, accuracy in zip(cells, np.mean(pred == (y[covered] == 1), axis=1)):
+                    scores[cell][k] = float(accuracy)
     return {cell: (trees[cell], scores[cell]) for cell in cells}
 
 

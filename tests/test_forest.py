@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -184,13 +186,14 @@ def test_prefix_forests_equal_forests_fitted_alone():
 
 
 def _count_split_searches(monkeypatch):
-    """Record the sorted min_leaf values of every node's split search."""
+    """Record the sorted min_leaf values of every node's split search, one
+    list per node of each batched search."""
     calls = []
     search = forest._best_splits
 
-    def counting_search(cols, ys, min_leafs):
-        calls.append(sorted(min_leafs))
-        return search(cols, ys, min_leafs)
+    def counting_search(bins, y, searches):
+        calls.extend(sorted(min_leafs) for _, _, min_leafs in searches)
+        return search(bins, y, searches)
 
     monkeypatch.setattr(forest, "_best_splits", counting_search)
     return calls
@@ -249,14 +252,22 @@ def test_winner_is_its_grid_cell_not_a_refit(monkeypatch):
     assert result.model.to_json() == alone.to_json()
 
 
+ONE_UP = float(np.nextafter(1.0, 2.0))
+TWO_UP = float(np.nextafter(ONE_UP, 2.0))  # (ONE_UP + TWO_UP) / 2 rounds to TWO_UP
+
+
 @st.composite
 def grid_problems(draw):
     """A small training set and grid: few distinct values (ties), duplicate
     rows, maybe a constant column, unbalanced labels, min_leaf at or above
-    n/2, max_depth 0 and None, and unsorted forest sizes."""
+    n/2, max_depth 0 and None, and unsorted forest sizes. Values include
+    NaN (no split next to it), infinities, adjacent doubles and two whose
+    sum overflows, where the midpoint is not below the upper value."""
     n = draw(st.integers(4, 30))
     n_features = draw(st.integers(1, 5))
-    values = draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0]),
+    values = draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0, ONE_UP, TWO_UP,
+                                            math.nan, -math.inf, math.inf, 1.7e308,
+                                            1.75e308]),
                            min_size=1, max_size=4, unique=True))
     rows = draw(st.lists(st.lists(st.sampled_from(values), min_size=n_features,
                                   max_size=n_features), min_size=n, max_size=n))
@@ -289,14 +300,34 @@ def _tied_features(n, seed):
 @example((*_tied_features(24, 24), [0, 2, None], [1, 2, 3], 5, [4, 2]))
 def test_grid_grower_matches_per_cell_oracle(problem):
     X, y, depths, leafs, seed, sizes = problem
-    cells = forest._fit_prefixes(X, y, depths, leafs, seed, sizes)
-    assert list(cells) == [(d, leaf) for d in depths for leaf in leafs]
-    for leaf in leafs:
-        for depth, (trees, scores) in oracle_fit_prefixes(
-                X, y, depths, leaf, seed, sizes).items():
-            grown, grown_scores = cells[depth, leaf]
-            assert [t.to_json() for t in grown] == [t.to_json() for t in trees]
-            assert grown_scores == scores
+    oracle = {leaf: oracle_fit_prefixes(X, y, depths, leaf, seed, sizes) for leaf in leafs}
+    # groups of one tree, of three trees, and of every tree
+    for group_rows in (1, 3 * len(y), max(sizes) * len(y)):
+        with mock.patch.object(forest, "GROUP_ROWS", group_rows):
+            cells = forest._fit_prefixes(X, y, depths, leafs, seed, sizes)
+        assert list(cells) == [(d, leaf) for d in depths for leaf in leafs]
+        for leaf in leafs:
+            for depth, (trees, scores) in oracle[leaf].items():
+                grown, grown_scores = cells[depth, leaf]
+                assert [t.to_json() for t in grown] == [t.to_json() for t in trees]
+                assert grown_scores == scores
+
+
+@pytest.mark.parametrize("lo, hi", [(ONE_UP, TWO_UP), (1.7e308, 1.75e308), (1.0, math.inf),
+                                    (-math.inf, math.inf), (-math.inf, 1.0)])
+def test_split_threshold_separates_the_two_values(lo, hi):
+    # the midpoint of adjacent doubles rounds to hi, and one that overflows
+    # is inf or NaN: a threshold there would send every row left, so the
+    # threshold is lo
+    X = np.array([[lo]] * 6 + [[hi]] * 6)
+    y = np.array([0] * 6 + [1] * 6)
+    model = forest.RandomForest(n_trees=3, max_depth=8, seed=1).fit(X, y)
+    split = [tree for tree in model.trees if len(tree.feature) > 1]
+    assert split
+    for tree in split:
+        assert tree.feature == [0, -1, -1]
+        assert tree.threshold[0] == lo
+        assert tree.predict_prob(X).tolist() == [0.0] * 6 + [1.0] * 6
 
 
 def test_empty_held_out_split_rejected():

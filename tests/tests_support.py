@@ -630,7 +630,9 @@ def oracle_best_split(cols, ys, min_leaf):
     """Exhaustive split search over the candidate feature columns `cols`
     (one row per sample at the node), all columns at once. Returns
     (column, threshold) or None. Columns are tried in order, and a later
-    one wins only with a Gini lower by more than 1e-12."""
+    one wins only with a Gini lower by more than 1e-12. The threshold is
+    the midpoint of the two values around the split, or the lower one
+    where the midpoint is not below the upper one."""
     n = len(ys)
     order = np.argsort(cols, axis=0, kind="stable")
     sorted_cols = cols[order, np.arange(cols.shape[1])]
@@ -653,7 +655,11 @@ def oracle_best_split(cols, ys, min_leaf):
     for j, k in enumerate(ks):
         if weighted[k, j] < best_gini - 1e-12:
             best_gini = weighted[k, j]
-            best = (j, (sorted_cols[k, j] + sorted_cols[k + 1, j]) / 2.0)
+            lo, hi = sorted_cols[k, j], sorted_cols[k + 1, j]
+            with np.errstate(over="ignore", invalid="ignore"):
+                mid = (lo + hi) / 2.0
+            # the midpoint rounds to hi between adjacent doubles or overflows
+            best = (j, mid if mid < hi else lo)
     return best
 
 
