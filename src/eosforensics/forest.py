@@ -185,11 +185,14 @@ class _Branch:
             return
         (node, rows, depth, pos), (j, thr, pos_left) = top, best
         mask = X[rows, feats[j]] <= thr
+        left, right = rows[mask], rows[~mask]
+        if not (len(left) and len(right)):  # such a split would grow without end
+            raise TrainingError(f"the split at {thr!r} leaves no row on one side")
         tree = self.tree
         tree.feature[node], tree.threshold[node] = int(feats[j]), thr
         tree.left[node], tree.right[node] = tree._new_node(), tree._new_node()
-        self.stack.append((tree.right[node], rows[~mask], depth + 1, pos - pos_left))
-        self.stack.append((tree.left[node], rows[mask], depth + 1, pos_left))
+        self.stack.append((tree.right[node], right, depth + 1, pos - pos_left))
+        self.stack.append((tree.left[node], left, depth + 1, pos_left))
 
 
 def _grow(X, y, bins, samples, cells, max_features):

@@ -184,8 +184,8 @@ class Eacg(Named):
 
 
 def build_eacg(snapshot, window: ObservationWindow) -> Eacg:
-    """The creation forest of a parsed snapshot (or a plain dict of records):
-    its Accounts table's columns, with the creation days in `window`."""
+    """The creation forest of a parsed snapshot, or of its Accounts table:
+    the table's columns, with the creation days in `window`."""
     table = Accounts.of(snapshot)
     return Eacg(table.names, table.creator, window_days(table.us // US_PER_DAY, window),
                 table.depth)
@@ -212,7 +212,7 @@ class Ecig(DayGraph):
 
 def build_ecig(actions, window: ObservationWindow) -> Ecig:
     """Count invocations per (caller, contract, day): one group-by over the
-    action table (a parsed trace's records view, or any ActionRecords).
+    action table (a parsed trace's records view, or the table itself).
 
     Callers are the authorizing actors; notification copies do not count.
     Every executing account counts (it did run code, including the system

@@ -31,16 +31,16 @@ File formats (all newline-delimited, UTF-8):
 * registries: CSV files with a header row (see Registry.load).
 * Actions, the one form of a parsed trace: one row per kept action in trace
   order, as read-only columns. int64 `seq`, `us` (UTC microseconds since the
-  epoch) and `offset` (the byte offset of its line, -1 for a row built from
-  an ActionRecord); int8 `kind`, the index in KINDS; and int32 `contract`,
-  `action`, `actor` and `notified` (-1 when absent), ids into the sorted
-  `names`, one table of every name, action name and token symbol. Beside
-  them `transfers` (TransferRows) holds each decoded transfer payload, and
-  `auth` the system account's updateauth and deleteauth payloads by row.
-  The parse appends each line's checked fields straight to one plain list
-  per column, ints that the cyclic GC does not track, and every CHUNK_ROWS
-  rows the lists become arrays. An ActionRecord is built only when a row is
-  read through the Records view, which decodes its line again.
+  epoch) and `offset` (the byte offset of its line); int8 `kind`, the index
+  in KINDS; and int32 `contract`, `action`, `actor` and `notified` (-1 when
+  absent), ids into the sorted `names`, one table of every name, action name
+  and token symbol. Beside them `transfers` (TransferRows) holds each
+  decoded transfer payload, and `auth` the system account's updateauth and
+  deleteauth payloads by row. The parse appends each line's checked fields
+  straight to one plain list per column, ints that the cyclic GC does not
+  track, and every CHUNK_ROWS rows the lists become arrays. An ActionRecord
+  is built only when a row is read through the Records view, which decodes
+  its line again.
 * Transfers, the one form of a genuine EOS transfer after parsing: read-only
   int64 columns, one row per transfer in trace order. `seq`; `us`, UTC
   microseconds since the epoch; `day`, the window day index (days since the
@@ -50,16 +50,15 @@ File formats (all newline-delimited, UTF-8):
 * Accounts, the one form of a parsed snapshot: read-only columns, one row
   per account over the sorted `names`. int64 `creator` (the creator's id, -1
   for a root or a creator not in the snapshot), `us` (created, UTC
-  microseconds), `offset` (of its line, -1 for a row built from an
-  AccountRecord) and `depth` (in the creation forest); and key rows
-  `key_account`, `key` (ids into the sorted `public_keys`) and bool
-  `key_active` (in its active permission), one per distinct (account, key),
-  sorted so. The parse fills the columns straight from each checked line:
-  the created timestamp goes to `us` without a datetime, and each
-  permission is checked by Authority's rules without an Authority being
-  built. Thresholds, weights and has_contract are checked but not kept.
-  An AccountRecord is built only when an account is read through the
-  SnapshotResult view, which decodes its line again.
+  microseconds), `offset` (of its line) and `depth` (in the creation
+  forest); and key rows `key_account`, `key` (ids into the sorted
+  `public_keys`) and bool `key_active` (in its active permission), one per
+  distinct (account, key), sorted so. The parse fills the columns straight
+  from each checked line: the created timestamp goes to `us` without a
+  datetime, and each permission is checked by Authority's rules without an
+  Authority being built. Thresholds, weights and has_contract are checked
+  but not kept. An AccountRecord is built only when an account is read
+  through the SnapshotResult view, which decodes its line again.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ import os
 import re
 import stat
 import sys
-from collections.abc import ItemsView, Mapping, Sequence, ValuesView
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from decimal import Decimal, InvalidOperation
@@ -102,7 +101,6 @@ UNITS_PER_EOS = 10**EOS_PRECISION
 INT64_MAX = 2**63 - 1
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 EPOCH_DATE = EPOCH.date()
-ONE_US = timedelta(microseconds=1)
 US_PER_DAY = 86_400_000_000
 
 # Fraction of malformed lines above which ingestion aborts.
@@ -482,14 +480,9 @@ class _Memo:
             return self.quantities[text]
         except (KeyError, TypeError):
             q = Quantity.parse(text)
-            entry = self.quantities[text] = (q, _table_units(q))
+            units = q.units  # as an Actions table holds it: -1 beyond int64
+            entry = self.quantities[text] = (q, units if units <= INT64_MAX else -1)
             return entry
-
-
-def _table_units(quantity: Quantity) -> int:
-    """Quantity.units as an Actions table holds it: -1 beyond int64."""
-    units = quantity.units
-    return units if units <= INT64_MAX else -1
 
 
 _SCAN_ONCE = json.JSONDecoder().scan_once
@@ -664,29 +657,10 @@ class Actions(Named):
         return (tuple(self.names[i] for i in used.tolist()),
                 [np.searchsorted(used, column) for column in columns])
 
-    @classmethod
-    def of(cls, actions) -> "Actions":
-        """The table of a parsed trace's records view, or of a table itself;
-        any other iterable of ActionRecords goes through from_records."""
-        if isinstance(actions, cls):
-            return actions
-        if isinstance(actions, Records):
-            return actions.table
-        return cls.from_records(actions)
-
-    @classmethod
-    def from_records(cls, records) -> "Actions":
-        """The table of ActionRecords, such as tests build by hand. Their
-        payloads are taken as they are, and no row has a line (offset -1)."""
-        rows = _Columns()
-        for r in records:
-            payload = r.payload
-            if r.action_name == "transfer" and isinstance(payload, TransferPayload):
-                payload = (payload.src, payload.dst,
-                           (payload.quantity, _table_units(payload.quantity)), payload.memo)
-            rows.add(-1, r.global_seq, epoch_us(r.timestamp), r.kind, r.executing_contract,
-                     r.action_name, r.actor, r.notified, payload)
-        return rows.table()
+    @staticmethod
+    def of(actions) -> "Actions":
+        """The table of a parsed trace's records view, or a table as it is."""
+        return actions.table if isinstance(actions, Records) else actions
 
 
 class _Ids(dict):
@@ -930,10 +904,6 @@ def eos_decimal(units) -> Decimal:
     return Decimal(int(units)).scaleb(-EOS_PRECISION)
 
 
-def epoch_us(ts: datetime) -> int:
-    return (ts - EPOCH) // ONE_US
-
-
 def utc_from_us(us) -> datetime:
     return EPOCH + timedelta(microseconds=int(us))
 
@@ -979,8 +949,8 @@ class Transfers(Named):
 
 
 def extract_transfers(actions, window: ObservationWindow | None = None) -> Transfers:
-    """The genuine transfers of an action stream (a parsed trace's records
-    view, or any ActionRecords): official eosio.token EOS transfers, a mask
+    """The genuine transfers of an action table (a parsed trace's records
+    view, or the table itself): official eosio.token EOS transfers, a mask
     over the action table's transfer payloads; notification copies,
     fake-token transfers and self-transfers are filtered out silently. A
     volume of 2**63 units or more is an IngestError."""
@@ -1025,14 +995,8 @@ class Accounts(Named):
 
     @staticmethod
     def of(snapshot) -> "Accounts":
-        """The table of a parsed snapshot, or of any other mapping of
-        AccountRecords, such as tests build by hand (no row has a line)."""
-        if isinstance(snapshot, SnapshotResult):
-            return snapshot.table
-        return _account_table(
-            (-1, r.name, r.creator, epoch_us(r.created_at),
-             {p: (a.threshold, a.key_weights, a.account_weights)
-              for p, a in r.permissions.items()}) for r in snapshot.values())
+        """The table of a parsed snapshot, or a table as it is."""
+        return snapshot.table if isinstance(snapshot, SnapshotResult) else snapshot
 
 
 def _account_table(rows) -> Accounts:
@@ -1088,8 +1052,7 @@ class SnapshotResult(Mapping):
     """A parsed snapshot, its own `accounts`: the read-only mapping view of
     its Accounts `table`, name -> AccountRecord, decoded again from its line
     of the file at `path` by _read_again; names (in file order), length and
-    membership come from the table alone. items() and values() read the
-    file once, in file order. `warnings` are the parse's."""
+    membership come from the table alone. `warnings` are the parse's."""
 
     def __init__(self, table: Accounts, path, warnings: list):
         self.table, self.path, self.warnings = table, Path(path), warnings
@@ -1102,42 +1065,17 @@ class SnapshotResult(Mapping):
         i = self.table.id(name)
         if i < 0:
             raise KeyError(name)
-        return next(self._read([i]))
+        return next(_read_again(self.path, "snapshot", [(self.table.offset[i], name)],
+                                decode_account, "name"))
 
     def __contains__(self, name):
         return self.table.id(name) >= 0
 
     def __iter__(self):
-        return (self.table.names[i] for i in self._in_file_order())
+        return (self.table.names[i] for i in np.argsort(self.table.offset).tolist())
 
     def __len__(self):
         return len(self.table)
-
-    def items(self):
-        return _Items(self)
-
-    def values(self):
-        return _Values(self)
-
-    def _in_file_order(self) -> list:
-        return np.argsort(self.table.offset).tolist()
-
-    def _read(self, ids):
-        """Yield the AccountRecord of each account id in `ids`, in that order."""
-        names, offset = self.table.names, self.table.offset
-        return _read_again(self.path, "snapshot", ((offset[i], names[i]) for i in ids),
-                           decode_account, "name")
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping.values())
-
-
-class _Values(ValuesView):
-    def __iter__(self):
-        snapshot = self._mapping
-        return snapshot._read(snapshot._in_file_order())
 
 
 def _account_fields(obj: dict, memo: _Memo) -> tuple:

@@ -38,7 +38,8 @@ def scan_updateauth(actions, window):
     """Replay the system account's updateauth and deleteauth actions in
     global_seq order and return the final active eosio.code grants, one per
     surviving account-weight entry. They are the `auth` list of the action
-    table (of a parsed trace's records view, or of any ActionRecords).
+    table (of a parsed trace's records view, or the table itself), in row
+    order, which the parse keeps in ascending global_seq.
     Another contract's action of the same name changes no permission, so it
     is ignored.
 
@@ -49,7 +50,7 @@ def scan_updateauth(actions, window):
     table = Actions.of(actions)
     state = {}  # (granter, linked_permission) -> (payload, day, seq)
     diagnostics = []
-    for row, payload in sorted(table.auth, key=lambda entry: table.seq[entry[0]]):
+    for row, payload in table.auth:
         if table.kind[row] == NOTIFICATION:
             continue
         seq = int(table.seq[row])

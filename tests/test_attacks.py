@@ -12,6 +12,7 @@ from tests_support import (
     make_transfer,
     oracle_liveness_filter,
     oracle_profit_scan,
+    parsed_actions,
     transfers_of,
     ts,
 )
@@ -22,11 +23,13 @@ def _registry():
 
 
 def _fake_transfer(actions):
+    actions = parsed_actions(actions)
     return attacks.detect_fake_transfer(
         actions, attacks.genuine_transfer_events(actions), _registry())
 
 
 def _fake_notice(actions):
+    actions = parsed_actions(actions)
     return attacks.detect_fake_notice(
         actions, attacks.genuine_transfer_events(actions), _registry())
 
@@ -176,7 +179,8 @@ class TestSharedDetectorLoop:
                           kind="notification", notified="gamehouse"),
             make_transfer(3, "gamehouse", "attacker", 55, when=ts(4, 10)),
         ]
-        findings, _ = attacks.scan_attacks(actions, _registry(), attacks.ScanConfig())
+        findings, _ = attacks.scan_attacks(parsed_actions(actions), _registry(),
+                                           attacks.ScanConfig())
         assert [f.kind for f in findings] == ["fake_notice"]
         assert len(calls) == 1
 
@@ -430,8 +434,9 @@ class TestBundles:
         from eosforensics import graphs
 
         with pytest.raises(BundleError):
-            attacks.evidence_bundle(finding, {}, graphs.build_emfg(extract_transfers([])),
-                                    tmp_path / "x")
+            attacks.evidence_bundle(
+                finding, {}, graphs.build_emfg(extract_transfers(parsed_actions([]))),
+                tmp_path / "x")
 
 
 def test_finding_json_inf_sentinel():

@@ -24,12 +24,15 @@ from conftest import small_scenario_config
 from tests_support import (
     emfg_daily,
     make_action,
+    name_digits,
     oracle_categorize,
     oracle_ecig,
     oracle_emfg,
     oracle_features,
     oracle_merge_by_pubkey,
     out_daily_counts,
+    parsed_accounts,
+    parsed_actions,
     target_counts,
     transfers_of,
     ts,
@@ -127,16 +130,17 @@ class TestCosine:
 
 
 def _boss_forest(children):
-    """The creation forest of a plain dict snapshot: root "boss" and the
-    `children` it created on day 0."""
+    """The creation forest of a snapshot of root "boss" and the `children`
+    it created on day 0."""
     snapshot = {name: AccountRecord(name, creator, ts(1), {})
                 for name, creator in [("boss", None), *((c, "boss") for c in children)]}
-    return graphs.build_eacg(snapshot, ObservationWindow(date(2018, 6, 9), date(2018, 6, 18)))
+    return graphs.build_eacg(parsed_accounts(snapshot),
+                             ObservationWindow(date(2018, 6, 9), date(2018, 6, 18)))
 
 
 class TestShortlist:
     def _eacg(self, n_children):
-        return _boss_forest([f"kid{i}" for i in range(n_children)])
+        return _boss_forest([f"kid{name_digits(i, 3)}" for i in range(n_children)])
 
     def test_boundary_exactly_30_excluded(self):
         assert set(botnet.communities(self._eacg(30))) == set()
@@ -151,10 +155,10 @@ _KEYS = [f"EOSKEY{i}" for i in range(6)]
 @st.composite
 def _keyed_snapshots(draw):
     """(flagged accounts, with repeats and names absent from the snapshot, and
-    a plain-dict snapshot). Each present account holds an owner key and 0-3
+    a dict of AccountRecords). Each present account holds an owner key and 0-3
     active keys of one pool of 6, or no active permission at all."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    names = [f"acct{i:02d}" for i in range(draw(st.integers(1, 24)))]
+    names = [f"acct{name_digits(i, 2)}" for i in range(draw(st.integers(1, 24)))]
     snapshot = {}
     for name in names:
         kind = rng.choice(["absent", "no active", "active", "active"])
@@ -171,7 +175,7 @@ def _keyed_snapshots(draw):
 @given(_keyed_snapshots())
 def test_merge_by_pubkey_matches_union_find_oracle(case):
     flagged, snapshot = case
-    got = botnet.merge_by_pubkey(flagged, snapshot)
+    got = botnet.merge_by_pubkey(flagged, parsed_accounts(snapshot))
     want = oracle_merge_by_pubkey(flagged, snapshot)
     assert list(got.items()) == list(want.items())
 
@@ -198,7 +202,7 @@ class TestVectors:
         w = ObservationWindow(date(2018, 6, 9), date(2018, 6, 18))
         emfg = graphs.build_emfg(transfers_of([(ts(1, 10), "acct", "other", 1),
                                                (ts(1, 11), "acct", "other", 2)], w))
-        ecig = graphs.build_ecig([], w)
+        ecig = graphs.build_ecig(parsed_actions([]), w)
         bv = botnet.behavior_vectors("acct", emfg, ecig, w, {})
         assert bv.time_vec[0] == 2
         assert bv.time_vec[1:].sum() == 0
@@ -279,7 +283,7 @@ class TestDetection:
         assert list(zip([m for m, _ in members], got)) == members
 
     def test_skipped_all_silent_community(self):
-        g = _boss_forest([f"kid{i:02d}" for i in range(40)])
+        g = _boss_forest([f"kid{name_digits(i, 3)}" for i in range(40)])
         threshold = botnet.SimilarityThreshold(0.1, 0.1, 0.1, 0.1)
         flagged, stats = botnet.detect_communities(g, lambda a: None, threshold)
         assert flagged == []
@@ -358,7 +362,7 @@ class TestOracles:
         accounts = sorted(snapshot.accounts)
         features = botnet.extract_features(accounts, emfg, ecig, eacg, snapshot, window)
         assert features.shape == (len(accounts), 11)
-        records = dict(snapshot.items())  # the oracles read every record per account
+        records = dict(snapshot.items())  # the oracles read every account's record
         for account, row in zip(accounts, features.tolist()):
             want = oracle_features(account, cells, calls, eacg, records, window)
             assert list(map(repr, row)) == list(map(repr, want)), account
@@ -400,19 +404,19 @@ class TestOracles:
     def test_seller_group_needs_every_member_silent(self):
         w = ObservationWindow(date(2018, 6, 9), date(2018, 6, 18))
         members = [f"farm{c}" for c in "abcdefghij"]
-        snapshot = {m: AccountRecord(m, "eosio", ts(0), {}) for m in members}
-        emfg = graphs.build_emfg(extract_transfers([], w))
+        snapshot = parsed_accounts({m: AccountRecord(m, "eosio", ts(0), {}) for m in members})
+        emfg = graphs.build_emfg(extract_transfers(parsed_actions([]), w))
         for calls, want in (([], "account_seller"),
                             ([make_action(1, actor="farmd", contract="dice")], "other"),
                             ([make_action(1, actor="farmd", contract="eosio.token")],
                              "account_seller")):
-            ecig = graphs.build_ecig(calls, w)
+            ecig = graphs.build_ecig(parsed_actions(calls), w)
             got = botnet.categorize(members, emfg, ecig, snapshot, Registry(),
                                     {"pk-0000": members})
             assert got == [want] * 10
         small = {"pk-0000": members[:9]}
-        assert botnet.categorize(members[:9], emfg, graphs.build_ecig([], w), snapshot,
-                                 Registry(), small) == ["other"] * 9
+        assert botnet.categorize(members[:9], emfg, graphs.build_ecig(parsed_actions([]), w),
+                                 snapshot, Registry(), small) == ["other"] * 9
 
 def test_verdict_serialization(tmp_path):
     verdicts = [

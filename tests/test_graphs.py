@@ -17,12 +17,15 @@ from tests_support import (
     from_edges,
     make_action,
     make_transfer,
+    name_digits,
     oracle_eacg,
     oracle_eacg_digraph,
     oracle_ecig,
     oracle_emfg,
     oracle_silent,
     oracle_vectors,
+    parsed_accounts,
+    parsed_actions,
     transfers_of,
     ts,
 )
@@ -91,7 +94,7 @@ class TestEmfg:
         assert graphs.node_values(np.diff(g.pairs.first), ids).tolist() == [2, 0, 1, 0]
 
     def test_empty(self):
-        g = graphs.build_emfg(extract_transfers([], _w()))
+        g = graphs.build_emfg(extract_transfers(parsed_actions([]), _w()))
         assert g.total_weight() == 0 and g.total_count() == 0
         view = graphs.emfg_to_digraph(g)
         assert view.nodes == () and len(view.src) == 0 and view.weight.dtype == np.float64
@@ -167,7 +170,7 @@ class TestEcig:
             make_action(3, kind="inline"),
             make_action(4, kind="deferred"),
         ]
-        ecig = graphs.build_ecig(records, w)
+        ecig = graphs.build_ecig(parsed_actions(records), w)
         assert ecig.total_invocations() == 3
 
     def test_exclude_filter(self, built_graphs):
@@ -190,7 +193,7 @@ class TestSilent:
 
     def test_receiving_does_not_disqualify(self):
         emfg = _emfg((0, "payer", "idle", 1))
-        ecig = graphs.build_ecig([], _w())
+        ecig = graphs.build_ecig(parsed_actions([]), _w())
         silent = graphs.silent_accounts(emfg, ecig, {"payer": None, "idle": None})
         assert silent == {"idle"}
 
@@ -291,7 +294,7 @@ def test_emfg_matches_dict_oracle(rows):
     actions = [make_transfer(seq, src, dst, amount, when=when, **kind)
                for seq, (when, src, dst, amount, kind) in enumerate(rows, start=1)]
     window = _w()
-    g = graphs.build_emfg(extract_transfers(actions, window))
+    g = graphs.build_emfg(extract_transfers(parsed_actions(actions), window))
     cells = oracle_emfg(actions, window)
     nodes = sorted({*cells, *(dst for dsts in cells.values() for dst in dsts)})
     edges = [(src, dst, days) for src, dsts in cells.items() for dst, days in dsts.items()]
@@ -360,8 +363,9 @@ def _invocation_actions(rows):
 def test_ecig_matches_dict_oracle(rows):
     actions = _invocation_actions(rows)
     window = _w(2)  # the trace runs from day -1 to day 4
-    ecig = graphs.build_ecig(actions, window)
-    emfg = graphs.build_emfg(extract_transfers(actions, window))
+    parsed = parsed_actions(actions)
+    ecig = graphs.build_ecig(parsed, window)
+    emfg = graphs.build_emfg(extract_transfers(parsed, window))
     calls, cells = oracle_ecig(actions, window), oracle_emfg(actions, window)
     edges = [(caller, contract, days) for caller, targets in calls.items()
              for contract, days in targets.items()]
@@ -384,7 +388,7 @@ def test_ecig_matches_dict_oracle(rows):
         assert bv.time_vec.tolist() == t.tolist() and bv.target_vec.tolist() == s.tolist()
 
 
-# Creation forests as plain-dict snapshots: accounts whose creator is None,
+# Creation forests as dicts of AccountRecords: accounts whose creator is None,
 # missing from the snapshot ("ghost") or an account drawn before them, and a
 # chain up to a few hundred deep hung from one of them, inserted in a
 # shuffled order. Names sort in an order unrelated to creation.
@@ -394,7 +398,8 @@ _NAMES = st.text("abcz12345", min_size=1, max_size=4)
 @st.composite
 def _forests(draw):
     names = draw(st.lists(_NAMES, unique=True, max_size=25))
-    chain = [f"chain.{k:03d}" for k in draw(st.permutations(range(draw(st.integers(0, 300)))))]
+    chain = [f"chain.{name_digits(k, 4)}"
+             for k in draw(st.permutations(range(draw(st.integers(0, 300)))))]
     creators = []
     for i, _ in enumerate(names):
         pick = draw(st.integers(-2, i - 1))
@@ -413,7 +418,8 @@ def _forests(draw):
 @example({}, 0)
 def test_eacg_matches_dict_oracle(snapshot, min_children):
     window = _w()
-    eacg, oracle = graphs.build_eacg(snapshot, window), oracle_eacg(snapshot, window)
+    eacg = graphs.build_eacg(parsed_accounts(snapshot), window)
+    oracle = oracle_eacg(snapshot, window)
     assert eacg.parent == oracle.parent
     assert eacg.roots == oracle.roots
     assert eacg.names == tuple(sorted(snapshot))
@@ -442,8 +448,9 @@ _indexes = st.lists(st.sampled_from(["a", "b", "dice", "eosio.token", "ghost"]),
 def test_behavior_matrices_match_dict_oracle(rows, contracts, days):
     actions = _invocation_actions(rows)
     window = _w(days)  # the trace runs from day -1 to day 4
-    ecig = graphs.build_ecig(actions, window)
-    emfg = graphs.build_emfg(extract_transfers(actions, window))
+    parsed = parsed_actions(actions)
+    ecig = graphs.build_ecig(parsed, window)
+    emfg = graphs.build_emfg(extract_transfers(parsed, window))
     cells, calls = oracle_emfg(actions, window), oracle_ecig(actions, window)
     index = {contract: i for i, contract in enumerate(contracts)}
     # "d" only receives, "nobody" is in neither graph

@@ -5,7 +5,7 @@ import os
 import tempfile
 import threading
 from collections.abc import Mapping
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
 
@@ -18,8 +18,6 @@ from eosforensics.errors import IngestError
 from eosforensics.model import (
     ACCOUNT_NAME_RE,
     LINE_ERRORS,
-    Accounts,
-    Actions,
     Authority,
     ObservationWindow,
     Quantity,
@@ -28,7 +26,6 @@ from eosforensics.model import (
     UpdateAuthPayload,
     decode_account,
     decode_action,
-    epoch_us,
     extract_transfers,
     format_timestamp,
     is_account_name,
@@ -38,7 +35,7 @@ from eosforensics.model import (
     write_ndjson,
 )
 from tests_support import (oracle_parse_account_snapshot, oracle_parse_action_trace,
-                           oracle_parse_timestamp)
+                           oracle_parse_timestamp, parsed_accounts, parsed_actions)
 
 
 def _window():
@@ -212,7 +209,9 @@ def test_one_parse_reads_each_timestamp_as_a_fresh_decode_does(stamps):
         path.write_bytes(_GOOD_TRACE + lines.encode())
         got = parse_action_trace(path, _window())
         oracle = oracle_parse_action_trace(path, _window())
-    assert got.records.table.us.tolist() == [epoch_us(r.timestamp) for r in oracle.records]
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    assert (got.records.table.us.tolist()
+            == [(r.timestamp - epoch) // timedelta(microseconds=1) for r in oracle.records])
     assert got.diagnostics == oracle.diagnostics
 
 
@@ -421,7 +420,7 @@ class TestExtractTransfers:
         p = tmp_path / "t.ndjson"
         p.write_text(_action_line(1, payload=big) + "\n" + _action_line(2, payload=big) + "\n")
         records = parse_action_trace(p, _window()).records
-        assert len(extract_transfers(records[:1])) == 1
+        assert len(extract_transfers(parsed_actions(records[:1]))) == 1
         with pytest.raises(IngestError, match=r"^transfer volume exceeds 2\*\*63 - 1"):
             extract_transfers(records)
 
@@ -532,16 +531,16 @@ class TestSnapshot:
         with pytest.raises(TypeError):
             snapshot["nosuchacct"] = snapshot[name]
 
-    def test_items_and_values_read_the_file_once(self, parsed, monkeypatch):
+    def test_items_and_values_read_each_line_again(self, parsed, monkeypatch):
         _, snapshot = parsed
         opened = []
         open_path = Path.open
         monkeypatch.setattr(Path, "open", lambda path, *args, **kwargs: (
             opened.append(path) or open_path(path, *args, **kwargs)))
         items = dict(snapshot.items())
-        assert opened == [snapshot.path]
+        assert opened == [snapshot.path] * len(snapshot)
         assert list(snapshot.values()) == list(items.values())
-        assert opened == [snapshot.path] * 2
+        assert opened == [snapshot.path] * 2 * len(snapshot)
         assert list(items) == list(snapshot) and len(items) == len(snapshot) > 1
         name = list(snapshot)[-1]
         assert items[name] == snapshot[name] and (name, items[name]) in snapshot.items()
@@ -824,7 +823,7 @@ def test_trace_fuzz_diagnostic_or_ingest_error(lines):
             == sum(map(_counted, data.split(b"\n"))))
     # The consumers of the parsed records take them without raising.
     grants, _ = permissions.scan_updateauth(result.records, _window())
-    permissions.detect_misuse(grants, {})
+    permissions.detect_misuse(grants, parsed_accounts({}))
 
 
 @given(_hostile_lines((_SNAPSHOT_TEMPLATE, ("permissions", "owner"))))
@@ -1043,8 +1042,8 @@ def test_snapshot_table_matches_the_record_parse(lines, crlf):
             return
         table = parse_account_snapshot(path).accounts.table
         records = oracle_parse_account_snapshot(path).accounts
-    # the same records as a dict convert to the same table, without lines
-    assert _account_columns(Accounts.of(records)) == _account_columns(table)
+    # the same records, written with to_json and parsed again, make the same table
+    assert _account_columns(parsed_accounts(records).table) == _account_columns(table)
     assert (table.offset >= 0).all() and len(set(table.offset.tolist())) == len(table)
 
 
@@ -1144,9 +1143,15 @@ def test_table_is_the_same_at_every_chunk_size(kinds, crlf, last_newline):
                 == {(oracle.dropped_out_of_window, tuple(oracle.diagnostics))})
         result = parses[7]
         assert repr(list(result.records)) == repr(oracle.records)
-    # a list of the same records converts to the same table, without lines
-    assert (_table_columns(Actions.from_records(oracle.records), offsets=False)
-            == _table_columns(result.records.table, offsets=False))
+    # every row has a line, and the system account's auth rows ascend, as
+    # permissions.scan_updateauth replays them
+    table = result.records.table
+    assert (table.offset >= 0).all()
+    rows = [row for row, _ in table.auth]
+    assert rows == sorted(set(rows))
+    # the same records, written with to_json and parsed again, make the same table
+    assert (_table_columns(parsed_actions(oracle.records).table, offsets=False)
+            == _table_columns(table, offsets=False))
 
 
 def test_records_view_reads_each_line_again(tmp_path):

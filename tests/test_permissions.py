@@ -12,6 +12,7 @@ from eosforensics.model import (
     parse_action_trace,
     write_ndjson,
 )
+from tests_support import parsed_accounts, parsed_actions
 
 
 def _w():
@@ -61,7 +62,7 @@ def _account(name, keys=("EOSKEYA",)):
 class TestScan:
     def test_single_grant(self):
         grants, diags = permissions.scan_updateauth(
-            [_updateauth(1, "alice", "codeacct")], _w()
+            parsed_actions([_updateauth(1, "alice", "codeacct")]), _w()
         )
         assert len(grants) == 1
         assert grants[0].granter == "alice"
@@ -73,7 +74,7 @@ class TestScan:
             _updateauth(1, "alice", "codeacct"),
             _updateauth(2, "alice", account_weights=()),
         ]
-        grants, _ = permissions.scan_updateauth(actions, _w())
+        grants, _ = permissions.scan_updateauth(parsed_actions(actions), _w())
         assert grants == []
 
     def test_supersede_replaces_grantee(self):
@@ -81,7 +82,7 @@ class TestScan:
             _updateauth(1, "alice", "oldcode"),
             _updateauth(2, "alice", "newcode"),
         ]
-        grants, _ = permissions.scan_updateauth(actions, _w())
+        grants, _ = permissions.scan_updateauth(parsed_actions(actions), _w())
         assert [g.grantee for g in grants] == ["newcode"]
 
     def test_replay_is_seq_ordered_not_input_ordered(self):
@@ -89,12 +90,12 @@ class TestScan:
             _updateauth(2, "alice", "newcode"),
             _updateauth(1, "alice", "oldcode"),
         ]
-        grants, _ = permissions.scan_updateauth(actions, _w())
+        grants, _ = permissions.scan_updateauth(parsed_actions(actions), _w())
         assert [g.grantee for g in grants] == ["newcode"]
 
     def test_non_code_weights_ignored(self):
         grants, _ = permissions.scan_updateauth(
-            [_updateauth(1, "alice", "other", grantee_perm="active")], _w()
+            parsed_actions([_updateauth(1, "alice", "other", grantee_perm="active")]), _w()
         )
         assert grants == []
 
@@ -104,7 +105,7 @@ class TestScan:
             action_name="updateauth", actor="alice", kind="external",
             payload={"weird": True},
         )
-        grants, diags = permissions.scan_updateauth([bad], _w())
+        grants, diags = permissions.scan_updateauth(parsed_actions([bad]), _w())
         assert grants == []
         assert len(diags) == 1
 
@@ -119,7 +120,7 @@ class TestScan:
                                     (("ownercode", "eosio.code", 1),)),
             ),
         )
-        grants, _ = permissions.scan_updateauth([a, b], _w())
+        grants, _ = permissions.scan_updateauth(parsed_actions([a, b]), _w())
         assert {(g.linked_permission, g.grantee) for g in grants} == {
             ("active", "codeacct"), ("owner", "ownercode"),
         }
@@ -127,7 +128,7 @@ class TestScan:
 
     def test_other_contracts_updateauth_grants_nothing(self):
         grants, diags = permissions.scan_updateauth(
-            [_updateauth(1, "alice", "codeacct", contract="evilcontract")], _w()
+            parsed_actions([_updateauth(1, "alice", "codeacct", contract="evilcontract")]), _w()
         )
         assert grants == [] and diags == []
 
@@ -189,55 +190,55 @@ class TestDetect:
 
     def test_cross_key_effective_is_misuse(self):
         grants, _ = permissions.scan_updateauth(
-            [_updateauth(1, "alice", "codeacct")], _w()
+            parsed_actions([_updateauth(1, "alice", "codeacct")]), _w()
         )
         snap = {"alice": _account("alice", ("EOSKEYA",)),
                 "codeacct": _account("codeacct", ("EOSKEYB",))}
-        findings = permissions.detect_misuse(grants, snap)
+        findings = permissions.detect_misuse(grants, parsed_accounts(snap))
         assert findings[0].severity == "misuse"
         assert findings[0].cross_key is True
 
     def test_weight_equal_threshold_is_misuse(self):
         grants, _ = permissions.scan_updateauth(
-            [_updateauth(1, "alice", "codeacct", threshold=3, weight=3)], _w()
+            parsed_actions([_updateauth(1, "alice", "codeacct", threshold=3, weight=3)]), _w()
         )
         snap = {"alice": _account("alice", ("EOSKEYA",)),
                 "codeacct": _account("codeacct", ("EOSKEYB",))}
-        assert permissions.detect_misuse(grants, snap)[0].severity == "misuse"
+        assert permissions.detect_misuse(grants, parsed_accounts(snap))[0].severity == "misuse"
 
     def test_weight_below_threshold_is_partial(self):
         grants, _ = permissions.scan_updateauth(
-            [_updateauth(1, "alice", "codeacct", threshold=2, weight=1)], _w()
+            parsed_actions([_updateauth(1, "alice", "codeacct", threshold=2, weight=1)]), _w()
         )
         snap = {"alice": _account("alice", ("EOSKEYA",)),
                 "codeacct": _account("codeacct", ("EOSKEYB",))}
-        finding = permissions.detect_misuse(grants, snap)[0]
+        finding = permissions.detect_misuse(grants, parsed_accounts(snap))[0]
         assert finding.severity == "partial"
         assert finding.effective is False
 
     def test_shared_key_is_benign(self):
         grants, _ = permissions.scan_updateauth(
-            [_updateauth(1, "alice", "codeacct")], _w()
+            parsed_actions([_updateauth(1, "alice", "codeacct")]), _w()
         )
         snap = {"alice": _account("alice", ("EOSKEYA", "EOSKEYZ")),
                 "codeacct": _account("codeacct", ("EOSKEYZ",))}
-        assert permissions.detect_misuse(grants, snap)[0].severity == "benign"
+        assert permissions.detect_misuse(grants, parsed_accounts(snap))[0].severity == "benign"
 
     def test_missing_grantee_is_partial_unknown(self):
         grants, _ = permissions.scan_updateauth(
-            [_updateauth(1, "alice", "ghost")], _w()
+            parsed_actions([_updateauth(1, "alice", "ghost")]), _w()
         )
         snap = {"alice": _account("alice")}
-        finding = permissions.detect_misuse(grants, snap)[0]
+        finding = permissions.detect_misuse(grants, parsed_accounts(snap))[0]
         assert finding.severity == "partial"
         assert finding.cross_key is None
 
     def test_pair_summary_keeps_worst(self):
         grants, _ = permissions.scan_updateauth(
-            [
+            parsed_actions([
                 _updateauth(1, "alice", "codeacct", threshold=2, weight=1),
                 _updateauth(2, "bob", "codeacct"),
-            ],
+            ]),
             _w(),
         )
         snap = {
@@ -245,7 +246,7 @@ class TestDetect:
             "bob": _account("bob", ("EOSKEYC",)),
             "codeacct": _account("codeacct", ("EOSKEYB",)),
         }
-        findings = permissions.detect_misuse(grants, snap)
+        findings = permissions.detect_misuse(grants, parsed_accounts(snap))
         pairs = permissions.account_pair_summary(findings)
         assert pairs[("alice", "codeacct")] == "partial"
         assert pairs[("bob", "codeacct")] == "misuse"

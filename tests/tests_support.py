@@ -1,7 +1,10 @@
 """Small builders shared across test modules."""
 
 import math
-from datetime import datetime, timedelta, timezone
+import os
+import tempfile
+import weakref
+from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,13 +19,17 @@ from eosforensics.model import (
     MALFORMED_FATAL_RATIO,
     TIMESTAMP_RE,
     ActionRecord,
+    ObservationWindow,
     Quantity,
     TraceParseResult,
     TransferPayload,
     decode_account,
     decode_action,
     extract_transfers,
+    parse_account_snapshot,
+    parse_action_trace,
     read_ndjson,
+    write_ndjson,
 )
 
 
@@ -58,6 +65,46 @@ def make_transfer(seq, src, dst, amount, *, when=None, contract="eosio.token",
         payload=TransferPayload(src, dst, Quantity(Decimal(str(amount)), symbol), ""),
         notified=notified,
     )
+
+
+def name_digits(i, width):
+    """`i` in `width` base-5 digits drawn from 1-5, the digits an account
+    name may hold: a fixed width keeps numeric order in name order."""
+    return "".join("12345"[i // 5**k % 5] for k in reversed(range(width)))
+
+
+# A window that holds every hand-built row: the parse keeps them all, and
+# each test's own window goes to the function under test.
+ALL_TIME = ObservationWindow(date(1970, 1, 1), date(9999, 12, 31))
+
+
+def _parse_written(parse, objs):
+    """parse(path) of a temporary NDJSON file of `objs`: a view, which reads
+    its file again, so the file is deleted once the view is."""
+    fd, path = tempfile.mkstemp(prefix="eosforensics-test-", suffix=".ndjson")
+    os.close(fd)
+    path = Path(path)
+    write_ndjson(path, objs)
+    view = parse(path)
+    weakref.finalize(view, path.unlink, missing_ok=True)
+    return view
+
+
+def parsed_actions(records):
+    """The records view of hand-built ActionRecords, as a command reads a
+    trace: written with to_json in global_seq order (a trace's order) and
+    parsed over ALL_TIME. Every record must come through as a row."""
+    records = sorted(records, key=lambda r: r.global_seq)
+    view = _parse_written(lambda path: parse_action_trace(path, ALL_TIME).records,
+                          (r.to_json() for r in records))
+    assert len(view) == len(records), "the parse dropped a hand-built record"
+    return view
+
+
+def parsed_accounts(accounts):
+    """The parsed snapshot of a dict of hand-built AccountRecords, written
+    with to_json."""
+    return _parse_written(parse_account_snapshot, (r.to_json() for r in accounts.values()))
 
 
 def oracle_parse_timestamp(text: str) -> datetime:
@@ -163,10 +210,11 @@ def transfer_rows(table):
 
 def transfers_of(rows, window=None):
     """The Transfers table of (timestamp, src, dst, amount) rows, built by
-    extract_transfers from one make_transfer record each (seq 1, 2, ...)."""
-    return extract_transfers([make_transfer(seq, src, dst, amount, when=when)
-                              for seq, (when, src, dst, amount) in enumerate(rows, start=1)],
-                             window)
+    extract_transfers from the parse of one make_transfer record each (seq
+    1, 2, ...)."""
+    return extract_transfers(parsed_actions(
+        make_transfer(seq, src, dst, amount, when=when)
+        for seq, (when, src, dst, amount) in enumerate(rows, start=1)), window)
 
 
 def oracle_emfg(actions, window):
@@ -615,6 +663,8 @@ class OracleTree(forest._Tree):
                 continue
             j, thr = best
             mask = cols[:, j] <= thr
+            if mask.all() or not mask.any():  # as in forest._Branch.split: it would never end
+                raise TrainingError(f"the split at {thr!r} leaves no row on one side")
             self.feature[node] = int(feats[j])
             self.threshold[node] = float(thr)
             left = self._new_node()
