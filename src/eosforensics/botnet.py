@@ -342,8 +342,8 @@ def categorize(accounts, emfg: Emfg, ecig: Ecig, snapshot, registry, merged=None
                                     calls, 0))
 
     def invocations(account):
-        i = ecig.node(account)
-        return (0.0, 0.0) if i is None else (invoked[i], hunted[i])
+        i = ecig.id(account)
+        return (0.0, 0.0) if i < 0 else (invoked[i], hunted[i])
 
     # account_seller: a member of a big shared-key group whose members
     # never invoke a contract

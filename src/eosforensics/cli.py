@@ -17,10 +17,10 @@ EOSFOR_MIN_CHILDREN=40); `synth generate` reads only EOSFOR_SEED.
 from __future__ import annotations
 
 import argparse
-import atexit
 import functools
 import hashlib
 import json
+import math
 import os
 import shutil
 import stat
@@ -61,14 +61,28 @@ def _env_default(flag, fallback):
     return os.environ.get("EOSFOR_" + flag.upper().replace("-", "_"), fallback)
 
 
-def _positive_int(text):
+def _number(text, kind, low, what):
+    """kind(text) if that is a finite number of at least `low`; else an
+    argparse error that says it expected `what`."""
     try:
-        value = int(text)
+        value = kind(text)
     except ValueError:
-        value = 0  # not an integer: rejected below with the same message
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = low - 1  # not a number: rejected below with the same message
+    if not low <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
     return value
+
+
+def _positive_int(text):
+    return _number(text, int, 1, "a positive integer")
+
+
+def _non_negative_int(text):
+    return _number(text, int, 0, "a non-negative integer")
+
+
+def _rate(text):
+    return _number(text, float, 0, "a finite non-negative number")
 
 
 def _iso_date(text):
@@ -81,12 +95,13 @@ def _iso_date(text):
 def _bot_spec(text):
     parts = text.split(":")
     try:
-        size = int(parts[1])
-    except (IndexError, ValueError):
+        if parts[2:] not in ([], ["cal"]):
+            raise ValueError(text)
+        return synthgen.BotCommunitySpec(size=_positive_int(parts[1]), category=parts[0],
+                                         calibration=len(parts) > 2)
+    except (IndexError, ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
             f"bad --bots spec {text!r} (want category:size[:cal])") from None
-    return synthgen.BotCommunitySpec(size=size, category=parts[0],
-                                     calibration=len(parts) > 2 and parts[2] == "cal")
 
 
 def _attack_spec(text):
@@ -101,8 +116,8 @@ def _attack_spec(text):
 def _misuse_plan(text):
     try:
         pairs = (part.split(":") for part in text.split(","))
-        return synthgen.MisusePlan(**{kind: int(count) for kind, count in pairs})
-    except (TypeError, ValueError):
+        return synthgen.MisusePlan(**{kind: _non_negative_int(count) for kind, count in pairs})
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
             f"bad --misuse spec {text!r} (want kind:count[,kind:count...])") from None
 
@@ -137,12 +152,12 @@ def _add_metrics_flags(p):
 
 
 def _add_detect_flags(p):
-    p.add_argument("--min-children", type=int,
+    p.add_argument("--min-children", type=_non_negative_int,
                    default=_env_default("min_children", "30"))
 
 
 def _add_classify_flags(p):
-    p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
+    p.add_argument("--seed", type=_non_negative_int, default=_env_default("seed", "0"))
 
 
 def _add_scan_flags(p):
@@ -158,18 +173,18 @@ def _add_synth_flags(p):
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
     p.add_argument("--days", type=_positive_int, default=30)
-    p.add_argument("--users", type=int, default=100)
-    p.add_argument("--services", type=int, default=3)
+    p.add_argument("--users", type=_non_negative_int, default=100)
+    p.add_argument("--services", type=_non_negative_int, default=3)
     p.add_argument("--bots", action="append", type=_bot_spec,
                    help="category:size[:cal], repeatable")
     p.add_argument("--attacks", action="append", type=_attack_spec,
                    help="kind:profit:day, repeatable")
     p.add_argument("--misuse", type=_misuse_plan, default=synthgen.MisusePlan(),
                    help="e.g. misuse:150,partial:300,benign:250")
-    p.add_argument("--rate", type=float, default=1.0,
+    p.add_argument("--rate", type=_rate, default=1.0,
                    help="background traffic multiplier")
-    p.add_argument("--silent", type=int, default=0)
-    p.add_argument("--deep-chain", type=int, default=0)
+    p.add_argument("--silent", type=_non_negative_int, default=0)
+    p.add_argument("--deep-chain", type=_non_negative_int, default=0)
 
 
 def _add_report_flags(p):
@@ -196,11 +211,8 @@ def _registry_from(args) -> Registry:
 # a given trace or snapshot once: {"trace" | "snapshot": (key, parse)}. The
 # key is the SHA-256 of the bytes parsed (with the window, for a trace), so
 # any change to the bytes is a fresh parse. The entry outlives main();
-# PARSES.clear() frees it. Freeing it at exit, before the interpreter's
-# shutdown collection walks every kept object, saves a launched command
-# about 80 ms for a 9 MB trace on a 2-vCPU VM.
+# PARSES.clear() frees it.
 PARSES = {}
-atexit.register(PARSES.clear)
 
 
 def _regular(path):
@@ -453,9 +465,7 @@ def cmd_bots_classify(args, stage):
     labeled_bot = {m for _, ms in registry.labeled_bot_communities for m in ms}
     labeled_normal = {m for _, ms in registry.labeled_normal_communities for m in ms}
     if not labeled_bot or not labeled_normal:
-        print("error: --labels must provide both bot and normal accounts",
-              file=sys.stderr)
-        return EXIT_ERROR
+        raise ConfigError("--labels must provide both bot and normal accounts")
 
     labeled = sorted(a for a in labeled_bot | labeled_normal if a in snapshot)
     silent = graphs.silent_accounts(emfg, ecig, snapshot)
@@ -503,9 +513,8 @@ def cmd_perms_audit(args, stage):
 
 def cmd_attacks_scan(args, stage):
     if args.bundles and not _regular(args.trace):
-        print(f"error: --bundles reads the evidence lines of --trace again, so it must be "
-              f"a regular file, not a pipe or other stream: {args.trace}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ConfigError(f"--bundles reads the evidence lines of --trace again, so it must "
+                          f"be a regular file, not a pipe or other stream: {args.trace}")
     registry = _registry_from(args)
     trace = _trace(args)
     config = attacks_mod.ScanConfig(w1=Decimal(str(args.w1)), w2=args.w2, w3=args.w3)
@@ -658,9 +667,7 @@ def cmd_report(args, stage):
         lines.append("")
 
     if not lines:
-        print("error: no stage outputs found under --out; run other stages first",
-              file=sys.stderr)
-        return EXIT_ERROR
+        raise IngestError("no stage outputs found under --out; run other stages first")
     text = "\n".join(lines).rstrip() + "\n"
     (stage / "report.txt").write_text(text)
     print(text, end="")

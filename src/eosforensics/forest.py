@@ -392,22 +392,15 @@ def train_classifier(X, y, seed=0, grid=None) -> TrainResult:
     # largest. The winner is its cell's prefix.
     fitted = _fit_prefixes(X[train_idx], y[train_idx], grid["max_depth"],
                            grid["min_leaf"], seed, grid["n_trees"])
-    cells = {}  # (n_trees, max_depth, min_leaf) -> (trees, oob score)
-    for (max_depth, min_leaf), (trees, cell_scores) in fitted.items():
-        for n_trees, score in cell_scores.items():
-            cells[n_trees, max_depth, min_leaf] = (trees[:n_trees], score)
-    best_score = -1.0
-    best_params = None
-    scores = []
+    best_score, best_params, scores = -1.0, None, []
     for params in _grid_configs(grid):
-        oob = cells[params["n_trees"], params["max_depth"], params["min_leaf"]][1]
+        trees, oobs = fitted[params["max_depth"], params["min_leaf"]]
+        oob = oobs[params["n_trees"]]
         score = oob if oob is not None else 0.0
         scores.append((params, score))
         if score > best_score + 1e-12:
-            best_score = score
-            best_params = params
-    trees, oob = cells[best_params["n_trees"], best_params["max_depth"],
-                       best_params["min_leaf"]]
+            best_score, best_params, best = score, params, (trees[:params["n_trees"]], oob)
+    trees, oob = best
     best_model = RandomForest(seed=seed, trees=trees, oob_score=oob, **best_params)
     test_accuracy = best_model.score(X[test_idx], y[test_idx])
     return TrainResult(best_model, test_accuracy, best_params, scores)

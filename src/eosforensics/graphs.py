@@ -57,11 +57,6 @@ class DayGraph(Named):
     def __init__(self, names, src, dst, day, count):
         self.names, self.src, self.dst, self.day, self.count = names, src, dst, day, count
 
-    def node(self, account):
-        """The account's node id; None for an account not in the graph."""
-        i = self.id(account)
-        return None if i < 0 else i
-
     @cached_property
     def pairs(self) -> Pairs:
         # the rows are in (src, dst) order already, so the stable sort keeps them

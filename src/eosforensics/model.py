@@ -412,24 +412,23 @@ def parse_timestamp(text: str) -> datetime:
 
 class _Memo:
     """The distinct strings of one parse, each validated and converted once:
-    account names (to the interned name), timestamps (to UTC microseconds
-    since the epoch) and quantities. A quantity entry is (Quantity, its
-    units as an Actions table holds them). Every value is immutable, so
-    records share them. A memo lives for one parse call; nothing is kept
-    between calls, and clear_values() forgets the timestamps and
-    quantities, so a parse holds those of one chunk."""
+    account names (to the interned name), quantities, and the two halves of
+    a timestamp, its minute (to UTC microseconds from the epoch to its
+    start) and its second (to microseconds into its minute). A quantity
+    entry is (Quantity, its units as an Actions table holds them). Every
+    value is immutable, so records share them. A memo lives for one parse
+    call; nothing is kept between calls, and clear_values() forgets all but
+    the names, so a parse holds the values of one chunk."""
 
-    __slots__ = ("names", "timestamps", "quantities", "minutes", "seconds")
+    __slots__ = ("names", "quantities", "minutes", "seconds")
 
     def __init__(self):
         self.names = {}
-        self.timestamps = {}
         self.quantities = {}
         self.minutes = {}  # "YYYY-MM-DDTHH:MM" -> microseconds from the epoch to its start
         self.seconds = {}  # ":SS[.ffffff]Z" -> microseconds from the start of its minute
 
     def clear_values(self):
-        self.timestamps.clear()
         self.quantities.clear()
         self.minutes.clear()
         self.seconds.clear()
@@ -447,33 +446,29 @@ class _Memo:
         of range by the time constructor, so a bad field raises what the
         datetime constructor would, in its order. A text whose minute (its
         first 16 characters) and second (the rest) each ended a checked
-        timestamp before is valid without another check."""
-        if type(text) is str:
-            us = self.timestamps.get(text)
-            if us is not None:
-                return us
-            minute_us, second_us = self.minutes.get(text[:16]), self.seconds.get(text[16:])
-        else:
-            minute_us = second_us = None
-        if minute_us is None or second_us is None:
-            if TIMESTAMP_RE.fullmatch(text) is None:
-                raise ValueError(f"bad timestamp: {text!r}")
-            minute_us = self.minutes.get(text[:16])
-            if minute_us is None:
-                day = date(int(text[:4]), int(text[5:7]), int(text[8:10]))
-                hour, minute = int(text[11:13]), int(text[14:16])
-                if hour > 23 or minute > 59:
-                    time(hour, minute)  # raises the constructor's message
-                minute_us = self.minutes[text[:16]] = (
-                    ((day - EPOCH_DATE).days * 1440 + hour * 60 + minute) * 60_000_000)
-            second = int(text[17:19])
-            if second > 59:
-                time(0, 0, second)  # raises the constructor's message
-            # the fraction, if any, is text[20:-1]
-            second_us = self.seconds[text[16:]] = second * 1_000_000 + (
-                int(text[20:-1].ljust(6, "0")) if len(text) > 20 else 0)
-        us = self.timestamps[text] = minute_us + second_us
-        return us
+        timestamp before is valid without another check; any other value,
+        a non-string too, goes through TIMESTAMP_RE."""
+        try:
+            return self.minutes[text[:16]] + self.seconds[text[16:]]
+        except (KeyError, TypeError):
+            pass
+        if TIMESTAMP_RE.fullmatch(text) is None:
+            raise ValueError(f"bad timestamp: {text!r}")
+        minute_us = self.minutes.get(text[:16])
+        if minute_us is None:
+            day = date(int(text[:4]), int(text[5:7]), int(text[8:10]))
+            hour, minute = int(text[11:13]), int(text[14:16])
+            if hour > 23 or minute > 59:
+                time(hour, minute)  # raises the constructor's message
+            minute_us = self.minutes[text[:16]] = (
+                ((day - EPOCH_DATE).days * 1440 + hour * 60 + minute) * 60_000_000)
+        second = int(text[17:19])
+        if second > 59:
+            time(0, 0, second)  # raises the constructor's message
+        # the fraction, if any, is text[20:-1]
+        second_us = self.seconds[text[16:]] = second * 1_000_000 + (
+            int(text[20:-1].ljust(6, "0")) if len(text) > 20 else 0)
+        return minute_us + second_us
 
     def quantity(self, text) -> tuple:
         try:
@@ -614,6 +609,11 @@ class TransferRows(NamedTuple):
 class Named:
     """A table over the sorted `names`."""
 
+    @classmethod
+    def of(cls, data):
+        """`data` if it is such a table, else the table of its view (`.table`)."""
+        return data if isinstance(data, cls) else data.table
+
     def id(self, name) -> int:
         """The name's id; -1 for a name, or any other value, the table does not hold."""
         if isinstance(name, str):
@@ -656,11 +656,6 @@ class Actions(Named):
         used = np.unique(np.concatenate(columns))
         return (tuple(self.names[i] for i in used.tolist()),
                 [np.searchsorted(used, column) for column in columns])
-
-    @staticmethod
-    def of(actions) -> "Actions":
-        """The table of a parsed trace's records view, or a table as it is."""
-        return actions.table if isinstance(actions, Records) else actions
 
 
 class _Ids(dict):
@@ -992,11 +987,6 @@ class Accounts(Named):
 
     def __len__(self):
         return len(self.names)
-
-    @staticmethod
-    def of(snapshot) -> "Accounts":
-        """The table of a parsed snapshot, or a table as it is."""
-        return snapshot.table if isinstance(snapshot, SnapshotResult) else snapshot
 
 
 def _account_table(rows) -> Accounts:

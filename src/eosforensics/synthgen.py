@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
-from .errors import GenerationError
+from .errors import ConfigError, GenerationError
 from .model import UNITS_PER_EOS as UNIT, ObservationWindow, encode_json, write_ndjson
 
 GENESIS = date(2018, 6, 9)
@@ -102,9 +102,12 @@ class _Chain:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.rng = random.Random(config.seed)
-        self.window = ObservationWindow(
-            GENESIS, GENESIS + timedelta(days=config.day_count - 1)
-        )
+        try:
+            end = GENESIS + timedelta(days=config.day_count - 1)
+        except OverflowError:
+            raise ConfigError(f"a window of {config.day_count} days from {GENESIS} "
+                              f"ends after year 9999") from None
+        self.window = ObservationWindow(GENESIS, end)
         self.timestamps = _Timestamps(self.window)
         self.records = []  # (time_key, idx, contract, action, actor, kind, payload, notified)
         self.accounts = {}  # name -> dict

@@ -347,6 +347,20 @@ BAD_FLAGS = {
     "w2_below_one": ("attacks", ["--w2", "0.5"]),
     "w2_nan": ("attacks", ["--w2", "nan"]),
     "w1_nan": ("attacks", ["--w1", "nan"]),
+    "rate_inf": ("synth", ["--rate", "inf"]),
+    "rate_nan": ("synth", ["--rate", "nan"]),
+    "rate_negative": ("synth", ["--rate", "-1"]),
+    "synth_days_past_year_9999": ("synth", ["--days", "3000000"]),
+    "classify_seed_negative": ("classify", ["--seed", "-1"]),
+    "run_seed_negative": ("run", ["--seed", "-1"]),
+    "min_children_negative": ("detect", ["--min-children", "-1"]),
+    "users_negative": ("synth", ["--users", "-1"]),
+    "services_negative": ("synth", ["--services", "-1"]),
+    "silent_negative": ("synth", ["--silent", "-1"]),
+    "deep_chain_negative": ("synth", ["--deep-chain", "-1"]),
+    "misuse_count_negative": ("synth", ["--misuse", "misuse:-1"]),
+    "bots_size_zero": ("synth", ["--bots", "click_fraud:0"]),
+    "bots_third_field_not_cal": ("synth", ["--bots", "click_fraud:31:x"]),
 }
 
 
@@ -360,10 +374,15 @@ def _exit_code(argv):
 @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
 def test_bad_flag_value_is_error(files, tmp_path, capsys, case):
     command, flags = BAD_FLAGS[case]
-    if command == "ingest":
-        argv = ["ingest", "--trace", files["trace"], "--snapshot", files["snapshot"]]
-    else:
-        argv = ["attacks", "scan", "--trace", files["trace"], "--dapps", files["dapps"]]
+    inputs = ["--trace", files["trace"], "--snapshot", files["snapshot"]]
+    argv = {
+        "ingest": ["ingest", *inputs],
+        "attacks": ["attacks", "scan", "--trace", files["trace"], "--dapps", files["dapps"]],
+        "detect": ["bots", "detect", *inputs, *_registry(files)],
+        "classify": ["bots", "classify", *inputs, *_registry(files)],
+        "run": ["run", *inputs, *_registry(files)],
+        "synth": ["synth", "generate"],
+    }[command]
     code = _exit_code(argv + ["--out", str(tmp_path / "out")] + flags)
     assert code == EXIT_ERROR
     err = capsys.readouterr().err

@@ -40,8 +40,8 @@ def _w(days=30):
 
 def _row(view, graph, account):
     """day -> (units, count) of the account's row of an EMFG day view."""
-    i = graph.node(account)
-    lo, hi = (0, 0) if i is None else (view.first[i], view.first[i + 1])
+    i = graph.id(account)
+    lo, hi = (0, 0) if i < 0 else (view.first[i], view.first[i + 1])
     day, units, count = (column[lo:hi].tolist() for column in (view.day, *view.sums))
     return dict(zip(day, zip(units, count)))
 
@@ -176,7 +176,7 @@ class TestEcig:
     def test_exclude_filter(self, built_graphs):
         # Calls of eosio.token are transfers, never contract invocations.
         _, _, ecig = built_graphs
-        token = ecig.node("eosio.token")
+        token = ecig.id("eosio.token")
         assert (ecig.dst == token).any()
         for caller in np.unique(ecig.src).tolist():
             total = ecig.calls.totals(np.array([caller]), 0)[0]

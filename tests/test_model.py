@@ -931,6 +931,11 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
 @example([_action_line(1001).encode() + b"\x0b",
           _action_line(1002).encode() + "\u3000".encode()])
 @example([b'{"a":[{}', b'{}]}'])
+# timestamps that are not strings, or end before their second: the memo's
+# lookup fails, and TIMESTAMP_RE raises the oracle's error
+@example([_action_line(1001 + i, timestamp=value).encode() for i, value in enumerate(
+    (["2018-06-10T12:00:00Z"], {"2018-06-10T12:00": ":00Z"}, 1528632000, None, True,
+     "2018-06-10T00:00"))])
 def test_trace_reader_matches_json_loads(lines):
     data = _GOOD_TRACE + b"\n".join(lines)
     with tempfile.TemporaryDirectory() as tmp:
