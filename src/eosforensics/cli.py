@@ -61,14 +61,14 @@ def _env_default(flag, fallback):
     return os.environ.get("EOSFOR_" + flag.upper().replace("-", "_"), fallback)
 
 
-def _number(text, kind, low, what):
-    """kind(text) if that is a finite number of at least `low`; else an
+def _number(text, kind, low, what, high=math.inf):
+    """kind(text) if that is a finite number from `low` to `high`; else an
     argparse error that says it expected `what`."""
     try:
         value = kind(text)
     except ValueError:
         value = low - 1  # not a number: rejected below with the same message
-    if not low <= value < math.inf:
+    if not (low <= value <= high and value < math.inf):
         raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
     return value
 
@@ -79,6 +79,14 @@ def _positive_int(text):
 
 def _non_negative_int(text):
     return _number(text, int, 0, "a non-negative integer")
+
+
+# The most accounts one synth count may ask for: the int32 name ids of model.Actions.
+MAX_ACCOUNTS = 2**31 - 1
+
+
+def _count(text, low=0):
+    return _number(text, int, low, f"an integer from {low} to {MAX_ACCOUNTS}", MAX_ACCOUNTS)
 
 
 def _rate(text):
@@ -97,7 +105,7 @@ def _bot_spec(text):
     try:
         if parts[2:] not in ([], ["cal"]):
             raise ValueError(text)
-        return synthgen.BotCommunitySpec(size=_positive_int(parts[1]), category=parts[0],
+        return synthgen.BotCommunitySpec(size=_count(parts[1], 1), category=parts[0],
                                          calibration=len(parts) > 2)
     except (IndexError, ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
@@ -116,7 +124,7 @@ def _attack_spec(text):
 def _misuse_plan(text):
     try:
         pairs = (part.split(":") for part in text.split(","))
-        return synthgen.MisusePlan(**{kind: _non_negative_int(count) for kind, count in pairs})
+        return synthgen.MisusePlan(**{kind: _count(count) for kind, count in pairs})
     except (TypeError, ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
             f"bad --misuse spec {text!r} (want kind:count[,kind:count...])") from None
@@ -173,8 +181,8 @@ def _add_synth_flags(p):
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=_env_default("seed", "0"))
     p.add_argument("--days", type=_positive_int, default=30)
-    p.add_argument("--users", type=_non_negative_int, default=100)
-    p.add_argument("--services", type=_non_negative_int, default=3)
+    p.add_argument("--users", type=_count, default=100)
+    p.add_argument("--services", type=_count, default=3)
     p.add_argument("--bots", action="append", type=_bot_spec,
                    help="category:size[:cal], repeatable")
     p.add_argument("--attacks", action="append", type=_attack_spec,
@@ -183,8 +191,8 @@ def _add_synth_flags(p):
                    help="e.g. misuse:150,partial:300,benign:250")
     p.add_argument("--rate", type=_rate, default=1.0,
                    help="background traffic multiplier")
-    p.add_argument("--silent", type=_non_negative_int, default=0)
-    p.add_argument("--deep-chain", type=_non_negative_int, default=0)
+    p.add_argument("--silent", type=_count, default=0)
+    p.add_argument("--deep-chain", type=_count, default=0)
 
 
 def _add_report_flags(p):
@@ -684,15 +692,12 @@ RUN_STAGES = ((cmd_ingest, {}), (cmd_graph_build, {}),
 
 def cmd_run(args):
     """Every stage in turn into one --out, each staged and committed as its
-    own command is. Stops at the first stage that exits 2, so --out keeps
-    what the stages before it wrote; otherwise exits 1 if any stage found
+    own command is. A failing stage raises into main, so --out keeps what
+    the stages before it wrote; otherwise exits 1 if any stage found
     something."""
     code = EXIT_OK
     for command, flags in RUN_STAGES:
-        stage = _staged(command, argparse.Namespace(**{**vars(args), **flags}))
-        if stage == EXIT_ERROR:
-            return EXIT_ERROR
-        code = max(code, stage)
+        code = max(code, _staged(command, argparse.Namespace(**{**vars(args), **flags})))
     return code
 
 

@@ -26,6 +26,7 @@ from .errors import TrainingError
 FORMAT_VERSION = 1
 TRAIN_SHARE = 0.8  # of the labeled rows; the rest is the held-out test split
 GROUP_ROWS = 1 << 12  # bootstrap rows of the trees grown in lockstep, summed
+PREDICT_ROWS = 1 << 16  # rows times trees of one batched prediction walk
 
 DEFAULT_GRID = {
     "n_trees": (50, 100, 200),
@@ -316,10 +317,13 @@ class RandomForest:
         return self
 
     def predict_prob(self, X):
+        """Each row's mean tree probability, summed in tree order as tree by tree."""
         X = np.asarray(X, dtype=np.float64)
         total = np.zeros(X.shape[0])
-        for tree in self.trees:
-            total += tree.predict_prob(X)
+        step = max(1, PREDICT_ROWS // len(self.trees))
+        for rows in np.split(np.arange(len(X)), range(step, len(X), step)):
+            for probs in _leaf_probs(X, [(tree, rows) for tree in self.trees]):
+                total[rows] += probs
         return total / len(self.trees)
 
     def predict(self, X):

@@ -14,7 +14,10 @@ File formats (all newline-delimited, UTF-8):
 * Every NDJSON file, input or stage output, is read by one line reader,
   read_ndjson: each stripped line is decoded by the JSON scanner, and a
   line the scanner does not take whole is decoded again by json.loads, so
-  that a bad line's message is exactly json.loads's.
+  that a bad line's message is exactly json.loads's. The trace parse first
+  tries each line as read against TRACE_LINE, the one layout synthgen writes,
+  and checks a match's fields with no JSON decode; a line that does not match
+  or fails a check takes the JSON path, which gives its diagnostic.
 * Every NDJSON stage output is written by write_ndjson (one sorted-key JSON
   object per line, encoded by encode_json) and every CSV one by write_csv
   (csv.writer's default dialect: a header row, then one row per record,
@@ -37,8 +40,8 @@ File formats (all newline-delimited, UTF-8):
   and token symbol. Beside them `transfers` (TransferRows) holds each
   decoded transfer payload, and `auth` the system account's updateauth and
   deleteauth payloads by row. The parse appends each line's checked fields
-  straight to one plain list per column, ints that the cyclic GC does not
-  track, and every CHUNK_ROWS rows the lists become arrays. An ActionRecord
+  straight to one plain list, ints that the cyclic GC does not track, and
+  every CHUNK_ROWS rows the list becomes the column arrays. An ActionRecord
   is built only when a row is read through the Records view, which decodes
   its line again.
 * Transfers, the one form of a genuine EOS transfer after parsing: read-only
@@ -71,10 +74,12 @@ import os
 import re
 import stat
 import sys
+from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from decimal import Decimal, InvalidOperation
+from itertools import chain, compress, count
 from pathlib import Path
 from typing import NamedTuple
 
@@ -495,11 +500,12 @@ def _json_line(line: str):
     return value if end == len(line) else json.loads(line)
 
 
-def read_ndjson(path, what: str, decode, on_error, digest=None):
-    """Yield (line number, byte offset of the line, decode(value)) for each
-    non-blank line of the NDJSON file at `path`, where value is the line's
-    JSON value. A line that is not UTF-8 or JSON, or that decode rejects,
-    goes to on_error(line number, exception) instead. A missing file is an
+def read_ndjson(path, what: str, decode, on_error, digest=None, recognise=None):
+    """Yield (line number, byte offset of the line, item) for each non-blank
+    line of the NDJSON file at `path`: item is recognise(line as read) when
+    that is given and not None, else decode(the line's JSON value). A line
+    that is not UTF-8 or JSON, or that decode rejects, goes to
+    on_error(line number, exception) instead. A missing file is an
     IngestError naming `what`. `digest`, a hashlib object, is fed every
     byte read, so once the file is read to its end it names the bytes
     parsed."""
@@ -515,10 +521,11 @@ def read_ndjson(path, what: str, decode, on_error, digest=None):
                 digest.update(raw)
             start, offset = offset, offset + len(raw)
             try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                item = decode(_json_line(line))
+                line = raw.decode("utf-8")
+                if (item := recognise and recognise(line)) is None:
+                    if not (line := line.strip()):
+                        continue
+                    item = decode(_json_line(line))
             except LINE_ERRORS as exc:
                 on_error(lineno, exc)
                 continue
@@ -658,22 +665,35 @@ class Actions(Named):
                 [np.searchsorted(used, column) for column in columns])
 
 
-class _Ids(dict):
-    """Name -> id, each new name taking the next id; None -> -1."""
+class _Checked(dict):
+    """Account name -> its id in `ids`, a new name checked by the memo first."""
 
-    def __init__(self):
+    def __init__(self, memo, ids):
         super().__init__({None: -1})
+        self.memo, self.ids = memo, ids
 
     def __missing__(self, name):
-        i = self[name] = len(self) - 1
+        i = self[name] = self.ids[self.memo.account_name(name)]
         return i
 
 
+# A trace line as synthgen's _Chain._trace_text writes it: sorted keys, one
+# space after each ":" and ",", a global_seq that fits int64, and strings with
+# no escape or control character (<s>) but those that the memo checks (<n>).
+TRACE_LINE = re.compile(
+    (r'\{"action_name": "(<s>*)", "actor": "(<n>*)", "executing_contract": "(<n>*)", '
+     r'"global_seq": (0|[1-9][0-9]{0,17}), "kind": "(<kinds>)", (?:"notified": "(<n>+)", )?'
+     r'"payload": (\{(?:"from": "(<n>*)", "memo": "<s>*", "quantity": "(<n>*)", "to": "(<n>*)"'
+     r'|.*)\}), "timestamp": "(<n>{16})(<n>*)", "tx_id": "<s>*"\}\n?')
+    .replace("<s>", r'[^"\\\x00-\x1f]').replace("<n>", '[^"]')
+    .replace("<kinds>", "|".join(KINDS))).fullmatch
+
+
 class _Columns:
-    """The column builder of an Actions table: each row's fields go straight
-    onto one plain list per column, as ints (which the cyclic GC does not
-    track) with names as first-seen ids, and every `chunk` rows the lists
-    move into arrays; table() renumbers the ids in name order."""
+    """The column builder of an Actions table and the state of its parse. Each
+    row's ints, names as first-seen ids, go straight onto one plain list (which
+    the cyclic GC does not track); every `chunk` rows the list moves into arrays
+    and the memo forgets its values. table() renumbers the used ids by name."""
 
     # The dtype of each column of a row, and of a transfer row; NAMED marks
     # the columns of name ids in either.
@@ -682,53 +702,95 @@ class _Columns:
     NAMED = (False,) * 4 + (True,) * 4 + (False,) + (True,) * 3 + (False,)
 
     def __init__(self, chunk=CHUNK_ROWS):
-        self.chunk = chunk
-        self.ids = _Ids()
-        self.lists = [[] for _ in self.NAMED]
+        self.full = chunk * len(self.ROW)  # the length of the pending rows at a chunk's end
+        self.memo = _Memo()
+        self.ids = defaultdict(count().__next__, {None: -1})  # a new name: the next id
+        self.known = _Checked(self.memo, self.ids)
+        self.rows, self.transfers = [], []  # the pending rows, flat
+        self.payloads = set()  # the payload texts scanned whole
         self.parts = [[] for _ in self.NAMED]
         self.auth = []
         self.done = 0  # rows already moved into arrays
 
-    def add(self, offset, seq, us, kind, contract, action, actor, notified, payload) -> bool:
-        """Append one row: `payload` is a transfer's (src, dst, (Quantity,
-        table units), memo) or any other payload. True when it fills a chunk."""
+    def recognise(self, line):
+        """(row, extra) of a TRACE_LINE line whose fields pass their checks:
+        row is (seq, us, and the kind, contract, action, actor and notified
+        ids), extra a transfer's (src, dst, symbol id, units), the system
+        account's updateauth or deleteauth payload, or None. Else None."""
+        m = TRACE_LINE(line)
+        if m is None:
+            return None
+        (action, actor, contract, seq, kind, notified, payload, src, quantity, dst,
+         minute, second) = m.groups()
+        if notified is None and kind == "notification" or src is None and action == "transfer":
+            return None
+        memo, known, ids = self.memo, self.known, self.ids
+        try:
+            try:
+                us = memo.minutes[minute] + memo.seconds[second]
+            except KeyError:
+                us = memo.timestamp(minute + second)
+            row = (int(seq), us, KIND_IDS[kind], known[contract], ids[action], known[actor],
+                   known[notified])
+            if action == "transfer":
+                q, units = memo.quantities.get(quantity) or memo.quantity(quantity)
+                return row, (known[src], known[dst], ids[q.symbol], units)
+            if payload not in self.payloads:  # a transfer-shaped one too: its groups are unchecked
+                if _SCAN_ONCE(payload, 0)[1] != len(payload):
+                    return None
+                self.payloads.add(payload)
+            if contract == SYSTEM_ACCOUNT and action in AUTH_ACTIONS:
+                return row, _decode_payload(contract, action, _SCAN_ONCE(payload, 0)[0], memo)
+        except (StopIteration, *LINE_ERRORS):  # the JSON path gives the diagnostic
+            return None
+        return row, None
+
+    def decode(self, obj) -> tuple:
+        """recognise's (row, extra) of a line's JSON value, checked by _decode_fields."""
+        seq, _, us, contract, action, actor, kind, payload, notified = (
+            _decode_fields(obj, self.memo))
         ids = self.ids
-        (offsets, seqs, uss, kinds, contracts, actions, actors, notifieds,
-         t_rows, t_srcs, t_dsts, t_symbols, t_units) = self.lists
-        offsets.append(offset)
-        seqs.append(seq)
-        uss.append(us)
-        kinds.append(KIND_IDS[kind])
-        contracts.append(ids[contract])
-        actions.append(ids[action])
-        actors.append(ids[actor])
-        notifieds.append(ids[notified])
         if type(payload) is tuple:
             src, dst, (quantity, units), _ = payload
-            t_rows.append(self.done + len(seqs) - 1)
-            t_srcs.append(ids[src])
-            t_dsts.append(ids[dst])
-            t_symbols.append(ids[quantity.symbol])
-            t_units.append(units)
-        elif contract == SYSTEM_ACCOUNT and action in AUTH_ACTIONS:
-            self.auth.append((self.done + len(seqs) - 1, payload))
-        if len(seqs) < self.chunk:
-            return False
-        self.flush()
-        return True
+            payload = (ids[src], ids[dst], ids[quantity.symbol], units)
+        elif contract != SYSTEM_ACCOUNT or action not in AUTH_ACTIONS:
+            payload = None
+        return ((seq, us, KIND_IDS[kind], ids[contract], ids[action], ids[actor], ids[notified]),
+                payload)
+
+    def add(self, offset, row, extra):
+        """Append the row at byte `offset` of recognise or decode."""
+        rows = self.rows
+        rows.append(offset)
+        rows += row
+        if extra is not None:
+            i = self.done + len(rows) // len(self.ROW) - 1
+            if type(extra) is tuple:
+                self.transfers += (i, *extra)
+            else:
+                self.auth.append((i, extra))
+        if len(rows) == self.full:
+            self.flush()
 
     def flush(self):
-        self.done += len(self.lists[1])
-        for pending, part, dtype in zip(self.lists, self.parts, self.ROW + self.TRANSFER):
-            part.append(np.array(pending, dtype=dtype))
+        self.done += len(self.rows) // len(self.ROW)
+        parts = iter(self.parts)
+        for pending, dtypes in ((self.rows, self.ROW), (self.transfers, self.TRANSFER)):
+            for j, (dtype, part) in enumerate(zip(dtypes, parts)):
+                part.append(np.array(pending[j::len(dtypes)], dtype=dtype))
             pending.clear()
+        self.memo.clear_values()
+        self.payloads.clear()
 
     def table(self) -> Actions:
-        """The table of every row added, over the sorted names."""
+        """The table of every row added, over the sorted names its rows use."""
         self.flush()
-        names = sorted(name for name in self.ids if name is not None)
-        # position[first-seen id] = sorted id; position[-1] = -1 keeps an absent notified
-        position = np.full(len(names) + 1, -1, dtype=np.int32)
+        # ids run from 0 to len(ids) - 2; the last slot stands for -1, an absent notified
+        used = np.zeros(len(self.ids), dtype=bool)
+        for column in chain.from_iterable(compress(self.parts, self.NAMED)):
+            used[column] = True
+        names = sorted(name for name, i in self.ids.items() if name is not None and used[i])
+        position = np.full(len(self.ids), -1, dtype=np.int32)
         position[[self.ids[name] for name in names]] = np.arange(len(names), dtype=np.int32)
         columns = [position[np.concatenate(part)] if named else np.concatenate(part)
                    for part, named in zip(self.parts, self.NAMED)]
@@ -837,21 +899,18 @@ def parse_action_trace(path, window: ObservationWindow, digest=None,
     # the window's UTC microseconds since the epoch are [first, end)
     first = (window.start_day - EPOCH_DATE).days * US_PER_DAY
     end = ((window.end_day - EPOCH_DATE).days + 1) * US_PER_DAY
-    memo = _Memo()
-    lines = read_ndjson(path, "trace", lambda obj: _decode_fields(obj, memo),
+    lines = read_ndjson(path, "trace", rows.decode,
                         lambda lineno, exc: diagnostics.append((lineno, str(exc))),
-                        digest)
-    for lineno, offset, (seq, _, us, contract, action, actor, kind, payload,
-                         notified) in lines:
-        if last_seq is not None and seq <= last_seq:
-            diagnostics.append((lineno, f"global_seq {seq} not increasing"))
+                        digest, rows.recognise)
+    for lineno, offset, (row, extra) in lines:
+        if last_seq is not None and row[0] <= last_seq:
+            diagnostics.append((lineno, f"global_seq {row[0]} not increasing"))
             continue
-        last_seq = seq
-        if not first <= us < end:
+        last_seq = row[0]
+        if not first <= row[1] < end:
             dropped += 1
             continue
-        if rows.add(offset, seq, us, kind, contract, action, actor, notified, payload):
-            memo.clear_values()
+        rows.add(offset, row, extra)
     table = rows.table()
 
     # Every non-blank line is a record, a drop or a diagnostic.

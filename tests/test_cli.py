@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,12 @@ BAD_FLAGS = {
     "misuse_count_negative": ("synth", ["--misuse", "misuse:-1"]),
     "bots_size_zero": ("synth", ["--bots", "click_fraud:0"]),
     "bots_third_field_not_cal": ("synth", ["--bots", "click_fraud:31:x"]),
+    "users_beyond_int32": ("synth", ["--users", str(2**31)]),
+    "services_beyond_int32": ("synth", ["--services", str(2**31)]),
+    "silent_beyond_int32": ("synth", ["--silent", str(2**31)]),
+    "deep_chain_beyond_int32": ("synth", ["--deep-chain", str(2**31)]),
+    "misuse_count_beyond_int32": ("synth", ["--misuse", f"misuse:{2**31}"]),
+    "bots_size_beyond_int32": ("synth", ["--bots", "click_fraud:100000000000000000000"]),
 }
 
 
@@ -388,6 +395,22 @@ def test_bad_flag_value_is_error(files, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--users", str(10**20)), ("--services", str(2**31)), ("--silent", str(2**31)),
+    ("--deep-chain", str(2**40)), ("--bots", "click_fraud:100000000000000000000"),
+    ("--misuse", f"benign:{2**31}"),
+])
+def test_synth_count_beyond_int32_names_is_refused_up_front(tmp_path, capsys, monkeypatch,
+                                                            flag, value):
+    """A count past the int32 name ids a parse can number exits 2 naming
+    its flag, before any generation starts."""
+    monkeypatch.setattr(synthgen, "generate", lambda *a: pytest.fail("generation started"))
+    code = _exit_code(["synth", "generate", "--out", str(tmp_path / "out"), flag, value])
+    assert code == EXIT_ERROR
+    assert flag in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_env_default_is_error(files, tmp_path, capsys, monkeypatch):
@@ -785,6 +808,22 @@ def test_every_generated_record_kind_is_pinned(tmp_path):
     assert {("deferred", "resolve", False), ("notification", "transfer", True),
             ("external", "updateauth", False), ("external", "deleteauth", False)} <= kinds
     assert _digests(tmp_path, ("trace.ndjson", "snapshot.ndjson")) == ALL_KINDS_DIGESTS
+
+
+def test_every_generated_trace_line_takes_the_fast_path(tmp_path, monkeypatch):
+    """Every line synthgen writes matches model.TRACE_LINE and passes its
+    checks, so no line of the all-kinds trace reaches the JSON path: a
+    format change that turns the recogniser off fails here."""
+    assert main(["synth", "generate", "--out", str(tmp_path), *ALL_KINDS_ARGV]) == EXIT_OK
+    decoded = []
+    decode = model._Columns.decode
+    monkeypatch.setattr(model._Columns, "decode",
+                        lambda self, obj: decoded.append(obj) or decode(self, obj))
+    window = model.ObservationWindow(date(2018, 1, 1), date(2019, 12, 31))
+    trace = model.parse_action_trace(tmp_path / "trace.ndjson", window)
+    assert decoded == []
+    assert len(trace) == len((tmp_path / "trace.ndjson").read_bytes().splitlines()) > 0
+    assert trace.diagnostics == [] and trace.dropped_out_of_window == 0
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,23 @@ def test_predict_prob_bounds():
     assert ((probs >= 0.0) & (probs <= 1.0)).all()
 
 
+@pytest.mark.parametrize("predict_rows", [1, 7, 64, forest.PREDICT_ROWS])
+def test_predict_prob_is_the_per_tree_sum(predict_rows):
+    """The batched walk sums each row's tree probabilities in tree order, so
+    every probability is that of a walk tree by tree, bit for bit, whatever
+    rows each batch holds."""
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(120, 4))
+    y = (X[:, 0] + rng.normal(size=120) > 0).astype(np.int64)  # noisy: leaves of 3/7 and such
+    model = forest.RandomForest(n_trees=25, min_leaf=5, seed=4).fit(X, y)
+    total = np.zeros(len(X))
+    for tree in model.trees:
+        total += tree.predict_prob(X)
+    with mock.patch.object(forest, "PREDICT_ROWS", predict_rows):
+        assert np.array_equal(model.predict_prob(X), total / len(model.trees))
+        assert model.predict_prob(X[:0]).shape == (0,)
+
+
 def test_permuted_labels_near_chance():
     X, y = _blobs(n_per_class=250, gap=4.0)
     rng = np.random.default_rng(123)

@@ -8,12 +8,13 @@ from collections.abc import Mapping
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eosforensics import permissions
+from eosforensics import model, permissions
 from eosforensics.errors import IngestError
 from eosforensics.model import (
     ACCOUNT_NAME_RE,
@@ -1157,6 +1158,101 @@ def test_table_is_the_same_at_every_chunk_size(kinds, crlf, last_newline):
     # the same records, written with to_json and parsed again, make the same table
     assert (_table_columns(parsed_actions(oracle.records).table, offsets=False)
             == _table_columns(table, offsets=False))
+
+
+# ---------------------------------------------------------------------------
+# The recogniser of the known line layout: lines near the layout give the
+# table, diagnostics and drops of the JSON path alone.
+
+def _near(obj, **over):
+    return {**obj, **over}
+
+
+def _layout_line(seq, kind):
+    """The line of a _LINE_KINDS kind in the layout synthgen writes."""
+    return model.encode_json(json.loads(_action_line(seq, **_LINE_KINDS[kind])))
+
+
+# name -> a function of a layout line's object that gives a line near the layout
+_NEAR_LAYOUT = {
+    "as_is": model.encode_json,
+    "escaped_name": lambda o: model.encode_json(o).replace('"alice"', '"\\u0061lice"'),
+    "escaped_action": lambda o: model.encode_json(o).replace('"transfer"', '"tr\\u0061nsfer"'),
+    "seq_float": lambda o: model.encode_json(_near(o, global_seq=float(o["global_seq"]))),
+    "seq_minus_zero": lambda o: model.encode_json(o).replace(
+        f'"global_seq": {o["global_seq"]}', '"global_seq": -0'),
+    "seq_leading_zero": lambda o: model.encode_json(o).replace(
+        '"global_seq": ', '"global_seq": 0'),
+    "seq_2_63": lambda o: model.encode_json(_near(o, global_seq=2**63)),
+    "seq_19_digits": lambda o: model.encode_json(_near(o, global_seq=10**18 + o["global_seq"])),
+    "swapped_keys": lambda o: json.dumps(dict(reversed(list(o.items())))),
+    "duplicate_key": lambda o: model.encode_json(o)[:-1] + ', "actor": "bob"}',
+    "duplicate_kind": lambda o: model.encode_json(o)[:-1] + ', "kind": "bogus"}',
+    "extra_key": lambda o: model.encode_json(_near(o, zzz=1)),
+    "compact": lambda o: json.dumps(o, sort_keys=True, separators=(",", ":")),
+    "trailing_space": lambda o: model.encode_json(o) + " ",
+    "crlf": lambda o: model.encode_json(o) + "\r",
+    "bad_utf8": lambda o: model.encode_json(o).encode().replace(b'"alice"', b'"al\xffce"'),
+    "non_ascii_name": lambda o: model.encode_json(o).replace('"alice"', '"alicé"'),
+    "quote_in_memo": lambda o: model.encode_json(o).replace('"memo": ""', '"memo": "\\""'),
+    "tab_in_tx_id": lambda o: model.encode_json(o).replace('"tx_id": "', '"tx_id": "\t'),
+    "empty_notified": lambda o: model.encode_json(_near(o, notified="")),
+    "notice_unnotified": lambda o: model.encode_json(
+        {k: v for k, v in _near(o, kind="notification").items() if k != "notified"}),
+    "transfer_payload_of_play": lambda o: model.encode_json(_near(o, action_name="play")),
+    "bad_transfer_payload_of_play": lambda o: model.encode_json(
+        _near(o, action_name="play")).replace('"from": "alice"', '"from": "alice\\"'),
+    "tab_in_transfer_payload_of_play": lambda o: model.encode_json(
+        _near(o, action_name="play")).replace('"to": "bob"', '"to": "b\tob"'),
+    "transfer_of_eosio": lambda o: model.encode_json(
+        _near(o, executing_contract="eosio", action_name="updateauth")),
+    "bad_timestamp": lambda o: model.encode_json(_near(o, timestamp="2018-06-10T24:00:00Z")),
+    "bad_quantity": lambda o: model.encode_json(o).replace(" EOS\"", " eos\""),
+    "payload_array": lambda o: model.encode_json(_near(o, payload=[1])),
+    "payload_two_values": lambda o: model.encode_json(o).replace('"payload": {',
+                                                                 '"payload": {} {'),
+}
+
+
+def _parse_or_error(path, chunk=model.CHUNK_ROWS):
+    try:
+        result = parse_action_trace(path, _window(), chunk=chunk)
+    except IngestError as exc:
+        return str(exc)
+    return (_table_columns(result.records.table), result.diagnostics,
+            result.dropped_out_of_window)
+
+
+_LAYOUT_PREFIX = "".join(_layout_line(seq, kind) + "\n" for seq, kind in
+                         enumerate(list(_LINE_KINDS) * 60, start=1)).encode()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.sampled_from(sorted(_LINE_KINDS)),
+                          st.sampled_from(sorted(_NEAR_LAYOUT))), max_size=6))
+@example([(kind, "as_is") for kind in _LINE_KINDS])
+@example([("transfer", "escaped_name"), ("updateauth", "seq_2_63"), ("play", "bad_utf8"),
+          ("deleteauth", "transfer_of_eosio"), ("notice", "crlf"), ("transfer", "duplicate_key"),
+          ("transfer", "bad_transfer_payload_of_play")])
+def test_recognised_lines_parse_as_the_json_path_does(mutations):
+    """Each file gives the table columns, diagnostics and drops (or the
+    IngestError) of the parse with every line on the JSON path, at chunk
+    sizes 1, 7 and CHUNK_ROWS (the name ids outlive each chunk's memo)."""
+    columns = model._Columns()  # every unchanged line takes the fast path
+    assert all(map(columns.recognise, _LAYOUT_PREFIX.decode().splitlines(keepends=True)))
+    seq = len(_LINE_KINDS) * 60
+    lines = []
+    for kind, mutation in mutations:
+        seq += 1
+        text = _NEAR_LAYOUT[mutation](json.loads(_layout_line(seq, kind)))
+        lines.append(text if isinstance(text, bytes) else text.encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.ndjson"
+        path.write_bytes(_LAYOUT_PREFIX + b"\n".join(lines))
+        with mock.patch.object(model._Columns, "recognise", lambda self, line: None):
+            expected = _parse_or_error(path)
+        for chunk in (1, 7, model.CHUNK_ROWS):
+            assert _parse_or_error(path, chunk) == expected
 
 
 def test_records_view_reads_each_line_again(tmp_path):
