@@ -19,6 +19,7 @@ components of the shared-key links.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -145,7 +146,7 @@ def communities(eacg: Eacg, min_children=DEFAULT_MIN_CHILDREN) -> dict:
 
 def contract_universe(ecig: Ecig):
     """Canonical sorted contract list shared across one run."""
-    return [ecig.names[i] for i in np.unique(ecig.dst).tolist()]
+    return [ecig.names[i] for i in np.flatnonzero(np.bincount(ecig.dst)).tolist()]
 
 
 def behavior_matrices(accounts, emfg: Emfg, ecig: Ecig, window: ObservationWindow,
@@ -160,7 +161,7 @@ def behavior_matrices(accounts, emfg: Emfg, ecig: Ecig, window: ObservationWindo
     column[ecig.ids(contract_index)] = list(contract_index.values())
     # the pairs are in (src, dst) order, so the requested sources' ranges in
     # ascending id order are their pairs in row order
-    nodes = np.unique(c[c >= 0])
+    nodes = np.flatnonzero(np.bincount(c[c >= 0]))
     keep = concat_ranges(pairs.first[nodes], pairs.first[nodes + 1] - pairs.first[nodes])
     targets = DayView(len(ecig.names), pairs.src[keep], column[pairs.dst[keep]], pairs.count[keep])
     return time, targets.matrix(c, len(contract_index), 0)
@@ -174,8 +175,10 @@ def behavior_vectors(account, emfg: Emfg, ecig: Ecig, window: ObservationWindow,
 
 
 def cosine_distance(u, v) -> float:
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    return _cosine_distance(u, v, np.linalg.norm(u), np.linalg.norm(v))
+
+
+def _cosine_distance(u, v, nu, nv) -> float:  # given the norms nu of u and nv of v
     if nu == 0 or nv == 0:
         raise ValueError("cosine distance undefined for zero vector")
     d = 1.0 - float(u @ v) / (nu * nv)
@@ -184,9 +187,11 @@ def cosine_distance(u, v) -> float:
 
 def group_mean_distance(vectors) -> float:
     """Average cosine distance of each vector to the group mean vector."""
-    stack = np.vstack(vectors)
+    stack = np.vstack(vectors).astype(np.float64)
     mean = stack.mean(axis=0)
-    return float(np.mean([cosine_distance(v, mean) for v in stack]))
+    nv = np.linalg.norm(mean)
+    # on a float vector, np.linalg.norm is the square root of its dot product
+    return float(np.mean([_cosine_distance(v, mean, math.sqrt(v.dot(v)), nv) for v in stack]))
 
 
 def group_similarity(members_vectors) -> tuple:
@@ -271,7 +276,7 @@ def _row_std(series, created):
     """np.std of each row of `series` from its `created` day on, one call
     per distinct creation day."""
     out = np.zeros(len(series))
-    for day in np.unique(created).tolist():
+    for day in np.flatnonzero(np.bincount(created)).tolist():
         rows = created == day
         out[rows] = np.std(series[rows, day:], axis=1)
     return out

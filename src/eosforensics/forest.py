@@ -8,9 +8,11 @@ Tree k of every cell grows from child k of SeedSequence(seed), so each
 tree index is grown once for the whole grid (`_grow`): cells share a
 tree until their decisions differ, and each cell's trees are the ones a
 forest of its parameters fitted alone would grow. Trees grow in lockstep
-groups, whose nodes share one split search per step over each feature's
-exact distinct values (`_best_splits`). A threshold is the midpoint of
-the values around it, or the lower one where the midpoint rounds up.
+groups; each step's nodes share a split search over each feature's exact
+distinct values (`_best_splits`) per run of SEARCH_ROWS rows, and walks
+(`_leaf_probs`) take WALK_ROWS rows at a time, however many trees a group
+holds. A threshold is the midpoint of the values around it, or the lower
+one where the midpoint rounds up.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from .errors import TrainingError
 
 FORMAT_VERSION = 1
 TRAIN_SHARE = 0.8  # of the labeled rows; the rest is the held-out test split
-GROUP_ROWS = 1 << 12  # bootstrap rows of the trees grown in lockstep, summed
-PREDICT_ROWS = 1 << 16  # rows times trees of one batched prediction walk
+GROUP_ROWS = 1 << 16  # bootstrap rows a lockstep group holds, summed over its trees
+SEARCH_ROWS = 1 << 12  # node rows of one batched split search, summed; a larger node alone
+WALK_ROWS = 1 << 14  # rows of one batched tree walk, summed over its trees
 
 DEFAULT_GRID = {
     "n_trees": (50, 100, 200),
@@ -68,7 +71,7 @@ class _Tree:
 
     def predict_prob(self, X):
         """Leaf probability per row of `X`."""
-        return _leaf_probs(X, [(self, np.arange(X.shape[0]))])[0]
+        return next(_leaf_probs(X, [(self, np.arange(X.shape[0]))]))
 
     # the fields are _Tree.__slots__: a subclass's own __slots__ is empty
     def to_json(self):
@@ -82,24 +85,39 @@ class _Tree:
         return t
 
 
+def _runs(items, sizes, limit):
+    """Consecutive runs of `items` whose `sizes` sum to at most `limit`, or of one item."""
+    run, total = [], 0
+    for item, size in zip(items, sizes):
+        if run and total + size > limit:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += size
+    if run:
+        yield run
+
+
 def _leaf_probs(X, walks):
-    """Leaf probabilities of the rows of `X` that each (tree, rows) of
-    `walks` names, an array per walk; all descend together, level by level."""
-    sizes = [len(tree.feature) for tree, _ in walks]
-    root = np.cumsum([0] + sizes[:-1])
-    feature, threshold, left, right, prob = (np.concatenate(
-        [getattr(tree, name) for tree, _ in walks]) for name in _Tree.__slots__)
-    left, right = left + np.repeat(root, sizes), right + np.repeat(root, sizes)
-    node = np.repeat(root, [len(rows) for _, rows in walks])
-    rows = np.concatenate([rows for _, rows in walks])
-    live = np.arange(len(rows))
-    while live.size:
-        at = node[live]
-        inner = feature[at] >= 0
-        live, at = live[inner], at[inner]
-        go_left = X[rows[live], feature[at]] <= threshold[at]
-        node[live] = np.where(go_left, left[at], right[at])
-    return np.split(prob[node], np.cumsum([len(rows) for _, rows in walks])[:-1])
+    """Yield the leaf probabilities of the rows of `X` that each (tree, rows)
+    of `walks` names, an array per walk. Runs of walks of at most WALK_ROWS
+    rows in all descend together, level by level."""
+    for run in _runs(walks, [len(rows) for _, rows in walks], WALK_ROWS):
+        sizes = [len(tree.feature) for tree, _ in run]
+        root = np.cumsum([0] + sizes[:-1])
+        feature, threshold, left, right, prob = (np.concatenate(
+            [getattr(tree, name) for tree, _ in run]) for name in _Tree.__slots__)
+        left, right = left + np.repeat(root, sizes), right + np.repeat(root, sizes)
+        node = np.repeat(root, [len(rows) for _, rows in run])
+        rows = np.concatenate([rows for _, rows in run])
+        live = np.arange(len(rows))
+        while live.size:
+            at = node[live]
+            inner = feature[at] >= 0
+            live, at = live[inner], at[inner]
+            go_left = X[rows[live], feature[at]] <= threshold[at]
+            node[live] = np.where(go_left, left[at], right[at])
+        yield from np.split(prob[node], np.cumsum([len(rows) for _, rows in run])[:-1])
 
 
 def _best_splits(bins, y, searches):
@@ -228,8 +246,9 @@ def _grow(X, y, bins, samples, cells, max_features):
             feats = branch.rng.choice(X.shape[1], size=max_features, replace=False)
             searches.append((rows, feats, {leaf for _, leaf in search}))
             searched.append((branch, (node, rows, depth, pos), feats, search))
+        runs = _runs(searches, [len(rows) for rows, _, _ in searches], SEARCH_ROWS)
         for (branch, top, feats, search), splits in zip(
-                searched, _best_splits(bins, y, searches) if searches else ()):
+                searched, (s for run in runs for s in _best_splits(bins, y, run))):
             outcomes = {}
             for cell in search:
                 outcomes.setdefault(splits.get(cell[1]), []).append(cell)
@@ -260,10 +279,10 @@ def _fit_prefixes(X, y, max_depths, min_leafs, seed, sizes):
     Each tree index is grown once for all cells from one bootstrap sample
     and one generator, and cells that make the same decisions share one
     tree and its out-of-bag predictions. Indices whose samples hold at most
-    GROUP_ROWS rows in all grow, and are walked, as one group."""
+    GROUP_ROWS rows in all grow as one group."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if len(np.unique(y)) < 2:
+    if not y.size or y.min() == y.max():
         raise TrainingError("training labels contain a single class")
     n = X.shape[0]
     max_features = max(1, int(math.sqrt(X.shape[1])))
@@ -283,8 +302,8 @@ def _fit_prefixes(X, y, max_depths, min_leafs, seed, sizes):
                    for rng in map(np.random.default_rng, seeds[k0:k0 + per_group])]
         grown = _grow(X, y, bins, samples, cells, max_features)
         oobs = [np.flatnonzero(np.bincount(sample, minlength=n) == 0) for sample, _ in samples]
-        probs = iter(_leaf_probs(X, [(tree, oob) for oob, pairs in zip(oobs, grown)
-                                     for tree, _ in pairs]))
+        probs = _leaf_probs(X, [(tree, oob) for oob, pairs in zip(oobs, grown)
+                                for tree, _ in pairs])
         for k, (oob, pairs) in enumerate(zip(oobs, grown), start=k0 + 1):
             tree_of = {cell: i for i, (_, shared) in enumerate(pairs) for cell in shared}
             for cell in cells:
@@ -320,10 +339,10 @@ class RandomForest:
         """Each row's mean tree probability, summed in tree order as tree by tree."""
         X = np.asarray(X, dtype=np.float64)
         total = np.zeros(X.shape[0])
-        step = max(1, PREDICT_ROWS // len(self.trees))
-        for rows in np.split(np.arange(len(X)), range(step, len(X), step)):
-            for probs in _leaf_probs(X, [(tree, rows) for tree in self.trees]):
-                total[rows] += probs
+        chunks = np.split(np.arange(len(X)), range(WALK_ROWS, len(X), WALK_ROWS))
+        walks = [(tree, rows) for rows in chunks for tree in self.trees]
+        for (_, rows), probs in zip(walks, _leaf_probs(X, walks)):
+            total[rows] += probs
         return total / len(self.trees)
 
     def predict(self, X):
@@ -388,7 +407,7 @@ def train_classifier(X, y, seed=0, grid=None) -> TrainResult:
     train_idx, test_idx = order[:cut], order[cut:]
     if not len(test_idx):
         raise TrainingError(f"{X.shape[0]} labeled rows leave the held-out test split empty")
-    if len(np.unique(y[train_idx])) < 2:
+    if y[train_idx].min() == y[train_idx].max():
         raise TrainingError("training split contains a single class")
 
     # One fit grows every cell: each tree index is grown once for every

@@ -225,7 +225,8 @@ def build_ecig(actions, window: ObservationWindow) -> Ecig:
 def silent_accounts(emfg: Emfg, ecig: Ecig, snapshot) -> set:
     """Accounts that never send money and never invoke a contract.
     Receiving EOS does not disqualify."""
-    active = {graph.names[i] for graph in (emfg, ecig) for i in np.unique(graph.src).tolist()}
+    active = {graph.names[i] for graph in (emfg, ecig)
+              for i in np.flatnonzero(np.bincount(graph.src)).tolist()}
     return set(snapshot) - active
 
 

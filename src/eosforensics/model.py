@@ -660,9 +660,10 @@ class Actions(Named):
     def relabel(self, *columns):
         """(the sorted names that the id `columns` hold, each column as int64
         ids into those names)."""
-        used = np.unique(np.concatenate(columns))
-        return (tuple(self.names[i] for i in used.tolist()),
-                [np.searchsorted(used, column) for column in columns])
+        used = np.bincount(np.concatenate(columns), minlength=len(self.names)) > 0
+        position = np.cumsum(used) - 1
+        return (tuple(self.names[i] for i in np.flatnonzero(used).tolist()),
+                [position[column] for column in columns])
 
 
 class _Checked(dict):
@@ -861,7 +862,7 @@ class Records(Sequence):
     def by_seq(self, seqs) -> dict:
         """global_seq -> ActionRecord for each of `seqs` that a row holds."""
         seq = self.table.seq  # ascending, as the parse keeps it
-        wanted = np.unique(np.fromiter(seqs, dtype=np.int64))
+        wanted = np.fromiter(sorted(set(seqs)), dtype=np.int64)
         rows = np.searchsorted(seq, wanted)
         found = rows < len(seq)
         found[found] = seq[rows[found]] == wanted[found]

@@ -6,7 +6,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eosforensics import botnet, graphs, synthgen
 from eosforensics.errors import CalibrationError
@@ -29,6 +29,7 @@ from tests_support import (
     oracle_ecig,
     oracle_emfg,
     oracle_features,
+    oracle_group_mean_distance,
     oracle_merge_by_pubkey,
     out_daily_counts,
     parsed_accounts,
@@ -88,6 +89,17 @@ class TestThresholdBox:
         assert t.mean_s == pytest.approx(0.05)
 
 
+@st.composite
+def member_vectors(draw):
+    """1-8 vectors of one length, all of ints or all of floats, as a
+    community's time or target vectors are."""
+    values = draw(st.sampled_from([st.integers(0, 3), st.integers(0, 10**9),
+                                   st.floats(-1e6, 1e6)]))
+    width, members = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    return [np.array(draw(st.lists(values, min_size=width, max_size=width)))
+            for _ in range(members)]
+
+
 class TestCosine:
     def test_identical_vectors(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -119,6 +131,18 @@ class TestCosine:
         assert botnet.cosine_distance(v, u) == pytest.approx(
             botnet.cosine_distance(v * scale, u), abs=1e-9
         )
+
+    @given(member_vectors())
+    @example(vectors=[np.array([1, 2, 3]), np.zeros(3, dtype=np.int64)])  # a zero member
+    @example(vectors=[np.array([1.0, 2.0, 3.0]), np.zeros(3)])
+    def test_group_mean_distance_is_the_per_member_formula(self, vectors):
+        try:
+            expected = oracle_group_mean_distance(vectors)
+        except ValueError:
+            with pytest.raises(ValueError):
+                botnet.group_mean_distance(vectors)
+            return
+        assert botnet.group_mean_distance(vectors) == expected  # bit for bit
 
     @given(st.lists(st.floats(0.0, 10.0, width=16), min_size=2, max_size=6))
     def test_distance_in_unit_interval(self, values):

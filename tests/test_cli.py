@@ -1037,16 +1037,21 @@ def test_commands_share_one_parse_and_leave_it_unchanged(files, window, tmp_path
     assert snapshot.warnings == fresh.warnings
 
 
+def _python(*argv):
+    """Run `python argv` in a fresh process that imports this package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=600)
+
+
 def test_run_matches_the_ten_commands_across_processes(files, tmp_path):
     """`run` in one fresh process and the ten commands each in its own fresh
     process, so each parses anew, write the same tree, the one that
     test_stage_files_are_pinned pins."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
     def launch(argv):
-        proc = subprocess.run([sys.executable, "-m", "eosforensics.cli", *argv],
-                              env=env, capture_output=True, text=True, timeout=600)
+        proc = _python("-m", "eosforensics.cli", *argv)
         assert proc.returncode in (EXIT_OK, EXIT_FINDINGS), (argv, proc.stderr)
         return proc.returncode
 
@@ -1058,6 +1063,26 @@ def test_run_matches_the_ten_commands_across_processes(files, tmp_path):
     files_written = {str(p.relative_to(run)) for p in run.rglob("*") if p.is_file()}
     assert files_written == set(STAGE_DIGESTS)
     assert _digests(run, ("*.csv", "*.ndjson", "*.json", "*.txt")) == STAGE_DIGESTS
+
+
+def test_no_command_imports_numpy_ma(files, tmp_path):
+    """With numpy 2, the first plain np.unique(a) of a process imports
+    numpy.ma (8-20 ms), because it asks np.ma.is_masked; the ten commands in
+    one fresh process make no such call."""
+    script = ("import json, sys\n"
+              "import numpy\n"
+              "if 'numpy.ma' in sys.modules:\n"
+              "    sys.exit(3)\n"
+              "from eosforensics import cli\n"
+              "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    proc = _python("-c", script, json.dumps(_pipeline(files, tmp_path)))
+    if proc.returncode == 3:
+        pytest.skip("a bare `import numpy` imports numpy.ma with this numpy")
+    assert proc.returncode == 0, proc.stderr
+    codes, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert set(codes) <= {EXIT_OK, EXIT_FINDINGS}
+    assert not imported
 
 
 def test_run_stops_at_the_first_error(files, tmp_path, capsys):

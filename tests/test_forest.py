@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from unittest import mock
@@ -80,8 +81,8 @@ def test_predict_prob_bounds():
     assert ((probs >= 0.0) & (probs <= 1.0)).all()
 
 
-@pytest.mark.parametrize("predict_rows", [1, 7, 64, forest.PREDICT_ROWS])
-def test_predict_prob_is_the_per_tree_sum(predict_rows):
+@pytest.mark.parametrize("walk_rows", [1, 7, 64, 1 << 16])  # 1 << 16: one walk of every tree
+def test_predict_prob_is_the_per_tree_sum(walk_rows):
     """The batched walk sums each row's tree probabilities in tree order, so
     every probability is that of a walk tree by tree, bit for bit, whatever
     rows each batch holds."""
@@ -92,7 +93,7 @@ def test_predict_prob_is_the_per_tree_sum(predict_rows):
     total = np.zeros(len(X))
     for tree in model.trees:
         total += tree.predict_prob(X)
-    with mock.patch.object(forest, "PREDICT_ROWS", predict_rows):
+    with mock.patch.object(forest, "WALK_ROWS", walk_rows):
         assert np.array_equal(model.predict_prob(X), total / len(model.trees))
         assert model.predict_prob(X[:0]).shape == (0,)
 
@@ -204,16 +205,18 @@ def test_prefix_forests_equal_forests_fitted_alone():
 
 def _count_split_searches(monkeypatch):
     """Record the sorted min_leaf values of every node's split search, one
-    list per node of each batched search."""
-    calls = []
+    list per node of each batched search, and the row counts of the nodes of
+    each batched search, one list per call."""
+    calls, batches = [], []
     search = forest._best_splits
 
     def counting_search(bins, y, searches):
         calls.extend(sorted(min_leafs) for _, _, min_leafs in searches)
+        batches.append([len(rows) for rows, _, _ in searches])
         return search(bins, y, searches)
 
     monkeypatch.setattr(forest, "_best_splits", counting_search)
-    return calls
+    return calls, batches
 
 
 def test_depth_forests_equal_forests_fitted_alone(monkeypatch):
@@ -221,7 +224,7 @@ def test_depth_forests_equal_forests_fitted_alone(monkeypatch):
     # shared there, others grow deeper and fork.
     X, y = _blobs(n_per_class=70, gap=2.0)
     depths, sizes = (2, 4, None), (10, 30)
-    searches = _count_split_searches(monkeypatch)
+    searches, _ = _count_split_searches(monkeypatch)
     cells = forest._fit_prefixes(X, y, depths, (1,), 11, sizes)
     grid_searches = len(searches)
     distinct = {id(tree) for trees, _ in cells.values() for tree in trees}
@@ -242,12 +245,15 @@ def test_depth_forests_equal_forests_fitted_alone(monkeypatch):
 
 def test_default_grid_grows_each_min_leaf_once(monkeypatch):
     X, y = _blobs(gap=10.0)
-    searches = _count_split_searches(monkeypatch)
+    searches, batches = _count_split_searches(monkeypatch)
     result = forest.train_classifier(X, y, seed=0)
     # every tree is one split at the root, so each of the 200 tree indices
     # searches its root once for all 12 cells (3 min_leaf x 4 max_depth),
     # where fitting each min_leaf alone would search it 3 times
     assert searches == [[1, 5, 20]] * 200
+    # a group's roots are searched in runs of at most SEARCH_ROWS rows
+    assert len(batches) < 200
+    assert all(sum(rows) <= forest.SEARCH_ROWS or len(rows) == 1 for rows in batches)
     assert len(result.model.trees) == result.best_params["n_trees"]
 
 
@@ -257,7 +263,7 @@ def test_winner_is_its_grid_cell_not_a_refit(monkeypatch):
     # parameters fitted alone on the same training split.
     X, y = _blobs(n_per_class=60, seed=5, gap=1.0)
     grid = {"n_trees": (5, 10), "max_depth": (2, None), "min_leaf": (1, 3)}
-    searches = _count_split_searches(monkeypatch)
+    searches, _ = _count_split_searches(monkeypatch)
     result = forest.train_classifier(X, y, seed=9, grid=grid)
     trained = len(searches)
     train_idx = np.random.default_rng(9).permutation(len(y))[:int(round(0.8 * len(y)))]
@@ -318,9 +324,12 @@ def _tied_features(n, seed):
 def test_grid_grower_matches_per_cell_oracle(problem):
     X, y, depths, leafs, seed, sizes = problem
     oracle = {leaf: oracle_fit_prefixes(X, y, depths, leaf, seed, sizes) for leaf in leafs}
-    # groups of one tree, of three trees, and of every tree
-    for group_rows in (1, 3 * len(y), max(sizes) * len(y)):
-        with mock.patch.object(forest, "GROUP_ROWS", group_rows):
+    # groups of one tree, of three trees, and of every tree; each node
+    # searched and each tree walked alone, or all of a step's or group's at once
+    for group_rows, batch_rows in itertools.product(
+            (1, 3 * len(y), max(sizes) * len(y)), (1, 1 << 40)):
+        with mock.patch.multiple(forest, GROUP_ROWS=group_rows, SEARCH_ROWS=batch_rows,
+                                 WALK_ROWS=batch_rows):
             cells = forest._fit_prefixes(X, y, depths, leafs, seed, sizes)
         assert list(cells) == [(d, leaf) for d in depths for leaf in leafs]
         for leaf in leafs:

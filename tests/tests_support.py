@@ -499,6 +499,20 @@ def oracle_silent(cells, ecig, snapshot):
     return {name for name in snapshot if not cells.get(name) and not ecig.get(name)}
 
 
+def oracle_group_mean_distance(vectors) -> float:
+    """The mean cosine distance of each vector to the group mean, with both
+    norms of every member's distance from np.linalg.norm."""
+    stack = np.vstack(vectors)
+    mean = stack.mean(axis=0)
+    distances = []
+    for v in stack:
+        nu, nv = np.linalg.norm(v), np.linalg.norm(mean)
+        if nu == 0 or nv == 0:
+            raise ValueError("cosine distance undefined for zero vector")
+        distances.append(min(1.0, max(0.0, 1.0 - float(v @ mean) / (nu * nv))))
+    return float(np.mean(distances))
+
+
 def oracle_features(account, cells, ecig, eacg, snapshot, window):
     """botnet.extract_features' 11 values for one account, computed the
     per-account way over dict cells. Siblings share a creator in the
