@@ -22,6 +22,7 @@ from .model import (
     US_PER_DAY,
     Actions,
     Transfers,
+    check_name,
     eos_decimal,
     extract_transfers,
     file_sha256,
@@ -30,6 +31,7 @@ from .model import (
     parse_timestamp,
     read_ndjson,
     utc_from_us,
+    window_days,
     write_csv,
     write_ndjson,
 )
@@ -97,7 +99,7 @@ def _same_day_flows(events):
     ids = {name: i for i, name in enumerate(events.names)}
     n = len(ids)
     order, starts, (day, src, dst), (units,) = group_sums(
-        (events.us // US_PER_DAY, events.src, events.dst), events.units)
+        (window_days(events.us), events.src, events.dst), events.units)
     ends = np.r_[starts[1:], len(order)]
     # one int key per group, not a tuple the cyclic GC would track
     group = {(d * n + s) * n + t: g
@@ -129,7 +131,7 @@ def _fake_findings(table, events, registry, kind, claimed, attackers, victims):
     for row, attacker, victim in zip(t.row[pick].tolist(), attackers[pick].tolist(),
                                      victims[pick].tolist()):
         attacker, victim = table.names[attacker], table.names[victim]
-        day = int(table.us[row]) // US_PER_DAY
+        day = window_days(int(table.us[row]))
         if (attacker, victim, day) in seen:
             continue
         (received, received_units), (sent, sent_units) = (
@@ -286,18 +288,15 @@ def liveness_filter(suspicious, events, registry, config: ScanConfig):
     lifetime_in = {(names[d], names[s]): units for d, s, units in zip(
         dst.tolist(), src.tolist(), inflow.tolist())}  # (account, dapp) -> units
 
-    # each window's rows, found by seq; hand-built events may be in any seq order
-    order = (None if (events.seq[1:] > events.seq[:-1]).all()
-             else np.argsort(events.seq, kind="stable"))
-    by_seq = events.seq if order is None else events.seq[order]
+    # each window's rows by seq, through one stable sort (linear on a parse's ascending seqs)
+    order = np.argsort(events.seq, kind="stable")
+    by_seq = events.seq[order]
     results = []
     for (account, dapp), seqs in sorted(attributed.items()):
         total_in = lifetime_in.get((account, dapp), 0)
         if total_in == 0:
             continue  # nothing ever received from the DApp; diagnostic case
-        rows = np.searchsorted(by_seq, np.fromiter(seqs, np.int64, len(seqs)))
-        if order is not None:
-            rows = order[rows]
+        rows = order[np.searchsorted(by_seq, np.fromiter(seqs, np.int64, len(seqs)))]
         units = events.units[rows]
         received = int(units[events.src[rows] == events.id(dapp)].sum())
         sent = int(units.sum()) - received
@@ -321,7 +320,10 @@ def load_rollback_log(path):
         raise IngestError(f"rollback log line {lineno}: {exc!r}") from exc
 
     def decode(obj):
-        return obj["tx_id"], obj["actor"], parse_timestamp(obj["timestamp"])
+        tx_id = obj["tx_id"]
+        if not isinstance(tx_id, str):
+            raise ValueError(f"tx_id is not a string: {type(tx_id).__name__}")
+        return tx_id, check_name(obj["actor"], "actor"), parse_timestamp(obj["timestamp"])
 
     return [entry for _, _, entry in read_ndjson(path, "rollback log", decode, fail)]
 

@@ -283,13 +283,13 @@ def _row_std(series, created):
 
 
 def extract_features(accounts, emfg: Emfg, ecig: Ecig, eacg: Eacg,
-                     snapshot, window: ObservationWindow) -> np.ndarray:
+                     window: ObservationWindow) -> np.ndarray:
     """The 11 classification features of each account, as a len(accounts)
     x 11 float64 matrix in FEATURE_NAMES order. Per-day statistics run from
     the account's creation day (clamped into the window) through the window
     end; accounts with no transfers get zero means/stds. Siblings are the
     other children of the same creator created on the same day in `eacg`,
-    the creation forest of `snapshot`, which gives the days and depths too."""
+    the creation forest, which gives the days and depths too."""
     days = window.day_count
     ids = eacg.ids(accounts)
     created = np.clip(eacg.day[ids], 0, days - 1)

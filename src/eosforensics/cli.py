@@ -275,7 +275,7 @@ class _Trace:
 
     @functools.cached_property
     def transfers(self):
-        return extract_transfers(self.result.records, self.window)
+        return extract_transfers(self.result, self.window)
 
     @functools.cached_property
     def emfg(self):
@@ -283,7 +283,7 @@ class _Trace:
 
     @functools.cached_property
     def ecig(self):
-        return graphs.build_ecig(self.result.records, self.window)
+        return graphs.build_ecig(self.result, self.window)
 
 
 class _Snapshot(dict):
@@ -357,7 +357,7 @@ def cmd_ingest(args, stage):
     snapshot = _snapshot(args).result
     transfers = trace.transfers
     summary = {
-        "actions": len(result.records),
+        "actions": len(result),
         "dropped_out_of_window": result.dropped_out_of_window,
         "malformed_lines": len(result.diagnostics),
         "accounts": len(snapshot),
@@ -479,8 +479,7 @@ def cmd_bots_classify(args, stage):
     silent = graphs.silent_accounts(emfg, ecig, snapshot)
     candidates = sorted(set(snapshot) - silent - labeled_bot - labeled_normal)
     # one feature pass: each row depends only on its own account
-    features = botnet.extract_features(labeled + candidates, emfg, ecig, eacg, snapshot,
-                                       args.window)
+    features = botnet.extract_features(labeled + candidates, emfg, ecig, eacg, args.window)
     y = [1 if a in labeled_bot else 0 for a in labeled]
     result = forest.train_classifier(features[:len(labeled)], y, seed=args.seed)
     result.model.save(stage / "bot_model.json")
@@ -502,7 +501,7 @@ def cmd_bots_classify(args, stage):
 
 
 def cmd_perms_audit(args, stage):
-    records = _trace(args).result.records
+    records = _trace(args).result
     snapshot = _snapshot(args).result
     grants, diagnostics = permissions.scan_updateauth(records, args.window)
     findings = permissions.detect_misuse(grants, snapshot)
@@ -528,14 +527,14 @@ def cmd_attacks_scan(args, stage):
     config = attacks_mod.ScanConfig(w1=Decimal(str(args.w1)), w2=args.w2, w3=args.w3)
     rollback = (attacks_mod.load_rollback_log(args.rollback_log) if args.rollback_log
                 else None)
-    findings, notes = attacks_mod.scan_attacks(trace.result.records, registry, config,
+    findings, notes = attacks_mod.scan_attacks(trace.result, registry, config,
                                                rollback_entries=rollback)
     write_ndjson(stage / "attack_findings.ndjson", (f.to_json() for f in findings))
     _dump(stage / "attack_notes.json", notes)
     if args.bundles:  # always staged, so that it replaces the last scan's whole
         (stage / "bundles").mkdir()
         # the evidence lines alone are decoded again, each once
-        evidence = trace.result.records.by_seq(seq for f in findings for seq in f.evidence)
+        evidence = trace.result.by_seq(seq for f in findings for seq in f.evidence)
         for i, finding in enumerate(findings):
             attacks_mod.evidence_bundle(
                 finding, evidence, trace.emfg,

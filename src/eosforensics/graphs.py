@@ -15,7 +15,6 @@ from .model import (
     NOTIFICATION,
     OFFICIAL_TOKEN_CONTRACT,
     UNITS_PER_EOS,
-    US_PER_DAY,
     Accounts,
     Actions,
     Named,
@@ -182,8 +181,7 @@ def build_eacg(snapshot, window: ObservationWindow) -> Eacg:
     """The creation forest of a parsed snapshot, or of its Accounts table:
     the table's columns, with the creation days in `window`."""
     table = Accounts.of(snapshot)
-    return Eacg(table.names, table.creator, window_days(table.us // US_PER_DAY, window),
-                table.depth)
+    return Eacg(table.names, table.creator, window_days(table.us, window), table.depth)
 
 
 class Ecig(DayGraph):
@@ -217,7 +215,7 @@ def build_ecig(actions, window: ObservationWindow) -> Ecig:
     rows = np.flatnonzero(table.kind != NOTIFICATION)
     names, (callers, contracts) = table.relabel(table.actor[rows], table.contract[rows])
     _, _, keys, (count,) = group_sums(
-        (callers, contracts, window_days(table.us[rows] // US_PER_DAY, window)),
+        (callers, contracts, window_days(table.us[rows], window)),
         np.ones(len(rows), dtype=np.int64))
     return Ecig(names, *keys, count)
 

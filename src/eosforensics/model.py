@@ -41,9 +41,9 @@ File formats (all newline-delimited, UTF-8):
   decoded transfer payload, and `auth` the system account's updateauth and
   deleteauth payloads by row. The parse appends each line's checked fields
   straight to one plain list, ints that the cyclic GC does not track, and
-  every CHUNK_ROWS rows the list becomes the column arrays. An ActionRecord
-  is built only when a row is read through the Records view, which decodes
-  its line again.
+  every CHUNK_ROWS rows the list becomes the column arrays. The parse returns
+  the table's Records view, with its drops and diagnostics; an ActionRecord
+  is built only when a row is read through it, which decodes its line again.
 * Transfers, the one form of a genuine EOS transfer after parsing: read-only
   int64 columns, one row per transfer in trace order. `seq`; `us`, UTC
   microseconds since the epoch; `day`, the window day index (days since the
@@ -633,8 +633,22 @@ class Named:
         return np.array([self.id(name) for name in names], dtype=np.int64)
 
 
+class _Table(Named):
+    """The base of the dataclass tables: each array field, and each array of
+    a TransferRows field, is made read-only; a row is an entry of `us`."""
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            for column in value if isinstance(value, TransferRows) else (value,):
+                if isinstance(column, np.ndarray):
+                    column.flags.writeable = False
+
+    def __len__(self):
+        return len(self.us)
+
+
 @dataclass(frozen=True, eq=False)
-class Actions(Named):
+class Actions(_Table):
     """The action table of the module docstring."""
 
     names: tuple
@@ -648,14 +662,6 @@ class Actions(Named):
     notified: np.ndarray
     transfers: TransferRows
     auth: tuple  # (row, payload) per updateauth or deleteauth of the system account
-
-    def __post_init__(self):
-        for column in (self.seq, self.us, self.offset, self.kind, self.contract, self.action,
-                       self.actor, self.notified, *self.transfers):
-            column.flags.writeable = False
-
-    def __len__(self):
-        return len(self.seq)
 
     def relabel(self, *columns):
         """(the sorted names that the id `columns` hold, each column as int64
@@ -693,8 +699,9 @@ TRACE_LINE = re.compile(
 class _Columns:
     """The column builder of an Actions table and the state of its parse. Each
     row's ints, names as first-seen ids, go straight onto one plain list (which
-    the cyclic GC does not track); every `chunk` rows the list moves into arrays
-    and the memo forgets its values. table() renumbers the used ids by name."""
+    the cyclic GC does not track); every CHUNK_ROWS rows, as the module holds it
+    when the builder is made, the list moves into arrays and the memo forgets
+    its values. table() renumbers the used ids by name."""
 
     # The dtype of each column of a row, and of a transfer row; NAMED marks
     # the columns of name ids in either.
@@ -702,8 +709,8 @@ class _Columns:
     TRANSFER = (np.int64,) + (np.int32,) * 3 + (np.int64,)
     NAMED = (False,) * 4 + (True,) * 4 + (False,) + (True,) * 3 + (False,)
 
-    def __init__(self, chunk=CHUNK_ROWS):
-        self.full = chunk * len(self.ROW)  # the length of the pending rows at a chunk's end
+    def __init__(self):
+        self.full = CHUNK_ROWS * len(self.ROW)  # the length of the pending rows at a chunk's end
         self.memo = _Memo()
         self.ids = defaultdict(count().__next__, {None: -1})  # a new name: the next id
         self.known = _Checked(self.memo, self.ids)
@@ -825,13 +832,20 @@ def _read_again(path: Path, what: str, lines, decode, field: str):
 
 
 class Records(Sequence):
-    """The read-only sequence view of a parsed trace's `table`: item i is
-    the ActionRecord of row i, decoded again from its line of the trace file
-    at `path` by _read_again (so each item read costs about twice what the
-    parse of its line did). A view equals a list of equal records."""
+    """A parsed trace, its own `records`: the read-only sequence view of its
+    Actions `table`, item i the ActionRecord of row i, decoded again from its
+    line of the trace file at `path` by _read_again (so each item read costs
+    about twice what the parse of its line did). A view equals a list of
+    equal records. `dropped_out_of_window` and `diagnostics` ((line number,
+    message) pairs) are the parse's."""
 
-    def __init__(self, table: Actions, path):
+    def __init__(self, table: Actions, path, dropped_out_of_window: int, diagnostics: list):
         self.table, self.path = table, Path(path)
+        self.dropped_out_of_window, self.diagnostics = dropped_out_of_window, diagnostics
+
+    @property
+    def records(self):
+        return self
 
     def __len__(self):
         return len(self.table)
@@ -870,30 +884,16 @@ class Records(Sequence):
         return {r.global_seq: r for r in self.read(rows)} if rows else {}
 
 
-@dataclass
-class TraceParseResult:
-    records: Records
-    dropped_out_of_window: int
-    diagnostics: list  # (line_number, message)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self):
-        return len(self.records)
-
-
-def parse_action_trace(path, window: ObservationWindow, digest=None,
-                       chunk=CHUNK_ROWS) -> TraceParseResult:
-    """Parse a newline-delimited action trace into an Actions table, `chunk`
-    rows at a time; its `records` are the table's Records view.
+def parse_action_trace(path, window: ObservationWindow, digest=None) -> Records:
+    """Parse a newline-delimited action trace into an Actions table,
+    CHUNK_ROWS rows at a time, and return its Records view.
 
     Records outside the observation window are dropped (and counted).
     Malformed lines are collected as diagnostics; more than 1% malformed
     lines aborts ingestion. `digest` is fed the bytes read (read_ndjson).
     """
     path = Path(path)
-    rows = _Columns(chunk)
+    rows = _Columns()
     diagnostics = []
     dropped = 0
     last_seq = None
@@ -921,7 +921,7 @@ def parse_action_trace(path, window: ObservationWindow, digest=None,
             f"{len(diagnostics)}/{total} malformed lines in {path}; "
             f"first: line {diagnostics[0][0]}: {diagnostics[0][1]}"
         )
-    return TraceParseResult(Records(table, path), dropped, diagnostics)
+    return Records(table, path, dropped, diagnostics)
 
 
 # json.dumps(obj, sort_keys=True), without the fresh JSONEncoder it builds per call.
@@ -963,10 +963,10 @@ def utc_from_us(us) -> datetime:
     return EPOCH + timedelta(microseconds=int(us))
 
 
-def window_days(epoch_days, window: ObservationWindow | None = None):
-    """The window day index of each count of UTC days since the epoch (the
-    count itself without a window)."""
-    return epoch_days - (0 if window is None else (window.start_day - EPOCH.date()).days)
+def window_days(us, window: ObservationWindow | None = None):
+    """The window day index (the day since the epoch without a window) of each
+    count of UTC microseconds since the epoch: the one time-to-day conversion."""
+    return us // US_PER_DAY - (0 if window is None else (window.start_day - EPOCH_DATE).days)
 
 
 def group_sums(keys, *values):
@@ -984,7 +984,7 @@ def group_sums(keys, *values):
 
 
 @dataclass(frozen=True, eq=False)
-class Transfers(Named):
+class Transfers(_Table):
     """The transfer table of the module docstring."""
 
     names: tuple
@@ -994,13 +994,6 @@ class Transfers(Named):
     src: np.ndarray
     dst: np.ndarray
     units: np.ndarray
-
-    def __post_init__(self):
-        for column in (self.seq, self.us, self.day, self.src, self.dst, self.units):
-            column.flags.writeable = False
-
-    def __len__(self):
-        return len(self.seq)
 
 
 def extract_transfers(actions, window: ObservationWindow | None = None) -> Transfers:
@@ -1022,12 +1015,11 @@ def extract_transfers(actions, window: ObservationWindow | None = None) -> Trans
     rows = t.row[genuine]
     names, (src, dst) = table.relabel(t.src[genuine], t.dst[genuine])
     us = table.us[rows]
-    return Transfers(names, table.seq[rows], us, window_days(us // US_PER_DAY, window),
-                     src, dst, units)
+    return Transfers(names, table.seq[rows], us, window_days(us, window), src, dst, units)
 
 
 @dataclass(frozen=True, eq=False)
-class Accounts(Named):
+class Accounts(_Table):
     """The account table of the module docstring."""
 
     names: tuple
@@ -1039,14 +1031,6 @@ class Accounts(Named):
     key_account: np.ndarray
     key: np.ndarray
     key_active: np.ndarray
-
-    def __post_init__(self):
-        for column in (self.creator, self.us, self.offset, self.depth, self.key_account,
-                       self.key, self.key_active):
-            column.flags.writeable = False
-
-    def __len__(self):
-        return len(self.names)
 
 
 def _account_table(rows) -> Accounts:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (NOTIFICATION, US_PER_DAY, Accounts, Actions, UpdateAuthPayload,
-                    window_days, write_csv)
+from .model import (NOTIFICATION, Accounts, Actions, UpdateAuthPayload, window_days,
+                    write_csv)
 
 CODE_PERMISSION = "eosio.code"
 
@@ -65,7 +65,7 @@ def scan_updateauth(actions, window):
             diagnostics.append((seq, "updateauth with undecodable authority payload"))
             continue
         state[(payload.account, payload.permission)] = (
-            payload, int(window_days(table.us[row] // US_PER_DAY, window)), seq)
+            payload, int(window_days(table.us[row], window)), seq)
 
     grants = []
     for (granter, linked), (payload, day, seq) in sorted(state.items()):

@@ -115,7 +115,6 @@ class _Chain:
         self.transfer_count = 0
         self.transfer_total = 0  # units
         self.dapps = []  # (name, dapp, category)
-        self.incentives = []
         self.labels = []  # (community_id, role, account)
         self.manifest = {}
 
@@ -184,7 +183,6 @@ class _Chain:
     # -- scenario blocks ---------------------------------------------------
 
     def build(self):
-        cfg = self.config
         self.create_account("eosio", None, 0, 0, emit_action=False)
         self.balances["eosio"] = 10**10 * UNIT
         self.create_account("eosio.token", None, 0, 1, emit_action=False)
@@ -198,28 +196,23 @@ class _Chain:
         self._build_silent()
         self._build_deep_chain()
         attacks = self._build_attacks()
-        misuse = self._build_misuse(services)
+        misuse = self._build_misuse()
         self._finalize_manifest(services, users, communities, attacks, misuse)
 
     def _build_dapps(self):
-        cfg = self.config
-        for i in range(DAPP_COUNT):
-            name = _name("game", i)
-            self.create_account(name, "eosio", 0, has_contract=True)
-            self.transfer(0, 10 + i, "eosio", name, cfg.dapp_funding_eos * UNIT)
-            self.dapps.append((name, f"Game{i}", "gambling"))
-        for i in range(INCENTIVE_DAPP_COUNT):
-            name = _name("bonus", i)
-            self.create_account(name, "eosio", 0, has_contract=True)
-            self.transfer(0, 40 + i, "eosio", name, cfg.dapp_funding_eos * UNIT)
-            self.dapps.append((name, f"Bonus{i}", "incentive"))
-            self.incentives.append(name)
-        name = _name("exch", 0)
-        self.create_account(name, "eosio", 0, has_contract=True)
-        self.transfer(0, 70, "eosio", name, cfg.dapp_funding_eos * UNIT)
-        self.dapps.append((name, "Exchange0", "exchange"))
-        self.exchange = name
+        # (name prefix, label, category, count, second of the first funding)
+        for prefix, label, category, count, sec in (
+                ("game", "Game", "gambling", DAPP_COUNT, 10),
+                ("bonus", "Bonus", "incentive", INCENTIVE_DAPP_COUNT, 40),
+                ("exch", "Exchange", "exchange", 1, 70)):
+            for i in range(count):
+                name = _name(prefix, i)
+                self.create_account(name, "eosio", 0, has_contract=True)
+                self.transfer(0, sec + i, "eosio", name, self.config.dapp_funding_eos * UNIT)
+                self.dapps.append((name, f"{label}{i}", category))
+        self.exchange = _name("exch", 0)
         self.gambling = [d for d, _, c in self.dapps if c == "gambling"]
+        self.incentives = [d for d, _, c in self.dapps if c == "incentive"]
         # unlabeled utility contract; bot members ping it occasionally so
         # target vectors are not single-dimensional
         self.helper = self.create_account(_name("helper", 0), "eosio", 0,
@@ -475,7 +468,7 @@ class _Chain:
             )
         return attacks
 
-    def _build_misuse(self, services):
+    def _build_misuse(self):
         plan = self.config.misuse_plan
         rng = self.rng
         kinds = ("misuse", "partial", "benign", "revoked", "unrelated", "deleted")

@@ -315,26 +315,22 @@ class TestDetection:
 
 
 class TestFeatures:
-    def test_feature_vector_shape_and_names(self, built_graphs, parsed, window,
-                                            scenario):
+    def test_feature_vector_shape_and_names(self, built_graphs, window, scenario):
         emfg, eacg, ecig = built_graphs
-        _, snapshot = parsed
         _, manifest = scenario
         member = manifest["bot_communities"][0]["members"][0]
-        feats = botnet.extract_features([member], emfg, ecig, eacg, snapshot, window)
+        feats = botnet.extract_features([member], emfg, ecig, eacg, window)
         assert feats.shape == (1, len(botnet.FEATURE_NAMES)) == (1, 11)
         assert feats.dtype == np.float64
         d = dict(zip(botnet.FEATURE_NAMES, feats[0].tolist()))
         assert d["acg_depth"] == 2.0  # eosio -> controller -> member
         assert 0.0 <= d["activate_time"] <= 1.0
 
-    def test_silent_account_zero_features(self, built_graphs, parsed, window,
-                                          scenario):
+    def test_silent_account_zero_features(self, built_graphs, window, scenario):
         emfg, eacg, ecig = built_graphs
-        _, snapshot = parsed
         _, manifest = scenario
         idle = next(a for a in manifest["silent_accounts"] if a.startswith("idle"))
-        feats = botnet.extract_features([idle], emfg, ecig, eacg, snapshot, window)
+        feats = botnet.extract_features([idle], emfg, ecig, eacg, window)
         d = dict(zip(botnet.FEATURE_NAMES, feats[0].tolist()))
         assert d["transfer_out_std"] == 0.0
         assert d["invocation_num"] == 0.0
@@ -350,8 +346,8 @@ class TestFeatures:
         emfg, eacg, ecig = built_graphs
         _, snapshot = parsed
         accounts = snapshot.accounts if as_dict else snapshot
-        names = sorted(snapshot.accounts)
-        features = botnet.extract_features(names, emfg, ecig, eacg, accounts, window)
+        names = sorted(accounts)
+        features = botnet.extract_features(names, emfg, ecig, eacg, window)
         rows = [[a, [float(v) for v in row]] for a, row in zip(names, features)]
         assert len(rows) == 358
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
@@ -364,8 +360,8 @@ class TestFeatures:
         _, snapshot = parsed
         names = sorted(snapshot.accounts)
         first, second = names[::2], names[1::2]
-        joined = botnet.extract_features(first + second, emfg, ecig, eacg, snapshot, window)
-        apart = [botnet.extract_features(part, emfg, ecig, eacg, snapshot, window)
+        joined = botnet.extract_features(first + second, emfg, ecig, eacg, window)
+        apart = [botnet.extract_features(part, emfg, ecig, eacg, window)
                  for part in (first, second)]
         assert joined.tobytes() == np.vstack(apart).tobytes()
 
@@ -384,7 +380,7 @@ class TestOracles:
         ecig = graphs.build_ecig(records, window)
         cells, calls = oracle_emfg(records, window), oracle_ecig(records, window)
         accounts = sorted(snapshot.accounts)
-        features = botnet.extract_features(accounts, emfg, ecig, eacg, snapshot, window)
+        features = botnet.extract_features(accounts, emfg, ecig, eacg, window)
         assert features.shape == (len(accounts), 11)
         records = dict(snapshot.items())  # the oracles read every account's record
         for account, row in zip(accounts, features.tolist()):

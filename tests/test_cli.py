@@ -325,6 +325,14 @@ def test_bad_registry_csv_is_error(tmp_path, capsys, case):
 ROLLBACK_LINES = {
     "broken_json": "{broken",
     "missing_actor": json.dumps({"tx_id": "aa", "timestamp": "2018-06-10T00:00:00Z"}),
+    "actor_is_a_list": json.dumps({"tx_id": "aa", "actor": ["alice"],
+                                   "timestamp": "2018-06-10T00:00:00Z"}),
+    "actor_is_an_object": json.dumps({"tx_id": "aa", "actor": {"name": "alice"},
+                                      "timestamp": "2018-06-10T00:00:00Z"}),
+    "actor_not_a_name": json.dumps({"tx_id": "aa", "actor": "Alice",
+                                    "timestamp": "2018-06-10T00:00:00Z"}),
+    "tx_id_is_a_number": json.dumps({"tx_id": 7, "actor": "alice",
+                                     "timestamp": "2018-06-10T00:00:00Z"}),
 }
 
 

@@ -23,7 +23,6 @@ from eosforensics.model import (
     ObservationWindow,
     Quantity,
     Registry,
-    TraceParseResult,
     UpdateAuthPayload,
     decode_account,
     decode_action,
@@ -343,17 +342,21 @@ class TestTraceParsing:
         with pytest.raises(ValueError):
             decode_action(obj)
 
-    def test_tables_keep_their_column_layout(self, parsed):
-        # every later command reads these columns as the parse leaves them
+    def test_tables_keep_their_column_layout(self, parsed, window):
+        # every later command reads these columns as the parse and the
+        # transfer extraction leave them
         trace, snapshot = parsed
         actions, accounts = trace.records.table, snapshot.table
+        transfers = extract_transfers(trace.records, window)
         columns = [actions.seq, actions.us, actions.offset, actions.kind, actions.contract,
                    actions.action, actions.actor, actions.notified, *actions.transfers,
                    accounts.creator, accounts.us, accounts.offset, accounts.depth,
-                   accounts.key_account, accounts.key, accounts.key_active]
+                   accounts.key_account, accounts.key, accounts.key_active,
+                   transfers.seq, transfers.us, transfers.day, transfers.src, transfers.dst,
+                   transfers.units]
         assert [c.dtype for c in columns] == (
             [np.int64] * 3 + [np.int8] + [np.int32] * 4 + [np.int64] + [np.int32] * 3
-            + [np.int64] * 7 + [bool])
+            + [np.int64] * 7 + [bool] + [np.int64] * 6)
         assert all(c.flags.c_contiguous and not c.flags.writeable and len(c) for c in columns)
 
     def test_round_trip(self, scenario, window, parsed, tmp_path):
@@ -1134,7 +1137,8 @@ def test_table_is_the_same_at_every_chunk_size(kinds, crlf, last_newline):
         parses = {}
         for chunk in (1, 7, 65_536):
             try:
-                parses[chunk] = parse_action_trace(path, _window(), chunk=chunk)
+                with mock.patch.object(model, "CHUNK_ROWS", chunk):
+                    parses[chunk] = parse_action_trace(path, _window())
             except IngestError as exc:
                 parses[chunk] = str(exc)
         try:
@@ -1216,7 +1220,8 @@ _NEAR_LAYOUT = {
 
 def _parse_or_error(path, chunk=model.CHUNK_ROWS):
     try:
-        result = parse_action_trace(path, _window(), chunk=chunk)
+        with mock.patch.object(model, "CHUNK_ROWS", chunk):
+            result = parse_action_trace(path, _window())
     except IngestError as exc:
         return str(exc)
     return (_table_columns(result.records.table), result.diagnostics,

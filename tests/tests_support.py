@@ -21,7 +21,6 @@ from eosforensics.model import (
     ActionRecord,
     ObservationWindow,
     Quantity,
-    TraceParseResult,
     TransferPayload,
     decode_account,
     decode_action,
@@ -118,12 +117,14 @@ def oracle_parse_timestamp(text: str) -> datetime:
                     int(text[20:-1].ljust(6, "0")), tzinfo=timezone.utc)
 
 
-def oracle_parse_action_trace(path, window, digest=None) -> TraceParseResult:
+def oracle_parse_action_trace(path, window, digest=None) -> SimpleNamespace:
     """model.parse_action_trace as it was before the Actions table, with one
-    ActionRecord kept per row in a list. Moved as it stood but for two
-    adaptations: read_ndjson now also yields each line's offset, and each
-    line is decoded by decode_action alone, where one memo used to be shared
-    across lines (test_matches_per_line_decode pins that the two agree)."""
+    ActionRecord kept per row in a list. Moved as it stood but for three
+    adaptations: read_ndjson now also yields each line's offset; each line
+    is decoded by decode_action alone, where one memo used to be shared
+    across lines (test_matches_per_line_decode pins that the two agree); and
+    the result is a namespace of the list and the parse's drops and
+    diagnostics, the three fields a parse result has."""
     path = Path(path)
     records = []
     diagnostics = []
@@ -151,7 +152,8 @@ def oracle_parse_action_trace(path, window, digest=None) -> TraceParseResult:
             f"{len(diagnostics)}/{total} malformed lines in {path}; "
             f"first: line {diagnostics[0][0]}: {diagnostics[0][1]}"
         )
-    return TraceParseResult(records, dropped, diagnostics)
+    return SimpleNamespace(records=records, dropped_out_of_window=dropped,
+                           diagnostics=diagnostics)
 
 
 # The exact zero of a sum of EOS amounts, which all have four decimals.
